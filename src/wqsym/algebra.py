@@ -1,7 +1,16 @@
-"""Sparse exact linear combinations of packed words (the monomial basis).
+"""Sparse exact linear combinations, and the packed-word algebra on them.
 
-The three products carry distinct operators so expressions read like the
-algebra they compute in:
+:class:`SparseCombination` is the one base class of every sparse element type
+in the package (packed words here, tensor words and base-algebra monomials
+in :mod:`wqsym.qshuffle`, compositions in :mod:`wqsym.qsym`): a dict from
+canonical basis keys to nonzero exact coefficients, with the linear structure,
+equality and sorted rendering written once.  Each subclass supplies its key
+check, its sort key and its products.  The products of the quasi-shuffle
+algebras all go through :func:`wqsym.words.quasi_shuffle` (Hoffman,
+"Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
+
+The three products of packed words carry distinct operators so expressions
+read like the algebra they compute in:
 
     f * g    outer product (shifted quasi-shuffle of set compositions)
     f @ g    internal product (composition of surjections, zero on arity
@@ -23,7 +32,6 @@ from .params import ParamPoly
 from .words import (
     Word,
     breadth,
-    compose_surjections,
     descents,
     enumerate_packed_words,
     pack,
@@ -53,29 +61,107 @@ def _add_term(data: dict, key, coeff) -> None:
         data.pop(key, None)
 
 
-class WQSymElement:
-    """A finite linear combination of packed words."""
+class SparseCombination:
+    """A finite exact linear combination of basis keys, stored as a dict from
+    canonical key to nonzero coefficient.
+
+    Binary operations accept only operands of the same class (anything else
+    gets ``NotImplemented``); scalars multiply from either side and divide.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data: dict[Word, object] = {}
-        for w, c in (terms or {}).items():
-            w = words.check_packed(w)
+        data: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._check_key(key)
             c = _coerce_coeff(c)
             if c:
-                _add_term(data, w, c)
+                _add_term(data, key, c)
         self.terms = data
 
+    @staticmethod
+    def _check_key(key):
+        """The canonical form of a basis key; raises ``ValueError`` if invalid."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _sort_key(key):
+        """Ordering key of basis keys in :meth:`sorted_terms`."""
+        return key
+
     @classmethod
-    def _raw(cls, data: dict) -> "WQSymElement":
+    def _raw(cls, data: dict):
         el = object.__new__(cls)
         el.terms = data
         return el
 
     @classmethod
-    def zero(cls) -> "WQSymElement":
+    def zero(cls):
         return cls._raw({})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        data = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(data, key, c)
+        return self._raw(data)
+
+    def __neg__(self):
+        return self._raw({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def _scaled(self, scalar):
+        scalar = _coerce_coeff(scalar)
+        if not scalar:
+            return self.zero()
+        return self._raw({key: scalar * c for key, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __truediv__(self, scalar):
+        if isinstance(scalar, int):
+            scalar = Fraction(scalar)
+        if isinstance(scalar, Fraction):
+            return self._scaled(1 / scalar)
+        return NotImplemented
+
+    def sorted_terms(self):
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+
+    def counit(self):
+        return self.terms.get((), Fraction(0))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
+class WQSymElement(SparseCombination):
+    """A finite linear combination of packed words."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(words.check_packed)
+    _sort_key = staticmethod(word_sort_key)
 
     @classmethod
     def unit(cls) -> "WQSymElement":
@@ -85,48 +171,22 @@ class WQSymElement:
     def monomial(cls, word, coeff=1) -> "WQSymElement":
         return cls({tuple(word): coeff})
 
-    # -- linear structure ---------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WQSymElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
+    # -- scalars promote to multiples of the unit under + and - ---------------
 
     def __add__(self, other):
         if isinstance(other, SCALAR_TYPES):
             other = WQSymElement._raw({(): _coerce_coeff(other)}) if other else WQSymElement.zero()
-        if not isinstance(other, WQSymElement):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(data, w, c)
-        return WQSymElement._raw(data)
+        return SparseCombination.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return WQSymElement._raw({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, SCALAR_TYPES):
             return self + (-_coerce_coeff(other))
-        if not isinstance(other, WQSymElement):
-            return NotImplemented
-        return self + (-other)
+        return SparseCombination.__sub__(self, other)
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def _scaled(self, scalar):
-        scalar = _coerce_coeff(scalar)
-        if not scalar:
-            return WQSymElement.zero()
-        return WQSymElement._raw({w: scalar * c for w, c in self.terms.items()})
 
     # -- the three products -------------------------------------------------
 
@@ -142,18 +202,6 @@ class WQSymElement:
             return WQSymElement._raw(out)
         if isinstance(other, SCALAR_TYPES):
             return self._scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self._scaled(1 / scalar)
         return NotImplemented
 
     def __matmul__(self, other):
@@ -192,9 +240,6 @@ class WQSymElement:
                 _add_term(out, (left, right), c)
         return TensorSquare._raw(out)
 
-    def counit(self):
-        return self.terms.get((), Fraction(0))
-
     # -- inspection ---------------------------------------------------------
 
     def degrees(self) -> list[int]:
@@ -206,9 +251,6 @@ class WQSymElement:
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
-
     def coefficient(self, word):
         return self.terms.get(tuple(word), Fraction(0))
 
@@ -217,9 +259,6 @@ class WQSymElement:
 
     def __str__(self) -> str:
         return format_terms(self.sorted_terms(), lambda w: "M[%s]" % ",".join(map(str, w)))
-
-    def __repr__(self) -> str:
-        return f"<WQSymElement {self}>"
 
 
 def format_terms(sorted_terms, key_fmt) -> str:
@@ -246,63 +285,19 @@ def format_terms(sorted_terms, key_fmt) -> str:
     return "".join(chunks)
 
 
-class TensorSquare:
+class TensorSquare(SparseCombination):
     """Finite linear combination of ordered pairs of packed words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[tuple[Word, Word], object] = {}
-        for (a, b), c in (terms or {}).items():
-            key = (words.check_packed(a), words.check_packed(b))
-            c = _coerce_coeff(c)
-            if c:
-                _add_term(data, key, c)
-        self.terms = data
+    @staticmethod
+    def _check_key(key):
+        a, b = key
+        return (words.check_packed(a), words.check_packed(b))
 
-    @classmethod
-    def _raw(cls, data: dict) -> "TensorSquare":
-        t = object.__new__(cls)
-        t.terms = data
-        return t
-
-    @classmethod
-    def zero(cls) -> "TensorSquare":
-        return cls._raw({})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TensorSquare):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        data = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(data, key, c)
-        return TensorSquare._raw(data)
-
-    def __neg__(self):
-        return TensorSquare._raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, SCALAR_TYPES):
-            scalar = _coerce_coeff(scalar)
-            if not scalar:
-                return TensorSquare.zero()
-            return TensorSquare._raw({k: scalar * c for k, c in self.terms.items()})
-        return NotImplemented
+    @staticmethod
+    def _sort_key(key):
+        return (word_sort_key(key[0]), word_sort_key(key[1]))
 
     def __mul__(self, other):
         """Componentwise outer product on both tensor legs."""
@@ -317,20 +312,11 @@ class TensorSquare:
                         _add_term(out, (left, right), c)
         return TensorSquare._raw(out)
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (word_sort_key(kv[0][0]), word_sort_key(kv[0][1])),
-        )
-
     def __str__(self) -> str:
         return format_terms(
             self.sorted_terms(),
             lambda p: "M[%s]xM[%s]" % (",".join(map(str, p[0])), ",".join(map(str, p[1]))),
         )
-
-    def __repr__(self) -> str:
-        return f"<TensorSquare {self}>"
 
 
 # -- embeddings of the free algebra on complete functions --------------------

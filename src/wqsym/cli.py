@@ -24,31 +24,29 @@ from .expressions import evaluate
 from .qsym import lyndon_generator_report, sigma_hat_series
 from .algebra import WQSymElement
 from .params import ParamPoly
-from .series import (
-    TruncatedSeries,
-    adams,
-    eulerian_idempotent,
-    max_degree_cap,
-)
+from .series import TruncatedSeries, adams, eulerian_idempotent
 from .serialization import (
     element_to_obj,
     series_to_obj,
     weight_report_to_obj,
 )
 from .suites import SUITE_NAMES, run_suites
-from .words import is_packed
+from .words import check_degree_cap, is_packed, max_degree_cap
 
 REALIZE_ALPHABET_CAP = 8
 
 
-def _check_cap(degree: int) -> int:
-    cap = max_degree_cap()
-    if degree > cap:
-        raise CapExceeded(
-            f"--degree {degree} exceeds the cap {cap}; set WQSYM_MAX_DEGREE to raise it "
-            f"(memory grows like the ordered Bell numbers)"
-        )
-    return degree
+def _check_bounds(args) -> None:
+    """Reject out-of-range numbers on the command line, then check --degree
+    against the degree cap."""
+    if getattr(args, "index", None) is not None and args.index < 0:
+        raise ExpressionError(f"the index must be nonnegative, got {args.index}")
+    if getattr(args, "cases", 1) < 1:
+        raise ExpressionError(f"--cases must be at least 1, got {args.cases}")
+    if hasattr(args, "degree"):
+        if args.degree < 0:
+            raise ExpressionError(f"--degree must be nonnegative, got {args.degree}")
+        check_degree_cap(args.degree)
 
 
 def _parse_word(text: str):
@@ -74,7 +72,6 @@ def _emit(obj, fmt: str, text_renderer) -> None:
 
 
 def cmd_eval(args) -> int:
-    _check_cap(args.degree)
     value = evaluate(args.expression, cutoff=args.degree, degree_cap=max_degree_cap())
     if isinstance(value, Fraction):
         value = WQSymElement.unit() * value
@@ -86,7 +83,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    _check_cap(args.degree)
     if args.object == "psi":
         if args.index is None:
             raise ExpressionError("expand psi needs an index")
@@ -104,7 +100,6 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_cap(args.degree)
     reports = run_suites(
         args.suite,
         degree=args.degree,
@@ -163,7 +158,6 @@ def cmd_realize(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    _check_cap(args.degree)
     reports = lyndon_generator_report(args.degree)
     if args.format == "json":
         print(json.dumps([weight_report_to_obj(r) for r in reports], separators=(",", ":")))
@@ -226,6 +220,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except ExpressionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,4 +14,5 @@ class BasisMismatch(TypeError):
 
 
 class ExpressionError(ValueError):
-    """Malformed expression text handed to the evaluator."""
+    """Malformed input: expression text handed to the evaluator, an
+    out-of-range command-line value, or a non-integer WQSYM_MAX_DEGREE."""

@@ -18,6 +18,7 @@ meet a series.  The bullet product is only defined on finite elements.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,18 +183,7 @@ class Evaluator:
             return self.literal(node[1], node[2])
         if kind == "neg":
             return -self.run(node[1])
-        left, right = self.run(node[1]), self.run(node[2])
-        if kind == "add":
-            return self.combine(left, right, "+")
-        if kind == "sub":
-            return self.combine(left, right, "-")
-        if kind == "outer":
-            return self.combine(left, right, "*")
-        if kind == "internal":
-            return self.combine(left, right, "@")
-        if kind == "bullet":
-            return self.combine(left, right, "&")
-        raise AssertionError(kind)
+        return self.combine(self.run(node[1]), self.run(node[2]), kind)
 
     def literal(self, name, args):
         if name == "M":
@@ -226,58 +216,42 @@ class Evaluator:
         if d > self.degree_cap:
             raise CapExceeded(f"degree {d} exceeds the cap {self.degree_cap}")
 
-    def promote(self, value):
-        if isinstance(value, Fraction):
-            return TruncatedSeries.unit(self.cutoff) * value
-        if isinstance(value, WQSymElement):
-            return TruncatedSeries.from_element(value, self.cutoff)
+    def lift(self, value, level):
+        """``value`` as a value of level ``level`` (see :data:`_LEVELS`)."""
+        if level >= 1 and isinstance(value, Fraction):
+            value = WQSymElement.unit() * value
+        if level == 2 and isinstance(value, WQSymElement):
+            value = TruncatedSeries.from_element(value, self.cutoff)
         return value
 
     def combine(self, left, right, op):
-        if isinstance(left, Fraction) and isinstance(right, Fraction):
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            # scalars embed as multiples of the unit under @ and &
-            left = WQSymElement.unit() * left
-            right = WQSymElement.unit() * right
-        if isinstance(left, TruncatedSeries) or isinstance(right, TruncatedSeries):
-            if op == "&":
-                raise BasisMismatch("the bullet product is only defined on finite elements")
-            left, right = self.promote(left), self.promote(right)
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            return left @ right
-        # scalar against a finite element
-        if isinstance(left, Fraction):
-            left = WQSymElement.unit() * left if op in "@&" else left
-        if isinstance(right, Fraction):
-            right = WQSymElement.unit() * right if op in "@&" else right
-        if isinstance(left, Fraction) or isinstance(right, Fraction):
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            return left * right
-        if op in ("*", "&"):
-            deg = (max(left.degrees(), default=0)) + (max(right.degrees(), default=0))
-            self.check_degree(deg)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "@":
-            return left @ right
-        return left & right
+        """Apply the binary operation ``op`` (an AST kind) after lifting both
+        operands to the higher of their two levels, and scalars at least to
+        elements under @ and &."""
+        level = max(_level(left), _level(right), 1 if op in ("internal", "bullet") else 0)
+        if level == 2 and op == "bullet":
+            raise BasisMismatch("the bullet product is only defined on finite elements")
+        left, right = self.lift(left, level), self.lift(right, level)
+        if level == 1 and op in ("outer", "bullet"):
+            self.check_degree(max(left.degrees(), default=0) + max(right.degrees(), default=0))
+        return _OPERATORS[op](left, right)
+
+
+#: value levels of the evaluator, lowest first; a binary operation lifts both
+#: operands to the higher of their levels
+_LEVELS = (Fraction, WQSymElement, TruncatedSeries)
+
+_OPERATORS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "outer": operator.mul,
+    "internal": operator.matmul,
+    "bullet": operator.and_,
+}
+
+
+def _level(value) -> int:
+    return next(i for i, cls in enumerate(_LEVELS) if isinstance(value, cls))
 
 
 def evaluate(text: str, cutoff: int, degree_cap: int):

@@ -7,6 +7,11 @@ deconcatenation coproduct, and a right action of packed-word elements: a
 basis word of length n sends a degree-n tensor to the tensor of blockwise
 products and kills every other degree.
 
+The element types derive from :class:`wqsym.algebra.SparseCombination`, and
+the product is the shared kernel :func:`wqsym.words.quasi_shuffle` with the
+monomial product as the merge of two letters (Hoffman, "Quasi-shuffle
+products", J. Algebraic Combin. 11, 2000).
+
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
 is exact.
@@ -14,13 +19,12 @@ is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-from .algebra import SCALAR_TYPES, WQSymElement, _add_term, _coerce_coeff, format_terms
-from .errors import CapExceeded
-from .series import TruncatedSeries, eulerian_idempotent, adams
-
-DEFAULT_GENERATORS = ("g1", "g2", "g3", "g4", "g5")
+from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_term, format_terms
+from .series import TruncatedSeries, act_degreewise, eulerian_idempotent, adams
+from .words import quasi_shuffle
 
 Monomial = tuple[tuple[str, int], ...]  # sorted ((generator, exponent), ...), nonempty
 TensorWord = tuple[Monomial, ...]
@@ -55,66 +59,30 @@ def mono_str(m: Monomial) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
 
 
-class AElement:
+def _tensor_word(word) -> TensorWord:
+    return tuple(monomial(*m) for m in word)
+
+
+class AElement(SparseCombination):
     """Element of the base algebra: rational combination of nonempty monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[Monomial, object] = {}
-        for m, c in (terms or {}).items():
-            m = monomial(*m)
-            c = _coerce_coeff(c)
-            if c:
-                _add_term(data, m, c)
-        self.terms = data
+    @staticmethod
+    def _check_key(m):
+        return monomial(*m)
 
-    @classmethod
-    def _raw(cls, data: dict) -> "AElement":
-        el = object.__new__(cls)
-        el.terms = data
-        return el
-
-    @classmethod
-    def zero(cls) -> "AElement":
-        return cls._raw({})
+    @staticmethod
+    def _sort_key(m):
+        return (mono_degree(m), m)
 
     @classmethod
     def generator(cls, name: str) -> "AElement":
         return cls._raw({((str(name), 1),): Fraction(1)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, AElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, AElement):
-            return NotImplemented
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            _add_term(data, m, c)
-        return AElement._raw(data)
-
-    def __neg__(self):
-        return AElement._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, AElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, SCALAR_TYPES):
-            other = _coerce_coeff(other)
-            if not other:
-                return AElement.zero()
-            return AElement._raw({m: other * c for m, c in self.terms.items()})
+            return self._scaled(other)
         if not isinstance(other, AElement):
             return NotImplemented
         out: dict[Monomial, object] = {}
@@ -122,8 +90,6 @@ class AElement:
             for m2, c2 in other.terms.items():
                 _add_term(out, mono_mul(m1, m2), c1 * c2)
         return AElement._raw(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 1:
@@ -134,57 +100,19 @@ class AElement:
         return out
 
     def __str__(self):
-        return format_terms(
-            sorted(self.terms.items(), key=lambda kv: (mono_degree(kv[0]), kv[0])),
-            mono_str,
-        )
-
-    def __repr__(self):
-        return f"<AElement {self}>"
+        return format_terms(self.sorted_terms(), mono_str)
 
 
-def _qsh_tensor(a: TensorWord, b: TensorWord) -> dict[TensorWord, int]:
-    if not a:
-        return {b: 1}
-    if not b:
-        return {a: 1}
-    out: dict[TensorWord, int] = {}
-    for w, m in _qsh_tensor(a[1:], b).items():
-        key = (a[0],) + w
-        out[key] = out.get(key, 0) + m
-    for w, m in _qsh_tensor(a, b[1:]).items():
-        key = (b[0],) + w
-        out[key] = out.get(key, 0) + m
-    merged = mono_mul(a[0], b[0])
-    for w, m in _qsh_tensor(a[1:], b[1:]).items():
-        key = (merged,) + w
-        out[key] = out.get(key, 0) + m
-    return out
-
-
-class QSElement:
+class QSElement(SparseCombination):
     """Element of the quasi-shuffle algebra: combination of tensor words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[TensorWord, object] = {}
-        for word, c in (terms or {}).items():
-            word = tuple(monomial(*m) for m in word)
-            c = _coerce_coeff(c)
-            if c:
-                _add_term(data, word, c)
-        self.terms = data
+    _check_key = staticmethod(_tensor_word)
 
-    @classmethod
-    def _raw(cls, data: dict) -> "QSElement":
-        el = object.__new__(cls)
-        el.terms = data
-        return el
-
-    @classmethod
-    def zero(cls) -> "QSElement":
-        return cls._raw({})
+    @staticmethod
+    def _sort_key(word):
+        return (len(word), word)
 
     @classmethod
     def unit(cls) -> "QSElement":
@@ -199,38 +127,6 @@ class QSElement:
         """Degree-1 tensor word on a single generator."""
         return cls._raw({(((str(name), 1),),): Fraction(1)})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, QSElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, QSElement):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(data, w, c)
-        return QSElement._raw(data)
-
-    def __neg__(self):
-        return QSElement._raw({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QSElement):
-            return NotImplemented
-        return self + (-other)
-
-    def _scaled(self, scalar):
-        scalar = _coerce_coeff(scalar)
-        if not scalar:
-            return QSElement.zero()
-        return QSElement._raw({w: scalar * c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         """Quasi-shuffle product (the commutative product of the algebra)."""
         if isinstance(other, SCALAR_TYPES):
@@ -241,21 +137,9 @@ class QSElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c = c1 * c2
-                for w, mult in _qsh_tensor(w1, w2).items():
+                for w, mult in Counter(quasi_shuffle(w1, w2, mono_mul)).items():
                     _add_term(out, w, c * mult)
         return QSElement._raw(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self._scaled(1 / scalar)
-        return NotImplemented
 
     # -- right action of packed-word elements -------------------------------
 
@@ -264,17 +148,7 @@ class QSElement:
         truncated series acts by its component at each tensor degree and
         refuses degrees above its cutoff."""
         if isinstance(op, TruncatedSeries):
-            out = QSElement.zero()
-            by_degree: dict[int, dict] = {}
-            for w, c in self.terms.items():
-                by_degree.setdefault(len(w), {})[w] = c
-            for d, terms in by_degree.items():
-                if d > op.cutoff:
-                    raise CapExceeded(
-                        f"series cutoff {op.cutoff} cannot act on degree {d}"
-                    )
-                out = out + QSElement._raw(terms).act(op.component(d))
-            return out
+            return act_degreewise(self, op)
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
         out: dict[TensorWord, object] = {}
@@ -306,17 +180,11 @@ class QSElement:
             _add_term(out, (word, ()), -c)
         return QSTensor._raw(out)
 
-    def counit(self):
-        return self.terms.get((), Fraction(0))
-
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self.terms})
 
     def component(self, d: int) -> "QSElement":
         return QSElement._raw({w: c for w, c in self.terms.items() if len(w) == d})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __str__(self):
         def fmt(word):
@@ -325,9 +193,6 @@ class QSElement:
             return "(" + " x ".join(mono_str(m) for m in word) + ")"
 
         return format_terms(self.sorted_terms(), fmt)
-
-    def __repr__(self):
-        return f"<QSElement {self}>"
 
 
 def _act_word(word: TensorWord, u) -> TensorWord:
@@ -362,48 +227,15 @@ def concat(x: QSElement, y: QSElement) -> QSElement:
     return QSElement._raw(out)
 
 
-class QSTensor:
+class QSTensor(SparseCombination):
     """Combination of ordered pairs of tensor words (coproduct values)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        for (a, b), c in (terms or {}).items():
-            key = (tuple(monomial(*m) for m in a), tuple(monomial(*m) for m in b))
-            c = _coerce_coeff(c)
-            if c:
-                _add_term(data, key, c)
-        self.terms = data
-
-    @classmethod
-    def _raw(cls, data: dict) -> "QSTensor":
-        t = object.__new__(cls)
-        t.terms = data
-        return t
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, QSTensor):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, QSTensor):
-            return NotImplemented
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(data, k, c)
-        return QSTensor._raw(data)
-
-    def __sub__(self, other):
-        if not isinstance(other, QSTensor):
-            return NotImplemented
-        return self + QSTensor._raw({k: -c for k, c in other.terms.items()})
+    @staticmethod
+    def _check_key(key):
+        a, b = key
+        return (_tensor_word(a), _tensor_word(b))
 
     def __mul__(self, other):
         """Componentwise quasi-shuffle on both legs."""
@@ -413,8 +245,9 @@ class QSTensor:
         for (a, b), c1 in self.terms.items():
             for (u, v), c2 in other.terms.items():
                 c = c1 * c2
-                for left, ml in _qsh_tensor(a, u).items():
-                    for right, mr in _qsh_tensor(b, v).items():
+                rights = Counter(quasi_shuffle(b, v, mono_mul)).items()
+                for left, ml in Counter(quasi_shuffle(a, u, mono_mul)).items():
+                    for right, mr in rights:
                         _add_term(out, (left, right), c * ml * mr)
         return QSTensor._raw(out)
 

@@ -2,53 +2,49 @@
 integers.
 
 The monomial basis is indexed by compositions; the product is the
-quasi-shuffle where overlapping parts add.  Packed-word elements act on the
-right by summing parts blockwise, Adams operations come either through that
-action or through the internal iterated coproduct/product oracle, and the
-first quasi-Eulerian idempotent carves out free polynomial generators
-indexed by Lyndon compositions (verified degreewise by exact rank).
+quasi-shuffle where overlapping parts add, that is the shared kernel
+:func:`wqsym.words.quasi_shuffle` with the sum of parts as the merge (Hoffman,
+"Quasi-shuffle products", J. Algebraic Combin. 11, 2000), and
+:class:`QSymElement` derives from :class:`wqsym.algebra.SparseCombination`.
+Packed-word elements act on the right by summing parts blockwise, Adams
+operations come either through that action or through the internal iterated
+coproduct/product oracle, and the first quasi-Eulerian idempotent carves out
+free polynomial generators indexed by Lyndon compositions (verified
+degreewise by exact rank).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import SCALAR_TYPES, WQSymElement, _add_term, _coerce_coeff, format_terms
+from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_term, format_terms
 from .errors import CapExceeded
 from .params import ParamPoly
-from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent
-from .words import Composition, compositions, evaluation, lyndon_compositions
+from .series import TruncatedSeries, act_degreewise, adams as adams_series, eulerian_idempotent
+from .words import Composition, compositions, evaluation, lyndon_compositions, quasi_shuffle
 
 GENERATOR_REPORT_CAP = 6
 
 
-class QSymElement:
+class QSymElement(SparseCombination):
     """Rational (or parameter-polynomial) combination of compositions."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[Composition, object] = {}
-        for I, c in (terms or {}).items():
-            I = tuple(int(p) for p in I)
-            if any(p < 1 for p in I):
-                raise ValueError(f"composition parts must be positive: {I!r}")
-            c = _coerce_coeff(c)
-            if c:
-                _add_term(data, I, c)
-        self.terms = data
+    @staticmethod
+    def _check_key(I):
+        I = tuple(int(p) for p in I)
+        if any(p < 1 for p in I):
+            raise ValueError(f"composition parts must be positive: {I!r}")
+        return I
 
-    @classmethod
-    def _raw(cls, data: dict) -> "QSymElement":
-        el = object.__new__(cls)
-        el.terms = data
-        return el
-
-    @classmethod
-    def zero(cls) -> "QSymElement":
-        return cls._raw({})
+    @staticmethod
+    def _sort_key(I):
+        return (sum(I), len(I), I)
 
     @classmethod
     def unit(cls) -> "QSymElement":
@@ -57,38 +53,6 @@ class QSymElement:
     @classmethod
     def monomial(cls, I, coeff=1) -> "QSymElement":
         return cls({tuple(I): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, QSymElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, QSymElement):
-            return NotImplemented
-        data = dict(self.terms)
-        for I, c in other.terms.items():
-            _add_term(data, I, c)
-        return QSymElement._raw(data)
-
-    def __neg__(self):
-        return QSymElement._raw({I: -c for I, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QSymElement):
-            return NotImplemented
-        return self + (-other)
-
-    def _scaled(self, scalar):
-        scalar = _coerce_coeff(scalar)
-        if not scalar:
-            return QSymElement.zero()
-        return QSymElement._raw({I: scalar * c for I, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SCALAR_TYPES):
@@ -99,36 +63,16 @@ class QSymElement:
         for I, c1 in self.terms.items():
             for J, c2 in other.terms.items():
                 c = c1 * c2
-                for K, mult in _qsh_comp(I, J).items():
+                for K, mult in Counter(quasi_shuffle(I, J, operator.add)).items():
                     _add_term(out, K, c * mult)
         return QSymElement._raw(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self._scaled(1 / scalar)
-        return NotImplemented
 
     def act(self, op) -> "QSymElement":
         """Right action: a basis word of length len(I) regroups the parts of I
         by summing over each block; other lengths act by zero.  A series acts
         through its component matching the number of parts."""
         if isinstance(op, TruncatedSeries):
-            out = QSymElement.zero()
-            by_len: dict[int, dict] = {}
-            for I, c in self.terms.items():
-                by_len.setdefault(len(I), {})[I] = c
-            for l, terms in by_len.items():
-                if l > op.cutoff:
-                    raise CapExceeded(f"series cutoff {op.cutoff} cannot act on length {l}")
-                out = out + QSymElement._raw(terms).act(op.component(l))
-            return out
+            return act_degreewise(self, op)
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
         out: dict[Composition, object] = {}
@@ -150,35 +94,8 @@ class QSymElement:
     def weight_component(self, n: int) -> "QSymElement":
         return QSymElement._raw({I: c for I, c in self.terms.items() if sum(I) == n})
 
-    def counit(self):
-        return self.terms.get((), Fraction(0))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), len(kv[0]), kv[0]))
-
     def __str__(self):
         return format_terms(self.sorted_terms(), lambda I: "M(%s)" % ",".join(map(str, I)))
-
-    def __repr__(self):
-        return f"<QSymElement {self}>"
-
-
-def _qsh_comp(I: Composition, J: Composition) -> dict[Composition, int]:
-    if not I:
-        return {J: 1}
-    if not J:
-        return {I: 1}
-    out: dict[Composition, int] = {}
-    for K, m in _qsh_comp(I[1:], J).items():
-        key = (I[0],) + K
-        out[key] = out.get(key, 0) + m
-    for K, m in _qsh_comp(I, J[1:]).items():
-        key = (J[0],) + K
-        out[key] = out.get(key, 0) + m
-    for K, m in _qsh_comp(I[1:], J[1:]).items():
-        key = (I[0] + J[0],) + K
-        out[key] = out.get(key, 0) + m
-    return out
 
 
 # -- Adams operations ----------------------------------------------------------

@@ -14,39 +14,12 @@ are the quasi-Eulerian idempotents.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import SCALAR_TYPES, WQSymElement, ribbon_hat
 from .errors import CapExceeded, NotInvertible
-from .words import compositions
-
-#: default cutoff used by the verification suites
-DEFAULT_CUTOFF = 5
-
-#: hard cutoff; override with the WQSYM_MAX_DEGREE environment variable
-HARD_DEGREE_CAP = 7
-
-
-def max_degree_cap() -> int:
-    raw = os.environ.get("WQSYM_MAX_DEGREE")
-    if raw is None:
-        return HARD_DEGREE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"WQSYM_MAX_DEGREE must be an integer, got {raw!r}") from None
-
-
-def check_degree_cap(n: int) -> int:
-    cap = max_degree_cap()
-    if n > cap:
-        raise CapExceeded(
-            f"degree {n} exceeds the cap {cap}; raise WQSYM_MAX_DEGREE if you "
-            f"really want this (packed-word counts grow like n! / (2 log 2^(n+1)))"
-        )
-    return n
+from .words import check_degree_cap, compositions, max_degree_cap  # noqa: F401 (re-exported)
 
 
 class TruncatedSeries:
@@ -279,6 +252,22 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={sorted(self.components)}>"
+
+
+def act_degreewise(x, sigma: TruncatedSeries):
+    """Right action of a series on a module element graded by key length:
+    the part of ``x`` in each length d is acted on by the degree-d component
+    of ``sigma`` (``x.act`` on an element); lengths above the cutoff are
+    refused."""
+    by_degree: dict[int, dict] = {}
+    for key, c in x.terms.items():
+        by_degree.setdefault(len(key), {})[key] = c
+    out = x.zero()
+    for d, terms in by_degree.items():
+        if d > sigma.cutoff:
+            raise CapExceeded(f"series cutoff {sigma.cutoff} cannot act on degree {d}")
+        out = out + x._raw(terms).act(sigma.component(d))
+    return out
 
 
 # -- the characteristic family ------------------------------------------------

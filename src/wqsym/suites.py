@@ -357,13 +357,14 @@ def suite_naturality(run: _Run, degree, seed, cases, generators):
 
 def suite_adams(run: _Run, degree, seed, cases, generators):
     cutoff = min(degree, 5)
-    for n in (1, 2, 3):
+    # the fixed checks act on compositions with one and two parts
+    for n in (1, 2, 3) if cutoff >= 1 else ():
         run.check(
             qsym_adams(2, QSymElement.monomial((n,)), cutoff)
             == 2 * QSymElement.monomial((n,)),
             f"square Adams on M({n})",
         )
-    for i, j in ((1, 1), (1, 2), (2, 3)):
+    for i, j in ((1, 1), (1, 2), (2, 3)) if cutoff >= 2 else ():
         expected = (
             3 * QSymElement.monomial((i, j))
             + QSymElement.monomial((j, i))
@@ -453,7 +454,7 @@ def suite_car_compat(run: _Run, degree, seed, cases, generators):
     for i in range(cases):
         rng = case_rng(seed, i)
         name, sigma = sigmas[i % len(sigmas)]
-        dx = rng.randint(0, 2)
+        dx = rng.randint(0, min(2, cutoff))
         dy = rng.randint(0, min(2, cutoff - dx))
         x = random_qs_element(rng, gens, dx, n_terms=rng.randint(1, 2))
         y = random_qs_element(rng, gens, dy, n_terms=rng.randint(1, 2))
@@ -468,12 +469,13 @@ def suite_e1_kernel(run: _Run, degree, seed, cases, generators):
     cutoff = min(degree, 6)
     a = QSElement.generator(gens[0])
     b = QSElement.generator(gens[1])
-    run.check(e1_kills_products_check(a, b, cutoff), "kernel contains a#b")
+    if cutoff >= 2:  # a product of positive-degree factors has degree >= 2
+        run.check(e1_kills_products_check(a, b, cutoff), "kernel contains a#b")
     for n in range(1, min(degree, 5) + 1):
         run.check(e1_projection_check(n), f"projection facts at weight {n}")
-    for i in range(cases):
+    for i in range(cases if cutoff >= 2 else 0):
         rng = case_rng(seed, i)
-        dx = rng.randint(1, 3)
+        dx = rng.randint(1, min(3, cutoff - 1))
         dy = rng.randint(1, min(3, max(1, cutoff - dx)))
         x = random_qs_element(rng, gens, dx, n_terms=rng.randint(1, 2))
         y = random_qs_element(rng, gens, dy, n_terms=rng.randint(1, 2))

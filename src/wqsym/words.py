@@ -6,16 +6,27 @@ bijection with ordered set partitions (set compositions) of {1, ..., n}
 and with surjections [n] -> [k]; all three views are used below, and the
 conversion functions are exact inverses of each other.
 
+:func:`quasi_shuffle` is the one quasi-shuffle kernel of the package: Hoffman's
+product of words over a commutative semigroup of letters (Hoffman,
+"Quasi-shuffle products", J. Algebraic Combin. 11, 2000), parametrised by the
+merge of two letters.  Packed words use it with union of blocks, tensor words
+with the product of monomials, compositions with the sum of parts.
+
+This module also owns the degree cap: :func:`check_degree_cap` refuses
+degrees above ``WQSYM_MAX_DEGREE`` (default 7), and packed-word enumeration
+checks it on every call.
+
 Everything in this module is a pure function on tuples, so results can be
-shared freely; the two enumeration/product kernels keep memo tables whose
+shared freely; the enumeration and product kernels keep memo tables whose
 observable behaviour is identical to recomputation.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ExpressionError
 
 Word = tuple[int, ...]
 SetComposition = tuple[frozenset[int], ...]
@@ -24,8 +35,28 @@ Composition = tuple[int, ...]
 #: number of packed words of length n = 0, 1, 2, ... (ordered Bell numbers)
 FUBINI = (1, 1, 3, 13, 75, 541, 4683, 47293)
 
-#: enumeration beyond this length refuses to run unless the caller raises the cap
-DEFAULT_ENUMERATION_CAP = 7
+#: default degree cap; override with the WQSYM_MAX_DEGREE environment variable
+HARD_DEGREE_CAP = 7
+
+
+def max_degree_cap() -> int:
+    raw = os.environ.get("WQSYM_MAX_DEGREE")
+    if raw is None:
+        return HARD_DEGREE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ExpressionError(f"WQSYM_MAX_DEGREE must be an integer, got {raw!r}") from None
+
+
+def check_degree_cap(n: int) -> int:
+    cap = max_degree_cap()
+    if n > cap:
+        raise CapExceeded(
+            f"degree {n} exceeds the cap {cap}; raise WQSYM_MAX_DEGREE if you "
+            f"really want this (packed-word counts grow like n! / (2 log 2^(n+1)))"
+        )
+    return n
 
 
 def pack(word) -> Word:
@@ -125,50 +156,67 @@ def compose_surjections(u: Word, v: Word):
     return tuple(v[x - 1] for x in u)
 
 
-def _qsh_blocks(U: tuple, V: tuple) -> list[tuple]:
-    if not U:
-        return [V]
-    if not V:
-        return [U]
-    out = []
-    for T in _qsh_blocks(U[1:], V):
-        out.append((U[0],) + T)
-    for T in _qsh_blocks(U, V[1:]):
-        out.append((V[0],) + T)
-    merged = U[0] | V[0]
-    for T in _qsh_blocks(U[1:], V[1:]):
-        out.append((merged,) + T)
+def quasi_shuffle(a: tuple, b: tuple, merge) -> list[tuple]:
+    """Hoffman's quasi-shuffle of two letter sequences, with repeats.
+
+    Every interleaving of ``a`` and ``b`` in which some pairs of letters, one
+    from each, are replaced by ``merge(x, y)``:
+    (x a') # (y b') = x (a' # y b') + y (x a' # b') + merge(x, y) (a' # b').
+    """
+    if not a:
+        return [b]
+    if not b:
+        return [a]
+    x, y = a[0], b[0]
+    out = [(x,) + t for t in quasi_shuffle(a[1:], b, merge)]
+    out += [(y,) + t for t in quasi_shuffle(a, b[1:], merge)]
+    z = (merge(x, y),)
+    out += [z + t for t in quasi_shuffle(a[1:], b[1:], merge)]
     return out
+
+
+@lru_cache(maxsize=None)
+def _relabellings(k: int, l: int) -> tuple[dict[int, int], ...]:
+    """The quasi-shuffle of the singleton blocks {1}..{k} with {k+1}..{k+l},
+    merging by union, each term read as a map from old letter to new letter."""
+    left = tuple(frozenset((i,)) for i in range(1, k + 1))
+    right = tuple(frozenset((i,)) for i in range(k + 1, k + l + 1))
+    return tuple(
+        {old: new for new, block in enumerate(blocks, start=1) for old in block}
+        for blocks in quasi_shuffle(left, right, frozenset.union)
+    )
 
 
 @lru_cache(maxsize=65536)
 def quasi_shuffle_words(u: Word, v: Word) -> tuple[Word, ...]:
     """All packed words indexing the product of the basis elements of u and v.
 
-    Computed by the recursion on set compositions
-    (U1, U' # V) + (V1, U # V') + (U1 union V1, U' # V'), with the blocks of
-    v shifted by len(u).  The outputs are pairwise distinct and are returned
-    in canonical order (by length, then lexicographically).
+    The product quasi-shuffles the set compositions of u and of v (its blocks
+    shifted by len(u)), merging blocks by union.  Which blocks merge depends
+    only on the breadths, so the terms are the relabellings of the letters of
+    u and of v shifted by breadth(u) from :func:`_relabellings`.  The outputs
+    are pairwise distinct and are returned in canonical order (by length,
+    then lexicographically).
     """
-    n = len(u)
-    U = to_set_composition(u)
-    V = tuple(frozenset(p + n for p in block) for block in to_set_composition(v))
-    words = [from_set_composition(T) for T in _qsh_blocks(U, V)]
-    words.sort()
-    return tuple(words)
+    letters = shifted_concat(u, v)
+    labels = _relabellings(breadth(u), breadth(v))
+    return tuple(sorted([tuple(map(label.__getitem__, letters)) for label in labels]))
 
 
-@lru_cache(maxsize=None)
-def enumerate_packed_words(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Word, ...]:
+def enumerate_packed_words(n: int) -> tuple[Word, ...]:
     """All packed words of length ``n`` in lexicographic order.
 
-    Counts grow like the ordered Bell numbers, so lengths above ``cap``
-    raise :class:`CapExceeded` instead of silently eating memory.
+    Counts grow like the ordered Bell numbers, so lengths above the degree
+    cap raise :class:`CapExceeded` instead of silently eating memory.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"packed-word enumeration capped at length {cap} (asked {n})")
+    check_degree_cap(n)
+    return _packed_words(n)
+
+
+@lru_cache(maxsize=None)
+def _packed_words(n: int) -> tuple[Word, ...]:
     if n == 0:
         return ((),)
     out: list[Word] = []

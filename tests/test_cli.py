@@ -1,0 +1,128 @@
+"""Command-line contract: exit codes, byte-identical stdout, and rejection of
+out-of-range input.
+
+The digests below are SHA-256 hashes of stdout recorded before the sparse
+element classes and the quasi-shuffle recursions were merged; they pin the
+text and JSON renderings and the scalar/element/series promotion rules of
+``eval``.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from wqsym.cli import main
+
+# (argv, exit code, sha256 of stdout)
+GOLDEN = [
+    (('expand', 'psi', '2', '--degree', '4'), 0, 'ee52a8f98e56cdf2fa40ca4209eac2dee5ef43d32022eca2355091d8dbf27bf9'),
+    (('expand', 'psi', '3', '--degree', '3', '--format', 'json'), 0, '3e4223c4050b57d55e3791970239f77b62092dbdcea835cd591773b57434c4e9'),
+    (('expand', 'e', '1', '--degree', '4'), 0, '8cdf2f316799f8088a778aea2578c152b38a094e7a647b5d388f297532a2cd85'),
+    (('expand', 'e', '2', '--degree', '4', '--format', 'json'), 0, '2dd9ab02cfd5dfe967a67213e9cd89395246268909ea1c03a3e5f9e929d70134'),
+    (('expand', 'e', '0', '--degree', '2'), 0, '0fcb908277db6dc1f746c240666e97a1d4e23dfdcbe0ead34e217a6c55ad1efb'),
+    (('expand', 'sigma_t', '--degree', '4'), 0, 'c344869e6a9265c246f6a3b2bd89318fa4ea93a060f12be6e8608174a273e410'),
+    (('expand', 'sigma_t', '--degree', '3', '--format', 'json'), 0, '3da86745f36c320f9ef65c695874b44544eea50a8fa87d875605996e0fefbc66'),
+    (('generators', '--degree', '5'), 0, '96edf7ecbee0d14e1ba02cfcd511f7b3261473a8fecdc76ad77d4d627b2965e9'),
+    (('generators', '--degree', '4', '--format', 'json'), 0, '3a6f8b796294a5a1e1e1cc9a61b4230777b85de46cb05152ef3b50da9f36e8a5'),
+    (('realize', '121', '4'), 0, 'a05dee0232cf92ffdda06f200f4745206af31e8930901024f812a3f97c2f8d4a'),
+    (('realize', '1,2', '3', '--format', 'json'), 0, 'd7e07b44616cfc7e1339b14c392711f1b6e5dee492b6ed9fbfdf40077b77f1f7'),
+    (('verify', 'all', '--degree', '4', '--cases', '10'), 0, '1026c1aa2dcbd7432d55af9b546af5aa8b4a60e201f8bf52f963f1d74d2424ff'),
+    (('verify', 'internal', '--degree', '3', '--cases', '5', '--format', 'json'), 0, 'b78b7597fa6c00f61c42523806e817d0c6d189b1f42f64e68548d29ae77dd1ab'),
+    (('eval', '1/2 + 1/3', '--degree', '3'), 0, '4d299c5f0da9aff41b7f439f8de756757d106a61f2391cb95d78c099dd134141'),
+    (('eval', '1/2 - 1/3', '--degree', '3'), 0, '75522eea55d4d8622f1e03ed599a3b939006ac74b758f11a848ed65f3f58a2e0'),
+    (('eval', '2 * 3/4', '--degree', '3'), 0, '15db25cc8ef7c8d98c34fa63fb044436be605f1df6b7b01ca48e0da3fc002b9b'),
+    (('eval', '1/2 @ 3', '--degree', '3'), 0, '15db25cc8ef7c8d98c34fa63fb044436be605f1df6b7b01ca48e0da3fc002b9b'),
+    (('eval', '2 & 3', '--degree', '3'), 0, '80bd665d979ee0194f0d1d2e2882d9d293382bfb7db478bcfe64c4ad1ffce461'),
+    (('eval', '2 + M[1]', '--degree', '3'), 0, '4143380458202320277df7fc18beaaac47dae7d33e24e945c62c72d1667750de'),
+    (('eval', 'M[1,2] - 3', '--degree', '3'), 0, 'dc57cf70201ce8a6bf7cd9a6a28e20b282630db1ca196d4f33fe055d0dcac2ea'),
+    (('eval', '1/2 * M[1,2]', '--degree', '3'), 0, '73bb6b25c461dcb84158f3cadc98beb8915a42cf719d1f3c64ff0e972a0bc665'),
+    (('eval', '1/2 @ M[1,1]', '--degree', '3'), 0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    (('eval', '3 & M[1]', '--degree', '3'), 0, '4cb1688cbba89e8f6308721dd6fe2b2bc1cf52e9b66b93fea358bdfcddfca75c'),
+    (('eval', 'M[] @ 2', '--degree', '3'), 0, 'abc4720046367be414245b2917e0afb7fc5a4c86beea36e80dd62afad45807c5'),
+    (('eval', 'M[1] * 0', '--degree', '3'), 0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    (('eval', '-M[2,1] + 0', '--degree', '3'), 0, '5f94f8c843cf2db7d5cc3f4bb8255d9edc7fbf8e8170f37541104e2d7894c6e9'),
+    (('eval', 'M[1] + M[2,1]', '--degree', '3'), 0, 'c2706036bb63bf9825568e0c13e87248995e696012004e145f105de8e86006fa'),
+    (('eval', 'M[1,1] - M[1,1]', '--degree', '3'), 0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    (('eval', 'M[1,1] * M[2,1]', '--degree', '3'), 0, 'fb97ef13c58026362cce9399a2dc6aff61ab80a1772627bc9e8b4fff06c1ec34'),
+    (('eval', 'M[2,1] @ M[1,2]', '--degree', '3'), 0, 'f01839960fcffd94e1b88f176ac8fb0a32dcc56b6c4255292fe9ca740e6d8056'),
+    (('eval', 'M[1,1] & M[2,1]', '--degree', '3'), 0, '8bf291be7b27846090ded9b4dee4eb28807ba4833ba0bb64d95e3726df9c00e4'),
+    (('eval', 'M[1] + I', '--degree', '3'), 0, 'dae6239114bce6b5dc0a716f4f3dc2b588844fdab6cef1b160d0cd4c1a6cf441'),
+    (('eval', 'M[1,2] - Psi(2)', '--degree', '3'), 0, '8547cecddcc864556d1b05e362193a46a14d0692a8986a0f2bfac9c2778514e1'),
+    (('eval', 'M[1] * I', '--degree', '3'), 0, '412ec5f615839ee94b3a1eabf3fcba86b3bfdaff874c26ccde6c778d21d45737'),
+    (('eval', 'I @ M[1,2]', '--degree', '3'), 0, '96e3fba96105067a7cd65fb9cf409040a88bb763586fbb20b40f9c27a7c23c82'),
+    (('eval', 'hatS[1,2]*M[1]@e(2)', '--degree', '3'), 0, 'c0f2de35af47417a39fe6ad2eb16b984165a1d26da42269e1187f2ecebe73e06'),
+    (('eval', 'M[2,1] @ e(1)', '--degree', '3'), 0, '6fc0fb9cd6a528b2cd45da36f72c7951879598b0e31160924dccafe91af5aacc'),
+    (('eval', 'e(1) - 1', '--degree', '3'), 0, '00207fd0d66ab35f14e6d67ea84844021eb484de388c0e6203ea21843d69b702'),
+    (('eval', '2 + I', '--degree', '3'), 0, '1ea73a8ce671ec51c42911f3ebab70ced0e2c9fe1b0603d6c7f16cef6b8927e6'),
+    (('eval', '3 * Psi(2)', '--degree', '3'), 0, '52b4b9cd391bbffc5f04debb1eff6beda2c33e6314b3c6b0b5e9f6440ec7e7fe'),
+    (('eval', '2 @ e(1)', '--degree', '3'), 0, 'c0f2de35af47417a39fe6ad2eb16b984165a1d26da42269e1187f2ecebe73e06'),
+    (('eval', 'I * 1/2', '--degree', '3'), 0, '0b588a8c79590a77af883cfd24d949dd83c260cb592fe9aff486a8f39002dfe2'),
+    (('eval', '1 - I', '--degree', '3'), 0, '3d6c6828de6859be5d198d9bc8bf4b6e8b79599a9523770a17d5f8bffa9ef236'),
+    (('eval', 'e(1) @ e(1)', '--degree', '3'), 0, '139182b404d43da2469cc0037e8ab39302411b3737bf73d6a691cd45fee3219d'),
+    (('eval', 'Psi(2) * Psi(3)', '--degree', '3'), 0, '3992ff6893bb01294bc8852529650f67b20d23872b6a2ccf5130d8c3bbdfb352'),
+    (('eval', 'S[2,1] - hatR[1,2]', '--degree', '3'), 0, '7df25e9fa7319ea76a2d20527ab2f97aabcd29963f1e5ec8764c3c35561b6ce7'),
+    (('eval', 'I - M[1,2]', '--degree', '3'), 0, 'ac6e47326f53b4675781db33f5e7e8a9f4b0b230feae1afc1ba257d58de4ad18'),
+    (('eval', 'Psi(2) @ 2', '--degree', '3'), 0, 'e2cac4656547ec23118698bf21ef7e72139829f749d2f6d9a695cf39630e034f'),
+    (('eval', 'M[1] @ I', '--degree', '3'), 0, '222b2297ad3251d82b13b98d8a2c2f3dd794d50c2c6a524e7d06cb8c6dff01fc'),
+    (('eval', 'I + 2', '--degree', '3'), 0, '1ea73a8ce671ec51c42911f3ebab70ced0e2c9fe1b0603d6c7f16cef6b8927e6'),
+    (('eval', 'S[2,1] + R[1,2]', '--format', 'json'), 0, '8688da4a42e44e0474c6da8f2239e026af56fc93f06556f0d81f74e7d0759cb4'),
+    (('eval', 'e(2) - 1', '--degree', '3', '--format', 'json'), 0, '9bd746015a2262893663367fbbdea69272c14fb091f4844fdc8defef7b2e8cd6'),
+    (('eval', 'I & M[1]'), 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (('eval', '2 & I'), 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (('eval', 'M[1] & I'), 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (('eval', 'M[1]', '--degree', '8'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (('eval', 'M[1,2,3,4] * M[1,2,3,4]'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (('expand', 'e', '1', '--degree', '8'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_stdout(argv, code, digest):
+    rc, out, _ = run(argv)
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert run(argv)[:2] == (rc, out)
+
+
+BAD_INPUT = [
+    ("expand", "e", "1", "--degree", "-1"),
+    ("eval", "M[1,2]", "--degree", "-1"),
+    ("verify", "hopf", "--degree", "-1"),
+    ("expand", "psi", "-2"),
+    ("expand", "e", "-1"),
+    ("verify", "hopf", "--cases", "0"),
+    ("verify", "all", "--cases", "-5"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_with_one_line(argv):
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("eval", "M[1]"), ("expand", "e", "1")], ids=" ".join)
+def test_non_integer_degree_cap_exits_2(monkeypatch, argv):
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "x")
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "WQSYM_MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_verify_all_at_small_degrees(degree):
+    for seed in range(4):
+        argv = ("verify", "all", "--degree", str(degree), "--seed", str(seed), "--cases", "5")
+        rc, out, _ = run(argv)
+        assert rc == 0, out
+        assert out.count(": PASS") == 12

@@ -149,6 +149,13 @@ def test_enumeration_is_lexicographic_and_capped():
         enumerate_packed_words(8)
 
 
+def test_enumeration_checks_the_degree_cap_on_every_call(monkeypatch):
+    assert len(enumerate_packed_words(4)) == FUBINI[4]  # now cached
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "3")
+    with pytest.raises(CapExceeded):
+        enumerate_packed_words(4)
+
+
 def _split_oracle(max_total):
     """Expand products the long way: all packed words w = u'v' split by prefix
     length, grouped by (pack(u'), pack(v'))."""
