@@ -18,14 +18,19 @@ read like the algebra they compute in:
     f & g    bullet product (shifted concatenation of basis words)
 
 Coefficients are exact: ``Fraction`` everywhere, or :class:`ParamPoly` for
-the parameter-deformed operators.  Zero coefficients are pruned after every
-operation, so ``==`` is literal term-by-term equality.  Elements are
-immutable by convention; nothing here mutates a constructed value.
+the parameter-deformed operators.  When both operands have only ``Fraction``
+coefficients, ``@`` accumulates integer numerators over a common
+denominator and makes one ``Fraction`` per output word.  Zero coefficients
+are pruned after every operation, so ``==`` is literal term-by-term
+equality.  Elements are immutable by convention; nothing here mutates a
+constructed value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import itemgetter
 
 from . import words
 from .params import ParamPoly
@@ -59,6 +64,23 @@ def _add_term(data: dict, key, coeff) -> None:
         data[key] = c
     else:
         data.pop(key, None)
+
+
+def _integer_numerators(terms: dict):
+    """``(numerators, d)`` with ``terms[key] == Fraction(numerators[key], d)``
+    for every key, ``d`` the lcm of the denominators; ``None`` when some
+    coefficient is not a ``Fraction``."""
+    if not all(type(c) is Fraction for c in terms.values()):
+        return None
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
+
+
+def _composer(u: Word):
+    """The map ``v -> v o u`` on words ``v`` of length ``breadth(u)``."""
+    if len(u) > 1:
+        return itemgetter(*[x - 1 for x in u])
+    return lambda v: tuple(v[x - 1] for x in u)
 
 
 class SparseCombination:
@@ -205,17 +227,44 @@ class WQSymElement(SparseCombination):
         return NotImplemented
 
     def __matmul__(self, other):
-        """Internal product: compose basis surjections, zero on arity mismatch."""
+        """Internal product: compose basis surjections, zero on arity mismatch.
+
+        Word ``v`` of ``other`` composes with word ``u`` of ``self`` only if
+        ``len(v) == breadth(u)``, so ``other`` is bucketed by length once.
+        With ``Fraction`` coefficients throughout, the products accumulate as
+        int numerators over one common denominator, divided out at the end.
+        """
         if not isinstance(other, WQSymElement):
             return NotImplemented
+        f, g = self.terms, other.terms
+        if len(f) == 1:
+            # v -> v o u is injective for a single surjection u, so no two
+            # products land on the same word and nothing can cancel.
+            ((u, cu),) = f.items()
+            k, compose = breadth(u), _composer(u)
+            return WQSymElement._raw({compose(v): cu * cv for v, cv in g.items() if len(v) == k})
+        sf = _integer_numerators(f)
+        sg = sf and _integer_numerators(g)
+        if sg:
+            (f, df), (g, dg) = sf, sg
+        buckets: dict[int, tuple[list, list]] = {}
+        for v, cv in g.items():
+            vs, cs = buckets.setdefault(len(v), ([], []))
+            vs.append(v)
+            cs.append(cv)
         out: dict[Word, object] = {}
-        for u, cu in self.terms.items():
-            k = breadth(u)
-            for v, cv in other.terms.items():
-                if len(v) != k:
-                    continue
-                _add_term(out, tuple(v[x - 1] for x in u), cu * cv)
-        return WQSymElement._raw(out)
+        get = out.get
+        for u, cu in f.items():
+            bucket = buckets.get(breadth(u))
+            if bucket is None:
+                continue
+            vs, cs = bucket
+            for w, cv in zip(map(_composer(u), vs), cs):
+                out[w] = get(w, 0) + cu * cv
+        if sg:
+            d = df * dg
+            return WQSymElement._raw({w: Fraction(n, d) for w, n in out.items() if n})
+        return WQSymElement._raw({w: c for w, c in out.items() if c})
 
     def __and__(self, other):
         """Bullet product: shifted concatenation of basis words."""

@@ -41,6 +41,8 @@ def _check_bounds(args) -> None:
     against the degree cap."""
     if getattr(args, "index", None) is not None and args.index < 0:
         raise ExpressionError(f"the index must be nonnegative, got {args.index}")
+    if getattr(args, "alphabet", 0) < 0:
+        raise ExpressionError(f"the alphabet size must be nonnegative, got {args.alphabet}")
     if getattr(args, "cases", 1) < 1:
         raise ExpressionError(f"--cases must be at least 1, got {args.cases}")
     if hasattr(args, "degree"):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import WQSymElement, crucial_factorization_check, embed_sym_hat
+from .errors import ExpressionError
 from .qshuffle import (
     AElement,
     QSElement,
@@ -74,10 +75,11 @@ class SuiteReport:
 class _Run:
     """Bookkeeping shared by the suite bodies."""
 
-    def __init__(self, suite, degree, seed):
+    def __init__(self, suite, degree, seed, generators):
         self.suite = suite
         self.degree = degree
         self.seed = seed
+        self.generators = generators
         self.count = 0
         self.failures: list[Failure] = []
 
@@ -90,7 +92,7 @@ class _Run:
                     case=index,
                     reproducer=(
                         f"wqsym verify {self.suite} --degree {self.degree} "
-                        f"--seed {self.seed} --cases {index + 1}"
+                        f"--seed {self.seed} --cases {index + 1} --generators {self.generators}"
                     ),
                     detail=detail,
                 )
@@ -535,11 +537,22 @@ SUITES = {
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
+# Base-algebra generators each suite draws on by name (the others use none).
+MIN_GENERATORS = {"action": 1, "convolution": 3, "naturality": 1, "car-compat": 1, "e1-kernel": 2}
+
+
+def _check_generators(name, generators) -> None:
+    names = SUITES if name == "all" else [name]
+    need = max(MIN_GENERATORS.get(n, 0) for n in names)
+    if generators < need:
+        raise ExpressionError(f"verify {name} needs --generators >= {need}, got {generators}")
+
 
 def run_suite(name, degree=5, seed=0, cases=100, generators=5) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    run = _Run(name, degree, seed)
+    _check_generators(name, generators)
+    run = _Run(name, degree, seed, generators)
     start = time.perf_counter()
     SUITES[name](run, degree, seed, cases, generators)
     return SuiteReport(
@@ -553,5 +566,6 @@ def run_suite(name, degree=5, seed=0, cases=100, generators=5) -> SuiteReport:
 
 
 def run_suites(name, degree=5, seed=0, cases=100, generators=5) -> list[SuiteReport]:
+    _check_generators(name, generators)
     names = list(SUITES) if name == "all" else [name]
     return [run_suite(n, degree, seed, cases, generators) for n in names]

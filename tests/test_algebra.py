@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wqsym.algebra import (
     TensorSquare,
@@ -15,7 +17,8 @@ from wqsym.algebra import (
     ribbon_hat,
     ribbon_standard,
 )
-from wqsym.words import compositions, enumerate_packed_words
+from wqsym.params import ParamPoly
+from wqsym.words import compositions, enumerate_packed_words, pack, reverse
 
 E = WQSymElement.monomial
 
@@ -163,6 +166,79 @@ def test_internal_mixed_degree_termwise():
     g = E((1,)) + E((2, 1))
     # only the length-matching pairs survive
     assert f @ g == E((1,)) + E((2, 1))
+
+
+def matmul_oracle(f, g):
+    """Internal product by the pairwise loop: every pair of terms, composed
+    when the arity matches, each product added to the running sum in turn."""
+    out = {}
+    for u, cu in f.terms.items():
+        k = max(u, default=0)
+        for v, cv in g.terms.items():
+            if len(v) == k:
+                w = tuple(v[x - 1] for x in u)
+                c = out[w] + cu * cv if w in out else cu * cv
+                if c:
+                    out[w] = c
+                else:
+                    del out[w]
+    return WQSymElement._raw(out)
+
+
+packed_words = st.lists(st.integers(1, 4), max_size=4).map(pack)
+rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12))
+polys = st.dictionaries(
+    st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 2))]),
+    rationals,
+    min_size=1,
+    max_size=3,
+).map(ParamPoly)
+COEFFS = {"fraction": rationals, "param": polys, "mixed": st.one_of(rationals, polys)}
+
+
+def elements(coeffs, words=packed_words, min_size=0, max_size=6):
+    return st.dictionaries(words, coeffs, min_size=min_size, max_size=max_size).map(WQSymElement)
+
+
+def assert_matches_oracle(f, g, kind="fraction"):
+    product = f @ g
+    assert product == matmul_oracle(f, g)
+    if kind == "fraction":
+        # an int coefficient would compare equal; exactness means Fraction
+        assert all(type(c) is Fraction for c in product.terms.values())
+    return product
+
+
+@pytest.mark.parametrize("kind", COEFFS)
+@given(data=st.data())
+def test_internal_product_matches_pairwise_oracle(kind, data):
+    coeffs = COEFFS[kind]
+    one_term = elements(coeffs, min_size=1, max_size=1)
+    f = data.draw(st.one_of(elements(coeffs), one_term), label="f")
+    g = data.draw(elements(coeffs), label="g")
+    assert_matches_oracle(f, g, kind)
+
+
+@given(elements(rationals), elements(rationals, st.lists(st.integers(1, 2), min_size=5, max_size=6).map(pack)))
+def test_internal_product_with_lengths_that_never_match(f, g):
+    # every word of f has breadth <= 4, every word of g length >= 5
+    assert not assert_matches_oracle(f, g)
+
+
+@pytest.mark.parametrize("kind", COEFFS)
+@given(data=st.data())
+def test_internal_product_that_cancels_to_zero(kind, data):
+    # u and its reverse have one length and one breadth, so both compose with
+    # the constant word 1^k to the same word, with opposite signs
+    coeffs = COEFFS[kind]
+    f = WQSymElement.zero()
+    for u, c in data.draw(st.dictionaries(packed_words, coeffs, max_size=4), label="pairs").items():
+        f = f + c * (E(u) - E(reverse(u)))
+    ones = data.draw(st.dictionaries(st.integers(0, 4), coeffs), label="ones")
+    g = WQSymElement({(1,) * k: c for k, c in ones.items()})
+    assert not assert_matches_oracle(f, g, kind)
+    assert not assert_matches_oracle(WQSymElement.zero(), g, kind)
+    assert not assert_matches_oracle(f, WQSymElement.zero(), kind)
 
 
 # -- bullet product --------------------------------------------------------------

@@ -13,6 +13,7 @@ import io
 
 import pytest
 
+from wqsym import suites
 from wqsym.cli import main
 
 # (argv, exit code, sha256 of stdout)
@@ -101,6 +102,18 @@ BAD_INPUT = [
     ("expand", "e", "-1"),
     ("verify", "hopf", "--cases", "0"),
     ("verify", "all", "--cases", "-5"),
+    ("realize", "12", "-3"),
+    # one below each suite's minimum number of base-algebra generators
+    ("verify", "convolution", "--generators", "2"),
+    ("verify", "all", "--generators", "2"),
+    ("verify", "e1-kernel", "--generators", "1"),
+    ("verify", "action", "--generators", "0"),
+    ("verify", "naturality", "--generators", "0"),
+    ("verify", "car-compat", "--generators", "0"),
+    ("verify", "hopf", "--generators", "-1"),
+    ("verify", "convolution", "--generators", "0"),
+    ("verify", "all", "--generators", "0"),
+    ("verify", "e1-kernel", "--generators", "0"),
 ]
 
 
@@ -109,6 +122,23 @@ def test_bad_input_exits_2_with_one_line(argv):
     rc, out, err = run(argv)
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_realize_over_the_empty_alphabet_is_empty():
+    assert run(("realize", "12", "0")) == (0, "", "")
+
+
+def test_failure_reproducer_carries_generators(monkeypatch):
+    monkeypatch.setattr(suites, "naturality_check", lambda *args: False)
+    argv = ("verify", "naturality", "--degree", "3", "--seed", "7", "--cases", "2", "--generators", "3")
+    rc, out, _ = run(argv)
+    assert rc == 1
+    lines = [line.strip() for line in out.splitlines()]
+    reproducer = "wqsym verify naturality --degree 3 --seed 7 --cases 2 --generators 3"
+    assert lines[-1] == "reproduce: " + reproducer
+    # the reproducer reruns the same case: its last failure is the same line
+    rc, rerun, _ = run(reproducer.split()[1:])
+    assert rc == 1 and rerun.splitlines()[-2:] == out.splitlines()[-2:]
 
 
 @pytest.mark.parametrize("argv", [("eval", "M[1]"), ("expand", "e", "1")], ids=" ".join)

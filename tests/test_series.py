@@ -150,13 +150,13 @@ def test_e1_closed_form_matches_log_route():
 
 
 def test_idempotents_are_orthogonal():
-    for i in range(5):
-        for j in range(5):
-            product = eulerian_idempotent(i, 4) @ eulerian_idempotent(j, 4)
-            if i == j:
-                assert product == eulerian_idempotent(i, 4)
-            else:
-                assert product == TruncatedSeries.zero(4)
+    # e_i @ e_j = delta_ij e_i at cutoff 5, one degree beyond the eulerian
+    # verify suite's clamp
+    e = [eulerian_idempotent(i, 5) for i in range(6)]
+    for i in range(6):
+        assert e[i]
+        for j in range(6):
+            assert e[i] @ e[j] == (e[i] if i == j else TruncatedSeries.zero(5)), (i, j)
 
 
 def test_idempotents_sum_to_identity():
