@@ -19,8 +19,9 @@ read like the algebra they compute in:
 
 Coefficients are exact: ``Fraction`` everywhere, or :class:`ParamPoly` for
 the parameter-deformed operators.  When both operands have only ``Fraction``
-coefficients, ``@`` accumulates integer numerators over a common
-denominator and makes one ``Fraction`` per output word.  Zero coefficients
+coefficients, ``@`` and :func:`truncated_product` (the product of series)
+accumulate integer numerators over a common denominator and make one
+``Fraction`` per output word.  Zero coefficients
 are pruned after every operation, so ``==`` is literal term-by-term
 equality.  Elements are immutable by convention; nothing here mutates a
 constructed value.
@@ -66,14 +67,37 @@ def _add_term(data: dict, key, coeff) -> None:
         data.pop(key, None)
 
 
-def _integer_numerators(terms: dict):
-    """``(numerators, d)`` with ``terms[key] == Fraction(numerators[key], d)``
-    for every key, ``d`` the lcm of the denominators; ``None`` when some
-    coefficient is not a ``Fraction``."""
-    if not all(type(c) is Fraction for c in terms.values()):
-        return None
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
+def _numerators(f: dict, g: dict):
+    """``(f, g, d)``: when every coefficient of both is a ``Fraction``, each
+    as int numerators over the lcm of its denominators and ``d`` the product
+    of the two lcms, so a sum of products of numerators over ``d`` is the
+    exact sum; otherwise the two unchanged and ``d = None``."""
+    if not all(type(c) is Fraction for terms in (f, g) for c in terms.values()):
+        return f, g, None
+    df = math.lcm(*[c.denominator for c in f.values()])
+    dg = math.lcm(*[c.denominator for c in g.values()])
+    f = {key: c.numerator * (df // c.denominator) for key, c in f.items()}
+    g = {key: c.numerator * (dg // c.denominator) for key, c in g.items()}
+    return f, g, df * dg
+
+
+def _collect(out: dict, d) -> "WQSymElement":
+    """The element of the nonzero sums in ``out``, over ``d`` if not None."""
+    if d is None:
+        return WQSymElement._raw({w: c for w, c in out.items() if c})
+    return WQSymElement._raw({w: Fraction(n, d) for w, n in out.items() if n})
+
+
+def _by_length(terms: dict) -> dict[int, tuple[list, list]]:
+    """The keys of ``terms`` and their coefficients as parallel lists, grouped
+    by key length: the operand of every product or action that pairs only
+    matching lengths."""
+    buckets: dict[int, tuple[list, list]] = {}
+    for key, c in terms.items():
+        keys, coeffs = buckets.setdefault(len(key), ([], []))
+        keys.append(key)
+        coeffs.append(c)
+    return buckets
 
 
 def _composer(u: Word):
@@ -237,22 +261,20 @@ class WQSymElement(SparseCombination):
         if not isinstance(other, WQSymElement):
             return NotImplemented
         f, g = self.terms, other.terms
+        out: dict[Word, object] = {}
         if len(f) == 1:
             # v -> v o u is injective for a single surjection u, so no two
-            # products land on the same word and nothing can cancel.
+            # products land on the same word and nothing can cancel.  The
+            # composer is built on the first match: many calls match nothing.
             ((u, cu),) = f.items()
-            k, compose = breadth(u), _composer(u)
-            return WQSymElement._raw({compose(v): cu * cv for v, cv in g.items() if len(v) == k})
-        sf = _integer_numerators(f)
-        sg = sf and _integer_numerators(g)
-        if sg:
-            (f, df), (g, dg) = sf, sg
-        buckets: dict[int, tuple[list, list]] = {}
-        for v, cv in g.items():
-            vs, cs = buckets.setdefault(len(v), ([], []))
-            vs.append(v)
-            cs.append(cv)
-        out: dict[Word, object] = {}
+            k, compose = breadth(u), None
+            for v, cv in g.items():
+                if len(v) == k:
+                    compose = compose or _composer(u)
+                    out[compose(v)] = cu * cv
+            return WQSymElement._raw(out)
+        f, g, d = _numerators(f, g)
+        buckets = _by_length(g)
         get = out.get
         for u, cu in f.items():
             bucket = buckets.get(breadth(u))
@@ -261,10 +283,7 @@ class WQSymElement(SparseCombination):
             vs, cs = bucket
             for w, cv in zip(map(_composer(u), vs), cs):
                 out[w] = get(w, 0) + cu * cv
-        if sg:
-            d = df * dg
-            return WQSymElement._raw({w: Fraction(n, d) for w, n in out.items() if n})
-        return WQSymElement._raw({w: c for w, c in out.items() if c})
+        return _collect(out, d)
 
     def __and__(self, other):
         """Bullet product: shifted concatenation of basis words."""
@@ -307,13 +326,34 @@ class WQSymElement(SparseCombination):
         return len(self.terms)
 
     def __str__(self) -> str:
-        return format_terms(self.sorted_terms(), lambda w: "M[%s]" % ",".join(map(str, w)))
+        return format_terms(self.sorted_terms(), word_str)
+
+
+def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
+    """The words of length at most ``n`` of the outer product ``f * g``.
+
+    Every word of the product of ``u`` and ``v`` has length ``len(u) +
+    len(v)``, so only the pairs with ``len(u) + len(v) <= n`` are multiplied;
+    ``g`` is bucketed by length to find them.
+    """
+    f, g, d = _numerators(f.terms, g.terms)
+    buckets = _by_length(g)
+    out: dict[Word, object] = {}
+    get = out.get
+    for u, cu in f.items():
+        room = n - len(u)
+        for k, (vs, cs) in buckets.items():
+            if k > room:
+                continue
+            for v, cv in zip(vs, cs):
+                c = cu * cv
+                for w in quasi_shuffle_words(u, v):
+                    out[w] = get(w, 0) + c
+    return _collect(out, d)
 
 
 def format_terms(sorted_terms, key_fmt) -> str:
     """Shared pretty-printer for sparse elements: '2*M[1,2] - M[1,1]'."""
-    if not sorted_terms:
-        return "0"
     chunks = []
     for key, coeff in sorted_terms:
         if isinstance(coeff, ParamPoly):
@@ -331,7 +371,11 @@ def format_terms(sorted_terms, key_fmt) -> str:
                 chunks.append(" + " + body)
         else:
             chunks.append(body)
-    return "".join(chunks)
+    return "".join(chunks) or "0"
+
+
+def word_str(w: Word) -> str:
+    return "M[%s]" % ",".join(map(str, w))
 
 
 class TensorSquare(SparseCombination):

@@ -165,7 +165,10 @@ class _Parser:
 
 
 def parse(text: str):
-    return _Parser(tokenize(text)).parse()
+    try:
+        return _Parser(tokenize(text)).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
 
 
 @dataclass
@@ -256,5 +259,8 @@ def _level(value) -> int:
 
 def evaluate(text: str, cutoff: int, degree_cap: int):
     """Parse and evaluate; returns a Fraction, WQSymElement or TruncatedSeries."""
-    value = Evaluator(cutoff, degree_cap).run(parse(text))
-    return value
+    node = parse(text)
+    try:
+        return Evaluator(cutoff, degree_cap).run(node)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None

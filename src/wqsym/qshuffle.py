@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_term, format_terms
-from .series import TruncatedSeries, act_degreewise, eulerian_idempotent, adams
+from .series import TruncatedSeries, adams, eulerian_idempotent, right_action
 from .words import quasi_shuffle
 
 Monomial = tuple[tuple[str, int], ...]  # sorted ((generator, exponent), ...), nonempty
@@ -144,21 +144,10 @@ class QSElement(SparseCombination):
     # -- right action of packed-word elements -------------------------------
 
     def act(self, op) -> "QSElement":
-        """Right action.  Elements act termwise with length matching; a
-        truncated series acts by its component at each tensor degree and
-        refuses degrees above its cutoff."""
-        if isinstance(op, TruncatedSeries):
-            return act_degreewise(self, op)
-        if not isinstance(op, WQSymElement):
-            raise TypeError("operators are WQSymElement or TruncatedSeries values")
-        out: dict[TensorWord, object] = {}
-        for word, c in self.terms.items():
-            n = len(word)
-            for u, d in op.terms.items():
-                if len(u) != n:
-                    continue
-                _add_term(out, _act_word(word, u), c * d)
-        return QSElement._raw(out)
+        """Right action: a basis word of length n sends a degree-n tensor to
+        the tensor of blockwise products and kills every other degree; a
+        truncated series acts by its element up to its cutoff."""
+        return right_action(self, op, _act_word)
 
     # -- coalgebra -----------------------------------------------------------
 
@@ -310,15 +299,6 @@ def naturality_check(f_spec: dict, u, x: QSElement) -> bool:
     return apply_generator_map(f_spec, x.act(op)) == apply_generator_map(f_spec, x).act(op)
 
 
-def series_coproduct_pairs(sigma: TruncatedSeries) -> dict:
-    """All tensor-square terms of the coproducts of the series components."""
-    pairs: dict = {}
-    for comp in sigma.components.values():
-        for key, c in comp.coproduct().terms.items():
-            _add_term(pairs, key, c)
-    return pairs
-
-
 def car_coproduct_compatibility_check(
     sigma: TruncatedSeries, x: QSElement, y: QSElement
 ) -> bool:
@@ -327,7 +307,7 @@ def car_coproduct_compatibility_check(
     xdeg = set(x.degrees())
     ydeg = set(y.degrees())
     rhs = QSElement.zero()
-    for (a, b), c in series_coproduct_pairs(sigma).items():
+    for (a, b), c in sigma.element.coproduct().terms.items():
         if len(a) not in xdeg or len(b) not in ydeg:
             continue
         left = x.act(WQSymElement.monomial(a))

@@ -23,8 +23,7 @@ from fractions import Fraction
 
 from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_term, format_terms
 from .errors import CapExceeded
-from .params import ParamPoly
-from .series import TruncatedSeries, act_degreewise, adams as adams_series, eulerian_idempotent
+from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
 from .words import Composition, compositions, evaluation, lyndon_compositions, quasi_shuffle
 
 GENERATOR_REPORT_CAP = 6
@@ -70,23 +69,8 @@ class QSymElement(SparseCombination):
     def act(self, op) -> "QSymElement":
         """Right action: a basis word of length len(I) regroups the parts of I
         by summing over each block; other lengths act by zero.  A series acts
-        through its component matching the number of parts."""
-        if isinstance(op, TruncatedSeries):
-            return act_degreewise(self, op)
-        if not isinstance(op, WQSymElement):
-            raise TypeError("operators are WQSymElement or TruncatedSeries values")
-        out: dict[Composition, object] = {}
-        for I, c in self.terms.items():
-            l = len(I)
-            for u, d in op.terms.items():
-                if len(u) != l:
-                    continue
-                k = max(u) if u else 0
-                parts = [0] * k
-                for part, letter in zip(I, u):
-                    parts[letter - 1] += part
-                _add_term(out, tuple(parts), c * d)
-        return QSymElement._raw(out)
+        by its element up to its cutoff."""
+        return right_action(self, op, _regroup)
 
     def weights(self) -> list[int]:
         return sorted({sum(I) for I in self.terms})
@@ -96,6 +80,14 @@ class QSymElement(SparseCombination):
 
     def __str__(self):
         return format_terms(self.sorted_terms(), lambda I: "M(%s)" % ",".join(map(str, I)))
+
+
+def _regroup(I: Composition, u) -> Composition:
+    """The parts of ``I`` summed over the blocks of the packed word ``u``."""
+    parts = [0] * (max(u) if u else 0)
+    for part, letter in zip(I, u):
+        parts[letter - 1] += part
+    return tuple(parts)
 
 
 # -- Adams operations ----------------------------------------------------------
@@ -142,18 +134,11 @@ def sigma_hat_series(t, cutoff: int) -> TruncatedSeries:
     ``t`` may be an exact scalar (specialization) or a :class:`ParamPoly`
     variable, in which case the coefficients live in the parameter ring.
     """
-    if isinstance(t, int):
-        t = Fraction(t)
-    if not isinstance(t, (Fraction, ParamPoly)):
+    if not isinstance(t, SCALAR_TYPES):
         raise TypeError("parameter must be exact: Fraction or ParamPoly")
-    comps = {}
-    power = t ** 0 if isinstance(t, ParamPoly) else Fraction(1)
-    for d in range(cutoff + 1):
-        coeff = power
-        if coeff:
-            comps[d] = WQSymElement.monomial(tuple(range(1, d + 1)), coeff)
-        power = power * t
-    return TruncatedSeries(cutoff, comps)
+    return TruncatedSeries(
+        cutoff, {d: WQSymElement.monomial(tuple(range(1, d + 1)), t**d) for d in range(cutoff + 1)}
+    )
 
 
 # -- free generators through the first idempotent -------------------------------

@@ -28,29 +28,41 @@ def coeff_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _terms_to_obj(basis: str, sorted_terms) -> dict:
+    terms = [{"word": list(key), "coeff": coeff_to_str(c)} for key, c in sorted_terms]
+    return {"basis": basis, "terms": terms}
+
+
+def _terms_from_obj(obj: dict, basis: str, cls):
+    if obj.get("basis") != basis:
+        raise ValueError(f"expected basis {basis}, got {obj.get('basis')!r}")
+    terms: dict = {}
+    for t in obj["terms"]:
+        key = tuple(t["word"])
+        terms[key] = terms.get(key, Fraction(0)) + coeff_from_str(t["coeff"])
+    return cls(terms)
+
+
 def element_to_obj(f: WQSymElement) -> dict:
-    return {
-        "basis": "WQSym-M",
-        "terms": [
-            {"word": list(w), "coeff": coeff_to_str(c)} for w, c in f.sorted_terms()
-        ],
-    }
+    return _terms_to_obj("WQSym-M", f.sorted_terms())
 
 
 def element_from_obj(obj: dict) -> WQSymElement:
-    if obj.get("basis") != "WQSym-M":
-        raise ValueError(f"expected basis WQSym-M, got {obj.get('basis')!r}")
-    terms: dict = {}
-    for t in obj["terms"]:
-        w = tuple(t["word"])
-        terms[w] = terms.get(w, Fraction(0)) + coeff_from_str(t["coeff"])
-    return WQSymElement(terms)
+    return _terms_from_obj(obj, "WQSym-M", WQSymElement)
+
+
+def qsym_to_obj(f: QSymElement) -> dict:
+    return _terms_to_obj("QSym-M", f.sorted_terms())
+
+
+def qsym_from_obj(obj: dict) -> QSymElement:
+    return _terms_from_obj(obj, "QSym-M", QSymElement)
 
 
 def series_to_obj(s: TruncatedSeries) -> dict:
     return {
         "cutoff": s.cutoff,
-        "components": {str(d): element_to_obj(el) for d, el in s.sorted_components()},
+        "components": {str(d): _terms_to_obj("WQSym-M", terms) for d, terms in s.graded_terms()},
     }
 
 
@@ -67,25 +79,6 @@ def tensor_square_to_obj(t: TensorSquare) -> dict:
             for (a, b), c in t.sorted_terms()
         ],
     }
-
-
-def qsym_to_obj(f: QSymElement) -> dict:
-    return {
-        "basis": "QSym-M",
-        "terms": [
-            {"word": list(I), "coeff": coeff_to_str(c)} for I, c in f.sorted_terms()
-        ],
-    }
-
-
-def qsym_from_obj(obj: dict) -> QSymElement:
-    if obj.get("basis") != "QSym-M":
-        raise ValueError(f"expected basis QSym-M, got {obj.get('basis')!r}")
-    terms: dict = {}
-    for t in obj["terms"]:
-        I = tuple(t["word"])
-        terms[I] = terms.get(I, Fraction(0)) + coeff_from_str(t["coeff"])
-    return QSymElement(terms)
 
 
 def qs_element_to_obj(x: QSElement, generators) -> dict:

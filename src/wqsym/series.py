@@ -1,9 +1,13 @@
 """Degree-truncated series over the packed-word algebra.
 
-A :class:`TruncatedSeries` stores one homogeneous element per degree up to a
-cutoff; absent components are zero.  Binary operations work at the minimum of
-the two cutoffs and the result records that cutoff, so a series never claims
-precision that was not computed.
+A :class:`TruncatedSeries` is one :class:`WQSymElement` holding every word of
+length at most a cutoff, together with that cutoff.  The completion of the
+packed-word algebra is graded by word length, and the element carries that
+grading itself: its degree-d component is its words of length d.  Binary
+operations truncate both operands to the smaller cutoff and the result
+records that cutoff, so a series never claims precision that was not
+computed.  No word is longer than the cutoff, so truncating to the series'
+own cutoff or above is free.
 
 The distinguished series is the diagonal/identity series ``I`` with the
 staircase word in each degree.  Its convolution powers are the Adams
@@ -16,185 +20,122 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
-from .algebra import SCALAR_TYPES, WQSymElement, ribbon_hat
+from .algebra import (
+    SCALAR_TYPES, WQSymElement, _add_term, _by_length, format_terms, ribbon_hat, truncated_product, word_str
+)
 from .errors import CapExceeded, NotInvertible
 from .words import check_degree_cap, compositions, max_degree_cap  # noqa: F401 (re-exported)
 
 
-class TruncatedSeries:
-    """Graded element of the completion, stored up to a cutoff degree."""
+def _binary(op, scalars=False):
+    """A series operation applying ``op(f, g, n)`` to the elements of both
+    operands truncated to the smaller cutoff ``n``.  An element operand is
+    promoted to a series at this series' cutoff; with ``scalars``, a scalar
+    operand scales the series."""
 
-    __slots__ = ("cutoff", "components")
+    def method(self, other):
+        if scalars and isinstance(other, SCALAR_TYPES):
+            return TruncatedSeries._raw(self.cutoff, self.element._scaled(other))
+        if isinstance(other, WQSymElement):
+            other = TruncatedSeries.from_element(other, self.cutoff)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        n = min(self.cutoff, other.cutoff)
+        return TruncatedSeries._raw(n, op(self.truncate(n).element, other.truncate(n).element, n))
+
+    return method
+
+
+class TruncatedSeries:
+    """Graded element of the completion, stored up to a cutoff degree as one
+    element with no word longer than the cutoff."""
+
+    __slots__ = ("cutoff", "element")
 
     def __init__(self, cutoff: int, components=None):
+        """The series with the homogeneous element ``components[d]`` in each
+        degree ``d <= cutoff``; absent degrees are zero."""
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         self.cutoff = int(cutoff)
-        comps: dict[int, WQSymElement] = {}
+        terms: dict = {}
         for d, el in (components or {}).items():
             d = int(d)
             if not isinstance(el, WQSymElement):
                 raise TypeError("components must be WQSymElement values")
             if d > self.cutoff:
                 raise ValueError(f"component degree {d} above cutoff {self.cutoff}")
-            if el:
-                if set(el.degrees()) != {d}:
-                    raise ValueError(f"component at degree {d} is not homogeneous")
-                comps[d] = el
-        self.components = comps
+            if el and el.degrees() != [d]:
+                raise ValueError(f"component at degree {d} is not homogeneous")
+            terms.update(el.terms)
+        self.element = WQSymElement._raw(terms)
 
     @classmethod
-    def _raw(cls, cutoff: int, comps: dict) -> "TruncatedSeries":
+    def _raw(cls, cutoff: int, element: WQSymElement) -> "TruncatedSeries":
         s = object.__new__(cls)
         s.cutoff = cutoff
-        s.components = comps
+        s.element = element
         return s
 
     @classmethod
     def zero(cls, cutoff: int) -> "TruncatedSeries":
-        return cls._raw(cutoff, {})
+        return cls._raw(cutoff, WQSymElement.zero())
 
     @classmethod
     def unit(cls, cutoff: int) -> "TruncatedSeries":
-        return cls._raw(cutoff, {0: WQSymElement.unit()})
+        return cls._raw(cutoff, WQSymElement.unit())
 
     @classmethod
     def from_element(cls, el: WQSymElement, cutoff: int) -> "TruncatedSeries":
         """View a finite element as a series, truncating above the cutoff."""
-        comps = {}
-        for d in el.degrees():
-            if d <= cutoff:
-                comps[d] = el.component(d)
-        return cls._raw(cutoff, comps)
+        return cls._raw(cutoff, WQSymElement._raw({w: c for w, c in el.terms.items() if len(w) <= cutoff}))
 
     def component(self, d: int) -> WQSymElement:
         if d > self.cutoff:
             raise ValueError(f"degree {d} was not computed (cutoff {self.cutoff})")
-        return self.components.get(d, WQSymElement.zero())
+        return self.element.component(d)
+
+    def degrees(self) -> list[int]:
+        return self.element.degrees()
 
     def truncate(self, cutoff: int) -> "TruncatedSeries":
         if cutoff >= self.cutoff:
-            return TruncatedSeries._raw(min(cutoff, self.cutoff), dict(self.components))
-        return TruncatedSeries._raw(
-            cutoff, {d: el for d, el in self.components.items() if d <= cutoff}
-        )
+            return self
+        return TruncatedSeries.from_element(self.element, cutoff)
 
     def to_element(self) -> WQSymElement:
-        out = WQSymElement.zero()
-        for el in self.components.values():
-            out = out + el
-        return out
+        return self.element
 
     def __bool__(self) -> bool:
-        return bool(self.components)
+        return bool(self.element)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
-            return self.cutoff == other.cutoff and self.components == other.components
+            return self.cutoff == other.cutoff and self.element == other.element
         return NotImplemented
 
     __hash__ = None
 
-    def __add__(self, other):
-        if isinstance(other, WQSymElement):
-            other = TruncatedSeries.from_element(other, self.cutoff)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.cutoff, other.cutoff)
-        comps = {}
-        for d in range(n + 1):
-            el = self.components.get(d, WQSymElement.zero()) + other.components.get(
-                d, WQSymElement.zero()
-            )
-            if el:
-                comps[d] = el
-        return TruncatedSeries._raw(n, comps)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _binary(lambda f, g, n: f + g)
+    __sub__ = _binary(lambda f, g, n: f - g)
+    __rsub__ = _binary(lambda f, g, n: g - f)
 
     def __neg__(self):
-        return TruncatedSeries._raw(self.cutoff, {d: -el for d, el in self.components.items()})
+        return TruncatedSeries._raw(self.cutoff, -self.element)
 
-    def __sub__(self, other):
-        if isinstance(other, WQSymElement):
-            other = TruncatedSeries.from_element(other, self.cutoff)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if isinstance(other, WQSymElement):
-            return TruncatedSeries.from_element(other, self.cutoff) - self
-        return NotImplemented
-
-    def _scaled(self, scalar):
-        comps = {}
-        for d, el in self.components.items():
-            el = el._scaled(scalar)
-            if el:
-                comps[d] = el
-        return TruncatedSeries._raw(self.cutoff, comps)
-
-    def __mul__(self, other):
-        """Convolution product (graded componentwise outer product)."""
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if isinstance(other, WQSymElement):
-            other = TruncatedSeries.from_element(other, self.cutoff)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.cutoff, other.cutoff)
-        comps = {}
-        for d in range(n + 1):
-            acc = WQSymElement.zero()
-            for a in range(d + 1):
-                fa = self.components.get(a)
-                gb = other.components.get(d - a)
-                if fa is not None and gb is not None:
-                    acc = acc + fa * gb
-            if acc:
-                comps[d] = acc
-        return TruncatedSeries._raw(n, comps)
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if isinstance(other, WQSymElement):
-            return TruncatedSeries.from_element(other, self.cutoff) * self
-        return NotImplemented
+    #: convolution product: the outer product truncated at the cutoff
+    __mul__ = _binary(truncated_product, scalars=True)
+    __rmul__ = _binary(lambda f, g, n: truncated_product(g, f, n), scalars=True)
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self._scaled(1 / scalar)
-        return NotImplemented
+        return TruncatedSeries._raw(self.cutoff, self.element / scalar)
 
-    def __matmul__(self, other):
-        """Internal product; the source length of a word is preserved, so the
-        result's degree-d component is the d-component of self against the
-        whole of the other series."""
-        if isinstance(other, WQSymElement):
-            other = TruncatedSeries.from_element(other, self.cutoff)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.cutoff, other.cutoff)
-        total = other.truncate(n).to_element()
-        comps = {}
-        for d in range(n + 1):
-            el = self.components.get(d)
-            if el is None:
-                continue
-            el = el @ total
-            if el:
-                comps[d] = el
-        return TruncatedSeries._raw(n, comps)
-
-    def __rmatmul__(self, other):
-        if isinstance(other, WQSymElement):
-            return TruncatedSeries.from_element(other, self.cutoff) @ self
-        return NotImplemented
+    #: internal product: a word keeps its length under ``@``, so one product
+    #: of the truncated elements is the truncated product of the series
+    __matmul__ = _binary(lambda f, g, n: f @ g)
+    __rmatmul__ = _binary(lambda f, g, n: g @ f)
 
     def power(self, k: int) -> "TruncatedSeries":
         """k-th convolution power."""
@@ -205,69 +146,76 @@ class TruncatedSeries:
             out = out * self
         return out
 
+    def _power_sum(self, coeffs) -> "TruncatedSeries":
+        """``sum_j coeffs[j] * self^j`` (convolution powers), accumulated in
+        one dict."""
+        out: dict = {}
+        p = TruncatedSeries.unit(self.cutoff)
+        for j, a in enumerate(coeffs):
+            if j:
+                p = p * self
+            for w, c in p.element.terms.items():
+                _add_term(out, w, a * c)
+        return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(out))
+
     def inverse(self) -> "TruncatedSeries":
         """Convolution inverse, defined when the constant term is nonzero."""
-        c = self.components.get(0, WQSymElement.zero()).counit()
+        c = self.element.counit()
         if not c:
             raise NotInvertible("series with zero constant term has no inverse")
-        x = self._scaled(Fraction(1) / c) - TruncatedSeries.unit(self.cutoff)
-        out = TruncatedSeries.unit(self.cutoff)
-        p = TruncatedSeries.unit(self.cutoff)
-        for j in range(1, self.cutoff + 1):
-            p = p * x
-            out = out + p._scaled(Fraction((-1) ** j))
-        return out._scaled(Fraction(1) / c)
+        x = self * (Fraction(1) / c) - TruncatedSeries.unit(self.cutoff)
+        return x._power_sum([Fraction((-1) ** j) / c for j in range(self.cutoff + 1)])
 
     def log(self) -> "TruncatedSeries":
         """Convolution logarithm; requires constant term exactly the unit."""
-        if self.components.get(0, WQSymElement.zero()) != WQSymElement.unit():
+        if self.element.component(0) != WQSymElement.unit():
             raise ValueError("log needs constant term equal to the unit")
         x = self - TruncatedSeries.unit(self.cutoff)
-        out = TruncatedSeries.zero(self.cutoff)
-        p = TruncatedSeries.unit(self.cutoff)
-        for j in range(1, self.cutoff + 1):
-            p = p * x
-            out = out + p._scaled(Fraction((-1) ** (j + 1), j))
-        return out
+        return x._power_sum([0] + [Fraction((-1) ** (j + 1), j) for j in range(1, self.cutoff + 1)])
 
     def exp(self) -> "TruncatedSeries":
         """Convolution exponential; requires zero constant term."""
-        if self.components.get(0):
+        if self.element.counit():
             raise ValueError("exp needs zero constant term")
-        out = TruncatedSeries.unit(self.cutoff)
-        p = TruncatedSeries.unit(self.cutoff)
-        for j in range(1, self.cutoff + 1):
-            p = p * self
-            out = out + p._scaled(Fraction(1, math.factorial(j)))
-        return out
+        return self._power_sum([Fraction(1, math.factorial(j)) for j in range(self.cutoff + 1)])
 
-    def sorted_components(self):
-        return sorted(self.components.items())
+    def graded_terms(self):
+        """``(d, terms)`` for each nonzero degree ``d`` in increasing order,
+        ``terms`` in canonical order: one sort, no scan per degree."""
+        return groupby(self.element.sorted_terms(), key=lambda t: len(t[0]))
 
     def __str__(self) -> str:
-        if not self.components:
+        if not self.element:
             return f"0 (cutoff {self.cutoff})"
-        lines = [f"{d}: {el}" for d, el in self.sorted_components()]
-        return "\n".join(lines)
+        return "\n".join(f"{d}: {format_terms(terms, word_str)}" for d, terms in self.graded_terms())
 
     def __repr__(self) -> str:
-        return f"<TruncatedSeries cutoff={self.cutoff} degrees={sorted(self.components)}>"
+        return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
 
 
-def act_degreewise(x, sigma: TruncatedSeries):
-    """Right action of a series on a module element graded by key length:
-    the part of ``x`` in each length d is acted on by the degree-d component
-    of ``sigma`` (``x.act`` on an element); lengths above the cutoff are
-    refused."""
-    by_degree: dict[int, dict] = {}
+def right_action(x, op, image):
+    """Right action of a packed-word element or series ``op`` on a module
+    element ``x`` graded by key length.
+
+    A word ``u`` sends a key of its own length to ``image(key, u)`` and kills
+    every other length, so a series acts by its whole element; lengths above
+    its cutoff were not computed and are refused."""
+    if isinstance(op, TruncatedSeries):
+        for key in x.terms:
+            if len(key) > op.cutoff:
+                raise CapExceeded(f"series cutoff {op.cutoff} cannot act on degree {len(key)}")
+        return x.act(op.element)
+    if not isinstance(op, WQSymElement):
+        raise TypeError("operators are WQSymElement or TruncatedSeries values")
+    buckets = _by_length(op.terms)
+    out: dict = {}
     for key, c in x.terms.items():
-        by_degree.setdefault(len(key), {})[key] = c
-    out = x.zero()
-    for d, terms in by_degree.items():
-        if d > sigma.cutoff:
-            raise CapExceeded(f"series cutoff {sigma.cutoff} cannot act on degree {d}")
-        out = out + x._raw(terms).act(sigma.component(d))
-    return out
+        bucket = buckets.get(len(key))
+        if bucket is None:
+            continue
+        for u, d in zip(*bucket):
+            _add_term(out, image(key, u), c * d)
+    return x._raw(out)
 
 
 # -- the characteristic family ------------------------------------------------
@@ -277,10 +225,9 @@ def act_degreewise(x, sigma: TruncatedSeries):
 def identity_series(cutoff: int) -> TruncatedSeries:
     """The diagonal series: staircase word 1 2 .. d in each degree d."""
     check_degree_cap(cutoff)
-    comps = {
-        d: WQSymElement.monomial(tuple(range(1, d + 1))) for d in range(cutoff + 1)
-    }
-    return TruncatedSeries._raw(cutoff, comps)
+    return TruncatedSeries._raw(
+        cutoff, WQSymElement._raw({tuple(range(1, d + 1)): Fraction(1) for d in range(cutoff + 1)})
+    )
 
 
 @lru_cache(maxsize=None)
@@ -289,9 +236,7 @@ def adams(k: int, cutoff: int) -> TruncatedSeries:
     if k < 0:
         raise ValueError("Adams operations are indexed by nonnegative integers")
     check_degree_cap(cutoff)
-    if k == 0:
-        return TruncatedSeries.unit(cutoff)
-    return adams(k - 1, cutoff) * identity_series(cutoff)
+    return identity_series(cutoff).power(k)
 
 
 @lru_cache(maxsize=None)
@@ -314,17 +259,14 @@ def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:
     (1/n) * sum over compositions I of n of (-1)^(len(I)-1) / C(n-1, len(I)-1)
     times the hat-embedded ribbon of I."""
     check_degree_cap(cutoff)
-    comps = {}
+    out: dict = {}
     for n in range(1, cutoff + 1):
-        acc = WQSymElement.zero()
         for I in compositions(n):
             l = len(I)
-            coeff = Fraction((-1) ** (l - 1), math.comb(n - 1, l - 1))
-            acc = acc + ribbon_hat(I)._scaled(coeff)
-        acc = acc / n
-        if acc:
-            comps[n] = acc
-    return TruncatedSeries._raw(cutoff, comps)
+            coeff = Fraction((-1) ** (l - 1), math.comb(n - 1, l - 1) * n)
+            for w, c in ribbon_hat(I).terms.items():
+                _add_term(out, w, coeff * c)
+    return TruncatedSeries._raw(cutoff, WQSymElement._raw(out))
 
 
 def unipotence_check(n: int, cutoff: int | None = None) -> bool:
@@ -333,8 +275,7 @@ def unipotence_check(n: int, cutoff: int | None = None) -> bool:
     if cutoff < n:
         raise ValueError("cutoff below the degree being checked")
     x = identity_series(cutoff) - TruncatedSeries.unit(cutoff)
-    p = x.power(n + 1)
-    return all(not p.component(d) for d in range(n + 1))
+    return not x.power(n + 1).truncate(n)
 
 
 def car_membership_basis(cutoff: int, max_power: int) -> tuple[TruncatedSeries, ...]:

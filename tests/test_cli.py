@@ -124,6 +124,25 @@ def test_bad_input_exits_2_with_one_line(argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv", [("eval", "(" * 400 + "1" + ")" * 400), ("eval", "+".join(["1"] * 3000))], ids=["nested", "long-sum"]
+)
+def test_deep_expression_exits_2_with_one_line(argv):
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: expression nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "argv,k", [(("expand", "psi", "5000", "--degree", "2"), 5000), (("eval", "Psi(3000)", "--degree", "2"), 3000)]
+)
+def test_adams_operation_of_a_large_index(argv, k):
+    # Psi^k in degree 2: k(k+1)/2 ways onto the staircase 12, k(k-1)/2 onto 11 and 21
+    a, b = k * (k - 1) // 2, k * (k + 1) // 2
+    expected = f"0: M[]\n1: {k}*M[1]\n2: {a}*M[1,1] + {b}*M[1,2] + {a}*M[2,1]\n"
+    assert run(argv) == (0, expected, "")
+
+
 def test_realize_over_the_empty_alphabet_is_empty():
     assert run(("realize", "12", "0")) == (0, "", "")
 

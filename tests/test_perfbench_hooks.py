@@ -1,0 +1,48 @@
+"""The traced benchmark run (``perfbench/run.py --trace 1``) wraps each layer
+where it is defined: ``spans.install`` reads a method with
+``vars(cls)[attr]``, so it fails as soon as a patched method (for example
+``TruncatedSeries.__mul__`` or ``QSElement.act``) stops being defined in its
+own class body.  This checks the hooks install, record and uninstall."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_install_and_uninstall():
+    workloads, spans = _load("workloads"), _load("spans")
+    wqsym = workloads.import_wqsym()
+    modules = workloads.wqsym_modules()
+    classes = (
+        wqsym.WQSymElement,
+        wqsym.TensorSquare,
+        wqsym.TruncatedSeries,
+        wqsym.QSElement,
+        wqsym.QSTensor,
+        wqsym.QSymElement,
+    )
+    snapshot = lambda: [dict(vars(owner)) for owner in (*classes, *modules)] + [dict(wqsym.suites.SUITES)]
+    before = snapshot()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, modules)
+        assert vars(wqsym.TruncatedSeries)["__mul__"] is not before[2]["__mul__"]
+        series = wqsym.series.identity_series(2)
+        series * series
+        str(series)
+        wqsym.QSElement.generator("a").act(series)
+    finally:
+        tracer.uninstall()
+    names = {tracer.names[k] for k in tracer.kind}
+    assert {"series.conv", "series.build", "cli.render", "qshuffle.act"} <= names
+    assert snapshot() == before

@@ -4,9 +4,14 @@ quasi-Eulerian idempotents."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wqsym.algebra import WQSymElement
 from wqsym.errors import CapExceeded, NotInvertible
+from wqsym.params import ParamPoly
+from wqsym.qshuffle import QSElement
+from wqsym.qsym import QSymElement
 from wqsym.series import (
     TruncatedSeries,
     adams,
@@ -18,7 +23,7 @@ from wqsym.series import (
     log_identity,
     unipotence_check,
 )
-from wqsym.words import enumerate_packed_words
+from wqsym.words import enumerate_packed_words, pack
 
 E = WQSymElement.monomial
 half = Fraction(1, 2)
@@ -33,7 +38,7 @@ def test_identity_series():
     I = identity_series(5)
     assert I.component(0) == WQSymElement.unit()
     assert I.component(2) == E((1, 2))
-    assert sorted(I.components) == [0, 1, 2, 3, 4, 5]
+    assert I.degrees() == [0, 1, 2, 3, 4, 5]
     assert identity_series(0) == TruncatedSeries.unit(0)
 
 
@@ -234,5 +239,136 @@ def test_degree_cap_env_override(monkeypatch):
 def test_from_element_truncates():
     f = E((1,)) + E((1, 2, 3))
     s = TruncatedSeries.from_element(f, 2)
-    assert sorted(s.components) == [1]
+    assert s.degrees() == [1]
     assert s.to_element() == E((1,))
+
+
+# -- the series operations against the per-degree representation ---------------
+#
+# The oracles below are the per-degree loops of the former representation (a
+# dict from degree to homogeneous component): the convolution summing
+# f_a * g_(d-a) degree by degree, the internal product of each component with
+# the whole truncated right operand, and the action regrouping a module
+# element by degree.
+
+
+def components(el):
+    """Degree -> nonzero homogeneous component of an element."""
+    comps = {}
+    for w, c in el.terms.items():
+        comps.setdefault(len(w), {})[w] = c
+    return {d: WQSymElement._raw(terms) for d, terms in comps.items()}
+
+
+def linear_oracle(f, g, sign):
+    n = min(f.cutoff, g.cutoff)
+    a, b = components(f.to_element()), components(g.to_element())
+    zero = WQSymElement.zero()
+    if sign > 0:
+        return TruncatedSeries(n, {d: a.get(d, zero) + b.get(d, zero) for d in range(n + 1)})
+    return TruncatedSeries(n, {d: a.get(d, zero) - b.get(d, zero) for d in range(n + 1)})
+
+
+def convolution_oracle(f, g):
+    n = min(f.cutoff, g.cutoff)
+    a, b = components(f.to_element()), components(g.to_element())
+    comps = {}
+    for d in range(n + 1):
+        acc = WQSymElement.zero()
+        for i in range(d + 1):
+            if i in a and d - i in b:
+                acc = acc + a[i] * b[d - i]
+        comps[d] = acc
+    return TruncatedSeries(n, comps)
+
+
+def internal_oracle(f, g):
+    n = min(f.cutoff, g.cutoff)
+    total = WQSymElement.zero()
+    for d, el in components(g.to_element()).items():
+        if d <= n:
+            total = total + el
+    return TruncatedSeries(n, {d: el @ total for d, el in components(f.to_element()).items() if d <= n})
+
+
+def action_oracle(x, sigma):
+    by_degree = {}
+    for key, c in x.terms.items():
+        by_degree.setdefault(len(key), {})[key] = c
+    comps = components(sigma.to_element())
+    out = x.zero()
+    for d, terms in by_degree.items():
+        if d > sigma.cutoff:
+            raise CapExceeded(f"series cutoff {sigma.cutoff} cannot act on degree {d}")
+        out = out + x._raw(terms).act(comps.get(d, WQSymElement.zero()))
+    return out
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of the cap it hits."""
+    try:
+        return fn(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12))
+polys = st.dictionaries(
+    st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 2))]),
+    rationals,
+    min_size=1,
+    max_size=3,
+).map(ParamPoly)
+COEFFS = {"fraction": rationals, "param": polys, "mixed": st.one_of(rationals, polys)}
+
+
+@st.composite
+def series(draw, coeffs):
+    """A random series at cutoff 0..4, possibly empty, built from its
+    components."""
+    cutoff = draw(st.integers(0, 4))
+    words = st.lists(st.integers(1, 4), max_size=cutoff).map(pack)
+    el = WQSymElement(draw(st.dictionaries(words, coeffs, max_size=8)))
+    return TruncatedSeries(cutoff, components(el))
+
+
+tensor_words = st.lists(
+    st.sampled_from([(("a", 1),), (("b", 1),), (("a", 2),), (("a", 1), ("b", 1))]), max_size=4
+).map(tuple)
+qs_elements = st.dictionaries(tensor_words, rationals, max_size=4).map(QSElement)
+qsym_elements = st.dictionaries(st.lists(st.integers(1, 3), max_size=4).map(tuple), rationals, max_size=4).map(
+    QSymElement
+)
+
+
+@pytest.mark.parametrize("kind", COEFFS)
+@given(data=st.data())
+def test_series_operations_match_per_degree_oracles(kind, data):
+    f = data.draw(series(COEFFS[kind]), label="f")
+    g = data.draw(series(COEFFS[kind]), label="g")
+    assert f + g == linear_oracle(f, g, 1)
+    assert f - g == linear_oracle(f, g, -1)
+    assert f * g == convolution_oracle(f, g)
+    assert f @ g == internal_oracle(f, g)
+    # a finite element meets a series at the series' cutoff, on either side
+    el = g.to_element()
+    promoted = TruncatedSeries.from_element(el, f.cutoff)
+    assert f * el == convolution_oracle(f, promoted)
+    assert el * f == convolution_oracle(promoted, f)
+    assert el @ f == internal_oracle(promoted, f)
+    assert el - f == linear_oracle(promoted, f, -1)
+    for s in (f + g, f * g, f @ g):
+        assert max(s.degrees(), default=0) <= s.cutoff
+    x = data.draw(qs_elements, label="x")
+    assert outcome(x.act, f) == outcome(action_oracle, x, f)
+    F = data.draw(qsym_elements, label="F")
+    assert outcome(F.act, f) == outcome(action_oracle, F, f)
+
+
+@given(series(rationals))
+def test_series_operations_with_an_empty_series(f):
+    for empty in (TruncatedSeries.zero(0), TruncatedSeries.zero(4)):
+        assert f + empty == linear_oracle(f, empty, 1)
+        assert not f * empty and f * empty == convolution_oracle(f, empty)
+        assert not f @ empty and not empty @ f
+        assert (f * empty).cutoff == min(f.cutoff, empty.cutoff)
