@@ -66,9 +66,10 @@ def _parse_word(text: str):
     return letters
 
 
-def _emit(obj, fmt: str, text_renderer) -> None:
+def _emit(fmt: str, json_renderer, text_renderer) -> None:
+    """Print the value in the requested format, building only that one."""
     if fmt == "json":
-        print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(json_renderer(), separators=(",", ":")))
     else:
         print(text_renderer())
 
@@ -77,10 +78,8 @@ def cmd_eval(args) -> int:
     value = evaluate(args.expression, cutoff=args.degree, degree_cap=max_degree_cap())
     if isinstance(value, Fraction):
         value = WQSymElement.unit() * value
-    if isinstance(value, TruncatedSeries):
-        _emit(series_to_obj(value), args.format, lambda: str(value))
-    else:
-        _emit(element_to_obj(value), args.format, lambda: str(value))
+    to_obj = series_to_obj if isinstance(value, TruncatedSeries) else element_to_obj
+    _emit(args.format, lambda: to_obj(value), lambda: str(value))
     return 0
 
 
@@ -97,7 +96,7 @@ def cmd_expand(args) -> int:
         if args.index is not None:
             raise ExpressionError("expand sigma_t takes no index")
         series = sigma_hat_series(ParamPoly.var("t"), args.degree)
-    _emit(series_to_obj(series), args.format, lambda: str(series))
+    _emit(args.format, lambda: series_to_obj(series), lambda: str(series))
     return 0
 
 

@@ -20,7 +20,8 @@ from .series import TruncatedSeries
 def coeff_to_str(c) -> str:
     if isinstance(c, ParamPoly):
         return str(c)
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"
 
 

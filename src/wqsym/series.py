@@ -11,8 +11,17 @@ own cutoff or above is free.
 
 The distinguished series is the diagonal/identity series ``I`` with the
 staircase word in each degree.  Its convolution powers are the Adams
-operations, and the convolution powers of ``log(I)`` divided by factorials
-are the quasi-Eulerian idempotents.
+operations Psi^k, and the convolution powers of ``log(I)`` divided by
+factorials are the quasi-Eulerian idempotents e_i.  Those convolutions are
+the definitions; :meth:`TruncatedSeries.power` and :meth:`TruncatedSeries.log`
+compute them, and the tests use them as the oracle of the closed forms that
+:func:`adams`, :func:`log_identity` and :func:`eulerian_idempotent` build.
+I is the image of sigma = sum S_n under the hat embedding of noncommutative
+symmetric functions (Gelfand, Krob, Lascoux, Leclerc, Retakh, Thibon, Adv.
+Math. 112, 1995), so Psi^k is the image of sigma^k, and its coefficient on a
+packed word of length d with a ascents (positions j with w(j) < w(j+1)) is
+the binomial C(a + k, d).  As a polynomial in k this is sum_i k^i e_i, so
+e_i has the k^i coefficient of C(k + a, d), and log I is e_1.
 """
 
 from __future__ import annotations
@@ -26,7 +35,9 @@ from .algebra import (
     SCALAR_TYPES, WQSymElement, _add_term, _by_length, format_terms, ribbon_hat, truncated_product, word_str
 )
 from .errors import CapExceeded, NotInvertible
-from .words import check_degree_cap, compositions, max_degree_cap  # noqa: F401 (re-exported)
+from .words import (  # noqa: F401 (re-exported)
+    check_degree_cap, compositions, max_degree_cap, packed_words_with_ascents
+)
 
 
 def _binary(op, scalars=False):
@@ -230,28 +241,66 @@ def identity_series(cutoff: int) -> TruncatedSeries:
     )
 
 
+def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
+    """Coefficients in k, from k^0 up, of C(k + a, d) = (k+a)(k+a-1)...(k+a-d+1) / d!."""
+    poly = [Fraction(1, math.factorial(d))]
+    for j in range(d):
+        # multiply by (k + a - j)
+        poly = [(a - j) * x + y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def _ascent_series(cutoff: int, entry) -> TruncatedSeries:
+    """The series with coefficient ``entry(a, d)`` on each packed word of
+    length d <= cutoff with a ascents.
+
+    One table per degree, indexed by a.  The enumeration never visits a word
+    with fewer ascents than the smallest a with a nonzero entry, and the
+    words of one ascent count share one coefficient object."""
+    terms: dict = {}
+    for d in range(cutoff + 1):
+        table = [entry(a, d) for a in range(max(d, 1))]
+        first = next((a for a, c in enumerate(table) if c), None)
+        if first is None:
+            continue
+        words, ascents = packed_words_with_ascents(d, len(table) - 1 - first)
+        terms.update((w, table[a]) for w, a in zip(words, ascents) if table[a])
+    return TruncatedSeries._raw(cutoff, WQSymElement._raw(terms))
+
+
 @lru_cache(maxsize=None)
 def adams(k: int, cutoff: int) -> TruncatedSeries:
-    """k-th Adams operation: the k-th convolution power of the identity series."""
+    """k-th Adams operation I^(*k): coefficient C(a + k, d) on a word of
+    length d with a ascents (the convolution power is the definition and the
+    oracle)."""
     if k < 0:
         raise ValueError("Adams operations are indexed by nonnegative integers")
     check_degree_cap(cutoff)
-    return identity_series(cutoff).power(k)
+    return _ascent_series(cutoff, lambda a, d: Fraction(math.comb(a + k, d)))
 
 
 @lru_cache(maxsize=None)
 def log_identity(cutoff: int) -> TruncatedSeries:
+    """log I, which is the first idempotent e_1."""
     check_degree_cap(cutoff)
-    return identity_series(cutoff).log()
+    return eulerian_idempotent(1, cutoff)
 
 
 @lru_cache(maxsize=None)
 def eulerian_idempotent(i: int, cutoff: int) -> TruncatedSeries:
-    """i-th quasi-Eulerian idempotent: log(I)^(*i) / i!."""
+    """i-th quasi-Eulerian idempotent log(I)^(*i) / i!.  Since Psi^k =
+    sum_i k^i e_i, its coefficient on a word of length d with a ascents is
+    the k^i coefficient of the polynomial C(k + a, d) (the convolution route
+    is the definition and the oracle)."""
     if i < 0:
         raise ValueError("idempotent index must be nonnegative")
     check_degree_cap(cutoff)
-    return log_identity(cutoff).power(i) / math.factorial(i)
+
+    def entry(a, d):
+        poly = _ascent_polynomial(a, d)
+        return poly[i] if i < len(poly) else 0
+
+    return _ascent_series(cutoff, entry)
 
 
 def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:

@@ -209,41 +209,54 @@ def enumerate_packed_words(n: int) -> tuple[Word, ...]:
     Counts grow like the ordered Bell numbers, so lengths above the degree
     cap raise :class:`CapExceeded` instead of silently eating memory.
     """
+    return packed_words_with_ascents(n, n)[0]
+
+
+def packed_words_with_ascents(n: int, max_non_ascents: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
+    """The packed words of length ``n`` with at most ``max_non_ascents``
+    non-ascents (positions j with w(j) >= w(j+1)), in lexicographic order, and
+    in a parallel tuple the ascent count of each (positions with w(j) <
+    w(j+1)).  Checks the degree cap like :func:`enumerate_packed_words`.
+    """
     if n < 0:
         raise ValueError("length must be nonnegative")
     check_degree_cap(n)
-    return _packed_words(n)
+    return _packed_words(n, min(max_non_ascents, max(n - 1, 0)))
 
 
 @lru_cache(maxsize=None)
-def _packed_words(n: int) -> tuple[Word, ...]:
+def _packed_words(n: int, budget: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
+    if budget < 0:
+        return (), ()
     if n == 0:
-        return ((),)
+        return ((),), (0,)
     out: list[Word] = []
-    prefix: list[int] = []
+    ascents: list[int] = []
+    top = n - 1
 
     # DFS over letters in ascending order (gives lexicographic output).  A
-    # prefix can be completed iff the letters below the running maximum that
-    # have not appeared yet still fit in the remaining positions.
-    def rec(mx: int, missing: frozenset[int], remaining: int) -> None:
-        if remaining == 0:
-            if not missing:
-                out.append(tuple(prefix))
+    # prefix can be completed iff the ``gaps`` letters below its maximum that
+    # have not appeared yet (the bits of ``missing``) still fit in the
+    # remaining positions.  Non-ascents only accumulate, so a prefix that has
+    # spent the budget continues with ascents only.
+    def rec(prefix: Word, last: int, mx: int, missing: int, gaps: int, remaining: int, non_asc: int) -> None:
+        if not remaining:
+            out.append(prefix)
+            ascents.append(top - non_asc)
             return
-        for letter in range(1, n + 1):
-            if letter <= mx:
-                new_mx = mx
-                new_missing = missing - {letter}
-            else:
-                new_mx = letter
-                new_missing = missing | frozenset(range(mx + 1, letter))
-            if len(new_missing) <= remaining - 1:
-                prefix.append(letter)
-                rec(new_mx, new_missing, remaining - 1)
-                prefix.pop()
+        remaining -= 1
+        for letter in range(last + 1 if non_asc == budget else 1, mx + remaining - gaps + 2):
+            if letter > mx:
+                new_missing = missing | ((1 << letter) - (2 << mx))
+                rec(prefix + (letter,), letter, letter, new_missing, gaps + letter - mx - 1, remaining, non_asc)
+            elif missing >> letter & 1:
+                rec(prefix + (letter,), letter, mx, missing ^ (1 << letter), gaps - 1, remaining,
+                    non_asc + (letter <= last))
+            elif gaps <= remaining:
+                rec(prefix + (letter,), letter, mx, missing, gaps, remaining, non_asc + (letter <= last))
 
-    rec(0, frozenset(), n)
-    return tuple(out)
+    rec((), 0, 0, 0, 0, n, 0)
+    return tuple(out), tuple(ascents)
 
 
 @lru_cache(maxsize=None)

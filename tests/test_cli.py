@@ -10,11 +10,14 @@ text and JSON renderings and the scalar/element/series promotion rules of
 import contextlib
 import hashlib
 import io
+import math
+from fractions import Fraction
 
 import pytest
 
 from wqsym import suites
 from wqsym.cli import main
+from wqsym.series import TruncatedSeries, identity_series
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -134,12 +137,26 @@ def test_deep_expression_exits_2_with_one_line(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,k", [(("expand", "psi", "5000", "--degree", "2"), 5000), (("eval", "Psi(3000)", "--degree", "2"), 3000)]
+    "argv,k",
+    [
+        (("expand", "psi", "5000", "--degree", "2"), 5000),
+        (("eval", "Psi(3000)", "--degree", "2"), 3000),
+        (("expand", "psi", "1000000", "--degree", "4"), 1000000),
+    ],
 )
 def test_adams_operation_of_a_large_index(argv, k):
-    # Psi^k in degree 2: k(k+1)/2 ways onto the staircase 12, k(k-1)/2 onto 11 and 21
-    a, b = k * (k - 1) // 2, k * (k + 1) // 2
-    expected = f"0: M[]\n1: {k}*M[1]\n2: {a}*M[1,1] + {b}*M[1,2] + {a}*M[2,1]\n"
+    # Psi^k = sum_i k^i e_i, each e_i = log(I)^(*i) / i! by convolution
+    degree = int(argv[-1])
+    log = identity_series(degree).log()
+    spectral, power = TruncatedSeries.zero(degree), TruncatedSeries.unit(degree)
+    for i in range(degree + 1):
+        spectral = spectral + power * Fraction(k**i, math.factorial(i))
+        power = power * log
+    expected = f"{spectral}\n"
+    if degree == 2:
+        # k(k+1)/2 ways onto the staircase 12, k(k-1)/2 onto 11 and 21
+        a, b = k * (k - 1) // 2, k * (k + 1) // 2
+        assert expected == f"0: M[]\n1: {k}*M[1]\n2: {a}*M[1,1] + {b}*M[1,2] + {a}*M[2,1]\n"
     assert run(argv) == (0, expected, "")
 
 

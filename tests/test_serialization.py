@@ -10,6 +10,7 @@ from wqsym.params import ParamPoly
 from wqsym.qshuffle import AElement, QSElement, tensor
 from wqsym.qsym import QSymElement, lyndon_generator_report
 from wqsym.serialization import (
+    coeff_to_str,
     element_from_obj,
     element_to_obj,
     qs_element_from_obj,
@@ -81,6 +82,11 @@ def test_param_coefficients_serialize_as_strings():
     f = E((1, 2), t * t)
     obj = element_to_obj(f)
     assert obj["terms"][0]["coeff"] == "t^2"
+
+
+def test_integer_and_fraction_coefficients_serialize_as_quotients():
+    coeffs = (3, -2, 0, Fraction(-1, 2), Fraction(4, 2))
+    assert [coeff_to_str(c) for c in coeffs] == ["3/1", "-2/1", "0/1", "-1/2", "2/1"]
 
 
 def test_weight_report_obj():

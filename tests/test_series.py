@@ -1,6 +1,7 @@
 """Truncated-series calculus: convolution, inverse, log/exp, Adams powers,
 quasi-Eulerian idempotents."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -151,7 +152,26 @@ def test_eulerian_idempotent_expansions():
 
 
 def test_e1_closed_form_matches_log_route():
-    assert eulerian_e1_closed_form(5) == eulerian_idempotent(1, 5)
+    assert eulerian_e1_closed_form(5) == identity_series(5).log()
+
+
+def test_ascent_closed_forms_match_the_convolution_route():
+    # Psi^k = I^(*k), log I by the log series, e_i = log(I)^(*i) / i!
+    for d in range(7):
+        I = identity_series(d)
+        power = TruncatedSeries.unit(d)
+        for k in range(9):
+            assert adams(k, d) == power, (k, d)
+            power = power * I
+        log = I.log()
+        assert log_identity(d) == log, d
+        power = TruncatedSeries.unit(d)
+        for i in range(d + 2):
+            assert eulerian_idempotent(i, d) == power / math.factorial(i), (i, d)
+            power = power * log
+    I = identity_series(7)
+    assert adams(2, 7) == I * I
+    assert adams(3, 7) == I * I * I
 
 
 def test_idempotents_are_orthogonal():

@@ -19,6 +19,7 @@ from wqsym.words import (
     is_packed,
     lyndon_compositions,
     pack,
+    packed_words_with_ascents,
     quasi_shuffle_words,
     reverse,
     shifted_concat,
@@ -147,6 +148,18 @@ def test_enumeration_is_lexicographic_and_capped():
         assert list(ws) == sorted(ws)
     with pytest.raises(CapExceeded):
         enumerate_packed_words(8)
+
+
+def test_pruned_enumeration_matches_an_ascent_filter():
+    for n in range(8):
+        every = enumerate_packed_words(n)
+        non_ascents = [sum(x >= y for x, y in zip(w, w[1:])) for w in every]
+        for budget in range(-1, n + 1):
+            words, ascents = packed_words_with_ascents(n, budget)
+            assert words == tuple(w for w, b in zip(every, non_ascents) if b <= budget), (n, budget)
+            assert ascents == tuple(sum(x < y for x, y in zip(w, w[1:])) for w in words), (n, budget)
+    with pytest.raises(CapExceeded):
+        packed_words_with_ascents(8, 0)
 
 
 def test_enumeration_checks_the_degree_cap_on_every_call(monkeypatch):
