@@ -19,9 +19,10 @@ read like the algebra they compute in:
 
 Coefficients are exact: ``Fraction`` everywhere, or :class:`ParamPoly` for
 the parameter-deformed operators.  When both operands have only ``Fraction``
-coefficients, ``@`` and :func:`truncated_product` (the product of series)
+coefficients, ``@``, :func:`truncated_product` (the product of series) and
+the right action on module elements (:func:`wqsym.series.right_action`)
 accumulate integer numerators over a common denominator and make one
-``Fraction`` per output word.  Zero coefficients
+``Fraction`` per output key.  Zero coefficients
 are pruned after every operation, so ``==`` is literal term-by-term
 equality.  Elements are immutable by convention; nothing here mutates a
 constructed value.
@@ -67,6 +68,12 @@ def _add_term(data: dict, key, coeff) -> None:
         data.pop(key, None)
 
 
+def _add_multiple(data: dict, terms: dict, scalar) -> None:
+    """Add ``scalar`` times the combination ``terms`` into ``data`` in place."""
+    for key, c in terms.items():
+        _add_term(data, key, scalar * c)
+
+
 def _numerators(f: dict, g: dict):
     """``(f, g, d)``: when every coefficient of both is a ``Fraction``, each
     as int numerators over the lcm of its denominators and ``d`` the product
@@ -81,11 +88,12 @@ def _numerators(f: dict, g: dict):
     return f, g, df * dg
 
 
-def _collect(out: dict, d) -> "WQSymElement":
-    """The element of the nonzero sums in ``out``, over ``d`` if not None."""
+def _collect(cls, out: dict, d):
+    """The ``cls`` element of the nonzero sums in ``out``, over ``d`` if not
+    None."""
     if d is None:
-        return WQSymElement._raw({w: c for w, c in out.items() if c})
-    return WQSymElement._raw({w: Fraction(n, d) for w, n in out.items() if n})
+        return cls._raw({w: c for w, c in out.items() if c})
+    return cls._raw({w: Fraction(n, d) for w, n in out.items() if n})
 
 
 def _by_length(terms: dict) -> dict[int, tuple[list, list]]:
@@ -283,7 +291,7 @@ class WQSymElement(SparseCombination):
             vs, cs = bucket
             for w, cv in zip(map(_composer(u), vs), cs):
                 out[w] = get(w, 0) + cu * cv
-        return _collect(out, d)
+        return _collect(WQSymElement, out, d)
 
     def __and__(self, other):
         """Bullet product: shifted concatenation of basis words."""
@@ -349,7 +357,7 @@ def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
                 c = cu * cv
                 for w in quasi_shuffle_words(u, v):
                     out[w] = get(w, 0) + c
-    return _collect(out, d)
+    return _collect(WQSymElement, out, d)
 
 
 def format_terms(sorted_terms, key_fmt) -> str:

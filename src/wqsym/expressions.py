@@ -70,6 +70,11 @@ def tokenize(text: str) -> list[tuple[str, object]]:
     return tokens
 
 
+def _shown(tok) -> str:
+    """A token as error messages name it."""
+    return "end of input" if tok[0] is None else repr(tok[1])
+
+
 # AST nodes: ("scalar", Fraction) ("literal", kind, args) ("neg", x)
 #            ("add"|"sub"|"outer"|"internal"|"bullet", left, right)
 
@@ -90,7 +95,7 @@ class _Parser:
     def expect(self, kind, value=None):
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ExpressionError(f"expected {value or kind}, got {tok[1]!r}")
+            raise ExpressionError(f"expected {value or kind}, got {_shown(tok)}")
         return tok
 
     def parse(self):
@@ -147,6 +152,8 @@ class _Parser:
             if value == "e":
                 return ("literal", "e", self.int_list("(", ")"))
             raise ExpressionError(f"unknown name {value!r}")
+        if kind is None:
+            raise ExpressionError("unexpected end of input")
         raise ExpressionError(f"unexpected token {value!r}")
 
     def int_list(self, open_sym, close_sym):
@@ -157,11 +164,11 @@ class _Parser:
             return tuple(out)
         while True:
             out.append(self.expect("int")[1])
-            kind, value = self.next()
-            if (kind, value) == ("sym", close_sym):
+            tok = self.next()
+            if tok == ("sym", close_sym):
                 return tuple(out)
-            if (kind, value) != ("sym", ","):
-                raise ExpressionError(f"expected ',' or '{close_sym}', got {value!r}")
+            if tok != ("sym", ","):
+                raise ExpressionError(f"expected ',' or '{close_sym}', got {_shown(tok)}")
 
 
 def parse(text: str):

@@ -1,15 +1,18 @@
 """Quasi-shuffle algebra over a free commutative algebra without unit.
 
 The base algebra A is spanned by nonempty monomials in a finite set of
-generators; its product merges exponent vectors.  The tensor space over A
-carries the quasi-shuffle product (interleave or merge leading factors), the
-deconcatenation coproduct, and a right action of packed-word elements: a
-basis word of length n sends a degree-n tensor to the tensor of blockwise
-products and kills every other degree.
+generators; its product merges exponent vectors, so the monomials form a
+commutative semigroup.  The tensor space over A carries the quasi-shuffle
+product (interleave or merge leading factors), the deconcatenation
+coproduct, and a right action of packed-word elements: a basis word u of
+length n sends a degree-n tensor to the tensor whose i-th factor is the
+semigroup product of the factors at the positions where u has the letter i,
+and kills every other degree.
 
-The element types derive from :class:`wqsym.algebra.SparseCombination`, and
-the product is the shared kernel :func:`wqsym.words.quasi_shuffle` with the
-monomial product as the merge of two letters (Hoffman, "Quasi-shuffle
+The element types derive from :class:`wqsym.algebra.SparseCombination`.  The
+product is the shared kernel :func:`wqsym.words.quasi_shuffle` and the
+action the shared :func:`wqsym.series.right_action`, both with the monomial
+product as the semigroup product of two letters (Hoffman, "Quasi-shuffle
 products", J. Algebraic Combin. 11, 2000).
 
 Tensor words are stored over monomials only: general tensor factors are
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_term, format_terms
+from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_multiple, _add_term, format_terms
 from .series import TruncatedSeries, adams, eulerian_idempotent, right_action
 from .words import quasi_shuffle
 
@@ -145,9 +148,9 @@ class QSElement(SparseCombination):
 
     def act(self, op) -> "QSElement":
         """Right action: a basis word of length n sends a degree-n tensor to
-        the tensor of blockwise products and kills every other degree; a
-        truncated series acts by its element up to its cutoff."""
-        return right_action(self, op, _act_word)
+        the tensor of blockwise monomial products and kills every other
+        degree; a truncated series acts by its element up to its cutoff."""
+        return right_action(self, op, mono_mul)
 
     # -- coalgebra -----------------------------------------------------------
 
@@ -182,17 +185,6 @@ class QSElement(SparseCombination):
             return "(" + " x ".join(mono_str(m) for m in word) + ")"
 
         return format_terms(self.sorted_terms(), fmt)
-
-
-def _act_word(word: TensorWord, u) -> TensorWord:
-    if not u:
-        return ()
-    k = max(u)
-    bins: list[Monomial | None] = [None] * k
-    for mono, letter in zip(word, u):
-        i = letter - 1
-        bins[i] = mono if bins[i] is None else mono_mul(bins[i], mono)
-    return tuple(bins)  # every bin filled: u is surjective
 
 
 def tensor(*factors: AElement) -> QSElement:
@@ -242,10 +234,10 @@ class QSTensor(SparseCombination):
 
     def multiply_legs(self) -> QSElement:
         """Quasi-shuffle the two legs together (the product-of-coproduct map)."""
-        out = QSElement.zero()
+        out: dict[TensorWord, object] = {}
         for (a, b), c in self.terms.items():
-            out = out + (QSElement._raw({a: Fraction(1)}) * QSElement._raw({b: Fraction(1)}))._scaled(c)
-        return out
+            _add_multiple(out, Counter(quasi_shuffle(a, b, mono_mul)), c)
+        return QSElement._raw(out)
 
     def __repr__(self):
         return f"<QSTensor {len(self.terms)} terms>"
@@ -256,7 +248,7 @@ class QSTensor(SparseCombination):
 
 def convolution_of_operators(f, g, x: QSElement) -> QSElement:
     """Deconcatenate, act componentwise, quasi-shuffle back together."""
-    out = QSElement.zero()
+    out: dict[TensorWord, object] = {}
     for (a, b), c in x.deconcatenate().terms.items():
         left = QSElement._raw({a: Fraction(1)}).act(f)
         if not left:
@@ -264,8 +256,8 @@ def convolution_of_operators(f, g, x: QSElement) -> QSElement:
         right = QSElement._raw({b: Fraction(1)}).act(g)
         if not right:
             continue
-        out = out + (left * right)._scaled(c)
-    return out
+        _add_multiple(out, (left * right).terms, c)
+    return QSElement._raw(out)
 
 
 def apply_generator_map(f_spec: dict, x: QSElement) -> QSElement:
@@ -278,7 +270,7 @@ def apply_generator_map(f_spec: dict, x: QSElement) -> QSElement:
     for v in images.values():
         if not isinstance(v, AElement):
             raise ValueError("generator images must be AElement values")
-    out = QSElement.zero()
+    out: dict[TensorWord, object] = {}
     for word, c in x.terms.items():
         factors = []
         for mono in word:
@@ -289,8 +281,8 @@ def apply_generator_map(f_spec: dict, x: QSElement) -> QSElement:
                 piece = images[name] ** e
                 acc = piece if acc is None else acc * piece
             factors.append(acc)
-        out = out + tensor(*factors)._scaled(c)
-    return out
+        _add_multiple(out, tensor(*factors).terms, c)
+    return QSElement._raw(out)
 
 
 def naturality_check(f_spec: dict, u, x: QSElement) -> bool:
@@ -306,7 +298,7 @@ def car_coproduct_compatibility_check(
     lhs = (x * y).act(sigma)
     xdeg = set(x.degrees())
     ydeg = set(y.degrees())
-    rhs = QSElement.zero()
+    rhs: dict[TensorWord, object] = {}
     for (a, b), c in sigma.element.coproduct().terms.items():
         if len(a) not in xdeg or len(b) not in ydeg:
             continue
@@ -316,8 +308,8 @@ def car_coproduct_compatibility_check(
         right = y.act(WQSymElement.monomial(b))
         if not right:
             continue
-        rhs = rhs + (left * right)._scaled(c)
-    return lhs == rhs
+        _add_multiple(rhs, (left * right).terms, c)
+    return lhs == QSElement._raw(rhs)
 
 
 def e1_kills_products_check(x: QSElement, y: QSElement, cutoff: int) -> bool:

@@ -1,16 +1,20 @@
 """Quasi-symmetric functions as the quasi-shuffle algebra over the positive
 integers.
 
-The monomial basis is indexed by compositions; the product is the
+The monomial basis is indexed by compositions, words over the commutative
+semigroup of positive integers under addition.  The product is the
 quasi-shuffle where overlapping parts add, that is the shared kernel
 :func:`wqsym.words.quasi_shuffle` with the sum of parts as the merge (Hoffman,
 "Quasi-shuffle products", J. Algebraic Combin. 11, 2000), and
 :class:`QSymElement` derives from :class:`wqsym.algebra.SparseCombination`.
-Packed-word elements act on the right by summing parts blockwise, Adams
-operations come either through that action or through the internal iterated
-coproduct/product oracle, and the first quasi-Eulerian idempotent carves out
-free polynomial generators indexed by Lyndon compositions (verified
-degreewise by exact rank).
+Packed-word elements act on the right by the same blockwise product as on
+tensors (:func:`wqsym.series.right_action`), here the sum of the parts in
+each block: QSym is the quasi-shuffle algebra over one generator x, with the
+composition I read as x^I1 (x) ... (x) x^Ik.  Adams operations come either
+through that action or through the internal iterated coproduct/product
+oracle, and the first quasi-Eulerian idempotent carves out free polynomial
+generators indexed by Lyndon compositions (verified degreewise by exact
+rank).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_term, format_terms
+from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_multiple, _add_term, format_terms
 from .errors import CapExceeded
 from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
 from .words import Composition, compositions, evaluation, lyndon_compositions, quasi_shuffle
@@ -70,7 +74,7 @@ class QSymElement(SparseCombination):
         """Right action: a basis word of length len(I) regroups the parts of I
         by summing over each block; other lengths act by zero.  A series acts
         by its element up to its cutoff."""
-        return right_action(self, op, _regroup)
+        return right_action(self, op, operator.add)
 
     def weights(self) -> list[int]:
         return sorted({sum(I) for I in self.terms})
@@ -80,14 +84,6 @@ class QSymElement(SparseCombination):
 
     def __str__(self):
         return format_terms(self.sorted_terms(), lambda I: "M(%s)" % ",".join(map(str, I)))
-
-
-def _regroup(I: Composition, u) -> Composition:
-    """The parts of ``I`` summed over the blocks of the packed word ``u``."""
-    parts = [0] * (max(u) if u else 0)
-    for part, letter in zip(I, u):
-        parts[letter - 1] += part
-    return tuple(parts)
 
 
 # -- Adams operations ----------------------------------------------------------
@@ -108,7 +104,7 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
         return QSymElement._raw({(): F.counit()} if F.counit() else {})
     from itertools import combinations_with_replacement
 
-    out = QSymElement.zero()
+    out: dict[Composition, object] = {}
     for I, c in F.terms.items():
         l = len(I)
         for cuts in combinations_with_replacement(range(l + 1), k - 1):
@@ -116,8 +112,8 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
             prod = QSymElement.unit()
             for a, b in zip(bounds, bounds[1:]):
                 prod = prod * QSymElement._raw({I[a:b]: Fraction(1)})
-            out = out + prod._scaled(c)
-    return out
+            _add_multiple(out, prod.terms, c)
+    return QSymElement._raw(out)
 
 
 def commutative_image(f: WQSymElement) -> QSymElement:

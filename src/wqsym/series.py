@@ -32,11 +32,20 @@ from functools import lru_cache
 from itertools import groupby
 
 from .algebra import (
-    SCALAR_TYPES, WQSymElement, _add_term, _by_length, format_terms, ribbon_hat, truncated_product, word_str
+    SCALAR_TYPES,
+    WQSymElement,
+    _add_multiple,
+    _by_length,
+    _collect,
+    _numerators,
+    format_terms,
+    ribbon_hat,
+    truncated_product,
+    word_str,
 )
 from .errors import CapExceeded, NotInvertible
 from .words import (  # noqa: F401 (re-exported)
-    check_degree_cap, compositions, max_degree_cap, packed_words_with_ascents
+    block_masks, check_degree_cap, compositions, max_degree_cap, packed_words_with_ascents
 )
 
 
@@ -165,8 +174,7 @@ class TruncatedSeries:
         for j, a in enumerate(coeffs):
             if j:
                 p = p * self
-            for w, c in p.element.terms.items():
-                _add_term(out, w, a * c)
+            _add_multiple(out, p.element.terms, a)
         return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(out))
 
     def inverse(self) -> "TruncatedSeries":
@@ -204,13 +212,35 @@ class TruncatedSeries:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
 
 
-def right_action(x, op, image):
-    """Right action of a packed-word element or series ``op`` on a module
-    element ``x`` graded by key length.
+class _BlockProducts(dict):
+    """The products of the letters of one key over sets of positions, indexed
+    by bitmask; each is computed with ``merge`` on first use, from the product
+    over all but the lowest position."""
 
-    A word ``u`` sends a key of its own length to ``image(key, u)`` and kills
-    every other length, so a series acts by its whole element; lengths above
-    its cutoff were not computed and are refused."""
+    __slots__ = ("merge",)
+
+    def __init__(self, key, merge):
+        super().__init__((1 << i, letter) for i, letter in enumerate(key))
+        self.merge = merge
+
+    def __missing__(self, mask):
+        low = mask & -mask
+        value = self[mask] = self.merge(self[low], self[mask ^ low])
+        return value
+
+
+def right_action(x, op, merge):
+    """Right action of a packed-word element or series ``op`` on a module
+    element ``x`` whose keys are words over a commutative semigroup with
+    product ``merge``.
+
+    A word ``u`` sends a key of its own length to the word of blockwise
+    products: its i-th letter is the product of the key's letters at the
+    positions where ``u`` has the letter i.  Every other length is killed, so
+    a series acts by its whole element; lengths above its cutoff were not
+    computed and are refused.  Each block product is computed once per key,
+    and with ``Fraction`` coefficients throughout the sums accumulate as int
+    numerators over one common denominator."""
     if isinstance(op, TruncatedSeries):
         for key in x.terms:
             if len(key) > op.cutoff:
@@ -218,15 +248,20 @@ def right_action(x, op, image):
         return x.act(op.element)
     if not isinstance(op, WQSymElement):
         raise TypeError("operators are WQSymElement or TruncatedSeries values")
-    buckets = _by_length(op.terms)
+    lengths = {len(key) for key in x.terms}
+    xs, ops, d = _numerators(x.terms, {u: c for u, c in op.terms.items() if len(u) in lengths})
+    buckets = {n: (list(map(block_masks, us)), cs) for n, (us, cs) in _by_length(ops).items()}
     out: dict = {}
-    for key, c in x.terms.items():
+    get = out.get
+    for key, c in xs.items():
         bucket = buckets.get(len(key))
         if bucket is None:
             continue
-        for u, d in zip(*bucket):
-            _add_term(out, image(key, u), c * d)
-    return x._raw(out)
+        product = _BlockProducts(key, merge).__getitem__
+        for masks, cu in zip(*bucket):
+            w = tuple(map(product, masks))
+            out[w] = get(w, 0) + c * cu
+    return _collect(type(x), out, d)
 
 
 # -- the characteristic family ------------------------------------------------
@@ -313,8 +348,7 @@ def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:
         for I in compositions(n):
             l = len(I)
             coeff = Fraction((-1) ** (l - 1), math.comb(n - 1, l - 1) * n)
-            for w, c in ribbon_hat(I).terms.items():
-                _add_term(out, w, coeff * c)
+            _add_multiple(out, ribbon_hat(I).terms, coeff)
     return TruncatedSeries._raw(cutoff, WQSymElement._raw(out))
 
 

@@ -195,27 +195,22 @@ def suite_hopf(run: _Run, degree, seed, cases, generators):
 def suite_internal(run: _Run, degree, seed, cases, generators):
     top = min(degree, 4)
     words_by_len = {n: enumerate_packed_words(n) for n in range(top + 1)}
+    # one monomial per basis word; the staircase of length k is the identity
+    # on the right of a word of breadth k and on the left of one of length k
+    mono = {u: WQSymElement.monomial(u) for words_ in words_by_len.values() for u in words_}
+    staircase = [mono[tuple(range(1, n + 1))] for n in range(top + 1)]
     for n, words_ in words_by_len.items():
-        staircase = WQSymElement.monomial(tuple(range(1, n + 1)))
         for u in words_:
-            mu = WQSymElement.monomial(u)
-            run.check(staircase @ mu == mu, f"left identity at {u}")
-            k = max(u) if u else 0
-            right_id = WQSymElement.monomial(tuple(range(1, k + 1)))
-            run.check(mu @ right_id == mu, f"right identity at {u}")
-    for n in range(top + 1):
-        for u in words_by_len[n]:
-            mu = WQSymElement.monomial(u)
-            k = max(u) if u else 0
-            for v in words_by_len.get(k, ()):
-                mv = WQSymElement.monomial(v)
-                kk = max(v) if v else 0
-                for w in words_by_len.get(kk, ()):
-                    mw = WQSymElement.monomial(w)
-                    run.check(
-                        (mu @ mv) @ mw == mu @ (mv @ mw),
-                        f"associativity at {u},{v},{w}",
-                    )
+            mu = mono[u]
+            run.check(staircase[n] @ mu == mu, f"left identity at {u}")
+            run.check(mu @ staircase[max(u, default=0)] == mu, f"right identity at {u}")
+    for u, mu in mono.items():
+        for v in words_by_len[max(u, default=0)]:
+            mv = mono[v]
+            uv = mu @ mv
+            for w in words_by_len[max(v, default=0)]:
+                mw = mono[w]
+                run.check(uv @ mw == mu @ (mv @ mw), f"associativity at {u},{v},{w}")
     for i in range(cases):
         rng = case_rng(seed, i)
         u, v, w = (random_packed_word(rng, rng.randint(0, top)) for _ in range(3))

@@ -132,6 +132,16 @@ def evaluation(u: Word) -> Composition:
     return tuple(counts)
 
 
+@lru_cache(maxsize=None)
+def block_masks(u: Word) -> tuple[int, ...]:
+    """For each letter 1..breadth(u), the bitmask of the positions of ``u``
+    holding it: the blocks of the set composition, as bit sets."""
+    masks = [0] * breadth(u)
+    for position, letter in enumerate(u):
+        masks[letter - 1] |= 1 << position
+    return tuple(masks)
+
+
 def reverse(u: Word) -> Word:
     return tuple(reversed(u))
 

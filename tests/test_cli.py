@@ -117,6 +117,10 @@ BAD_INPUT = [
     ("verify", "convolution", "--generators", "0"),
     ("verify", "all", "--generators", "0"),
     ("verify", "e1-kernel", "--generators", "0"),
+    # the expression ends where a token is still expected
+    ("eval", ""),
+    ("eval", "M[1"),
+    ("eval", "(M[1]"),
 ]
 
 
@@ -125,6 +129,21 @@ def test_bad_input_exits_2_with_one_line(argv):
     rc, out, err = run(argv)
     assert (rc, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "unexpected end of input"),
+        ("M[1", "expected ',' or ']', got end of input"),
+        ("(M[1]", "expected ), got end of input"),
+        ("M[1,", "expected int, got end of input"),
+        ("M[1 2]", "expected ',' or ']', got 2"),
+        (")", "unexpected token ')'"),
+    ],
+)
+def test_parse_errors_name_the_end_of_input(text, message):
+    assert run(("eval", text)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

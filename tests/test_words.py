@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from wqsym.errors import CapExceeded
 from wqsym.words import (
     FUBINI,
+    block_masks,
+    breadth,
     compose_surjections,
     compositions,
     descents,
@@ -241,3 +243,13 @@ def test_lyndon_counts_match_rotation_oracle():
         counts.append(len(oracle))
     assert counts == [1, 1, 2, 3, 6]
     assert lyndon_compositions(3) == ((1, 2), (3,))
+
+
+def test_block_masks_are_the_blocks_as_bit_sets():
+    assert block_masks(()) == ()
+    assert block_masks((2, 1, 2, 3)) == (0b0010, 0b0101, 0b1000)
+    for u in enumerate_packed_words(4):
+        masks = block_masks(u)
+        assert len(masks) == breadth(u)
+        assert sum(masks) == (1 << len(u)) - 1
+        assert all(u[i] == letter for letter, m in enumerate(masks, 1) for i in range(len(u)) if m >> i & 1)
