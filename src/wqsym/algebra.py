@@ -5,9 +5,15 @@ in the package (packed words here, tensor words and base-algebra monomials
 in :mod:`wqsym.qshuffle`, compositions in :mod:`wqsym.qsym`): a dict from
 canonical basis keys to nonzero exact coefficients, with the linear structure,
 equality and sorted rendering written once.  Each subclass supplies its key
-check, its sort key and its products.  The products of the quasi-shuffle
-algebras all go through :func:`wqsym.words.quasi_shuffle` (Hoffman,
-"Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
+check, its sort key and its products.  Every product and coproduct is the
+extension of a map on basis keys by one of two kernels, :func:`_bilinear` and
+:func:`_linear`; the quasi-shuffle products pass
+:func:`wqsym.words.quasi_shuffle` with their semigroup product as the merge
+(Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000).  Three
+loops pair only keys of matching lengths and stay outside the kernels, which
+would call the key map once per pair and undo that bucketing: ``@``,
+:func:`truncated_product` (the product of series) and the right action on
+module elements (:func:`wqsym.series.right_action`).
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -19,20 +25,20 @@ read like the algebra they compute in:
 
 Coefficients are exact: ``Fraction`` everywhere, or :class:`ParamPoly` for
 the parameter-deformed operators.  When both operands have only ``Fraction``
-coefficients, ``@``, :func:`truncated_product` (the product of series) and
-the right action on module elements (:func:`wqsym.series.right_action`)
-accumulate integer numerators over a common denominator and make one
-``Fraction`` per output key.  Zero coefficients
-are pruned after every operation, so ``==`` is literal term-by-term
-equality.  Elements are immutable by convention; nothing here mutates a
-constructed value.
+coefficients, the three bucketed loops accumulate integer numerators over a
+common denominator and make one ``Fraction`` per output key; the kernels add
+each product's coefficient as it is, which is cheaper on small operands.
+Zero coefficients are pruned after every operation, so ``==`` is literal
+term-by-term equality.  Elements are immutable by convention; nothing here
+mutates a constructed value.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from itertools import product as iproduct
+from operator import eq, ge, itemgetter, le
 
 from . import words
 from .params import ParamPoly
@@ -66,6 +72,34 @@ def _add_term(data: dict, key, coeff) -> None:
         data[key] = c
     else:
         data.pop(key, None)
+
+
+def _bilinear(cls, f: dict, g: dict, keys):
+    """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
+    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``."""
+    out: dict = {}
+    for u, cu in f.items():
+        for v, cv in g.items():
+            c = cu * cv
+            for w in keys(u, v):
+                _add_term(out, w, c)
+    return cls._raw(out)
+
+
+def _linear(cls, f: dict, keys):
+    """The ``cls`` element summing ``c`` over every key of ``keys(u)``,
+    repeats counted, for each key ``u`` of ``f``."""
+    out: dict = {}
+    for u, c in f.items():
+        for w in keys(u):
+            _add_term(out, w, c)
+    return cls._raw(out)
+
+
+def _legwise(product):
+    """The keys of the leg-wise product of two pairs of keys, ``product``
+    giving the keys on each leg."""
+    return lambda p, q: iproduct(product(p[0], q[0]), product(p[1], q[1]))
 
 
 def _add_multiple(data: dict, terms: dict, scalar) -> None:
@@ -247,13 +281,7 @@ class WQSymElement(SparseCombination):
     def __mul__(self, other):
         """Outer product (on elements) or scalar multiple."""
         if isinstance(other, WQSymElement):
-            out: dict[Word, object] = {}
-            for u, cu in self.terms.items():
-                for v, cv in other.terms.items():
-                    c = cu * cv
-                    for w in quasi_shuffle_words(u, v):
-                        _add_term(out, w, c)
-            return WQSymElement._raw(out)
+            return _bilinear(WQSymElement, self.terms, other.terms, quasi_shuffle_words)
         if isinstance(other, SCALAR_TYPES):
             return self._scaled(other)
         return NotImplemented
@@ -262,9 +290,11 @@ class WQSymElement(SparseCombination):
         """Internal product: compose basis surjections, zero on arity mismatch.
 
         Word ``v`` of ``other`` composes with word ``u`` of ``self`` only if
-        ``len(v) == breadth(u)``, so ``other`` is bucketed by length once.
-        With ``Fraction`` coefficients throughout, the products accumulate as
-        int numerators over one common denominator, divided out at the end.
+        ``len(v) == breadth(u)``, so ``other`` is bucketed by length once,
+        and the pairs do not go through :func:`_bilinear`, which would visit
+        every pair.  With ``Fraction`` coefficients throughout, the products
+        accumulate as int numerators over one common denominator, divided out
+        at the end.
         """
         if not isinstance(other, WQSymElement):
             return NotImplemented
@@ -297,24 +327,19 @@ class WQSymElement(SparseCombination):
         """Bullet product: shifted concatenation of basis words."""
         if not isinstance(other, WQSymElement):
             return NotImplemented
-        out: dict[Word, object] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                _add_term(out, shifted_concat(u, v), cu * cv)
-        return WQSymElement._raw(out)
+        return _bilinear(WQSymElement, self.terms, other.terms, lambda u, v: (shifted_concat(u, v),))
 
     # -- coalgebra ----------------------------------------------------------
 
     def coproduct(self) -> "TensorSquare":
         """Split each basis word by letter value: letters <= i on the left,
         the rest repacked on the right, summed over i = 0..breadth."""
-        out: dict[tuple[Word, Word], object] = {}
-        for u, c in self.terms.items():
+
+        def splits(u):
             for i in range(breadth(u) + 1):
-                left = tuple(x for x in u if x <= i)
-                right = pack(tuple(x for x in u if x > i))
-                _add_term(out, (left, right), c)
-        return TensorSquare._raw(out)
+                yield tuple(x for x in u if x <= i), pack(tuple(x for x in u if x > i))
+
+        return _linear(TensorSquare, self.terms, splits)
 
     # -- inspection ---------------------------------------------------------
 
@@ -342,7 +367,9 @@ def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
 
     Every word of the product of ``u`` and ``v`` has length ``len(u) +
     len(v)``, so only the pairs with ``len(u) + len(v) <= n`` are multiplied;
-    ``g`` is bucketed by length to find them.
+    ``g`` is bucketed by length to find them instead of visiting every pair
+    through :func:`_bilinear`, and ``Fraction`` coefficients accumulate as int
+    numerators.
     """
     f, g, d = _numerators(f.terms, g.terms)
     buckets = _by_length(g)
@@ -404,14 +431,7 @@ class TensorSquare(SparseCombination):
         """Componentwise outer product on both tensor legs."""
         if not isinstance(other, TensorSquare):
             return NotImplemented
-        out: dict[tuple[Word, Word], object] = {}
-        for (a, b), c1 in self.terms.items():
-            for (u, v), c2 in other.terms.items():
-                c = c1 * c2
-                for left in quasi_shuffle_words(a, u):
-                    for right in quasi_shuffle_words(b, v):
-                        _add_term(out, (left, right), c)
-        return TensorSquare._raw(out)
+        return _bilinear(TensorSquare, self.terms, other.terms, _legwise(quasi_shuffle_words))
 
     def __str__(self) -> str:
         return format_terms(
@@ -431,32 +451,6 @@ def _partial_sums(I) -> frozenset[int]:
     return frozenset(out)
 
 
-def embed_sym_standard(I) -> WQSymElement:
-    """Complete-function product S^I as the descent-subset sum over packed words."""
-    I = tuple(I)
-    n = sum(I)
-    allowed = _partial_sums(I)
-    data = {
-        u: Fraction(1)
-        for u in enumerate_packed_words(n)
-        if descents(u) <= allowed
-    }
-    return WQSymElement._raw(data)
-
-
-def ribbon_standard(I) -> WQSymElement:
-    """Ribbon basis element: descent set exactly the partial sums of I."""
-    I = tuple(I)
-    n = sum(I)
-    target = _partial_sums(I)
-    data = {
-        u: Fraction(1)
-        for u in enumerate_packed_words(n)
-        if descents(u) == target
-    }
-    return WQSymElement._raw(data)
-
-
 def _reversed_complement(I) -> frozenset[int]:
     # positions 1..n-1 minus the partial sums of I read from the right
     n = sum(I)
@@ -465,6 +459,27 @@ def _reversed_complement(I) -> frozenset[int]:
         total += part
         sums.add(total)
     return frozenset(i for i in range(1, n) if i not in sums)
+
+
+def _descent_class(I, relation, hat=False) -> WQSymElement:
+    """The sum of the packed words of length ``sum(I)`` whose descent set
+    stands in ``relation`` to the partial sums of ``I``; with ``hat``, to the
+    complement of the right-to-left partial sums, each word reversed
+    (reversal is injective, so no two words collide)."""
+    I = tuple(I)
+    target = _reversed_complement(I) if hat else _partial_sums(I)
+    chosen = (u for u in enumerate_packed_words(sum(I)) if relation(descents(u), target))
+    return WQSymElement._raw({reverse(u) if hat else u: Fraction(1) for u in chosen})
+
+
+def embed_sym_standard(I) -> WQSymElement:
+    """Complete-function product S^I as the descent-subset sum over packed words."""
+    return _descent_class(I, le)
+
+
+def ribbon_standard(I) -> WQSymElement:
+    """Ribbon basis element: descent set exactly the partial sums of I."""
+    return _descent_class(I, eq)
 
 
 def embed_sym_hat(I) -> WQSymElement:
@@ -480,29 +495,15 @@ def embed_sym_hat(I) -> WQSymElement:
 
 
 def embed_sym_hat_closed(I) -> WQSymElement:
-    """Closed form of :func:`embed_sym_hat`: reversed words whose descent set
-    contains the complement of the right-to-left partial sums."""
-    I = tuple(I)
-    n = sum(I)
-    required = _reversed_complement(I)
-    data = {}
-    for u in enumerate_packed_words(n):
-        if descents(u) >= required:
-            _add_term(data, reverse(u), Fraction(1))
-    return WQSymElement._raw(data)
+    """Oracle of :func:`embed_sym_hat`, in closed form: reversed words whose
+    descent set contains the complement of the right-to-left partial sums."""
+    return _descent_class(I, ge, hat=True)
 
 
 def ribbon_hat(I) -> WQSymElement:
     """Hat-embedded ribbon: reversed words with descent set exactly the
     complement of the right-to-left partial sums."""
-    I = tuple(I)
-    n = sum(I)
-    target = _reversed_complement(I)
-    data = {}
-    for u in enumerate_packed_words(n):
-        if descents(u) == target:
-            _add_term(data, reverse(u), Fraction(1))
-    return WQSymElement._raw(data)
+    return _descent_class(I, eq, hat=True)
 
 
 def crucial_factorization_check(us) -> bool:

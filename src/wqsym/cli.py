@@ -159,6 +159,8 @@ def cmd_realize(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    if args.degree < 1:
+        raise ExpressionError(f"generators needs --degree >= 1, got {args.degree}")
     reports = lyndon_generator_report(args.degree)
     if args.format == "json":
         print(json.dumps([weight_report_to_obj(r) for r in reports], separators=(",", ":")))

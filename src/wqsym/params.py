@@ -14,6 +14,14 @@ from fractions import Fraction
 Monomial = tuple[tuple[str, int], ...]  # ((name, exponent), ...) sorted by name
 
 
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials: exponents of each name add."""
+    exps = dict(a)
+    for name, e in b:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -103,10 +111,7 @@ class ParamPoly:
         data: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                exps: dict[str, int] = dict(m1)
-                for name, e in m2:
-                    exps[name] = exps.get(name, 0) + e
-                mono = tuple(sorted(exps.items()))
+                mono = mono_mul(m1, m2)
                 c = data.get(mono, Fraction(0)) + c1 * c2
                 if c:
                     data[mono] = c

@@ -22,15 +22,24 @@ is exact.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from functools import partial
 
-from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_multiple, _add_term, format_terms
+from .algebra import (
+    SCALAR_TYPES,
+    SparseCombination,
+    WQSymElement,
+    _add_multiple,
+    _bilinear,
+    _legwise,
+    _linear,
+    format_terms,
+)
+from .params import Monomial, mono_mul
 from .series import TruncatedSeries, adams, eulerian_idempotent, right_action
 from .words import quasi_shuffle
 
-Monomial = tuple[tuple[str, int], ...]  # sorted ((generator, exponent), ...), nonempty
-TensorWord = tuple[Monomial, ...]
+TensorWord = tuple[Monomial, ...]  # over nonempty monomials
 
 
 def monomial(*pairs) -> Monomial:
@@ -47,13 +56,6 @@ def monomial(*pairs) -> Monomial:
     return mono
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -64,6 +66,12 @@ def mono_str(m: Monomial) -> str:
 
 def _tensor_word(word) -> TensorWord:
     return tuple(monomial(*m) for m in word)
+
+
+def _cuts(lo: int):
+    """The keys of the deconcatenation of a word at cut points ``lo`` to
+    ``len - lo``."""
+    return lambda word: [(word[:i], word[i:]) for i in range(lo, len(word) + 1 - lo)]
 
 
 class AElement(SparseCombination):
@@ -88,11 +96,7 @@ class AElement(SparseCombination):
             return self._scaled(other)
         if not isinstance(other, AElement):
             return NotImplemented
-        out: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _add_term(out, mono_mul(m1, m2), c1 * c2)
-        return AElement._raw(out)
+        return _bilinear(AElement, self.terms, other.terms, lambda a, b: (mono_mul(a, b),))
 
     def __pow__(self, e: int):
         if e < 1:
@@ -136,13 +140,7 @@ class QSElement(SparseCombination):
             return self._scaled(other)
         if not isinstance(other, QSElement):
             return NotImplemented
-        out: dict[TensorWord, object] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                for w, mult in Counter(quasi_shuffle(w1, w2, mono_mul)).items():
-                    _add_term(out, w, c * mult)
-        return QSElement._raw(out)
+        return _bilinear(QSElement, self.terms, other.terms, partial(quasi_shuffle, merge=mono_mul))
 
     # -- right action of packed-word elements -------------------------------
 
@@ -155,22 +153,15 @@ class QSElement(SparseCombination):
     # -- coalgebra -----------------------------------------------------------
 
     def deconcatenate(self) -> "QSTensor":
-        out: dict[tuple[TensorWord, TensorWord], object] = {}
-        for word, c in self.terms.items():
-            for i in range(len(word) + 1):
-                _add_term(out, (word[:i], word[i:]), c)
-        return QSTensor._raw(out)
+        return _linear(QSTensor, self.terms, _cuts(0))
 
     def reduced_deconcatenate(self) -> "QSTensor":
-        """Deconcatenation with the two unit-sided terms removed; only
-        meaningful for elements with zero constant term."""
+        """Deconcatenation with the two unit-sided terms removed, that is at
+        the inner cut points only; only meaningful for elements with zero
+        constant term."""
         if self.counit():
             raise ValueError("reduced coproduct needs zero constant term")
-        out = self.deconcatenate().terms.copy()
-        for word, c in self.terms.items():
-            _add_term(out, ((), word), -c)
-            _add_term(out, (word, ()), -c)
-        return QSTensor._raw(out)
+        return _linear(QSTensor, self.terms, _cuts(1))
 
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self.terms})
@@ -189,23 +180,15 @@ class QSElement(SparseCombination):
 
 def tensor(*factors: AElement) -> QSElement:
     """Multilinear expansion of a tensor of base-algebra elements."""
-    out: dict[TensorWord, object] = {(): Fraction(1)}
+    out = QSElement.unit()
     for f in factors:
-        new: dict[TensorWord, object] = {}
-        for word, c in out.items():
-            for m, d in f.terms.items():
-                _add_term(new, word + (m,), c * d)
-        out = new
-    return QSElement._raw(out)
+        out = concat(out, QSElement._raw({(m,): c for m, c in f.terms.items()}))
+    return out
 
 
 def concat(x: QSElement, y: QSElement) -> QSElement:
     """Bilinear concatenation of tensor words (not the algebra product)."""
-    out: dict[TensorWord, object] = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            _add_term(out, w1 + w2, c1 * c2)
-    return QSElement._raw(out)
+    return _bilinear(QSElement, x.terms, y.terms, lambda a, b: (a + b,))
 
 
 class QSTensor(SparseCombination):
@@ -222,22 +205,11 @@ class QSTensor(SparseCombination):
         """Componentwise quasi-shuffle on both legs."""
         if not isinstance(other, QSTensor):
             return NotImplemented
-        out = {}
-        for (a, b), c1 in self.terms.items():
-            for (u, v), c2 in other.terms.items():
-                c = c1 * c2
-                rights = Counter(quasi_shuffle(b, v, mono_mul)).items()
-                for left, ml in Counter(quasi_shuffle(a, u, mono_mul)).items():
-                    for right, mr in rights:
-                        _add_term(out, (left, right), c * ml * mr)
-        return QSTensor._raw(out)
+        return _bilinear(QSTensor, self.terms, other.terms, _legwise(partial(quasi_shuffle, merge=mono_mul)))
 
     def multiply_legs(self) -> QSElement:
         """Quasi-shuffle the two legs together (the product-of-coproduct map)."""
-        out: dict[TensorWord, object] = {}
-        for (a, b), c in self.terms.items():
-            _add_multiple(out, Counter(quasi_shuffle(a, b, mono_mul)), c)
-        return QSElement._raw(out)
+        return _linear(QSElement, self.terms, lambda legs: quasi_shuffle(*legs, mono_mul))
 
     def __repr__(self):
         return f"<QSTensor {len(self.terms)} terms>"

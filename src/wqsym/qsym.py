@@ -21,11 +21,19 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .algebra import SCALAR_TYPES, SparseCombination, WQSymElement, _add_multiple, _add_term, format_terms
+from .algebra import (
+    SCALAR_TYPES,
+    SparseCombination,
+    WQSymElement,
+    _add_multiple,
+    _bilinear,
+    _linear,
+    format_terms,
+)
 from .errors import CapExceeded
 from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
 from .words import Composition, compositions, evaluation, lyndon_compositions, quasi_shuffle
@@ -62,13 +70,7 @@ class QSymElement(SparseCombination):
             return self._scaled(other)
         if not isinstance(other, QSymElement):
             return NotImplemented
-        out: dict[Composition, object] = {}
-        for I, c1 in self.terms.items():
-            for J, c2 in other.terms.items():
-                c = c1 * c2
-                for K, mult in Counter(quasi_shuffle(I, J, operator.add)).items():
-                    _add_term(out, K, c * mult)
-        return QSymElement._raw(out)
+        return _bilinear(QSymElement, self.terms, other.terms, partial(quasi_shuffle, merge=operator.add))
 
     def act(self, op) -> "QSymElement":
         """Right action: a basis word of length len(I) regroups the parts of I
@@ -78,9 +80,6 @@ class QSymElement(SparseCombination):
 
     def weights(self) -> list[int]:
         return sorted({sum(I) for I in self.terms})
-
-    def weight_component(self, n: int) -> "QSymElement":
-        return QSymElement._raw({I: c for I, c in self.terms.items() if sum(I) == n})
 
     def __str__(self):
         return format_terms(self.sorted_terms(), lambda I: "M(%s)" % ",".join(map(str, I)))
@@ -118,10 +117,7 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
 
 def commutative_image(f: WQSymElement) -> QSymElement:
     """Abelianize: each packed word goes to its evaluation composition."""
-    out: dict[Composition, object] = {}
-    for u, c in f.terms.items():
-        _add_term(out, evaluation(u), c)
-    return QSymElement._raw(out)
+    return _linear(QSymElement, f.terms, lambda u: (evaluation(u),))
 
 
 def sigma_hat_series(t, cutoff: int) -> TruncatedSeries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import TensorSquare, WQSymElement
+from .algebra import WQSymElement
 from .params import ParamPoly
 from .qshuffle import QSElement
 from .qsym import QSymElement, WeightReport
@@ -70,16 +70,6 @@ def series_to_obj(s: TruncatedSeries) -> dict:
 def series_from_obj(obj: dict) -> TruncatedSeries:
     comps = {int(d): element_from_obj(el) for d, el in obj["components"].items()}
     return TruncatedSeries(int(obj["cutoff"]), comps)
-
-
-def tensor_square_to_obj(t: TensorSquare) -> dict:
-    return {
-        "basis": "WQSym-M x WQSym-M",
-        "terms": [
-            {"left": list(a), "right": list(b), "coeff": coeff_to_str(c)}
-            for (a, b), c in t.sorted_terms()
-        ],
-    }
 
 
 def qs_element_to_obj(x: QSElement, generators) -> dict:

@@ -44,9 +44,7 @@ from .algebra import (
     word_str,
 )
 from .errors import CapExceeded, NotInvertible
-from .words import (  # noqa: F401 (re-exported)
-    block_masks, check_degree_cap, compositions, max_degree_cap, packed_words_with_ascents
-)
+from .words import block_masks, check_degree_cap, compositions, packed_words_with_ascents
 
 
 def _binary(op, scalars=False):
@@ -238,9 +236,11 @@ def right_action(x, op, merge):
     products: its i-th letter is the product of the key's letters at the
     positions where ``u`` has the letter i.  Every other length is killed, so
     a series acts by its whole element; lengths above its cutoff were not
-    computed and are refused.  Each block product is computed once per key,
-    and with ``Fraction`` coefficients throughout the sums accumulate as int
-    numerators over one common denominator."""
+    computed and are refused.  The operator is bucketed by length rather than
+    paired with every key through :func:`wqsym.algebra._bilinear`.  Each
+    block product is computed once per key, and with ``Fraction`` coefficients
+    throughout the sums accumulate as int numerators over one common
+    denominator."""
     if isinstance(op, TruncatedSeries):
         for key in x.terms:
             if len(key) > op.cutoff:

@@ -41,7 +41,7 @@ from .series import (
     log_identity,
     unipotence_check,
 )
-from .words import enumerate_packed_words, compositions, is_lyndon, lyndon_compositions
+from .words import enumerate_packed_words, compositions, lyndon_compositions
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
@@ -534,19 +534,22 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 # Base-algebra generators each suite draws on by name (the others use none).
 MIN_GENERATORS = {"action": 1, "convolution": 3, "naturality": 1, "car-compat": 1, "e1-kernel": 2}
+# Least degree at which a suite checks anything (the others check something at 0).
+MIN_DEGREE = {"e1-kernel": 1, "generators": 1}
 
 
-def _check_generators(name, generators) -> None:
+def _check_inputs(name, degree, generators) -> None:
     names = SUITES if name == "all" else [name]
-    need = max(MIN_GENERATORS.get(n, 0) for n in names)
-    if generators < need:
-        raise ExpressionError(f"verify {name} needs --generators >= {need}, got {generators}")
+    for flag, value, table in (("--generators", generators, MIN_GENERATORS), ("--degree", degree, MIN_DEGREE)):
+        need = max(table.get(n, 0) for n in names)
+        if value < need:
+            raise ExpressionError(f"verify {name} needs {flag} >= {need}, got {value}")
 
 
 def run_suite(name, degree=5, seed=0, cases=100, generators=5) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    _check_generators(name, generators)
+    _check_inputs(name, degree, generators)
     run = _Run(name, degree, seed, generators)
     start = time.perf_counter()
     SUITES[name](run, degree, seed, cases, generators)
@@ -561,6 +564,6 @@ def run_suite(name, degree=5, seed=0, cases=100, generators=5) -> SuiteReport:
 
 
 def run_suites(name, degree=5, seed=0, cases=100, generators=5) -> list[SuiteReport]:
-    _check_generators(name, generators)
+    _check_inputs(name, degree, generators)
     names = list(SUITES) if name == "all" else [name]
     return [run_suite(n, degree, seed, cases, generators) for n in names]

@@ -117,6 +117,11 @@ BAD_INPUT = [
     ("verify", "convolution", "--generators", "0"),
     ("verify", "all", "--generators", "0"),
     ("verify", "e1-kernel", "--generators", "0"),
+    # a suite or report that would check nothing at degree 0
+    ("verify", "e1-kernel", "--degree", "0"),
+    ("verify", "generators", "--degree", "0"),
+    ("verify", "all", "--degree", "0"),
+    ("generators", "--degree", "0"),
     # the expression ends where a token is still expected
     ("eval", ""),
     ("eval", "M[1"),
@@ -208,6 +213,11 @@ def test_non_integer_degree_cap_exits_2(monkeypatch, argv):
 def test_verify_all_at_small_degrees(degree):
     for seed in range(4):
         argv = ("verify", "all", "--degree", str(degree), "--seed", str(seed), "--cases", "5")
-        rc, out, _ = run(argv)
+        rc, out, err = run(argv)
+        if degree == 0:
+            # e1-kernel and generators check nothing at degree 0
+            assert (rc, out) == (2, "") and err.startswith("error: ")
+            continue
         assert rc == 0, out
         assert out.count(": PASS") == 12
+        assert " 0 checks" not in out
