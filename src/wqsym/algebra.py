@@ -1,19 +1,17 @@
-"""Sparse exact linear combinations, and the packed-word algebra on them.
+"""The packed-word algebra on sparse exact linear combinations.
 
-:class:`SparseCombination` is the one base class of every sparse element type
-in the package (packed words here, tensor words and base-algebra monomials
-in :mod:`wqsym.qshuffle`, compositions in :mod:`wqsym.qsym`): a dict from
-canonical basis keys to nonzero exact coefficients, with the linear structure,
-equality and sorted rendering written once.  Each subclass supplies its key
-check, its sort key and its products.  Every product and coproduct is the
-extension of a map on basis keys by one of two kernels, :func:`_bilinear` and
-:func:`_linear`; the quasi-shuffle products pass
-:func:`wqsym.words.quasi_shuffle` with their semigroup product as the merge
-(Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000).  Three
-loops pair only keys of matching lengths and stay outside the kernels, which
-would call the key map once per pair and undo that bucketing: ``@``,
-:func:`truncated_product` (the product of series) and the right action on
-module elements (:func:`wqsym.series.right_action`).
+:class:`WQSymElement` (packed words) and :class:`TensorSquare` (pairs of
+them) derive from the sparse-combination base of :mod:`wqsym.params`, which
+also holds the two kernels :func:`_bilinear` and :func:`_linear` and the one
+rule that promotes a scalar to a multiple of the unit.  Every product and
+coproduct here is the extension of a map on basis keys by one of the kernels;
+the quasi-shuffle products pass :func:`wqsym.words.quasi_shuffle` with their
+semigroup product as the merge (Hoffman, "Quasi-shuffle products",
+J. Algebraic Combin. 11, 2000).  Three loops pair only keys of matching
+lengths and stay outside the kernels, which would call the key map once per
+pair and undo that bucketing: ``@``, :func:`truncated_product` (the product
+of series) and the right action on module elements
+(:func:`wqsym.series.right_action`).
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -41,7 +39,15 @@ from itertools import product as iproduct
 from operator import eq, ge, itemgetter, le
 
 from . import words
-from .params import ParamPoly
+from .params import (
+    SCALAR_TYPES,
+    ParamPoly,
+    SparseCombination,
+    Unital,
+    _add_term,
+    _bilinear,
+    _linear,
+)
 from .words import (
     Word,
     breadth,
@@ -53,47 +59,6 @@ from .words import (
     shifted_concat,
     word_sort_key,
 )
-
-SCALAR_TYPES = (int, Fraction, ParamPoly)
-
-
-def _coerce_coeff(c):
-    if isinstance(c, bool) or (isinstance(c, int)):
-        return Fraction(c)
-    if isinstance(c, (Fraction, ParamPoly)):
-        return c
-    raise TypeError(f"coefficients must be exact (int/Fraction/ParamPoly), got {c!r}")
-
-
-def _add_term(data: dict, key, coeff) -> None:
-    c = data.get(key)
-    c = coeff if c is None else c + coeff
-    if c:
-        data[key] = c
-    else:
-        data.pop(key, None)
-
-
-def _bilinear(cls, f: dict, g: dict, keys):
-    """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
-    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``."""
-    out: dict = {}
-    for u, cu in f.items():
-        for v, cv in g.items():
-            c = cu * cv
-            for w in keys(u, v):
-                _add_term(out, w, c)
-    return cls._raw(out)
-
-
-def _linear(cls, f: dict, keys):
-    """The ``cls`` element summing ``c`` over every key of ``keys(u)``,
-    repeats counted, for each key ``u`` of ``f``."""
-    out: dict = {}
-    for u, c in f.items():
-        for w in keys(u):
-            _add_term(out, w, c)
-    return cls._raw(out)
 
 
 def _legwise(product):
@@ -149,101 +114,7 @@ def _composer(u: Word):
     return lambda v: tuple(v[x - 1] for x in u)
 
 
-class SparseCombination:
-    """A finite exact linear combination of basis keys, stored as a dict from
-    canonical key to nonzero coefficient.
-
-    Binary operations accept only operands of the same class (anything else
-    gets ``NotImplemented``); scalars multiply from either side and divide.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data: dict = {}
-        for key, c in (terms or {}).items():
-            key = self._check_key(key)
-            c = _coerce_coeff(c)
-            if c:
-                _add_term(data, key, c)
-        self.terms = data
-
-    @staticmethod
-    def _check_key(key):
-        """The canonical form of a basis key; raises ``ValueError`` if invalid."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _sort_key(key):
-        """Ordering key of basis keys in :meth:`sorted_terms`."""
-        return key
-
-    @classmethod
-    def _raw(cls, data: dict):
-        el = object.__new__(cls)
-        el.terms = data
-        return el
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, type(self)):
-            return self.terms == other.terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        data = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(data, key, c)
-        return self._raw(data)
-
-    def __neg__(self):
-        return self._raw({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def _scaled(self, scalar):
-        scalar = _coerce_coeff(scalar)
-        if not scalar:
-            return self.zero()
-        return self._raw({key: scalar * c for key, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self._scaled(1 / scalar)
-        return NotImplemented
-
-    def sorted_terms(self):
-        key = self._sort_key
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
-
-    def counit(self):
-        return self.terms.get((), Fraction(0))
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self}>"
-
-
-class WQSymElement(SparseCombination):
+class WQSymElement(Unital):
     """A finite linear combination of packed words."""
 
     __slots__ = ()
@@ -252,29 +123,8 @@ class WQSymElement(SparseCombination):
     _sort_key = staticmethod(word_sort_key)
 
     @classmethod
-    def unit(cls) -> "WQSymElement":
-        return cls._raw({(): Fraction(1)})
-
-    @classmethod
     def monomial(cls, word, coeff=1) -> "WQSymElement":
         return cls({tuple(word): coeff})
-
-    # -- scalars promote to multiples of the unit under + and - ---------------
-
-    def __add__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            other = WQSymElement._raw({(): _coerce_coeff(other)}) if other else WQSymElement.zero()
-        return SparseCombination.__add__(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self + (-_coerce_coeff(other))
-        return SparseCombination.__sub__(self, other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     # -- the three products -------------------------------------------------
 

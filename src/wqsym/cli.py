@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report, sigma_hat_series
-from .algebra import WQSymElement
 from .params import ParamPoly
 from .series import TruncatedSeries, adams, eulerian_idempotent
 from .serialization import (
@@ -31,7 +29,7 @@ from .serialization import (
     weight_report_to_obj,
 )
 from .suites import SUITE_NAMES, run_suites
-from .words import check_degree_cap, is_packed, max_degree_cap
+from .words import check_degree_cap, is_packed
 
 REALIZE_ALPHABET_CAP = 8
 
@@ -75,9 +73,7 @@ def _emit(fmt: str, json_renderer, text_renderer) -> None:
 
 
 def cmd_eval(args) -> int:
-    value = evaluate(args.expression, cutoff=args.degree, degree_cap=max_degree_cap())
-    if isinstance(value, Fraction):
-        value = WQSymElement.unit() * value
+    value = evaluate(args.expression, cutoff=args.degree)
     to_obj = series_to_obj if isinstance(value, TruncatedSeries) else element_to_obj
     _emit(args.format, lambda: to_obj(value), lambda: str(value))
     return 0

@@ -11,9 +11,11 @@ Grammar (operators listed loosest-binding first):
     scalar  := int ('/' int)?
 
 '*' is the outer/convolution product, '@' the internal product, '&' the
-bullet product.  I, Psi(k) and e(i) evaluate to series truncated at the
-evaluator's cutoff; finite elements are promoted to that cutoff when they
-meet a series.  The bullet product is only defined on finite elements.
+bullet product.  A scalar c denotes c*M[], c times the unit.  I, Psi(k) and
+e(i) evaluate to series truncated at the evaluator's cutoff; finite elements
+are promoted to that cutoff when they meet a series.  The bullet product is
+only defined on finite elements.  The evaluator only parses and dispatches:
+the value types promote their operands.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .algebra import (
     ribbon_hat,
     ribbon_standard,
 )
-from .errors import BasisMismatch, CapExceeded, ExpressionError
-from .series import TruncatedSeries, adams, eulerian_idempotent, identity_series
-from .words import is_packed
+from .errors import ExpressionError
+from .series import adams, eulerian_idempotent, identity_series
+from .words import check_degree_cap, is_packed
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[\[\](),+\-*@&/]))")
 
@@ -180,15 +182,15 @@ def parse(text: str):
 
 @dataclass
 class Evaluator:
-    """Evaluate an AST under a series cutoff and an element-degree cap."""
+    """Evaluate an AST under a series cutoff; finite elements are checked
+    against the degree cap."""
 
     cutoff: int
-    degree_cap: int
 
     def run(self, node):
         kind = node[0]
         if kind == "scalar":
-            return node[1]
+            return node[1] * WQSymElement.unit()
         if kind == "literal":
             return self.literal(node[1], node[2])
         if kind == "neg":
@@ -199,12 +201,12 @@ class Evaluator:
         if name == "M":
             if not is_packed(args):
                 raise ExpressionError(f"M{list(args)} is not a packed word")
-            self.check_degree(len(args))
+            check_degree_cap(len(args))
             return WQSymElement.monomial(args)
         if name in ("S", "R", "hatS", "hatR"):
             if any(p < 1 for p in args):
                 raise ExpressionError(f"{name} needs positive composition parts")
-            self.check_degree(sum(args))
+            check_degree_cap(sum(args))
             return LITERAL_BUILDERS[name](args)
         if name == "I":
             return identity_series(self.cutoff)
@@ -222,34 +224,14 @@ class Evaluator:
             raise ExpressionError(f"{name}(...) takes exactly one index")
         return args
 
-    def check_degree(self, d):
-        if d > self.degree_cap:
-            raise CapExceeded(f"degree {d} exceeds the cap {self.degree_cap}")
-
-    def lift(self, value, level):
-        """``value`` as a value of level ``level`` (see :data:`_LEVELS`)."""
-        if level >= 1 and isinstance(value, Fraction):
-            value = WQSymElement.unit() * value
-        if level == 2 and isinstance(value, WQSymElement):
-            value = TruncatedSeries.from_element(value, self.cutoff)
-        return value
-
-    def combine(self, left, right, op):
-        """Apply the binary operation ``op`` (an AST kind) after lifting both
-        operands to the higher of their two levels, and scalars at least to
-        elements under @ and &."""
-        level = max(_level(left), _level(right), 1 if op in ("internal", "bullet") else 0)
-        if level == 2 and op == "bullet":
-            raise BasisMismatch("the bullet product is only defined on finite elements")
-        left, right = self.lift(left, level), self.lift(right, level)
-        if level == 1 and op in ("outer", "bullet"):
-            self.check_degree(max(left.degrees(), default=0) + max(right.degrees(), default=0))
+    @staticmethod
+    def combine(left, right, op):
+        """Apply the binary operation ``op`` (an AST kind), first checking the
+        degree of a product of two finite elements against the cap."""
+        if op in ("outer", "bullet") and isinstance(left, WQSymElement) and isinstance(right, WQSymElement):
+            check_degree_cap(max(left.degrees(), default=0) + max(right.degrees(), default=0))
         return _OPERATORS[op](left, right)
 
-
-#: value levels of the evaluator, lowest first; a binary operation lifts both
-#: operands to the higher of their levels
-_LEVELS = (Fraction, WQSymElement, TruncatedSeries)
 
 _OPERATORS = {
     "add": operator.add,
@@ -260,14 +242,10 @@ _OPERATORS = {
 }
 
 
-def _level(value) -> int:
-    return next(i for i, cls in enumerate(_LEVELS) if isinstance(value, cls))
-
-
-def evaluate(text: str, cutoff: int, degree_cap: int):
-    """Parse and evaluate; returns a Fraction, WQSymElement or TruncatedSeries."""
+def evaluate(text: str, cutoff: int):
+    """Parse and evaluate; returns a WQSymElement or TruncatedSeries."""
     node = parse(text)
     try:
-        return Evaluator(cutoff, degree_cap).run(node)
+        return Evaluator(cutoff).run(node)
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None

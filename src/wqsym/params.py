@@ -1,10 +1,26 @@
-"""Tiny exact polynomial ring in named parameters.
+"""Sparse exact linear combinations, and the ring of polynomials in named
+parameters built on them.
 
-Coefficients of algebra elements are usually ``fractions.Fraction``; the
-deformed diagonal operators need polynomials in formal parameters (x, y, t)
-instead.  ``ParamPoly`` keeps a canonical expanded form (monomial -> Fraction
-in lowest terms) so equality of identities in the parameters is literal dict
-equality, with no normalization discipline left to the caller.
+:class:`SparseCombination` is the one base class of every sparse element type
+in the package (packed words in :mod:`wqsym.algebra`, tensor words and
+base-algebra monomials in :mod:`wqsym.qshuffle`, compositions in
+:mod:`wqsym.qsym`, and parameter monomials here): a dict from canonical basis
+keys to nonzero exact coefficients, with the linear structure, equality and
+sorted rendering written once.  Each subclass supplies its key check, its sort
+key and its products.  Every product and coproduct is the extension of a map
+on basis keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
+
+:class:`Unital` is the base of the combinations whose unit is the empty key
+(packed words, tensor words, compositions and parameter polynomials).  It
+holds the one rule that promotes scalars: a scalar operand of ``+``, ``-`` or
+``==`` is that multiple of the unit.
+
+:class:`ParamPoly` is the coefficient ring of the parameter-deformed
+operators: polynomials in formal parameters (x, y, t) with ``Fraction``
+coefficients, stored expanded over monomials, with the bilinear extension of
+:func:`mono_mul` as product.  Its canonical form makes equality of identities
+in the parameters literal dict equality.  Coefficients elsewhere are
+``Fraction`` or ``ParamPoly`` (:data:`SCALAR_TYPES`, with ``int``).
 """
 
 from __future__ import annotations
@@ -22,37 +38,212 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
+def mono_degree(m: Monomial) -> int:
+    return sum(e for _, e in m)
 
 
-class ParamPoly:
-    """Polynomial in named parameters with exact rational coefficients."""
+def mono_str(m: Monomial) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
+
+
+def _rational(c) -> Fraction:
+    """``c`` as a ``Fraction``; raises ``TypeError`` unless it is an exact
+    rational."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def _coerce_coeff(c):
+    if isinstance(c, int):
+        return Fraction(c)
+    if isinstance(c, (Fraction, ParamPoly)):
+        return c
+    raise TypeError(f"coefficients must be exact (int/Fraction/ParamPoly), got {c!r}")
+
+
+def _add_term(data: dict, key, coeff) -> None:
+    c = data.get(key)
+    c = coeff if c is None else c + coeff
+    if c:
+        data[key] = c
+    else:
+        data.pop(key, None)
+
+
+def _bilinear(cls, f: dict, g: dict, keys):
+    """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
+    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``."""
+    out: dict = {}
+    for u, cu in f.items():
+        for v, cv in g.items():
+            c = cu * cv
+            for w in keys(u, v):
+                _add_term(out, w, c)
+    return cls._raw(out)
+
+
+def _linear(cls, f: dict, keys):
+    """The ``cls`` element summing ``c`` over every key of ``keys(u)``,
+    repeats counted, for each key ``u`` of ``f``."""
+    out: dict = {}
+    for u, c in f.items():
+        for w in keys(u):
+            _add_term(out, w, c)
+    return cls._raw(out)
+
+
+class SparseCombination:
+    """A finite exact linear combination of basis keys, stored as a dict from
+    canonical key to nonzero coefficient.
+
+    Binary operations accept only operands of the same class (anything else
+    gets ``NotImplemented``); scalars multiply from either side and divide.
+    """
 
     __slots__ = ("terms",)
 
+    #: the canonical form of a coefficient; raises ``TypeError`` if inexact
+    _coefficient = staticmethod(_coerce_coeff)
+
     def __init__(self, terms=None):
-        data: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(sorted((str(n), int(e)) for n, e in mono if e))
-            coeff = _coerce(coeff)
-            if coeff:
-                c = data.get(mono, Fraction(0)) + coeff
-                if c:
-                    data[mono] = c
-                else:
-                    del data[mono]
+        data: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._check_key(key)
+            c = self._coefficient(c)
+            if c:
+                _add_term(data, key, c)
         self.terms = data
 
+    @staticmethod
+    def _check_key(key):
+        """The canonical form of a basis key; raises ``ValueError`` if invalid."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _sort_key(key):
+        """Ordering key of basis keys in :meth:`sorted_terms`."""
+        return key
+
     @classmethod
-    def _raw(cls, data: dict) -> "ParamPoly":
-        poly = object.__new__(cls)
-        poly.terms = data
-        return poly
+    def _raw(cls, data: dict):
+        el = object.__new__(cls)
+        el.terms = data
+        return el
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        data = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(data, key, c)
+        return self._raw(data)
+
+    def __neg__(self):
+        return self._raw({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def _scaled(self, scalar):
+        scalar = self._coefficient(scalar)
+        if not scalar:
+            return self.zero()
+        return self._raw({key: scalar * c for key, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __truediv__(self, scalar):
+        if isinstance(scalar, int):
+            scalar = Fraction(scalar)
+        if isinstance(scalar, Fraction):
+            return self._scaled(1 / scalar)
+        return NotImplemented
+
+    def sorted_terms(self):
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+
+    def counit(self):
+        return self.terms.get((), Fraction(0))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
+class Unital(SparseCombination):
+    """A combination whose unit is the empty key.  A scalar operand of ``+``,
+    ``-`` or ``==`` is that multiple of the unit; two elements of the class
+    compare in one frame."""
+
+    __slots__ = ()
+
+    @classmethod
+    def unit(cls):
+        return cls._raw({(): Fraction(1)})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        if isinstance(other, SCALAR_TYPES):
+            return self.terms == self.unit()._scaled(other).terms
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)) and isinstance(other, SCALAR_TYPES):
+            other = self.unit()._scaled(other)
+        return SparseCombination.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)) and isinstance(other, SCALAR_TYPES):
+            other = self.unit()._scaled(other)
+        return SparseCombination.__sub__(self, other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class ParamPoly(Unital):
+    """Polynomial in named parameters with exact rational coefficients; a
+    coefficient or substituted value that is not an ``int`` or ``Fraction``
+    raises ``TypeError``."""
+
+    __slots__ = ()
+
+    _coefficient = staticmethod(_rational)
+
+    @staticmethod
+    def _check_key(mono):
+        return tuple(sorted((str(n), int(e)) for n, e in mono if e))
+
+    @staticmethod
+    def _sort_key(mono):
+        return (mono_degree(mono), mono)
 
     @classmethod
     def var(cls, name: str) -> "ParamPoly":
@@ -62,107 +253,49 @@ class ParamPoly:
     def const(cls, value) -> "ParamPoly":
         return cls({(): value})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ParamPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            if not other:
-                return not self.terms
-            return self.terms == {(): other}
-        return NotImplemented
-
-    def __add__(self, other) -> "ParamPoly":
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        data = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = data.get(mono, Fraction(0)) + coeff
-            if c:
-                data[mono] = c
-            else:
-                del data[mono]
-        return ParamPoly._raw(data)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, ParamPoly) else ParamPoly.const(-other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "ParamPoly":
+        if isinstance(other, ParamPoly):
+            return _bilinear(ParamPoly, self.terms, other.terms, lambda a, b: (mono_mul(a, b),))
         if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-            if not other:
-                return ParamPoly._raw({})
-            return ParamPoly._raw({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
-        data: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                c = data.get(mono, Fraction(0)) + c1 * c2
-                if c:
-                    data[mono] = c
-                else:
-                    del data[mono]
-        return ParamPoly._raw(data)
+            return self._scaled(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ParamPoly":
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        out = ParamPoly.const(1)
+        out = ParamPoly.unit()
         for _ in range(exponent):
             out = out * self
         return out
 
     def substitute(self, values: dict) -> "ParamPoly":
         """Replace parameters by exact scalars (partial substitution allowed)."""
-        out = ParamPoly._raw({})
+        out = ParamPoly.zero()
         for mono, coeff in self.terms.items():
             factor = ParamPoly.const(coeff)
             for name, e in mono:
                 if name in values:
-                    factor = factor * (_coerce(values[name]) ** e)
+                    factor = factor * (_rational(values[name]) ** e)
                 else:
                     factor = factor * (ParamPoly.var(name) ** e)
             out = out + factor
         return out
 
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0])
-        )
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self._sorted_terms():
-            factors = ["*".join(
-                name if e == 1 else f"{name}^{e}" for name, e in mono
-            )] if mono else []
-            if not factors:
+        for mono, coeff in self.sorted_terms():
+            if not mono:
                 body = str(coeff)
             elif coeff == 1:
-                body = factors[0]
+                body = mono_str(mono)
             elif coeff == -1:
-                body = f"-{factors[0]}"
+                body = f"-{mono_str(mono)}"
             else:
-                body = f"{coeff}*{factors[0]}"
+                body = f"{coeff}*{mono_str(mono)}"
             if parts and not body.startswith("-"):
                 parts.append("+" + body)
             else:
@@ -171,3 +304,6 @@ class ParamPoly:
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
+
+
+SCALAR_TYPES = (int, Fraction, ParamPoly)

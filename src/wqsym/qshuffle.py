@@ -9,11 +9,13 @@ length n sends a degree-n tensor to the tensor whose i-th factor is the
 semigroup product of the factors at the positions where u has the letter i,
 and kills every other degree.
 
-The element types derive from :class:`wqsym.algebra.SparseCombination`.  The
-product is the shared kernel :func:`wqsym.words.quasi_shuffle` and the
-action the shared :func:`wqsym.series.right_action`, both with the monomial
-product as the semigroup product of two letters (Hoffman, "Quasi-shuffle
-products", J. Algebraic Combin. 11, 2000).
+The element types derive from :class:`wqsym.params.SparseCombination`, and
+:class:`QSElement`, whose unit is the empty tensor word, from
+:class:`wqsym.params.Unital`.  The product is the shared kernel
+:func:`wqsym.words.quasi_shuffle` and the action the shared
+:func:`wqsym.series.right_action`, both with the monomial product as the
+semigroup product of two letters (Hoffman, "Quasi-shuffle products",
+J. Algebraic Combin. 11, 2000).
 
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
@@ -25,17 +27,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .algebra import (
+from .algebra import WQSymElement, _add_multiple, _legwise, format_terms
+from .params import (
     SCALAR_TYPES,
+    Monomial,
     SparseCombination,
-    WQSymElement,
-    _add_multiple,
+    Unital,
     _bilinear,
-    _legwise,
     _linear,
-    format_terms,
+    mono_degree,
+    mono_mul,
+    mono_str,
 )
-from .params import Monomial, mono_mul
 from .series import TruncatedSeries, adams, eulerian_idempotent, right_action
 from .words import quasi_shuffle
 
@@ -54,14 +57,6 @@ def monomial(*pairs) -> Monomial:
     if not mono:
         raise ValueError("monomials must have positive total degree (A has no unit)")
     return mono
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_str(m: Monomial) -> str:
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
 
 
 def _tensor_word(word) -> TensorWord:
@@ -110,7 +105,7 @@ class AElement(SparseCombination):
         return format_terms(self.sorted_terms(), mono_str)
 
 
-class QSElement(SparseCombination):
+class QSElement(Unital):
     """Element of the quasi-shuffle algebra: combination of tensor words."""
 
     __slots__ = ()
@@ -120,10 +115,6 @@ class QSElement(SparseCombination):
     @staticmethod
     def _sort_key(word):
         return (len(word), word)
-
-    @classmethod
-    def unit(cls) -> "QSElement":
-        return cls._raw({(): Fraction(1)})
 
     @classmethod
     def word(cls, monomials, coeff=1) -> "QSElement":

@@ -6,7 +6,7 @@ semigroup of positive integers under addition.  The product is the
 quasi-shuffle where overlapping parts add, that is the shared kernel
 :func:`wqsym.words.quasi_shuffle` with the sum of parts as the merge (Hoffman,
 "Quasi-shuffle products", J. Algebraic Combin. 11, 2000), and
-:class:`QSymElement` derives from :class:`wqsym.algebra.SparseCombination`.
+:class:`QSymElement` derives from :class:`wqsym.params.Unital`.
 Packed-word elements act on the right by the same blockwise product as on
 tensors (:func:`wqsym.series.right_action`), here the sum of the parts in
 each block: QSym is the quasi-shuffle algebra over one generator x, with the
@@ -25,23 +25,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .algebra import (
-    SCALAR_TYPES,
-    SparseCombination,
-    WQSymElement,
-    _add_multiple,
-    _bilinear,
-    _linear,
-    format_terms,
-)
-from .errors import CapExceeded
+from .algebra import WQSymElement, _add_multiple, format_terms
+from .params import SCALAR_TYPES, Unital, _bilinear, _linear
 from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
-from .words import Composition, compositions, evaluation, lyndon_compositions, quasi_shuffle
+from .words import (
+    Composition,
+    check_degree_cap,
+    compositions,
+    evaluation,
+    lyndon_compositions,
+    quasi_shuffle,
+)
 
-GENERATOR_REPORT_CAP = 6
 
-
-class QSymElement(SparseCombination):
+class QSymElement(Unital):
     """Rational (or parameter-polynomial) combination of compositions."""
 
     __slots__ = ()
@@ -56,10 +53,6 @@ class QSymElement(SparseCombination):
     @staticmethod
     def _sort_key(I):
         return (sum(I), len(I), I)
-
-    @classmethod
-    def unit(cls) -> "QSymElement":
-        return cls._raw({(): Fraction(1)})
 
     @classmethod
     def monomial(cls, I, coeff=1) -> "QSymElement":
@@ -201,8 +194,7 @@ def _weighted_multisets(items, total):
 def lyndon_generator_report(max_weight: int, cutoff: int | None = None) -> list[WeightReport]:
     """Per weight: Lyndon compositions, the idempotent images of their
     monomials, and the exact rank of all products of those images."""
-    if max_weight > GENERATOR_REPORT_CAP:
-        raise CapExceeded(f"generator report capped at weight {GENERATOR_REPORT_CAP}")
+    check_degree_cap(max_weight)
     cutoff = max_weight if cutoff is None else cutoff
     e1 = eulerian_idempotent(1, cutoff)
     gens: list[tuple[Composition, int, QSymElement]] = []
@@ -237,8 +229,7 @@ def e1_projection_check(n: int, cutoff: int | None = None) -> bool:
     """Degreewise facts about the first idempotent acting on weight n:
     it is idempotent, it kills products of positive-weight elements, and its
     image rank is the number of Lyndon compositions."""
-    if n > GENERATOR_REPORT_CAP:
-        raise CapExceeded(f"projection check capped at weight {GENERATOR_REPORT_CAP}")
+    check_degree_cap(n)
     cutoff = n if cutoff is None else cutoff
     e1 = eulerian_idempotent(1, cutoff)
     images = []

@@ -32,7 +32,6 @@ from functools import lru_cache
 from itertools import groupby
 
 from .algebra import (
-    SCALAR_TYPES,
     WQSymElement,
     _add_multiple,
     _by_length,
@@ -43,7 +42,8 @@ from .algebra import (
     truncated_product,
     word_str,
 )
-from .errors import CapExceeded, NotInvertible
+from .errors import BasisMismatch, CapExceeded, NotInvertible
+from .params import SCALAR_TYPES
 from .words import block_masks, check_degree_cap, compositions, packed_words_with_ascents
 
 
@@ -154,6 +154,11 @@ class TruncatedSeries:
     #: of the truncated elements is the truncated product of the series
     __matmul__ = _binary(lambda f, g, n: f @ g)
     __rmatmul__ = _binary(lambda f, g, n: g @ f)
+
+    def __and__(self, other):
+        raise BasisMismatch("the bullet product is only defined on finite elements")
+
+    __rand__ = __and__
 
     def power(self, k: int) -> "TruncatedSeries":
         """k-th convolution power."""
@@ -314,10 +319,8 @@ def adams(k: int, cutoff: int) -> TruncatedSeries:
     return _ascent_series(cutoff, lambda a, d: Fraction(math.comb(a + k, d)))
 
 
-@lru_cache(maxsize=None)
 def log_identity(cutoff: int) -> TruncatedSeries:
     """log I, which is the first idempotent e_1."""
-    check_degree_cap(cutoff)
     return eulerian_idempotent(1, cutoff)
 
 

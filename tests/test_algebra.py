@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqsym.algebra import (
@@ -289,6 +289,23 @@ def test_crucial_single_word_and_seeded():
         assert crucial_factorization_check(ws)
     with pytest.raises(ValueError):
         crucial_factorization_check([])
+
+
+@st.composite
+def word_lists(draw, total=6):
+    """One to three packed words of total length at most ``total``."""
+    ws = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(0, total))
+        ws.append(pack(tuple(draw(st.lists(st.integers(1, 6), min_size=length, max_size=length)))))
+        total -= length
+    return ws
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_lists())
+def test_crucial_factorization_on_drawn_words(ws):
+    assert crucial_factorization_check(ws)
 
 
 # -- embeddings -------------------------------------------------------------------

@@ -209,6 +209,18 @@ def test_non_integer_degree_cap_exits_2(monkeypatch, argv):
     assert len(err.splitlines()) == 1 and "WQSYM_MAX_DEGREE" in err
 
 
+def test_generators_run_up_to_the_degree_cap(monkeypatch):
+    monkeypatch.delenv("WQSYM_MAX_DEGREE", raising=False)
+    rc, out, _ = run(("generators", "--degree", "7"))
+    assert rc == 0
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"weight {n}" for n in range(1, 8)]
+    assert all(line.endswith("(full rank)") for line in lines)
+    assert lines[-1].endswith("rank 64/64 (full rank)")
+    rc, out, err = run(("generators", "--degree", "8"))
+    assert (rc, out) == (4, "") and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("degree", range(4))
 def test_verify_all_at_small_degrees(degree):
     for seed in range(4):

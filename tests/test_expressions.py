@@ -12,8 +12,8 @@ from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, identity_s
 E = WQSymElement.monomial
 
 
-def ev(text, cutoff=5, cap=7):
-    return evaluate(text, cutoff=cutoff, degree_cap=cap)
+def ev(text, cutoff=5):
+    return evaluate(text, cutoff=cutoff)
 
 
 def test_product_examples():
@@ -72,12 +72,14 @@ def test_parse_errors():
             ev(bad)
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "7")
     with pytest.raises(CapExceeded):
-        ev("M[1,2,3,4] * M[1,2,3,4]", cap=7)
+        ev("M[1,2,3,4] * M[1,2,3,4]")
     with pytest.raises(CapExceeded):
-        ev("M[1,2,3,4,5,6,7,8]", cap=7)
-    assert ev("M[1,2,3,4] * M[1,2,3,4]", cap=8).degrees() == [8]
+        ev("M[1,2,3,4,5,6,7,8]")
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "8")
+    assert ev("M[1,2,3,4] * M[1,2,3,4]").degrees() == [8]
 
 
 def test_parse_tree_shape():

@@ -168,7 +168,8 @@ def test_rank_helper():
     assert rank_of_elements([], basis) == 0
 
 
-def test_lyndon_generator_report():
+def test_lyndon_generator_report(monkeypatch):
+    monkeypatch.delenv("WQSYM_MAX_DEGREE", raising=False)
     reports = lyndon_generator_report(5)
     assert [len(r.lyndon) for r in reports] == [1, 1, 2, 3, 6]
     for r in reports:
@@ -176,7 +177,7 @@ def test_lyndon_generator_report():
         assert r.dimension == 2 ** (r.weight - 1)
         assert r.full_rank and r.rank == r.dimension
     with pytest.raises(CapExceeded):
-        lyndon_generator_report(7)
+        lyndon_generator_report(8)
 
 
 def test_e1_projection_checks():
