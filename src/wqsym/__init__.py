@@ -49,7 +49,6 @@ from .qsym import (
 from .series import (
     TruncatedSeries,
     adams,
-    car_membership_basis,
     eulerian_e1_closed_form,
     eulerian_idempotent,
     identity_series,
@@ -58,12 +57,10 @@ from .series import (
 )
 from .words import (
     FUBINI,
-    compose_surjections,
     compositions,
     descents,
     enumerate_packed_words,
     evaluation,
-    from_set_composition,
     is_lyndon,
     is_packed,
     lyndon_compositions,
@@ -71,7 +68,6 @@ from .words import (
     quasi_shuffle_words,
     reverse,
     shifted_concat,
-    to_set_composition,
 )
 
 __version__ = "0.1.0"

@@ -199,15 +199,6 @@ class WQSymElement(Unital):
     def component(self, d: int) -> "WQSymElement":
         return WQSymElement._raw({w: c for w, c in self.terms.items() if len(w) == d})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __str__(self) -> str:
         return format_terms(self.sorted_terms(), word_str)
 

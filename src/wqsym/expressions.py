@@ -50,15 +50,7 @@ LITERAL_BUILDERS = {
 def tokenize(text: str) -> list[tuple[str, object]]:
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
-        if not m.group(0).strip():
-            pos = m.end()
-            continue
-        if m.lastgroup is None:
-            raise ExpressionError(f"bad character at position {pos}: {text[pos]!r}")
+    while m := _TOKEN.match(text, pos):
         if m.group("int") is not None:
             tokens.append(("int", int(m.group("int"))))
         elif m.group("name") is not None:
@@ -66,9 +58,9 @@ def tokenize(text: str) -> list[tuple[str, object]]:
         else:
             tokens.append(("sym", m.group("sym")))
         pos = m.end()
-    rest = text[pos:].strip()
+    rest = text[pos:].lstrip()
     if rest:
-        raise ExpressionError(f"bad character at position {pos}: {rest[0]!r}")
+        raise ExpressionError(f"bad character at position {len(text) - len(rest)}: {rest[0]!r}")
     return tokens
 
 

@@ -157,9 +157,6 @@ class QSElement(Unital):
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self.terms})
 
-    def component(self, d: int) -> "QSElement":
-        return QSElement._raw({w: c for w, c in self.terms.items() if len(w) == d})
-
     def __str__(self):
         def fmt(word):
             if not word:

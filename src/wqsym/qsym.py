@@ -71,9 +71,6 @@ class QSymElement(Unital):
         by its element up to its cutoff."""
         return right_action(self, op, operator.add)
 
-    def weights(self) -> list[int]:
-        return sorted({sum(I) for I in self.terms})
-
     def __str__(self):
         return format_terms(self.sorted_terms(), lambda I: "M(%s)" % ",".join(map(str, I)))
 

@@ -123,9 +123,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries.from_element(self.element, cutoff)
 
-    def to_element(self) -> WQSymElement:
-        return self.element
-
     def __bool__(self) -> bool:
         return bool(self.element)
 
@@ -362,9 +359,3 @@ def unipotence_check(n: int, cutoff: int | None = None) -> bool:
         raise ValueError("cutoff below the degree being checked")
     x = identity_series(cutoff) - TruncatedSeries.unit(cutoff)
     return not x.power(n + 1).truncate(n)
-
-
-def car_membership_basis(cutoff: int, max_power: int) -> tuple[TruncatedSeries, ...]:
-    """Adams powers 0..max_power: the working spanning family of the
-    convolution subalgebra generated by the identity series."""
-    return tuple(adams(k, cutoff) for k in range(max_power + 1))

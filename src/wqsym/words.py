@@ -3,8 +3,9 @@
 A word over the positive integers is *packed* when its set of letters is
 exactly {1, ..., k} for some k >= 0.  Packed words of length n are in
 bijection with ordered set partitions (set compositions) of {1, ..., n}
-and with surjections [n] -> [k]; all three views are used below, and the
-conversion functions are exact inverses of each other.
+and with surjections [n] -> [k].  Words are the one representation here; the
+set-composition view appears only inside kernels, as the blocks of
+:func:`block_masks` and the blocks that :func:`quasi_shuffle_words` merges.
 
 :func:`quasi_shuffle` is the one quasi-shuffle kernel of the package: Hoffman's
 product of words over a commutative semigroup of letters (Hoffman,
@@ -29,7 +30,6 @@ from functools import lru_cache
 from .errors import CapExceeded, ExpressionError
 
 Word = tuple[int, ...]
-SetComposition = tuple[frozenset[int], ...]
 Composition = tuple[int, ...]
 
 #: number of packed words of length n = 0, 1, 2, ... (ordered Bell numbers)
@@ -94,30 +94,6 @@ def check_packed(word) -> Word:
     return word
 
 
-def to_set_composition(u: Word) -> SetComposition:
-    """Blocks of positions: block i collects the 1-based positions j with u(j) = i."""
-    k = breadth(u)
-    blocks = [[] for _ in range(k)]
-    for pos, letter in enumerate(u, start=1):
-        blocks[letter - 1].append(pos)
-    return tuple(frozenset(b) for b in blocks)
-
-
-def from_set_composition(blocks) -> Word:
-    """Inverse of :func:`to_set_composition`; validates the block family."""
-    blocks = tuple(frozenset(b) for b in blocks)
-    n = sum(len(b) for b in blocks)
-    letters = [0] * n
-    for i, block in enumerate(blocks, start=1):
-        if not block:
-            raise ValueError("empty block in set composition")
-        for pos in block:
-            if not 1 <= pos <= n or letters[pos - 1]:
-                raise ValueError(f"blocks do not partition 1..{n}: {blocks!r}")
-            letters[pos - 1] = i
-    return tuple(letters)
-
-
 def descents(w) -> frozenset[int]:
     """Positions i in 1..n-1 with w(i) > w(i+1)."""
     w = tuple(w)
@@ -153,17 +129,6 @@ def shifted_concat(u: Word, v: Word) -> Word:
     """
     k = breadth(u)
     return u + tuple(x + k for x in v)
-
-
-def compose_surjections(u: Word, v: Word):
-    """Apply ``v`` after ``u`` pointwise, or ``None`` when len(v) != max(u).
-
-    The ``None`` outcome is a value of the theory (the zero of the internal
-    product), not an error.
-    """
-    if len(v) != breadth(u):
-        return None
-    return tuple(v[x - 1] for x in u)
 
 
 def quasi_shuffle(a: tuple, b: tuple, merge) -> list[tuple]:

@@ -410,7 +410,6 @@ def test_component_access():
     f = E((1,)) + E((1, 2)) + E((2, 1))
     assert f.degrees() == [1, 2]
     assert f.component(2) == elem((1, 2), (2, 1))
-    assert not f.is_homogeneous()
     assert f.counit() == 0
     assert (f + WQSymElement.unit()).counit() == 1
 

@@ -152,6 +152,18 @@ def test_parse_errors_name_the_end_of_input(text, message):
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [
+        ("M[1]   $", "bad character at position 7: '$'"),
+        ("M[1] + #M[2]", "bad character at position 7: '#'"),
+        ("%", "bad character at position 0: '%'"),
+    ],
+)
+def test_bad_character_names_its_own_position(text, message):
+    assert run(("eval", text)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv", [("eval", "(" * 400 + "1" + ")" * 400), ("eval", "+".join(["1"] * 3000))], ids=["nested", "long-sum"]
 )
 def test_deep_expression_exits_2_with_one_line(argv):
@@ -209,8 +221,7 @@ def test_non_integer_degree_cap_exits_2(monkeypatch, argv):
     assert len(err.splitlines()) == 1 and "WQSYM_MAX_DEGREE" in err
 
 
-def test_generators_run_up_to_the_degree_cap(monkeypatch):
-    monkeypatch.delenv("WQSYM_MAX_DEGREE", raising=False)
+def test_generators_run_up_to_the_degree_cap():
     rc, out, _ = run(("generators", "--degree", "7"))
     assert rc == 0
     lines = out.splitlines()

@@ -282,3 +282,40 @@ def test_sums_that_cancel_to_zero():
     assert commutative_image(WQSymElement({(1, 2): T, (2, 1): -T})) == QSymElement.zero()
     antisymmetric = QSTensor({((a,), (b,)): 1, ((b,), (a,)): -1})
     assert antisymmetric.multiply_legs() == QSElement.zero()
+
+
+# -- laws on multi-term elements ---------------------------------------------------------
+
+
+def operators(coeffs, lengths):
+    """Elements of one to four terms whose words mostly have one of
+    ``lengths``, so that they act on operands of those lengths."""
+    matching = st.sampled_from(sorted(lengths)).flatmap(
+        lambda n: st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n).map(pack)
+    )
+    keys = st.one_of(matching, matching, words) if lengths else words
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=4).map(WQSymElement)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("cls", [QSElement, QSymElement], ids=lambda c: c.__name__)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_module_law_on_multi_term_operators(cls, ring, data):
+    coeffs = RINGS[ring]
+    x = data.draw(elements(cls, coeffs), label="x")
+    f = data.draw(operators(coeffs, {len(w) for w in x.terms}), label="f")
+    g = data.draw(operators(coeffs, {breadth(u) for u in f.terms}), label="g")
+    assert x.act(f).act(g) == x.act(f @ g)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_coproduct_is_multiplicative_on_multi_term_elements(ring, data):
+    coeffs = RINGS[ring]
+    f = data.draw(elements(WQSymElement, coeffs), label="f")
+    room = 5 - max(map(len, f.terms), default=0)
+    short_words = st.lists(st.integers(1, max(room, 1)), max_size=room).map(pack)
+    g = data.draw(st.dictionaries(short_words, coeffs, max_size=4).map(WQSymElement), label="g")
+    assert (f * g).coproduct() == f.coproduct() * g.coproduct()

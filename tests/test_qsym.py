@@ -39,7 +39,7 @@ def test_product_weight_additivity():
         I = _random_comp(rng, rng.randint(0, 4))
         J = _random_comp(rng, rng.randint(0, 4))
         prod = Q(I) * Q(J)
-        assert prod.weights() in ([], [sum(I) + sum(J)])
+        assert {sum(K) for K in prod.terms} <= {sum(I) + sum(J)}
 
 
 def _random_comp(rng, weight):
@@ -168,8 +168,7 @@ def test_rank_helper():
     assert rank_of_elements([], basis) == 0
 
 
-def test_lyndon_generator_report(monkeypatch):
-    monkeypatch.delenv("WQSYM_MAX_DEGREE", raising=False)
+def test_lyndon_generator_report():
     reports = lyndon_generator_report(5)
     assert [len(r.lyndon) for r in reports] == [1, 1, 2, 3, 6]
     for r in reports:

@@ -1,4 +1,4 @@
-"""Combinatorics kernel: packing, views, shuffles, enumeration, Lyndon tests."""
+"""Combinatorics kernel: packing, shuffles, enumeration, Lyndon tests."""
 
 import itertools
 
@@ -11,12 +11,10 @@ from wqsym.words import (
     FUBINI,
     block_masks,
     breadth,
-    compose_surjections,
     compositions,
     descents,
     enumerate_packed_words,
     evaluation,
-    from_set_composition,
     is_lyndon,
     is_packed,
     lyndon_compositions,
@@ -25,7 +23,6 @@ from wqsym.words import (
     quasi_shuffle_words,
     reverse,
     shifted_concat,
-    to_set_composition,
 )
 
 small_words = st.lists(st.integers(min_value=1, max_value=6), max_size=6).map(tuple)
@@ -46,30 +43,6 @@ def test_pack_idempotent(w):
 def test_pack_rejects_nonpositive():
     with pytest.raises(ValueError):
         pack((0, 1))
-
-
-def test_set_composition_examples():
-    assert to_set_composition((1, 2, 1)) == (frozenset({1, 3}), frozenset({2}))
-    assert to_set_composition(()) == ()
-    assert to_set_composition((2, 1)) == (frozenset({2}), frozenset({1}))
-    assert from_set_composition([{1, 3}, {2}]) == (1, 2, 1)
-    assert from_set_composition([]) == ()
-    assert from_set_composition([{2}, {1}]) == (2, 1)
-
-
-def test_set_composition_round_trip_exhaustive():
-    for n in range(6):
-        for u in enumerate_packed_words(n):
-            assert from_set_composition(to_set_composition(u)) == u
-
-
-def test_from_set_composition_validates():
-    with pytest.raises(ValueError):
-        from_set_composition([{1}, {1}])
-    with pytest.raises(ValueError):
-        from_set_composition([{1}, set()])
-    with pytest.raises(ValueError):
-        from_set_composition([{1, 3}])  # union is not an initial segment
 
 
 def test_descents_examples():
@@ -111,25 +84,6 @@ def test_shifted_concat_associative(u, v, w):
     uv = shifted_concat(u, v)
     assert is_packed(uv)
     assert max(uv, default=0) == max(u, default=0) + max(v, default=0)
-
-
-def test_compose_surjections():
-    assert compose_surjections((2, 1), (2, 1)) == (1, 2)
-    assert compose_surjections((1, 2, 3), (3, 1, 2)) == (3, 1, 2)
-    assert compose_surjections((1, 1), (1, 2)) is None
-
-
-def test_compose_surjections_associative_where_defined():
-    words = [u for n in range(4) for u in enumerate_packed_words(n)]
-    for u in words:
-        for v in words:
-            vu = compose_surjections(u, v)
-            for w in words:
-                lhs = compose_surjections(vu, w) if vu is not None else None
-                wv = compose_surjections(v, w)
-                rhs = compose_surjections(u, wv) if wv is not None else None
-                if lhs is not None and rhs is not None:
-                    assert lhs == rhs
 
 
 def test_enumeration_counts_and_brute_force_oracle():
