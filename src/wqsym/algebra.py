@@ -294,12 +294,7 @@ def _partial_sums(I) -> frozenset[int]:
 
 def _reversed_complement(I) -> frozenset[int]:
     # positions 1..n-1 minus the partial sums of I read from the right
-    n = sum(I)
-    total, sums = 0, set()
-    for part in reversed(I):
-        total += part
-        sums.add(total)
-    return frozenset(i for i in range(1, n) if i not in sums)
+    return frozenset(range(1, sum(I))) - _partial_sums(I[::-1])
 
 
 def _descent_class(I, relation, hat=False) -> WQSymElement:

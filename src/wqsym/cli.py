@@ -110,7 +110,7 @@ def cmd_verify(args) -> int:
                 "suite": r.suite,
                 "seed": r.seed,
                 "degree": r.degree,
-                "cases": r.cases_run,
+                "cases": r.count,
                 "pass": r.passed,
                 "failures": [
                     {"case": f.case, "reproducer": f.reproducer, "detail": f.detail}
@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
     else:
         for r in reports:
             verdict = "PASS" if r.passed else "FAIL"
-            print(f"suite {r.suite}: {r.cases_run} checks, degree {r.degree}, seed {r.seed}: {verdict}")
+            print(f"suite {r.suite}: {r.count} checks, degree {r.degree}, seed {r.seed}: {verdict}")
             for f in r.failures:
                 print(f"  case {f.case}: {f.detail}")
                 print(f"    reproduce: {f.reproducer}")
@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree_default=5):
-        p.add_argument("--degree", type=int, default=degree_default, help="series cutoff / degree bound")
+    def common(p):
+        p.add_argument("--degree", type=int, default=5, help="series cutoff / degree bound")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_eval = sub.add_parser("eval", help="evaluate an expression in the packed-word algebra")
@@ -221,15 +221,9 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         return args.fn(args)
-    except ExpressionError as exc:
+    except (ExpressionError, BasisMismatch, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BasisMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

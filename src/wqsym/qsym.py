@@ -188,12 +188,11 @@ def _weighted_multisets(items, total):
     yield from rec(0, total)
 
 
-def lyndon_generator_report(max_weight: int, cutoff: int | None = None) -> list[WeightReport]:
+def lyndon_generator_report(max_weight: int) -> list[WeightReport]:
     """Per weight: Lyndon compositions, the idempotent images of their
     monomials, and the exact rank of all products of those images."""
     check_degree_cap(max_weight)
-    cutoff = max_weight if cutoff is None else cutoff
-    e1 = eulerian_idempotent(1, cutoff)
+    e1 = eulerian_idempotent(1, max_weight)
     gens: list[tuple[Composition, int, QSymElement]] = []
     for n in range(1, max_weight + 1):
         for L in lyndon_compositions(n):
@@ -222,13 +221,12 @@ def lyndon_generator_report(max_weight: int, cutoff: int | None = None) -> list[
     return reports
 
 
-def e1_projection_check(n: int, cutoff: int | None = None) -> bool:
+def e1_projection_check(n: int) -> bool:
     """Degreewise facts about the first idempotent acting on weight n:
     it is idempotent, it kills products of positive-weight elements, and its
     image rank is the number of Lyndon compositions."""
     check_degree_cap(n)
-    cutoff = n if cutoff is None else cutoff
-    e1 = eulerian_idempotent(1, cutoff)
+    e1 = eulerian_idempotent(1, n)
     images = []
     for I in compositions(n):
         if not I:

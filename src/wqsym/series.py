@@ -352,10 +352,7 @@ def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:
     return TruncatedSeries._raw(cutoff, WQSymElement._raw(out))
 
 
-def unipotence_check(n: int, cutoff: int | None = None) -> bool:
+def unipotence_check(n: int) -> bool:
     """(I - unit)^(n+1) has no component in degrees <= n."""
-    cutoff = n if cutoff is None else cutoff
-    if cutoff < n:
-        raise ValueError("cutoff below the degree being checked")
-    x = identity_series(cutoff) - TruncatedSeries.unit(cutoff)
-    return not x.power(n + 1).truncate(n)
+    x = identity_series(n) - TruncatedSeries.unit(n)
+    return not x.power(n + 1)

@@ -1,10 +1,10 @@
 """Named verification suites behind ``wqsym verify``.
 
-Every suite is deterministic given (degree, seed, cases): case i draws from
-``random.Random((seed * GOLDEN + i) mod 2**64)`` with GOLDEN the 64-bit
-golden-ratio multiplier, so any failing case can be reproduced by rerunning
-the same command with ``--cases i+1``.  Fixed regression cases run before the
-seeded ones and count toward the case total.
+Every suite is deterministic given (degree, seed, cases): seeded case i draws
+from ``random.Random((seed * GOLDEN + i) mod 2**64)`` with GOLDEN the 64-bit
+golden-ratio multiplier.  Fixed and exhaustive checks run first and count
+toward the check total.  A failure on seeded case i is reproduced by the same
+command with ``--cases i+1``, one on a fixed or exhaustive check by ``--cases 1``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .qshuffle import (
     convolution_of_operators,
     e1_kills_products_check,
     naturality_check,
+    tensor,
 )
 from .qsym import (
     QSymElement,
@@ -60,39 +61,41 @@ class Failure:
 
 @dataclass
 class SuiteReport:
+    """One suite's run: built from its inputs, filled in by the suite body."""
+
     suite: str
-    seed: int
     degree: int
-    cases_run: int
+    seed: int
+    cases: int
+    generators: int
+    count: int = 0
     failures: list[Failure] = field(default_factory=list)
     wall_time: float = 0.0
+    _draw: int | None = field(default=None, init=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-
-class _Run:
-    """Bookkeeping shared by the suite bodies."""
-
-    def __init__(self, suite, degree, seed, generators):
-        self.suite = suite
-        self.degree = degree
-        self.seed = seed
-        self.generators = generators
-        self.count = 0
-        self.failures: list[Failure] = []
+    def draws(self):
+        """Yield ``(i, rng)`` for each seeded case i, recording i for the
+        reproducers of the checks made meanwhile."""
+        for i in range(self.cases):
+            self._draw = i
+            yield i, case_rng(self.seed, i)
+        self._draw = None
 
     def check(self, ok: bool, detail: str):
         index = self.count
         self.count += 1
         if not ok:
+            cases = 1 if self._draw is None else self._draw + 1
             self.failures.append(
                 Failure(
                     case=index,
                     reproducer=(
                         f"wqsym verify {self.suite} --degree {self.degree} "
-                        f"--seed {self.seed} --cases {index + 1} --generators {self.generators}"
+                        f"--seed {self.seed} --cases {cases} --generators {self.generators}"
                     ),
                     detail=detail,
                 )
@@ -165,40 +168,39 @@ def _coassociative(el: WQSymElement) -> bool:
     return left == right
 
 
-def suite_hopf(run: _Run, degree, seed, cases, generators):
-    for n in range(min(degree, 5) + 1):
+def suite_hopf(run: SuiteReport):
+    def multiplicative(u, v):
+        mu, mv = WQSymElement.monomial(u), WQSymElement.monomial(v)
+        run.check(
+            (mu * mv).coproduct() == mu.coproduct() * mv.coproduct(),
+            f"coproduct multiplicativity at {u},{v}",
+        )
+
+    for n in range(min(run.degree, 5) + 1):
         for u in enumerate_packed_words(n):
             run.check(_coassociative(WQSymElement.monomial(u)), f"coassociativity at {u}")
-    top = min(degree, 4)
-    for total in range(top + 1):
+    for total in range(min(run.degree, 4) + 1):
         for a in range(total + 1):
             for u in enumerate_packed_words(a):
                 for v in enumerate_packed_words(total - a):
-                    mu, mv = WQSymElement.monomial(u), WQSymElement.monomial(v)
-                    run.check(
-                        (mu * mv).coproduct() == mu.coproduct() * mv.coproduct(),
-                        f"coproduct multiplicativity at {u},{v}",
-                    )
-    if degree >= 5:
-        for i in range(cases):
-            rng = case_rng(seed, i)
-            a = rng.randint(0, 5)
-            u = random_packed_word(rng, a)
-            v = random_packed_word(rng, 5 - a)
-            mu, mv = WQSymElement.monomial(u), WQSymElement.monomial(v)
-            run.check(
-                (mu * mv).coproduct() == mu.coproduct() * mv.coproduct(),
-                f"coproduct multiplicativity at {u},{v}",
-            )
+                    multiplicative(u, v)
+    for _, rng in run.draws() if run.degree >= 5 else ():
+        a = rng.randint(0, 5)
+        multiplicative(random_packed_word(rng, a), random_packed_word(rng, 5 - a))
 
 
-def suite_internal(run: _Run, degree, seed, cases, generators):
-    top = min(degree, 4)
+def suite_internal(run: SuiteReport):
+    top = min(run.degree, 4)
     words_by_len = {n: enumerate_packed_words(n) for n in range(top + 1)}
     # one monomial per basis word; the staircase of length k is the identity
     # on the right of a word of breadth k and on the left of one of length k
     mono = {u: WQSymElement.monomial(u) for words_ in words_by_len.values() for u in words_}
     staircase = [mono[tuple(range(1, n + 1))] for n in range(top + 1)]
+
+    # the caller passes uv = mono[u] @ mono[v]: the exhaustive loop makes it once per pair
+    def associative(u, v, w, uv):
+        run.check(uv @ mono[w] == mono[u] @ (mono[v] @ mono[w]), f"associativity at {u},{v},{w}")
+
     for n, words_ in words_by_len.items():
         for u in words_:
             mu = mono[u]
@@ -206,22 +208,15 @@ def suite_internal(run: _Run, degree, seed, cases, generators):
             run.check(mu @ staircase[max(u, default=0)] == mu, f"right identity at {u}")
     for u, mu in mono.items():
         for v in words_by_len[max(u, default=0)]:
-            mv = mono[v]
-            uv = mu @ mv
+            uv = mu @ mono[v]
             for w in words_by_len[max(v, default=0)]:
-                mw = mono[w]
-                run.check(uv @ mw == mu @ (mv @ mw), f"associativity at {u},{v},{w}")
-    for i in range(cases):
-        rng = case_rng(seed, i)
+                associative(u, v, w, uv)
+    for _, rng in run.draws():
         u, v, w = (random_packed_word(rng, rng.randint(0, top)) for _ in range(3))
-        mu, mv, mw = (WQSymElement.monomial(x) for x in (u, v, w))
-        run.check(
-            (mu @ mv) @ mw == mu @ (mv @ mw),
-            f"associativity at {u},{v},{w}",
-        )
+        associative(u, v, w, mono[u] @ mono[v])
 
 
-def suite_crucial(run: _Run, degree, seed, cases, generators):
+def suite_crucial(run: SuiteReport):
     run.check(crucial_factorization_check([(1, 1), (2, 1)]), "factorization at 11,21")
     five_term = WQSymElement(
         {
@@ -235,10 +230,9 @@ def suite_crucial(run: _Run, degree, seed, cases, generators):
     m11, m21 = WQSymElement.monomial((1, 1)), WQSymElement.monomial((2, 1))
     run.check(m11 * m21 == five_term, "product 11*21 expansion")
     run.check((m11 & m21) @ embed_sym_hat((1, 2)) == five_term, "bullet-then-internal route")
-    for i in range(cases):
-        rng = case_rng(seed, i)
+    for _, rng in run.draws():
         r = rng.randint(1, 3)
-        budget = degree
+        budget = run.degree
         ws = []
         for _ in range(r):
             l = rng.randint(0, budget) if budget else 0
@@ -247,15 +241,14 @@ def suite_crucial(run: _Run, degree, seed, cases, generators):
         run.check(crucial_factorization_check(ws), f"factorization at {ws}")
 
 
-def suite_distributivity(run: _Run, degree, seed, cases, generators):
-    for i in range(cases):
-        rng = case_rng(seed, i)
+def suite_distributivity(run: SuiteReport):
+    for _, rng in run.draws():
         while True:
             u = random_packed_word(rng, rng.randint(0, 2))
             t = random_packed_word(rng, rng.randint(0, 2))
             ku = max(u) if u else 0
             kt = max(t) if t else 0
-            if len(u) + len(t) + ku + kt <= degree:
+            if len(u) + len(t) + ku + kt <= run.degree:
                 break
         v = random_packed_word(rng, ku)
         w = random_packed_word(rng, kt)
@@ -266,17 +259,16 @@ def suite_distributivity(run: _Run, degree, seed, cases, generators):
         )
 
 
-def suite_action(run: _Run, degree, seed, cases, generators):
-    gens = _gen_names(generators)
+def suite_action(run: SuiteReport):
+    gens = _gen_names(run.generators)
     # composition regroup: M(2,1,3,2,2) acted by 12121 sums blocks to M(7,3)
     run.check(
         QSymElement.monomial((2, 1, 3, 2, 2)).act(WQSymElement.monomial((1, 2, 1, 2, 1)))
         == QSymElement.monomial((7, 3)),
         "regroup action on (2,1,3,2,2)",
     )
-    top = min(degree, 4)
-    for i in range(cases):
-        rng = case_rng(seed, i)
+    top = min(run.degree, 4)
+    for _, rng in run.draws():
         n = rng.randint(0, top)
         x = QSElement.word(random_tensor_word(rng, gens, n))
         lf = n if rng.random() < 0.8 else rng.randint(0, top)
@@ -288,7 +280,7 @@ def suite_action(run: _Run, degree, seed, cases, generators):
             x.act(f).act(g) == x.act(f @ g),
             f"module law on tensors at n={n}",
         )
-        I = random_composition(rng, rng.randint(0, min(degree, 5)))
+        I = random_composition(rng, rng.randint(0, min(run.degree, 5)))
         F = QSymElement.monomial(I)
         lf2 = len(I) if rng.random() < 0.8 else rng.randint(0, top)
         f2 = WQSymElement.monomial(random_packed_word(rng, lf2))
@@ -300,33 +292,30 @@ def suite_action(run: _Run, degree, seed, cases, generators):
         )
 
 
-def suite_convolution(run: _Run, degree, seed, cases, generators):
-    gens = _gen_names(generators)
+def suite_convolution(run: SuiteReport):
+    gens = _gen_names(run.generators)
     a, b, c = (AElement.generator(g) for g in gens[:3])
-    ab = QSElement.word([next(iter(a.terms)), next(iter(b.terms))])
+    ab = tensor(a, b)
     m1 = WQSymElement.monomial((1,))
     expected = ab.act(m1 * m1)
     run.check(
         convolution_of_operators(m1, m1, ab) == expected
-        and expected
-        == QSElement.word([next(iter(a.terms)), next(iter(b.terms))])
-        + QSElement.word([next(iter(b.terms)), next(iter(a.terms))])
-        + QSElement.word([next(iter((a * b).terms))]),
+        and expected == ab + tensor(b, a) + tensor(a * b),
         "degree-(1,1) convolution",
     )
-    abc = QSElement.word([next(iter(x.terms)) for x in (a, b, c)])
+    abc = tensor(a, b, c)
     m12 = WQSymElement.monomial((1, 2))
     run.check(
         convolution_of_operators(m1, m12, abc) == abc.act(m1 * m12),
         "degree-(1,2) convolution",
     )
-    for i in range(cases):
-        rng = case_rng(seed, i)
-        n = rng.randint(0, min(degree, 5))
-        m = rng.randint(0, min(degree, 5) - n)
+    top = min(run.degree, 5)
+    for _, rng in run.draws():
+        n = rng.randint(0, top)
+        m = rng.randint(0, top - n)
         f = WQSymElement.monomial(random_packed_word(rng, n))
         g = WQSymElement.monomial(random_packed_word(rng, m))
-        d = n + m if rng.random() < 0.8 else rng.randint(0, min(degree, 5))
+        d = n + m if rng.random() < 0.8 else rng.randint(0, top)
         x = random_qs_element(rng, gens, d, n_terms=rng.randint(1, 2))
         run.check(
             x.act(f * g) == convolution_of_operators(f, g, x),
@@ -334,10 +323,10 @@ def suite_convolution(run: _Run, degree, seed, cases, generators):
         )
 
 
-def suite_naturality(run: _Run, degree, seed, cases, generators):
-    gens = _gen_names(generators)
-    for i in range(cases):
-        rng = case_rng(seed, i)
+def suite_naturality(run: SuiteReport):
+    gens = _gen_names(run.generators)
+    top = min(run.degree, 4)
+    for _, rng in run.draws():
         f_spec = {}
         for g in gens:
             terms = {}
@@ -345,15 +334,16 @@ def suite_naturality(run: _Run, degree, seed, cases, generators):
                 m = random_monomial(rng, gens, max_degree=2)
                 terms[m] = terms.get(m, 0) + rng.choice([-2, -1, 1, 2])
             f_spec[g] = AElement(terms)
-        n = rng.randint(0, min(degree, 4))
+        n = rng.randint(0, top)
         u = random_packed_word(rng, n)
-        d = n if rng.random() < 0.8 else rng.randint(0, min(degree, 4))
+        d = n if rng.random() < 0.8 else rng.randint(0, top)
         x = random_qs_element(rng, gens, d, n_terms=rng.randint(1, 2))
         run.check(naturality_check(f_spec, u, x), f"naturality at u={u}, d={d}")
 
 
-def suite_adams(run: _Run, degree, seed, cases, generators):
-    cutoff = min(degree, 5)
+def suite_adams(run: SuiteReport):
+    cutoff = min(run.degree, 5)
+    n4 = min(run.degree, 4)
     # the fixed checks act on compositions with one and two parts
     for n in (1, 2, 3) if cutoff >= 1 else ():
         run.check(
@@ -377,13 +367,11 @@ def suite_adams(run: _Run, degree, seed, cases, generators):
                 adams(k, cutoff) * adams(l, cutoff) == adams(k + l, cutoff),
                 f"convolution power law {k},{l}",
             )
-            n4 = min(degree, 4)
             run.check(
                 adams(k, n4) @ adams(l, n4) == adams(k * l, n4),
                 f"internal power law {k},{l}",
             )
-    for i in range(cases):
-        rng = case_rng(seed, i)
+    for _, rng in run.draws():
         k = rng.randint(0, 3)
         I = random_composition(rng, rng.randint(0, cutoff))
         F = QSymElement.monomial(I)
@@ -392,7 +380,7 @@ def suite_adams(run: _Run, degree, seed, cases, generators):
             f"oracle match at k={k}, I={I}",
         )
         wa = rng.randint(0, 2)
-        wb = rng.randint(0, min(degree, 4) - wa if degree >= 4 else 2 - wa)
+        wb = rng.randint(0, n4 - wa if run.degree >= 4 else 2 - wa)
         A = QSymElement.monomial(random_composition(rng, wa))
         B = QSymElement.monomial(random_composition(rng, wb))
         k2 = rng.randint(0, 3)
@@ -403,9 +391,9 @@ def suite_adams(run: _Run, degree, seed, cases, generators):
         )
 
 
-def suite_eulerian(run: _Run, degree, seed, cases, generators):
-    cutoff = min(degree, 5)
-    small = min(degree, 4)
+def suite_eulerian(run: SuiteReport):
+    cutoff = min(run.degree, 5)
+    small = min(run.degree, 4)
     run.check(
         eulerian_e1_closed_form(cutoff) == identity_series(cutoff).log(),
         "closed form equals log route",
@@ -426,7 +414,7 @@ def suite_eulerian(run: _Run, degree, seed, cases, generators):
         for i in range(small + 1):
             spectral = spectral + eulerian_idempotent(i, small) * Fraction(k**i)
         run.check(adams(k, small) == spectral, f"spectral decomposition at k={k}")
-    for n in range(min(degree, 5) + 1):
+    for n in range(cutoff + 1):
         run.check(unipotence_check(n), f"unipotence at n={n}")
     run.check(
         identity_series(cutoff).inverse() * identity_series(cutoff)
@@ -438,9 +426,9 @@ def suite_eulerian(run: _Run, degree, seed, cases, generators):
     )
 
 
-def suite_car_compat(run: _Run, degree, seed, cases, generators):
-    gens = _gen_names(generators)
-    cutoff = min(degree, 4)
+def suite_car_compat(run: SuiteReport):
+    gens = _gen_names(run.generators)
+    cutoff = min(run.degree, 4)
     sigmas = [
         ("I", identity_series(cutoff)),
         ("Psi2", adams(2, cutoff)),
@@ -448,8 +436,7 @@ def suite_car_compat(run: _Run, degree, seed, cases, generators):
         ("e1", eulerian_idempotent(1, cutoff)),
         ("e2", eulerian_idempotent(2, cutoff)),
     ]
-    for i in range(cases):
-        rng = case_rng(seed, i)
+    for i, rng in run.draws():
         name, sigma = sigmas[i % len(sigmas)]
         dx = rng.randint(0, min(2, cutoff))
         dy = rng.randint(0, min(2, cutoff - dx))
@@ -461,17 +448,16 @@ def suite_car_compat(run: _Run, degree, seed, cases, generators):
         )
 
 
-def suite_e1_kernel(run: _Run, degree, seed, cases, generators):
-    gens = _gen_names(generators)
-    cutoff = min(degree, 6)
+def suite_e1_kernel(run: SuiteReport):
+    gens = _gen_names(run.generators)
+    cutoff = min(run.degree, 6)
     a = QSElement.generator(gens[0])
     b = QSElement.generator(gens[1])
     if cutoff >= 2:  # a product of positive-degree factors has degree >= 2
         run.check(e1_kills_products_check(a, b, cutoff), "kernel contains a#b")
-    for n in range(1, min(degree, 5) + 1):
+    for n in range(1, min(run.degree, 5) + 1):
         run.check(e1_projection_check(n), f"projection facts at weight {n}")
-    for i in range(cases if cutoff >= 2 else 0):
-        rng = case_rng(seed, i)
+    for i, rng in run.draws() if cutoff >= 2 else ():
         dx = rng.randint(1, min(3, cutoff - 1))
         dy = rng.randint(1, min(3, max(1, cutoff - dx)))
         x = random_qs_element(rng, gens, dx, n_terms=rng.randint(1, 2))
@@ -480,11 +466,11 @@ def suite_e1_kernel(run: _Run, degree, seed, cases, generators):
             x, y = a, b
         run.check(e1_kills_products_check(x, y, cutoff), f"kernel at ({dx},{dy})")
         if i % 3 == 0:
-            dz = rng.randint(1, 3)
+            dz = rng.randint(1, min(3, cutoff))
             z = random_qs_element(rng, gens, dz, n_terms=rng.randint(1, 2))
             if z:
                 run.check(
-                    adams_on_indecomposables_check(z, max(3, min(degree, 6))),
+                    adams_on_indecomposables_check(z, cutoff),
                     f"square Adams minus 2 id lands in products at degree {dz}",
                 )
 
@@ -500,10 +486,8 @@ def _lyndon_rotation_oracle(n: int):
     return tuple(out)
 
 
-def suite_generators(run: _Run, degree, seed, cases, generators):
-    top = min(degree, 5)
-    reports = lyndon_generator_report(top)
-    for r in reports:
+def suite_generators(run: SuiteReport):
+    for r in lyndon_generator_report(min(run.degree, 5)):
         run.check(
             r.full_rank and r.rank == 2 ** (r.weight - 1),
             f"rank {r.rank}/{r.dimension} at weight {r.weight}",
@@ -550,17 +534,11 @@ def run_suite(name, degree=5, seed=0, cases=100, generators=5) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     _check_inputs(name, degree, generators)
-    run = _Run(name, degree, seed, generators)
+    report = SuiteReport(name, degree, seed, cases, generators)
     start = time.perf_counter()
-    SUITES[name](run, degree, seed, cases, generators)
-    return SuiteReport(
-        suite=name,
-        seed=seed,
-        degree=degree,
-        cases_run=run.count,
-        failures=run.failures,
-        wall_time=time.perf_counter() - start,
-    )
+    SUITES[name](report)
+    report.wall_time = time.perf_counter() - start
+    return report
 
 
 def run_suites(name, degree=5, seed=0, cases=100, generators=5) -> list[SuiteReport]:

@@ -213,6 +213,33 @@ def test_failure_reproducer_carries_generators(monkeypatch):
     assert rc == 1 and rerun.splitlines()[-2:] == out.splitlines()[-2:]
 
 
+@pytest.mark.parametrize("calls,cases", [(1, 1), (6, 5)], ids=["fixed", "seeded case 4"])
+def test_reproducer_counts_seeded_cases(monkeypatch, calls, cases):
+    # crucial makes one fixed call, then one call per seeded case
+    made = []
+
+    def fails_on_call(ws):
+        made.append(ws)
+        return len(made) != calls
+
+    monkeypatch.setattr(suites, "crucial_factorization_check", fails_on_call)
+    argv = ("verify", "crucial", "--degree", "4", "--seed", "3", "--cases", "9")
+    rc, out, _ = run(argv)
+    assert rc == 1
+    reproducer = f"wqsym verify crucial --degree 4 --seed 3 --cases {cases} --generators 5"
+    assert out.splitlines()[-1].strip() == "reproduce: " + reproducer
+    made.clear()
+    rc, rerun, _ = run(reproducer.split()[1:])
+    assert rc == 1 and rerun.splitlines()[1:] == out.splitlines()[1:]
+
+
+@pytest.mark.parametrize("degree", ["1", "2", "3"])
+def test_verify_all_stays_within_a_lowered_degree_cap(monkeypatch, degree):
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", degree)
+    rc, out, err = run(("verify", "all", "--degree", degree, "--cases", "20"))
+    assert (rc, out.count(": PASS")) == (0, 12), err
+
+
 @pytest.mark.parametrize("argv", [("eval", "M[1]"), ("expand", "e", "1")], ids=" ".join)
 def test_non_integer_degree_cap_exits_2(monkeypatch, argv):
     monkeypatch.setenv("WQSYM_MAX_DEGREE", "x")
