@@ -8,8 +8,15 @@ Subcommands: eval, expand, verify, realize, generators.  Exit codes:
     3  operands from incompatible spaces (e.g. bullet product with a series)
     4  degree/cutoff cap exceeded
 
-Output on stdout is byte-identical for identical (command, flags, seed);
-wall-clock timings go to stderr only.
+Each command returns its exit code and two renderings of its result, one as
+JSON and one as text lines; ``main`` builds and prints only the one that
+``--format`` asks for.  Output on stdout is byte-identical for identical
+(command, flags, seed); wall-clock timings go to stderr only.
+
+A ``verify`` failure prints the command that reproduces it: the suite's own
+name with the same degree, seed and generators, and ``--cases i+1`` for a
+failure on seeded case i or ``--cases 1`` for one on a fixed or exhaustive
+check.
 """
 
 from __future__ import annotations
@@ -17,18 +24,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from itertools import combinations
 
+from . import suites
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report, sigma_hat_series
 from .params import ParamPoly
 from .series import TruncatedSeries, adams, eulerian_idempotent
-from .serialization import (
-    element_to_obj,
-    series_to_obj,
-    weight_report_to_obj,
-)
-from .suites import SUITE_NAMES, run_suites
+from .serialization import element_to_obj, series_to_obj
 from .words import check_degree_cap, is_packed
 
 REALIZE_ALPHABET_CAP = 8
@@ -64,47 +69,51 @@ def _parse_word(text: str):
     return letters
 
 
-def _emit(fmt: str, json_renderer, text_renderer) -> None:
-    """Print the value in the requested format, building only that one."""
-    if fmt == "json":
-        print(json.dumps(json_renderer(), separators=(",", ":")))
-    else:
-        print(text_renderer())
-
-
-def cmd_eval(args) -> int:
-    value = evaluate(args.expression, cutoff=args.degree)
+def _outputs(value):
+    """The outputs of a computed element or series."""
     to_obj = series_to_obj if isinstance(value, TruncatedSeries) else element_to_obj
-    _emit(args.format, lambda: to_obj(value), lambda: str(value))
-    return 0
+    return 0, lambda: to_obj(value), lambda: [str(value)]
 
 
-def cmd_expand(args) -> int:
-    if args.object == "psi":
-        if args.index is None:
-            raise ExpressionError("expand psi needs an index")
-        series = adams(args.index, args.degree)
-    elif args.object == "e":
-        if args.index is None:
-            raise ExpressionError("expand e needs an index")
-        series = eulerian_idempotent(args.index, args.degree)
-    else:  # sigma_t
-        if args.index is not None:
-            raise ExpressionError("expand sigma_t takes no index")
-        series = sigma_hat_series(ParamPoly.var("t"), args.degree)
-    _emit(args.format, lambda: series_to_obj(series), lambda: str(series))
-    return 0
+def cmd_eval(args):
+    return _outputs(evaluate(args.expression, cutoff=args.degree))
 
 
-def cmd_verify(args) -> int:
-    reports = run_suites(
-        args.suite,
-        degree=args.degree,
-        seed=args.seed,
-        cases=args.cases,
-        generators=args.generators,
+def cmd_expand(args):
+    build = {
+        "psi": adams,
+        "e": eulerian_idempotent,
+        "sigma_t": lambda _, degree: sigma_hat_series(ParamPoly.var("t"), degree),
+    }[args.object]
+    if args.object == "sigma_t" and args.index is not None:
+        raise ExpressionError("expand sigma_t takes no index")
+    if args.object != "sigma_t" and args.index is None:
+        raise ExpressionError(f"expand {args.object} needs an index")
+    return _outputs(build(args.index, args.degree))
+
+
+def _reproducer(r, failure) -> str:
+    cases = 1 if failure.draw is None else failure.draw + 1
+    return (
+        f"wqsym verify {r.suite} --degree {r.degree} --seed {r.seed} "
+        f"--cases {cases} --generators {r.generators}"
     )
-    if args.format == "json":
+
+
+def cmd_verify(args):
+    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
+    for flag, value, table in (
+        ("--generators", args.generators, suites.MIN_GENERATORS),
+        ("--degree", args.degree, suites.MIN_DEGREE),
+    ):
+        need = max(table.get(n, 0) for n in names)
+        if value < need:
+            raise ExpressionError(f"verify {args.suite} needs {flag} >= {need}, got {value}")
+    reports = [suites.run_suite(n, args.degree, args.seed, args.cases, args.generators) for n in names]
+    for r in reports:
+        print(f"[timing] suite {r.suite}: {r.wall_time:.3f}s", file=sys.stderr)
+
+    def as_json():
         payload = [
             {
                 "suite": r.suite,
@@ -113,59 +122,52 @@ def cmd_verify(args) -> int:
                 "cases": r.count,
                 "pass": r.passed,
                 "failures": [
-                    {"case": f.case, "reproducer": f.reproducer, "detail": f.detail}
+                    {"check": f.check, "reproducer": _reproducer(r, f), "detail": f.detail}
                     for f in r.failures
                 ],
             }
             for r in reports
         ]
-        print(json.dumps(payload if args.suite == "all" else payload[0], separators=(",", ":")))
-    else:
+        return payload if args.suite == "all" else payload[0]
+
+    def as_lines():
         for r in reports:
             verdict = "PASS" if r.passed else "FAIL"
-            print(f"suite {r.suite}: {r.count} checks, degree {r.degree}, seed {r.seed}: {verdict}")
+            yield f"suite {r.suite}: {r.count} checks, degree {r.degree}, seed {r.seed}: {verdict}"
             for f in r.failures:
-                print(f"  case {f.case}: {f.detail}")
-                print(f"    reproduce: {f.reproducer}")
-    for r in reports:
-        print(f"[timing] suite {r.suite}: {r.wall_time:.3f}s", file=sys.stderr)
-    return 0 if all(r.passed for r in reports) else 1
+                yield f"  check {f.check}: {f.detail}"
+                yield f"    reproduce: {_reproducer(r, f)}"
+
+    return (0 if all(r.passed for r in reports) else 1), as_json, as_lines
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args):
     if args.alphabet > REALIZE_ALPHABET_CAP:
         raise CapExceeded(f"alphabet size capped at {REALIZE_ALPHABET_CAP}")
     u = _parse_word(args.word)
-    k = max(u) if u else 0
-    from itertools import combinations
-
     realizations = sorted(
         tuple(choice[x - 1] for x in u)
-        for choice in combinations(range(1, args.alphabet + 1), k)
+        for choice in combinations(range(1, args.alphabet + 1), max(u, default=0))
     )
-    if args.format == "json":
-        print(json.dumps([list(w) for w in realizations], separators=(",", ":")))
-    else:
-        for w in realizations:
-            if w and max(w) <= 9:
-                print("".join(map(str, w)))
-            else:
-                print(",".join(map(str, w)))
-    return 0
+    return (
+        0,
+        lambda: [list(w) for w in realizations],
+        lambda: (("" if max(w, default=0) <= 9 else ",").join(map(str, w)) for w in realizations),
+    )
 
 
-def cmd_generators(args) -> int:
+def cmd_generators(args):
     if args.degree < 1:
         raise ExpressionError(f"generators needs --degree >= 1, got {args.degree}")
     reports = lyndon_generator_report(args.degree)
-    if args.format == "json":
-        print(json.dumps([weight_report_to_obj(r) for r in reports], separators=(",", ":")))
-    else:
+
+    def as_lines():
         for r in reports:
             lyndon = " ".join("(" + ",".join(map(str, I)) + ")" for I in r.lyndon)
             flag = "full rank" if r.full_rank else "RANK DEFICIT"
-            print(f"weight {r.weight}: lyndon {lyndon}; rank {r.rank}/{r.dimension} ({flag})")
-    return 0 if all(r.full_rank for r in reports) else 1
+            yield f"weight {r.weight}: lyndon {lyndon}; rank {r.rank}/{r.dimension} ({flag})"
+
+    return (0 if all(r.full_rank for r in reports) else 1), lambda: [asdict(r) for r in reports], as_lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(fn=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES)
+    p_verify.add_argument("suite", choices=(*suites.SUITES, "all"))
     common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=int, default=100)
@@ -220,7 +222,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_bounds(args)
-        return args.fn(args)
+        code, as_json, as_lines = args.fn(args)
+        if args.format == "json":
+            print(json.dumps(as_json(), separators=(",", ":")))
+        else:
+            for line in as_lines():
+                print(line)
+        return code
     except (ExpressionError, BasisMismatch, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -37,14 +36,6 @@ from .series import adams, eulerian_idempotent, identity_series
 from .words import check_degree_cap, is_packed
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[\[\](),+\-*@&/]))")
-
-LITERAL_BUILDERS = {
-    "M": lambda parts: WQSymElement.monomial(parts),
-    "S": embed_sym_standard,
-    "R": ribbon_standard,
-    "hatS": embed_sym_hat,
-    "hatR": ribbon_hat,
-}
 
 
 def tokenize(text: str) -> list[tuple[str, object]]:
@@ -137,15 +128,10 @@ class _Parser:
             return ("scalar", Fraction(value))
         if kind == "name":
             self.next()
-            if value in LITERAL_BUILDERS:
-                return ("literal", value, self.int_list("[", "]"))
-            if value == "I":
-                return ("literal", "I", ())
-            if value == "Psi":
-                return ("literal", "Psi", self.int_list("(", ")"))
-            if value == "e":
-                return ("literal", "e", self.int_list("(", ")"))
-            raise ExpressionError(f"unknown name {value!r}")
+            if value not in LITERALS:
+                raise ExpressionError(f"unknown name {value!r}")
+            brackets = LITERALS[value][0]
+            return ("literal", value, self.int_list(*brackets) if brackets else ())
         if kind is None:
             raise ExpressionError("unexpected end of input")
         raise ExpressionError(f"unexpected token {value!r}")
@@ -172,58 +158,41 @@ def parse(text: str):
         raise ExpressionError("expression nested too deeply") from None
 
 
-@dataclass
-class Evaluator:
-    """Evaluate an AST under a series cutoff; finite elements are checked
-    against the degree cap."""
+def _word(name, args, cutoff):
+    if not is_packed(args):
+        raise ExpressionError(f"M{list(args)} is not a packed word")
+    check_degree_cap(len(args))
+    return WQSymElement.monomial(args)
 
-    cutoff: int
 
-    def run(self, node):
-        kind = node[0]
-        if kind == "scalar":
-            return node[1] * WQSymElement.unit()
-        if kind == "literal":
-            return self.literal(node[1], node[2])
-        if kind == "neg":
-            return -self.run(node[1])
-        return self.combine(self.run(node[1]), self.run(node[2]), kind)
+def _composition(embed):
+    def build(name, args, cutoff):
+        if any(p < 1 for p in args):
+            raise ExpressionError(f"{name} needs positive composition parts")
+        check_degree_cap(sum(args))
+        return embed(args)
 
-    def literal(self, name, args):
-        if name == "M":
-            if not is_packed(args):
-                raise ExpressionError(f"M{list(args)} is not a packed word")
-            check_degree_cap(len(args))
-            return WQSymElement.monomial(args)
-        if name in ("S", "R", "hatS", "hatR"):
-            if any(p < 1 for p in args):
-                raise ExpressionError(f"{name} needs positive composition parts")
-            check_degree_cap(sum(args))
-            return LITERAL_BUILDERS[name](args)
-        if name == "I":
-            return identity_series(self.cutoff)
-        if name == "Psi":
-            (k,) = self.one_index(name, args)
-            return adams(k, self.cutoff)
-        if name == "e":
-            (i,) = self.one_index(name, args)
-            return eulerian_idempotent(i, self.cutoff)
-        raise AssertionError(name)
+    return build
 
-    @staticmethod
-    def one_index(name, args):
-        if len(args) != 1:
-            raise ExpressionError(f"{name}(...) takes exactly one index")
-        return args
 
-    @staticmethod
-    def combine(left, right, op):
-        """Apply the binary operation ``op`` (an AST kind), first checking the
-        degree of a product of two finite elements against the cap."""
-        if op in ("outer", "bullet") and isinstance(left, WQSymElement) and isinstance(right, WQSymElement):
-            check_degree_cap(max(left.degrees(), default=0) + max(right.degrees(), default=0))
-        return _OPERATORS[op](left, right)
+def _one_index(name, args):
+    if len(args) != 1:
+        raise ExpressionError(f"{name}(...) takes exactly one index")
+    return args[0]
 
+
+# name -> (the brackets around its integer arguments, or None for none;
+#          builder(name, args, cutoff) of its value)
+LITERALS = {
+    "M": ("[]", _word),
+    "S": ("[]", _composition(embed_sym_standard)),
+    "R": ("[]", _composition(ribbon_standard)),
+    "hatS": ("[]", _composition(embed_sym_hat)),
+    "hatR": ("[]", _composition(ribbon_hat)),
+    "I": (None, lambda name, args, cutoff: identity_series(cutoff)),
+    "Psi": ("()", lambda name, args, cutoff: adams(_one_index(name, args), cutoff)),
+    "e": ("()", lambda name, args, cutoff: eulerian_idempotent(_one_index(name, args), cutoff)),
+}
 
 _OPERATORS = {
     "add": operator.add,
@@ -234,10 +203,26 @@ _OPERATORS = {
 }
 
 
+def _run(node, cutoff):
+    """Evaluate an AST under a series cutoff, checking the degree of a product
+    of two finite elements against the cap."""
+    kind = node[0]
+    if kind == "scalar":
+        return node[1] * WQSymElement.unit()
+    if kind == "literal":
+        return LITERALS[node[1]][1](node[1], node[2], cutoff)
+    if kind == "neg":
+        return -_run(node[1], cutoff)
+    left, right = _run(node[1], cutoff), _run(node[2], cutoff)
+    if kind in ("outer", "bullet") and isinstance(left, WQSymElement) and isinstance(right, WQSymElement):
+        check_degree_cap(max(left.degrees(), default=0) + max(right.degrees(), default=0))
+    return _OPERATORS[kind](left, right)
+
+
 def evaluate(text: str, cutoff: int):
     """Parse and evaluate; returns a WQSymElement or TruncatedSeries."""
     node = parse(text)
     try:
-        return Evaluator(cutoff).run(node)
+        return _run(node, cutoff)
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None

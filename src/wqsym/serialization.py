@@ -1,4 +1,4 @@
-"""The JSON that ``wqsym --format json`` prints.
+"""The JSON of elements and series that ``wqsym --format json`` prints.
 
 Coefficients are strings in lowest terms ("p/q"); parameter-polynomial
 coefficients print their canonical string form.  All term lists are emitted in
@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .algebra import WQSymElement
 from .params import ParamPoly
-from .qsym import WeightReport
 from .series import TruncatedSeries
 
 
@@ -39,12 +38,3 @@ def series_to_obj(s: TruncatedSeries) -> dict:
         "components": {str(d): _terms_to_obj("WQSym-M", terms) for d, terms in s.graded_terms()},
     }
 
-
-def weight_report_to_obj(r: WeightReport) -> dict:
-    return {
-        "weight": r.weight,
-        "lyndon": [list(I) for I in r.lyndon],
-        "rank": r.rank,
-        "dimension": r.dimension,
-        "full_rank": r.full_rank,
-    }

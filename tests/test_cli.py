@@ -10,6 +10,7 @@ text and JSON renderings and the scalar/element/series promotion rules of
 import contextlib
 import hashlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -231,6 +232,44 @@ def test_reproducer_counts_seeded_cases(monkeypatch, calls, cases):
     made.clear()
     rc, rerun, _ = run(reproducer.split()[1:])
     assert rc == 1 and rerun.splitlines()[1:] == out.splitlines()[1:]
+
+
+def test_failures_number_checks_and_reproduce_alike_in_both_formats(monkeypatch):
+    # crucial runs three fixed checks, then one per seeded case: calls 1 and 6
+    # fail the fixed check 0 and the check 7 of seeded case 4
+    made = []
+
+    def fails_on_calls(ws):
+        made.append(ws)
+        return len(made) not in (1, 6)
+
+    monkeypatch.setattr(suites, "crucial_factorization_check", fails_on_calls)
+    argv = ("verify", "crucial", "--degree", "4", "--seed", "3", "--cases", "9")
+    rc, out, _ = run(argv)
+    assert rc == 1
+    text = out.splitlines()[1:]
+    assert [line.split(":")[0] for line in text[::2]] == ["  check 0", "  check 7"]
+    reproducers = [line.split("reproduce: ")[1] for line in text[1::2]]
+    assert [r.split("--cases ")[1] for r in reproducers] == ["1 --generators 5", "5 --generators 5"]
+    made.clear()
+    rc, out, _ = run(argv + ("--format", "json"))
+    assert rc == 1
+    failures = json.loads(out)["failures"]
+    assert [sorted(f) for f in failures] == [["check", "detail", "reproducer"]] * 2
+    assert [f["check"] for f in failures] == [0, 7]
+    assert [f["reproducer"] for f in failures] == reproducers
+
+
+def test_generators_json_reports_each_weight():
+    rc, out, _ = run(("generators", "--degree", "3", "--format", "json"))
+    assert rc == 0
+    assert json.loads(out)[-1] == {
+        "weight": 3,
+        "lyndon": [[1, 2], [3]],
+        "rank": 4,
+        "dimension": 4,
+        "full_rank": True,
+    }
 
 
 @pytest.mark.parametrize("degree", ["1", "2", "3"])

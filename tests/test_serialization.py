@@ -4,8 +4,7 @@ from fractions import Fraction
 
 from wqsym.algebra import WQSymElement
 from wqsym.params import ParamPoly
-from wqsym.qsym import lyndon_generator_report
-from wqsym.serialization import coeff_to_str, element_to_obj, series_to_obj, weight_report_to_obj
+from wqsym.serialization import coeff_to_str, element_to_obj, series_to_obj
 from wqsym.series import adams
 
 E = WQSymElement.monomial
@@ -37,18 +36,6 @@ def test_param_coefficients_serialize_as_strings():
 def test_integer_and_fraction_coefficients_serialize_as_quotients():
     coeffs = (3, -2, 0, Fraction(-1, 2), Fraction(4, 2))
     assert [coeff_to_str(c) for c in coeffs] == ["3/1", "-2/1", "0/1", "-1/2", "2/1"]
-
-
-def test_weight_report_obj():
-    reports = lyndon_generator_report(3)
-    obj = weight_report_to_obj(reports[-1])
-    assert obj == {
-        "weight": 3,
-        "lyndon": [[1, 2], [3]],
-        "rank": 4,
-        "dimension": 4,
-        "full_rank": True,
-    }
 
 
 def test_empty_element():
