@@ -228,30 +228,62 @@ def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
     return _collect(WQSymElement, out, d)
 
 
+def _term_prefixes(coeff) -> tuple[str, str]:
+    """What precedes a key in the text of a term with coefficient ``coeff``,
+    as the first term and as a later one: ``""``/``" + "``, ``"-"``/``" - "``,
+    ``"2*"``/``" + 2*"``, ``"(t^2)*"``/``" + (t^2)*"``."""
+    if isinstance(coeff, ParamPoly):
+        first = f"({coeff})*"
+    elif coeff == 1:
+        first = ""
+    elif coeff == -1:
+        first = "-"
+    else:
+        first = f"{coeff}*"
+    if first.startswith("-"):
+        return first, " - " + first[1:]
+    return first, " + " + first
+
+
 def format_terms(sorted_terms, key_fmt) -> str:
-    """Shared pretty-printer for sparse elements: '2*M[1,2] - M[1,1]'."""
+    """Shared pretty-printer for sparse elements: '2*M[1,2] - M[1,1]'.
+
+    Terms of large series share few coefficient objects, so each distinct
+    object is formatted once: ``memo`` maps its id to its two prefixes and
+    holds the object itself, so no id is reused during the call.  The first
+    entry of ``memo`` is the first term's."""
+    memo: dict = {}
     chunks = []
     for key, coeff in sorted_terms:
-        if isinstance(coeff, ParamPoly):
-            body = f"({coeff})*{key_fmt(key)}"
-        elif coeff == 1:
-            body = key_fmt(key)
-        elif coeff == -1:
-            body = f"-{key_fmt(key)}"
-        else:
-            body = f"{coeff}*{key_fmt(key)}"
-        if chunks:
-            if body.startswith("-"):
-                chunks.append(" - " + body[1:])
-            else:
-                chunks.append(" + " + body)
-        else:
-            chunks.append(body)
-    return "".join(chunks) or "0"
+        entry = memo.get(id(coeff))
+        if entry is None:
+            entry = memo[id(coeff)] = (*_term_prefixes(coeff), coeff)
+        chunks.append(entry[1])
+        chunks.append(key_fmt(key))
+    if not chunks:
+        return "0"
+    chunks[0] = next(iter(memo.values()))[0]
+    return "".join(chunks)
+
+
+class _LetterStrings(dict):
+    """The decimal string of each letter, made on first use."""
+
+    def __missing__(self, letter):
+        text = self[letter] = str(letter)
+        return text
+
+
+_LETTER_STRINGS = _LetterStrings()
+
+
+def letters_str(w) -> str:
+    """The letters of a word or composition joined by commas: '1,2,1'."""
+    return ",".join(map(_LETTER_STRINGS.__getitem__, w))
 
 
 def word_str(w: Word) -> str:
-    return "M[%s]" % ",".join(map(str, w))
+    return "M[" + letters_str(w) + "]"
 
 
 class TensorSquare(SparseCombination):
@@ -277,7 +309,7 @@ class TensorSquare(SparseCombination):
     def __str__(self) -> str:
         return format_terms(
             self.sorted_terms(),
-            lambda p: "M[%s]xM[%s]" % (",".join(map(str, p[0])), ",".join(map(str, p[1]))),
+            lambda p: word_str(p[0]) + "x" + word_str(p[1]),
         )
 
 

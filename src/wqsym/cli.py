@@ -8,10 +8,10 @@ Subcommands: eval, expand, verify, realize, generators.  Exit codes:
     3  operands from incompatible spaces (e.g. bullet product with a series)
     4  degree/cutoff cap exceeded
 
-Each command returns its exit code and two renderings of its result, one as
-JSON and one as text lines; ``main`` builds and prints only the one that
-``--format`` asks for.  Output on stdout is byte-identical for identical
-(command, flags, seed); wall-clock timings go to stderr only.
+Each command returns its exit code and two renderings of its result, its
+JSON as compact text and its text as lines; ``main`` builds and prints only
+the one that ``--format`` asks for.  Output on stdout is byte-identical for
+identical (command, flags, seed); wall-clock timings go to stderr only.
 
 A ``verify`` failure prints the command that reproduces it: the suite's own
 name with the same degree, seed and generators, and ``--cases i+1`` for a
@@ -67,6 +67,10 @@ def _parse_word(text: str):
     if not is_packed(letters):
         raise ExpressionError(f"{letters} is not a packed word")
     return letters
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _outputs(value):
@@ -128,7 +132,7 @@ def cmd_verify(args):
             }
             for r in reports
         ]
-        return payload if args.suite == "all" else payload[0]
+        return _compact(payload if args.suite == "all" else payload[0])
 
     def as_lines():
         for r in reports:
@@ -151,7 +155,7 @@ def cmd_realize(args):
     )
     return (
         0,
-        lambda: [list(w) for w in realizations],
+        lambda: _compact([list(w) for w in realizations]),
         lambda: (("" if max(w, default=0) <= 9 else ",").join(map(str, w)) for w in realizations),
     )
 
@@ -167,7 +171,7 @@ def cmd_generators(args):
             flag = "full rank" if r.full_rank else "RANK DEFICIT"
             yield f"weight {r.weight}: lyndon {lyndon}; rank {r.rank}/{r.dimension} ({flag})"
 
-    return (0 if all(r.full_rank for r in reports) else 1), lambda: [asdict(r) for r in reports], as_lines
+    return (0 if all(r.full_rank for r in reports) else 1), lambda: _compact([asdict(r) for r in reports]), as_lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +228,7 @@ def main(argv=None) -> int:
         _check_bounds(args)
         code, as_json, as_lines = args.fn(args)
         if args.format == "json":
-            print(json.dumps(as_json(), separators=(",", ":")))
+            print(as_json())
         else:
             for line in as_lines():
                 print(line)

@@ -124,7 +124,7 @@ class SparseCombination:
 
     @staticmethod
     def _sort_key(key):
-        """Ordering key of basis keys in :meth:`sorted_terms`."""
+        """Ordering key of basis keys in :meth:`sorted_keys`."""
         return key
 
     @classmethod
@@ -181,9 +181,13 @@ class SparseCombination:
             return self._scaled(1 / scalar)
         return NotImplemented
 
-    def sorted_terms(self):
-        key = self._sort_key
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+    def sorted_keys(self) -> list:
+        return sorted(self.terms, key=self._sort_key)
+
+    def sorted_terms(self) -> list:
+        """``(key, coefficient)`` pairs in canonical key order."""
+        keys = self.sorted_keys()
+        return list(zip(keys, map(self.terms.__getitem__, keys)))
 
     def counit(self):
         return self.terms.get((), Fraction(0))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .algebra import WQSymElement, _add_multiple, format_terms
+from .algebra import WQSymElement, _add_multiple, format_terms, letters_str
 from .params import SCALAR_TYPES, Unital, _bilinear, _linear
 from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
 from .words import (
@@ -72,7 +72,7 @@ class QSymElement(Unital):
         return right_action(self, op, operator.add)
 
     def __str__(self):
-        return format_terms(self.sorted_terms(), lambda I: "M(%s)" % ",".join(map(str, I)))
+        return format_terms(self.sorted_terms(), lambda I: "M(" + letters_str(I) + ")")
 
 
 # -- Adams operations ----------------------------------------------------------

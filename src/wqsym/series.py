@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import compress, groupby
 
 from .algebra import (
     WQSymElement,
@@ -200,8 +200,12 @@ class TruncatedSeries:
 
     def graded_terms(self):
         """``(d, terms)`` for each nonzero degree ``d`` in increasing order,
-        ``terms`` in canonical order: one sort, no scan per degree."""
-        return groupby(self.element.sorted_terms(), key=lambda t: len(t[0]))
+        ``terms`` the ``(word, coefficient)`` pairs of degree ``d`` in
+        canonical order: one sort, no scan per degree."""
+        terms = self.element.terms
+        for d, words in groupby(self.element.sorted_keys(), key=len):
+            words = list(words)
+            yield d, zip(words, map(terms.__getitem__, words))
 
     def __str__(self) -> str:
         if not self.element:
@@ -292,16 +296,18 @@ def _ascent_series(cutoff: int, entry) -> TruncatedSeries:
     length d <= cutoff with a ascents.
 
     One table per degree, indexed by a.  The enumeration never visits a word
-    with fewer ascents than the smallest a with a nonzero entry, and the
-    words of one ascent count share one coefficient object."""
+    with fewer ascents than the smallest a with a nonzero entry, the words of
+    one ascent count share one coefficient object, and the words whose entry
+    is zero are dropped through a table of which entries are nonzero."""
     terms: dict = {}
     for d in range(cutoff + 1):
         table = [entry(a, d) for a in range(max(d, 1))]
-        first = next((a for a, c in enumerate(table) if c), None)
-        if first is None:
+        nonzero = list(map(bool, table))
+        if True not in nonzero:
             continue
-        words, ascents = packed_words_with_ascents(d, len(table) - 1 - first)
-        terms.update((w, table[a]) for w, a in zip(words, ascents) if table[a])
+        words, ascents = packed_words_with_ascents(d, len(table) - 1 - nonzero.index(True))
+        kept = list(map(nonzero.__getitem__, ascents))
+        terms.update(zip(compress(words, kept), map(table.__getitem__, compress(ascents, kept))))
     return TruncatedSeries._raw(cutoff, WQSymElement._raw(terms))
 
 

@@ -27,6 +27,10 @@ GOLDEN = [
     (('expand', 'e', '1', '--degree', '4'), 0, '8cdf2f316799f8088a778aea2578c152b38a094e7a647b5d388f297532a2cd85'),
     (('expand', 'e', '2', '--degree', '4', '--format', 'json'), 0, '2dd9ab02cfd5dfe967a67213e9cd89395246268909ea1c03a3e5f9e929d70134'),
     (('expand', 'e', '0', '--degree', '2'), 0, '0fcb908277db6dc1f746c240666e97a1d4e23dfdcbe0ead34e217a6c55ad1efb'),
+    (('expand', 'e', '2', '--degree', '6'), 0, 'c7cb5ef6dea26a943208b6b9f21366519392f7ba32c0f907a2e70b4a2ba8d666'),
+    (('expand', 'e', '1', '--degree', '6', '--format', 'json'), 0, '1cbf55899fca8c2cc14c7899d27def59ba4379a4447d01e6aac8594e86df0e09'),
+    (('expand', 'psi', '3', '--degree', '6'), 0, 'f03d53b4155add6ae7f5f192d6919c2efa1de429395917ce6e8b01ba11f4adac'),
+    (('expand', 'e', '1', '--degree', '0', '--format', 'json'), 0, 'd5034e94588a4a323e5c28e9591bfde2c404c9d6287b44f3cf3180d255eb7a90'),
     (('expand', 'sigma_t', '--degree', '4'), 0, 'c344869e6a9265c246f6a3b2bd89318fa4ea93a060f12be6e8608174a273e410'),
     (('expand', 'sigma_t', '--degree', '3', '--format', 'json'), 0, '3da86745f36c320f9ef65c695874b44544eea50a8fa87d875605996e0fefbc66'),
     (('generators', '--degree', '5'), 0, '96edf7ecbee0d14e1ba02cfcd511f7b3261473a8fecdc76ad77d4d627b2965e9'),

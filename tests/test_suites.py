@@ -7,9 +7,10 @@ all --seed 0 --cases C --degree D`` under the key ``"D/C"``: ``"4/3"`` and
 body that drops, adds or reorders nothing keeps these counts; one that
 silently changes what is checked does not.  The reference file is only read.
 
-Two suites are also checked for what they build and catch: the fixed checks
-of crucial and action build nothing above the degree asked for, and eulerian
-reports a wrong ascent table, which every closed form shares.
+Two properties are also checked: the fixed checks and seeded draws of
+crucial, action, convolution and adams build nothing above the degree asked
+for, and eulerian reports a wrong ascent table, which every closed form
+shares.
 """
 
 import json
@@ -46,7 +47,7 @@ def test_suite_check_count_matches_the_reference(suite, key):
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
-@pytest.mark.parametrize("suite", ["crucial", "action"])
+@pytest.mark.parametrize("suite", ["crucial", "action", "convolution", "adams"])
 def test_fixed_checks_stay_within_the_degree(monkeypatch, suite, degree):
     # the degree of every packed word and composition built through _raw
     raw = SparseCombination._raw.__func__
