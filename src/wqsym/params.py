@@ -1,5 +1,5 @@
-"""Sparse exact linear combinations, and the ring of polynomials in named
-parameters built on them.
+"""Sparse exact linear combinations, the monomials of the package, and the
+ring of polynomials in named parameters built on them.
 
 :class:`SparseCombination` is the one base class of every sparse element type
 in the package (packed words in :mod:`wqsym.algebra`, tensor words and
@@ -15,12 +15,13 @@ on basis keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
 holds the one rule that promotes scalars: a scalar operand of ``+``, ``-`` or
 ``==`` is that multiple of the unit.
 
-:class:`ParamPoly` is the coefficient ring of the parameter-deformed
-operators: polynomials in formal parameters (x, y, t) with ``Fraction``
-coefficients, stored expanded over monomials, with the bilinear extension of
-:func:`mono_mul` as product.  Its canonical form makes equality of identities
-in the parameters literal dict equality.  Coefficients elsewhere are
-``Fraction`` or ``ParamPoly`` (:data:`SCALAR_TYPES`, with ``int``).
+This module owns monomials in named generators: :func:`monomial` is their one
+canonical form and :func:`mono_mul` their product.  :class:`Monomials` holds
+the key check, order, product and powers of their combinations: the base
+algebra A of :mod:`wqsym.qshuffle` (monomials of positive degree) and
+:class:`ParamPoly`, the coefficient ring of the deformed operators, with
+parameters (x, y, t).  Coefficients elsewhere are ``Fraction`` or
+``ParamPoly`` (:data:`SCALAR_TYPES`, with ``int``).
 """
 
 from __future__ import annotations
@@ -30,16 +31,26 @@ from fractions import Fraction
 Monomial = tuple[tuple[str, int], ...]  # ((name, exponent), ...) sorted by name
 
 
+def monomial(*pairs) -> Monomial:
+    """The canonical monomial of (name, exponent) pairs: the exponents of a
+    repeated name add, zero exponents drop and the names sort.  Raises
+    ``ValueError`` on an exponent that is negative or not an ``int`` (a
+    ``bool`` is not)."""
+    exps: dict[str, int] = {}
+    for name, e in pairs:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be nonnegative ints, got {e!r}")
+        if e:
+            exps[str(name)] = exps.get(str(name), 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two monomials: exponents of each name add."""
     exps = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
 
 
 def mono_str(m: Monomial) -> str:
@@ -232,7 +243,40 @@ class Unital(SparseCombination):
         return (-self) + other
 
 
-class ParamPoly(Unital):
+class Monomials(SparseCombination):
+    """A combination of monomials, ordered by degree, with the bilinear
+    extension of :func:`mono_mul` as product; a scalar factor scales."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(m):
+        return monomial(*m)
+
+    @staticmethod
+    def _sort_key(m):
+        return (sum(e for _, e in m), m)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return _bilinear(type(self), self.terms, other.terms, lambda a, b: (mono_mul(a, b),))
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __pow__(self, exponent: int):
+        """The product of ``exponent`` factors ``self``; the unit if none."""
+        if exponent == 0 and isinstance(self, Unital):
+            return self.unit()
+        if exponent < 1:
+            raise ValueError(f"no power {exponent} in {type(self).__name__}")
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
+        return out
+
+
+class ParamPoly(Unital, Monomials):
     """Polynomial in named parameters with exact rational coefficients; a
     coefficient or substituted value that is not an ``int`` or ``Fraction``
     raises ``TypeError``."""
@@ -241,14 +285,6 @@ class ParamPoly(Unital):
 
     _coefficient = staticmethod(_rational)
 
-    @staticmethod
-    def _check_key(mono):
-        return tuple(sorted((str(n), int(e)) for n, e in mono if e))
-
-    @staticmethod
-    def _sort_key(mono):
-        return (mono_degree(mono), mono)
-
     @classmethod
     def var(cls, name: str) -> "ParamPoly":
         return cls({((name, 1),): Fraction(1)})
@@ -256,23 +292,6 @@ class ParamPoly(Unital):
     @classmethod
     def const(cls, value) -> "ParamPoly":
         return cls({(): value})
-
-    def __mul__(self, other) -> "ParamPoly":
-        if isinstance(other, ParamPoly):
-            return _bilinear(ParamPoly, self.terms, other.terms, lambda a, b: (mono_mul(a, b),))
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ParamPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = ParamPoly.unit()
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def substitute(self, values: dict) -> "ParamPoly":
         """Replace parameters by exact scalars (partial substitution allowed)."""

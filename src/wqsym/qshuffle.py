@@ -1,20 +1,21 @@
 """Quasi-shuffle algebra over a free commutative algebra without unit.
 
-The base algebra A is spanned by nonempty monomials in a finite set of
-generators; its product merges exponent vectors, so the monomials form a
-commutative semigroup.  The tensor space over A carries the quasi-shuffle
-product (interleave or merge leading factors), the deconcatenation
-coproduct, and a right action of packed-word elements: a basis word u of
-length n sends a degree-n tensor to the tensor whose i-th factor is the
-semigroup product of the factors at the positions where u has the letter i,
-and kills every other degree.
+The base algebra A is spanned by the monomials of positive degree in a finite
+set of generators, as A has no unit; its product merges exponent vectors, so
+these monomials form a commutative semigroup.  The tensor space over A
+carries the quasi-shuffle product (interleave or merge leading factors), the
+deconcatenation coproduct, and a right action of packed-word elements: a
+basis word u of length n sends a degree-n tensor to the tensor whose i-th
+factor is the semigroup product of the factors at the positions where u has
+the letter i, and kills every other degree.
 
-The element types derive from :class:`wqsym.params.SparseCombination`, and
-:class:`QSElement`, whose unit is the empty tensor word, from
-:class:`wqsym.params.Unital`.  The product is the shared kernel
-:func:`wqsym.words.quasi_shuffle` and the action the shared
-:func:`wqsym.series.right_action`, both with the monomial product as the
-semigroup product of two letters (Hoffman, "Quasi-shuffle products",
+:mod:`wqsym.params` owns monomials and their product; :class:`AElement`
+derives from its :class:`~wqsym.params.Monomials`, :class:`QSElement`, whose
+unit is the empty tensor word, from :class:`~wqsym.params.Unital`, and
+:class:`QSTensor` from :class:`~wqsym.params.SparseCombination`.  The
+product is the shared kernel :func:`wqsym.words.quasi_shuffle` and the action
+the shared :func:`wqsym.series.right_action`, both with the monomial product
+as the semigroup product of two letters (Hoffman, "Quasi-shuffle products",
 J. Algebraic Combin. 11, 2000).
 
 Tensor words are stored over monomials only: general tensor factors are
@@ -26,18 +27,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import product as iproduct
 
 from .algebra import WQSymElement, _add_multiple, _legwise, format_terms
 from .params import (
     SCALAR_TYPES,
     Monomial,
+    Monomials,
     SparseCombination,
     Unital,
     _bilinear,
     _linear,
-    mono_degree,
     mono_mul,
     mono_str,
+    monomial as canonical_monomial,
 )
 from .series import TruncatedSeries, adams, eulerian_idempotent, right_action
 from .words import quasi_shuffle
@@ -46,14 +49,9 @@ TensorWord = tuple[Monomial, ...]  # over nonempty monomials
 
 
 def monomial(*pairs) -> Monomial:
-    """Build a monomial from (generator, exponent) pairs; exponents add."""
-    exps: dict[str, int] = {}
-    for name, e in pairs:
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        if e:
-            exps[str(name)] = exps.get(str(name), 0) + e
-    mono = tuple(sorted(exps.items()))
+    """The canonical monomial of (generator, exponent) pairs
+    (:func:`wqsym.params.monomial`), which must have positive degree."""
+    mono = canonical_monomial(*pairs)
     if not mono:
         raise ValueError("monomials must have positive total degree (A has no unit)")
     return mono
@@ -69,7 +67,7 @@ def _cuts(lo: int):
     return lambda word: [(word[:i], word[i:]) for i in range(lo, len(word) + 1 - lo)]
 
 
-class AElement(SparseCombination):
+class AElement(Monomials):
     """Element of the base algebra: rational combination of nonempty monomials."""
 
     __slots__ = ()
@@ -78,28 +76,9 @@ class AElement(SparseCombination):
     def _check_key(m):
         return monomial(*m)
 
-    @staticmethod
-    def _sort_key(m):
-        return (mono_degree(m), m)
-
     @classmethod
     def generator(cls, name: str) -> "AElement":
         return cls._raw({((str(name), 1),): Fraction(1)})
-
-    def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if not isinstance(other, AElement):
-            return NotImplemented
-        return _bilinear(AElement, self.terms, other.terms, lambda a, b: (mono_mul(a, b),))
-
-    def __pow__(self, e: int):
-        if e < 1:
-            raise ValueError("powers in A must be >= 1 (no unit)")
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
 
     def __str__(self):
         return format_terms(self.sorted_terms(), mono_str)
@@ -292,8 +271,6 @@ def adams_on_indecomposables_check(x: QSElement, cutoff: int) -> bool:
 def elements_act_equally(f: WQSymElement, g: WQSymElement, generators, max_degree: int) -> bool:
     """Compare two operators on every tensor word of generators up to a degree
     (the recognition principle: on the free algebra this detects equality)."""
-    from itertools import product as iproduct
-
     gens = [QSElement.generator(name) for name in generators]
     for n in range(max_degree + 1):
         for combo in iproduct(range(len(gens)), repeat=n):

@@ -24,12 +24,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 from .algebra import WQSymElement, _add_multiple, format_terms, letters_str
 from .params import SCALAR_TYPES, Unital, _bilinear, _linear
 from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
 from .words import (
     Composition,
+    check_composition,
     check_degree_cap,
     compositions,
     evaluation,
@@ -43,12 +45,7 @@ class QSymElement(Unital):
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_key(I):
-        I = tuple(int(p) for p in I)
-        if any(p < 1 for p in I):
-            raise ValueError(f"composition parts must be positive: {I!r}")
-        return I
+    _check_key = staticmethod(check_composition)
 
     @staticmethod
     def _sort_key(I):
@@ -91,8 +88,6 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
         raise ValueError("Adams operations are indexed by nonnegative integers")
     if k == 0:
         return QSymElement._raw({(): F.counit()} if F.counit() else {})
-    from itertools import combinations_with_replacement
-
     out: dict[Composition, object] = {}
     for I, c in F.terms.items():
         l = len(I)

@@ -75,12 +75,13 @@ class TruncatedSeries:
     def __init__(self, cutoff: int, components=None):
         """The series with the homogeneous element ``components[d]`` in each
         degree ``d <= cutoff``; absent degrees are zero."""
+        if not all(isinstance(n, int) for n in (cutoff, *(components or ()))):
+            raise TypeError("a cutoff and its degrees must be ints")
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        self.cutoff = int(cutoff)
+        self.cutoff = cutoff
         terms: dict = {}
         for d, el in (components or {}).items():
-            d = int(d)
             if not isinstance(el, WQSymElement):
                 raise TypeError("components must be WQSymElement values")
             if d > self.cutoff:

@@ -22,6 +22,7 @@ from .qshuffle import (
     car_coproduct_compatibility_check,
     convolution_of_operators,
     e1_kills_products_check,
+    monomial,
     naturality_check,
     tensor,
 )
@@ -113,11 +114,7 @@ def random_composition(rng: random.Random, weight: int):
 
 def random_monomial(rng: random.Random, gens, max_degree: int = 3):
     degree = rng.randint(1, max_degree)
-    exps: dict[str, int] = {}
-    for _ in range(degree):
-        g = rng.choice(gens)
-        exps[g] = exps.get(g, 0) + 1
-    return tuple(sorted(exps.items()))
+    return monomial(*[(rng.choice(gens), 1) for _ in range(degree)])
 
 
 def random_tensor_word(rng: random.Random, gens, degree: int):

@@ -81,7 +81,7 @@ def is_packed(word) -> bool:
     word = tuple(word)
     if not word:
         return True
-    if any(not isinstance(x, int) or x < 1 for x in word):
+    if any(type(x) is not int or x < 1 for x in word):
         return False
     return set(word) == set(range(1, max(word) + 1))
 
@@ -92,6 +92,15 @@ def check_packed(word) -> Word:
     if not is_packed(word):
         raise ValueError(f"not a packed word: {word!r}")
     return word
+
+
+def check_composition(I) -> Composition:
+    """``I`` as a tuple; raises ``ValueError`` unless every part is an ``int``
+    (a ``bool`` is not) of at least 1."""
+    I = tuple(I)
+    if not all(type(p) is int and p >= 1 for p in I):
+        raise ValueError(f"not a composition: {I!r}")
+    return I
 
 
 def descents(w) -> frozenset[int]:

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by the module that makes
-it (``__init__.py``, which re-exports, is exempt), and every function, class
-and method of the package is used by the package or the benchmark.
+it (``__init__.py``, which re-exports, is exempt), no function of the package
+imports, and every function, class and method of the package is used by the
+package or the benchmark.
 
 Read with the standard library's ``ast`` only.  An import counts as used when
 its name appears as a ``Name`` anywhere in the module, annotations included.
@@ -55,6 +56,31 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """The imports made inside a function, so that every module states its
+    dependencies at its top."""
+    functions = (n for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    found = {
+        (node.lineno, alias.name)
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_function_imports_are_found():
+    source = "import os\ndef f():\n    import sys\n    def g():\n        from a import b as c\n    return os\n"
+    source += "class C:\n    async def m(self):\n        from d import e\n"
+    assert function_imports(source) == ["line 3: sys", "line 5: b", "line 9: e"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_functions_do_not_import(path):
+    assert function_imports(path.read_text()) == []
 
 
 def definitions(tree):

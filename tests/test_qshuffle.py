@@ -42,6 +42,8 @@ def test_monomial_basics():
         monomial()  # no unit in the base algebra
     assert (a * b) * a == AElement({(("a", 2), ("b", 1)): 1})
     assert a**3 == AElement({(("a", 3),): 1})
+    with pytest.raises(ValueError):
+        a**0  # no unit in the base algebra
 
 
 def test_action_examples():

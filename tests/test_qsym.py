@@ -197,6 +197,7 @@ def test_act_with_series_respects_cutoff():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        QSymElement.monomial((1, 0))
+    for I in [(1, 0), (1.7, 2), ("1", 2.9)]:
+        with pytest.raises(ValueError):
+            QSymElement.monomial(I)
     assert Q(()) == QSymElement.unit()

@@ -234,6 +234,10 @@ def test_series_validation_and_caps():
         TruncatedSeries(2, {3: E((1, 2, 3))})
     with pytest.raises(ValueError):
         TruncatedSeries(3, {2: E((1,)) + E((1, 2))})
+    with pytest.raises(TypeError):
+        TruncatedSeries(2.5)
+    with pytest.raises(TypeError):
+        TruncatedSeries(3, {"2": E((1, 1))})
     with pytest.raises(CapExceeded):
         identity_series(99)
     with pytest.raises(ValueError):
