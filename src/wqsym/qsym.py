@@ -19,7 +19,6 @@ rank).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,57 +129,28 @@ class WeightReport:
     full_rank: bool
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) row reduction; exact division throughout."""
-    m = [row[:] for row in rows if any(row)]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank, row, prev = 0, 0, 1
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * m[row][col] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
 def rank_of_elements(elements, basis) -> int:
-    """Exact rank of a family of QSym elements on a fixed composition basis."""
-    index = {I: j for j, I in enumerate(basis)}
+    """Exact rank of a family of QSym elements on a fixed composition basis,
+    by Gaussian elimination over the rationals."""
+    known = set(basis)
     rows = []
     for el in elements:
-        row = [Fraction(0)] * len(basis)
-        for I, c in el.terms.items():
-            row[index[I]] = c
-        denom = math.lcm(*(f.denominator for f in row)) if row else 1
-        rows.append([int(f * denom) for f in row])
-    return _integer_rank(rows)
-
-
-def _weighted_multisets(items, total):
-    """Multisets (as nondecreasing index tuples) of weighted items hitting a total."""
-
-    def rec(start, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for j in range(start, len(items)):
-            w = items[j][1]
-            if w <= remaining:
-                for rest in rec(j, remaining - w):
-                    yield (j,) + rest
-
-    yield from rec(0, total)
+        if not el.terms.keys() <= known:
+            raise ValueError(f"terms outside the basis: {sorted(el.terms.keys() - known)}")
+        rows.append([el.terms.get(I, 0) for I in basis])
+    rank = 0
+    for col in range(len(basis)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / top[col]
+            if f:
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
 
 
 def lyndon_generator_report(max_weight: int) -> list[WeightReport]:
@@ -188,26 +158,22 @@ def lyndon_generator_report(max_weight: int) -> list[WeightReport]:
     monomials, and the exact rank of all products of those images."""
     check_degree_cap(max_weight)
     e1 = eulerian_idempotent(1, max_weight)
-    gens: list[tuple[Composition, int, QSymElement]] = []
+    # products[t]: every product of images of total weight t, each multiset
+    # of images built once, by one multiplication from a lighter product
+    products: list[list[QSymElement]] = [[QSymElement.unit()]] + [[] for _ in range(max_weight)]
     for n in range(1, max_weight + 1):
         for L in lyndon_compositions(n):
-            gens.append((L, n, QSymElement.monomial(L).act(e1)))
-    weighted = [(g, w) for (_, w, g) in gens]
+            image = QSymElement.monomial(L).act(e1)
+            for t in range(n, max_weight + 1):
+                products[t] += [p * image for p in products[t - n]]
     reports = []
     for n in range(1, max_weight + 1):
-        lyndon_here = lyndon_compositions(n)
-        family = []
-        for combo in _weighted_multisets(weighted, n):
-            el = QSymElement.unit()
-            for j in combo:
-                el = el * weighted[j][0]
-            family.append(el)
-        rank = rank_of_elements(family, compositions(n))
+        rank = rank_of_elements(products[n], compositions(n))
         dim = 2 ** (n - 1)
         reports.append(
             WeightReport(
                 weight=n,
-                lyndon=lyndon_here,
+                lyndon=lyndon_compositions(n),
                 rank=rank,
                 dimension=dim,
                 full_rank=rank == dim,
@@ -222,19 +188,15 @@ def e1_projection_check(n: int) -> bool:
     image rank is the number of Lyndon compositions."""
     check_degree_cap(n)
     e1 = eulerian_idempotent(1, n)
-    images = []
-    for I in compositions(n):
-        if not I:
-            continue
-        image = QSymElement.monomial(I).act(e1)
-        if image.act(e1) != image:
-            return False
-        images.append(image)
-    for a in range(1, n):
-        for I in compositions(a):
-            for J in compositions(n - a):
-                if I and J:
-                    prod = QSymElement.monomial(I) * QSymElement.monomial(J)
-                    if prod.act(e1):
-                        return False
-    return rank_of_elements(images, compositions(n)) == len(lyndon_compositions(n))
+    images = [QSymElement.monomial(I).act(e1) for I in compositions(n)]
+    products = (
+        QSymElement.monomial(I) * QSymElement.monomial(J)
+        for a in range(1, n)
+        for I in compositions(a)
+        for J in compositions(n - a)
+    )
+    return (
+        all(image.act(e1) == image for image in images)
+        and not any(prod.act(e1) for prod in products)
+        and rank_of_elements(images, compositions(n)) == len(lyndon_compositions(n))
+    )

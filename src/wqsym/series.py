@@ -66,6 +66,16 @@ def _binary(op, scalars=False):
     return method
 
 
+def _check_cutoff(cutoff, *degrees) -> int:
+    """The cutoff of a new series, refused unless it and the degrees given
+    with it are ints and it is nonnegative."""
+    if not all(isinstance(n, int) for n in (cutoff, *degrees)):
+        raise TypeError("a cutoff and its degrees must be ints")
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return cutoff
+
+
 class TruncatedSeries:
     """Graded element of the completion, stored up to a cutoff degree as one
     element with no word longer than the cutoff."""
@@ -75,11 +85,7 @@ class TruncatedSeries:
     def __init__(self, cutoff: int, components=None):
         """The series with the homogeneous element ``components[d]`` in each
         degree ``d <= cutoff``; absent degrees are zero."""
-        if not all(isinstance(n, int) for n in (cutoff, *(components or ()))):
-            raise TypeError("a cutoff and its degrees must be ints")
-        if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        self.cutoff = cutoff
+        self.cutoff = _check_cutoff(cutoff, *(components or ()))
         terms: dict = {}
         for d, el in (components or {}).items():
             if not isinstance(el, WQSymElement):
@@ -100,15 +106,16 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, cutoff: int) -> "TruncatedSeries":
-        return cls._raw(cutoff, WQSymElement.zero())
+        return cls._raw(_check_cutoff(cutoff), WQSymElement.zero())
 
     @classmethod
     def unit(cls, cutoff: int) -> "TruncatedSeries":
-        return cls._raw(cutoff, WQSymElement.unit())
+        return cls._raw(_check_cutoff(cutoff), WQSymElement.unit())
 
     @classmethod
     def from_element(cls, el: WQSymElement, cutoff: int) -> "TruncatedSeries":
         """View a finite element as a series, truncating above the cutoff."""
+        cutoff = _check_cutoff(cutoff)
         return cls._raw(cutoff, WQSymElement._raw({w: c for w, c in el.terms.items() if len(w) <= cutoff}))
 
     def component(self, d: int) -> WQSymElement:

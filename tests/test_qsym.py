@@ -1,14 +1,18 @@
 """Composition algebra: product, action, Adams operations, deformed
 operators, commutative image, and free-generator extraction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqsym.algebra import WQSymElement
 from wqsym.errors import CapExceeded
 from wqsym.params import ParamPoly
+from wqsym import qsym
 from wqsym.qsym import (
     QSymElement,
     commutative_image,
@@ -166,6 +170,72 @@ def test_rank_helper():
     assert rank_of_elements(rows, basis) == 2
     assert rank_of_elements([QSymElement.zero()], basis) == 0
     assert rank_of_elements([], basis) == 0
+    with pytest.raises(ValueError):
+        rank_of_elements([QSymElement({(3,): one})], basis)
+
+
+def _bareiss_rank(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) row reduction; exact division throughout."""
+    m = [row[:] for row in rows if any(row)]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank, row, prev = 0, 0, 1
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        for r in range(row + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[r][c] * m[row][col] - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = m[row][col]
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def _oracle_rank(elements, basis) -> int:
+    """Rank by Bareiss elimination, each row scaled to integers by the lcm
+    of its denominators."""
+    rows = []
+    for el in elements:
+        row = [el.terms.get(I, Fraction(0)) for I in basis]
+        denom = math.lcm(*(f.denominator for f in row))
+        rows.append([int(f * denom) for f in row])
+    return _bareiss_rank(rows)
+
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _families(draw):
+    """0-6 elements over the compositions of n <= 4: fresh rows, zero rows,
+    scaled (or repeated) earlier rows and sums of two earlier rows."""
+    basis = compositions(draw(st.integers(0, 4)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "scaled", "sum"])) if rows else "fresh"
+        if kind == "zero":
+            rows.append(QSymElement.zero())
+        elif kind == "scaled":
+            rows.append(draw(st.sampled_from(rows)) * draw(_coeffs))
+        elif kind == "sum":
+            rows.append(draw(st.sampled_from(rows)) + draw(st.sampled_from(rows)))
+        else:
+            rows.append(QSymElement(draw(st.dictionaries(st.sampled_from(basis), _coeffs))))
+    return rows, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families())
+def test_rank_matches_the_bareiss_oracle(family):
+    rows, basis = family
+    assert rank_of_elements(rows, basis) == _oracle_rank(rows, basis)
 
 
 def test_lyndon_generator_report():
@@ -179,9 +249,48 @@ def test_lyndon_generator_report():
         lyndon_generator_report(8)
 
 
+def test_lyndon_generator_report_builds_each_product_once(monkeypatch):
+    # QSym is free on the Lyndon compositions, so weight t has 2^(t-1)
+    # products of generator images, each one multiplication
+    calls = []
+    mul = QSymElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSymElement, "__mul__", counted)
+    for n in range(1, 7):
+        calls.clear()
+        lyndon_generator_report(n)
+        assert len(calls) == 2**n - 1
+
+
 def test_e1_projection_checks():
     for n in range(1, 6):
         assert e1_projection_check(n)
+
+
+@pytest.mark.parametrize(
+    "projection",
+    [
+        lambda i, n: adams(2, n),  # not idempotent
+        lambda i, n: identity_series(n),  # idempotent, but keeps products and has full rank
+    ],
+    ids=["adams", "identity"],
+)
+def test_e1_projection_check_fails_on_other_operators(monkeypatch, projection):
+    monkeypatch.setattr(qsym, "eulerian_idempotent", projection)
+    for n in range(2, 6):
+        assert not e1_projection_check(n)
+
+
+def test_e1_projection_check_fails_when_products_survive(monkeypatch):
+    # the identity is idempotent; with its rank granted, only the products fail
+    monkeypatch.setattr(qsym, "eulerian_idempotent", lambda i, n: identity_series(n))
+    monkeypatch.setattr(qsym, "rank_of_elements", lambda images, basis: len(lyndon_compositions(sum(basis[0]))))
+    for n in range(2, 6):
+        assert not e1_projection_check(n)
 
 
 def test_e1_on_low_weights():

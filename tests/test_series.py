@@ -244,6 +244,20 @@ def test_series_validation_and_caps():
         identity_series(3).component(4)
 
 
+def test_every_constructor_checks_the_cutoff():
+    builders = (
+        TruncatedSeries,
+        TruncatedSeries.zero,
+        TruncatedSeries.unit,
+        lambda n: TruncatedSeries.from_element(E((1,)), n),
+    )
+    for build in builders:
+        for cutoff, error in ((2.5, TypeError), ("3", TypeError), (-3, ValueError)):
+            with pytest.raises(error):
+                build(cutoff)
+        assert build(2).cutoff == 2
+
+
 def test_degree_cap_env_override(monkeypatch):
     monkeypatch.setenv("WQSYM_MAX_DEGREE", "11")
     assert check_degree_cap(11) == 11
