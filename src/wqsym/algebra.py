@@ -200,7 +200,7 @@ class WQSymElement(Unital):
         return WQSymElement._raw({w: c for w, c in self.terms.items() if len(w) == d})
 
     def __str__(self) -> str:
-        return format_terms(self.sorted_terms(), word_str)
+        return "".join(format_terms(self.sorted_terms(), word_str))
 
 
 def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
@@ -245,25 +245,27 @@ def _term_prefixes(coeff) -> tuple[str, str]:
     return first, " + " + first
 
 
-def format_terms(sorted_terms, key_fmt) -> str:
-    """Shared pretty-printer for sparse elements: '2*M[1,2] - M[1,1]'.
+def format_terms(sorted_terms, key_fmt):
+    """The shared pretty-printer for sparse elements, '2*M[1,2] - M[1,1]', as
+    one chunk of text per term ('0' for no term).
 
     Terms of large series share few coefficient objects, so each distinct
-    object is formatted once: ``memo`` maps its id to its two prefixes and
-    holds the object itself, so no id is reused during the call.  The first
-    entry of ``memo`` is the first term's."""
+    object is formatted once: ``memo`` maps its id to the prefix of a later
+    term and holds the object itself, so no id is reused while the chunks
+    are made."""
+    terms = iter(sorted_terms)
+    first = next(terms, None)
+    if first is None:
+        yield "0"
+        return
+    key, coeff = first
+    yield _term_prefixes(coeff)[0] + key_fmt(key)
     memo: dict = {}
-    chunks = []
-    for key, coeff in sorted_terms:
+    for key, coeff in terms:
         entry = memo.get(id(coeff))
         if entry is None:
-            entry = memo[id(coeff)] = (*_term_prefixes(coeff), coeff)
-        chunks.append(entry[1])
-        chunks.append(key_fmt(key))
-    if not chunks:
-        return "0"
-    chunks[0] = next(iter(memo.values()))[0]
-    return "".join(chunks)
+            entry = memo[id(coeff)] = (_term_prefixes(coeff)[1], coeff)
+        yield entry[0] + key_fmt(key)
 
 
 class _LetterStrings(dict):
@@ -307,10 +309,7 @@ class TensorSquare(SparseCombination):
         return _bilinear(TensorSquare, self.terms, other.terms, _legwise(quasi_shuffle_words))
 
     def __str__(self) -> str:
-        return format_terms(
-            self.sorted_terms(),
-            lambda p: word_str(p[0]) + "x" + word_str(p[1]),
-        )
+        return "".join(format_terms(self.sorted_terms(), lambda p: word_str(p[0]) + "x" + word_str(p[1])))
 
 
 # -- embeddings of the free algebra on complete functions --------------------

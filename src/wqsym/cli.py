@@ -2,15 +2,23 @@
 
 Subcommands: eval, expand, verify, realize, generators.  Exit codes:
 
-    0  success / all checks passed
-    1  a verification suite reported failures
-    2  malformed command line or expression
-    3  operands from incompatible spaces (e.g. bullet product with a series)
-    4  degree/cutoff cap exceeded
+    0    success / all checks passed
+    1    a verification suite reported failures
+    2    malformed command line or expression
+    3    operands from incompatible spaces (e.g. bullet product with a series)
+    4    degree/cutoff cap exceeded
+    141  stdout was closed before all of the output was written (as in
+         ``wqsym expand e 1 --degree 7 | head``): 128 + SIGPIPE, the status a
+         shell reports for a program that the signal ends
 
-Each command returns its exit code and two renderings of its result, its
-JSON as compact text and its text as lines; ``main`` builds and prints only
-the one that ``--format`` asks for.  Output on stdout is byte-identical for
+Each command checks its arguments, computes what it must, and returns its
+exit code and two renderings of its result, its JSON as compact text and its
+text; a rendering is a callable that returns an iterable of text chunks, and
+``main`` writes the chunks of the one that ``--format`` asks for as they
+come.  Every check, the degree cap included, runs before the first byte is
+written.  ``expand psi`` and ``expand e`` build nothing: their renderings
+write each term straight from the packed-word enumeration, degree by degree,
+so memory stays flat at any degree.  Output on stdout is byte-identical for
 identical (command, flags, seed); wall-clock timings go to stderr only.
 
 A ``verify`` failure prints the command that reproduces it: the suite's own
@@ -23,20 +31,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from . import suites
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report, sigma_hat_series
 from .params import ParamPoly
-from .series import TruncatedSeries, adams, eulerian_idempotent
-from .serialization import element_to_obj, series_to_obj
+from .series import TruncatedSeries, adams_terms, eulerian_terms, format_graded
+from .serialization import element_to_obj, series_json, series_to_obj
 from .words import check_degree_cap, is_packed
 
 REALIZE_ALPHABET_CAP = 8
+
+#: exit code when stdout is closed early: 128 + SIGPIPE
+CLOSED_PIPE_EXIT = 141
+
+#: chunks of a rendering joined into one write; a few large writes cost less
+#: time than one per term, and less memory when stdout is a ``StringIO``
+WRITE_BATCH = 1024
 
 
 def _check_bounds(args) -> None:
@@ -76,7 +92,7 @@ def _compact(obj) -> str:
 def _outputs(value):
     """The outputs of a computed element or series."""
     to_obj = series_to_obj if isinstance(value, TruncatedSeries) else element_to_obj
-    return 0, lambda: to_obj(value), lambda: [str(value)]
+    return 0, lambda: (to_obj(value), "\n"), lambda: (str(value), "\n")
 
 
 def cmd_eval(args):
@@ -84,16 +100,18 @@ def cmd_eval(args):
 
 
 def cmd_expand(args):
-    build = {
-        "psi": adams,
-        "e": eulerian_idempotent,
-        "sigma_t": lambda _, degree: sigma_hat_series(ParamPoly.var("t"), degree),
-    }[args.object]
-    if args.object == "sigma_t" and args.index is not None:
-        raise ExpressionError("expand sigma_t takes no index")
-    if args.object != "sigma_t" and args.index is None:
+    if args.object == "sigma_t":
+        if args.index is not None:
+            raise ExpressionError("expand sigma_t takes no index")
+        return _outputs(sigma_hat_series(ParamPoly.var("t"), args.degree))
+    if args.index is None:
         raise ExpressionError(f"expand {args.object} needs an index")
-    return _outputs(build(args.index, args.degree))
+    graded = {"psi": adams_terms, "e": eulerian_terms}[args.object](args.index, args.degree)
+    return (
+        0,
+        lambda: chain(series_json(args.degree, graded), ("\n",)),
+        lambda: chain(format_graded(args.degree, graded), ("\n",)),
+    )
 
 
 def _reproducer(r, failure) -> str:
@@ -132,17 +150,17 @@ def cmd_verify(args):
             }
             for r in reports
         ]
-        return _compact(payload if args.suite == "all" else payload[0])
+        return _compact(payload if args.suite == "all" else payload[0]), "\n"
 
-    def as_lines():
+    def as_text():
         for r in reports:
             verdict = "PASS" if r.passed else "FAIL"
-            yield f"suite {r.suite}: {r.count} checks, degree {r.degree}, seed {r.seed}: {verdict}"
+            yield f"suite {r.suite}: {r.count} checks, degree {r.degree}, seed {r.seed}: {verdict}\n"
             for f in r.failures:
-                yield f"  check {f.check}: {f.detail}"
-                yield f"    reproduce: {_reproducer(r, f)}"
+                yield f"  check {f.check}: {f.detail}\n"
+                yield f"    reproduce: {_reproducer(r, f)}\n"
 
-    return (0 if all(r.passed for r in reports) else 1), as_json, as_lines
+    return (0 if all(r.passed for r in reports) else 1), as_json, as_text
 
 
 def cmd_realize(args):
@@ -155,8 +173,8 @@ def cmd_realize(args):
     )
     return (
         0,
-        lambda: _compact([list(w) for w in realizations]),
-        lambda: (("" if max(w, default=0) <= 9 else ",").join(map(str, w)) for w in realizations),
+        lambda: (_compact([list(w) for w in realizations]), "\n"),
+        lambda: (("" if max(w, default=0) <= 9 else ",").join(map(str, w)) + "\n" for w in realizations),
     )
 
 
@@ -165,13 +183,14 @@ def cmd_generators(args):
         raise ExpressionError(f"generators needs --degree >= 1, got {args.degree}")
     reports = lyndon_generator_report(args.degree)
 
-    def as_lines():
+    def as_text():
         for r in reports:
             lyndon = " ".join("(" + ",".join(map(str, I)) + ")" for I in r.lyndon)
             flag = "full rank" if r.full_rank else "RANK DEFICIT"
-            yield f"weight {r.weight}: lyndon {lyndon}; rank {r.rank}/{r.dimension} ({flag})"
+            yield f"weight {r.weight}: lyndon {lyndon}; rank {r.rank}/{r.dimension} ({flag})\n"
 
-    return (0 if all(r.full_rank for r in reports) else 1), lambda: _compact([asdict(r) for r in reports]), as_lines
+    code = 0 if all(r.full_rank for r in reports) else 1
+    return code, lambda: (_compact([asdict(r) for r in reports]), "\n"), as_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,16 +245,20 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_bounds(args)
-        code, as_json, as_lines = args.fn(args)
-        if args.format == "json":
-            print(as_json())
-        else:
-            for line in as_lines():
-                print(line)
+        code, as_json, as_text = args.fn(args)
+        chunks = iter((as_json if args.format == "json" else as_text)())
+        while block := "".join(islice(chunks, WRITE_BATCH)):
+            sys.stdout.write(block)
+        sys.stdout.flush()
         return code
     except (ExpressionError, BasisMismatch, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere, so that
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE_EXIT
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ class AElement(Monomials):
         return cls._raw({((str(name), 1),): Fraction(1)})
 
     def __str__(self):
-        return format_terms(self.sorted_terms(), mono_str)
+        return "".join(format_terms(self.sorted_terms(), mono_str))
 
 
 class QSElement(Unital):
@@ -142,7 +142,7 @@ class QSElement(Unital):
                 return "1"
             return "(" + " x ".join(mono_str(m) for m in word) + ")"
 
-        return format_terms(self.sorted_terms(), fmt)
+        return "".join(format_terms(self.sorted_terms(), fmt))
 
 
 def tensor(*factors: AElement) -> QSElement:

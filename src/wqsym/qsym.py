@@ -68,7 +68,7 @@ class QSymElement(Unital):
         return right_action(self, op, operator.add)
 
     def __str__(self):
-        return format_terms(self.sorted_terms(), lambda I: "M(" + letters_str(I) + ")")
+        return "".join(format_terms(self.sorted_terms(), lambda I: "M(" + letters_str(I) + ")"))
 
 
 # -- Adams operations ----------------------------------------------------------

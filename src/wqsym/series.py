@@ -22,14 +22,18 @@ Math. 112, 1995), so Psi^k is the image of sigma^k, and its coefficient on a
 packed word of length d with a ascents (positions j with w(j) < w(j+1)) is
 the binomial C(a + k, d).  As a polynomial in k this is sum_i k^i e_i, so
 e_i has the k^i coefficient of C(k + a, d), and log I is e_1.
+:func:`adams_terms` and :func:`eulerian_terms` yield these coefficients
+degree by degree straight from the packed-word enumeration, and the closed
+forms are built from them; ``wqsym expand`` renders them without building
+anything.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, groupby
+from functools import lru_cache, partial
+from itertools import groupby
 
 from .algebra import (
     WQSymElement,
@@ -68,8 +72,8 @@ def _binary(op, scalars=False):
 
 def _check_cutoff(cutoff, *degrees) -> int:
     """The cutoff of a new series, refused unless it and the degrees given
-    with it are ints and it is nonnegative."""
-    if not all(isinstance(n, int) for n in (cutoff, *degrees)):
+    with it are ints (a ``bool`` is not) and it is nonnegative."""
+    if not all(type(n) is int for n in (cutoff, *degrees)):
         raise TypeError("a cutoff and its degrees must be ints")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -127,7 +131,7 @@ class TruncatedSeries:
         return self.element.degrees()
 
     def truncate(self, cutoff: int) -> "TruncatedSeries":
-        if cutoff >= self.cutoff:
+        if _check_cutoff(cutoff) >= self.cutoff:
             return self
         return TruncatedSeries.from_element(self.element, cutoff)
 
@@ -216,12 +220,23 @@ class TruncatedSeries:
             yield d, zip(words, map(terms.__getitem__, words))
 
     def __str__(self) -> str:
-        if not self.element:
-            return f"0 (cutoff {self.cutoff})"
-        return "\n".join(f"{d}: {format_terms(terms, word_str)}" for d, terms in self.graded_terms())
+        return "".join(format_graded(self.cutoff, self.graded_terms()))
 
     def __repr__(self) -> str:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
+
+
+def format_graded(cutoff: int, graded):
+    """The text of a series, in chunks, from its cutoff and its graded terms
+    as :meth:`TruncatedSeries.graded_terms` yields them: one line
+    ``d: <terms>`` per nonzero degree, or ``0 (cutoff n)`` for none."""
+    sep = ""
+    for d, terms in graded:
+        yield f"{sep}{d}: "
+        yield from format_terms(terms, word_str)
+        sep = "\n"
+    if not sep:
+        yield f"0 (cutoff {cutoff})"
 
 
 class _BlockProducts(dict):
@@ -299,24 +314,55 @@ def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
     return poly
 
 
-def _ascent_series(cutoff: int, entry) -> TruncatedSeries:
-    """The series with coefficient ``entry(a, d)`` on each packed word of
-    length d <= cutoff with a ascents.
+def _adams_entry(k: int, a: int, d: int) -> Fraction:
+    """The coefficient of Psi^k on a word of length d with a ascents: C(a + k, d)."""
+    return Fraction(math.comb(a + k, d))
+
+
+def _eulerian_entry(i: int, a: int, d: int):
+    """The coefficient of e_i on a word of length d with a ascents: the k^i
+    coefficient of the polynomial C(k + a, d)."""
+    poly = _ascent_polynomial(a, d)
+    return poly[i] if i < len(poly) else 0
+
+
+def _ascent_terms(cutoff: int, entry):
+    """``(d, terms)`` for each degree d <= cutoff with a nonzero term, in
+    increasing order, ``terms`` an iterator over the ``(word, coefficient)``
+    pairs of degree d in canonical order, with coefficient ``entry(a, d)`` on
+    a word with a ascents: the graded terms of the series, straight from the
+    enumeration, with nothing built or stored.  As with ``groupby``, each
+    degree's terms are read before the next degree is drawn.
 
     One table per degree, indexed by a.  The enumeration never visits a word
     with fewer ascents than the smallest a with a nonzero entry, the words of
     one ascent count share one coefficient object, and the words whose entry
-    is zero are dropped through a table of which entries are nonzero."""
-    terms: dict = {}
+    is zero are dropped."""
     for d in range(cutoff + 1):
         table = [entry(a, d) for a in range(max(d, 1))]
         nonzero = list(map(bool, table))
         if True not in nonzero:
             continue
-        words, ascents = packed_words_with_ascents(d, len(table) - 1 - nonzero.index(True))
-        kept = list(map(nonzero.__getitem__, ascents))
-        terms.update(zip(compress(words, kept), map(table.__getitem__, compress(ascents, kept))))
+        pairs = packed_words_with_ascents(d, len(table) - 1 - nonzero.index(True))
+        yield d, ((w, table[a]) for w, a in pairs if nonzero[a])
+
+
+def _ascent_series(cutoff: int, graded) -> TruncatedSeries:
+    """The series of the graded terms of :func:`_ascent_terms`."""
+    terms: dict = {}
+    for _, pairs in graded:
+        terms.update(pairs)
     return TruncatedSeries._raw(cutoff, WQSymElement._raw(terms))
+
+
+def adams_terms(k: int, cutoff: int):
+    """The graded terms of the k-th Adams operation up to ``cutoff``, as
+    :func:`_ascent_terms` yields them; ``k`` and the cap are checked at the
+    call."""
+    if k < 0:
+        raise ValueError("Adams operations are indexed by nonnegative integers")
+    check_degree_cap(cutoff)
+    return _ascent_terms(cutoff, partial(_adams_entry, k))
 
 
 @lru_cache(maxsize=None)
@@ -324,15 +370,22 @@ def adams(k: int, cutoff: int) -> TruncatedSeries:
     """k-th Adams operation I^(*k): coefficient C(a + k, d) on a word of
     length d with a ascents (the convolution power is the definition and the
     oracle)."""
-    if k < 0:
-        raise ValueError("Adams operations are indexed by nonnegative integers")
-    check_degree_cap(cutoff)
-    return _ascent_series(cutoff, lambda a, d: Fraction(math.comb(a + k, d)))
+    return _ascent_series(cutoff, adams_terms(k, cutoff))
 
 
 def log_identity(cutoff: int) -> TruncatedSeries:
     """log I, which is the first idempotent e_1."""
     return eulerian_idempotent(1, cutoff)
+
+
+def eulerian_terms(i: int, cutoff: int):
+    """The graded terms of the i-th quasi-Eulerian idempotent up to
+    ``cutoff``, as :func:`_ascent_terms` yields them; ``i`` and the cap are
+    checked at the call."""
+    if i < 0:
+        raise ValueError("idempotent index must be nonnegative")
+    check_degree_cap(cutoff)
+    return _ascent_terms(cutoff, partial(_eulerian_entry, i))
 
 
 @lru_cache(maxsize=None)
@@ -341,15 +394,7 @@ def eulerian_idempotent(i: int, cutoff: int) -> TruncatedSeries:
     sum_i k^i e_i, its coefficient on a word of length d with a ascents is
     the k^i coefficient of the polynomial C(k + a, d) (the convolution route
     is the definition and the oracle)."""
-    if i < 0:
-        raise ValueError("idempotent index must be nonnegative")
-    check_degree_cap(cutoff)
-
-    def entry(a, d):
-        poly = _ascent_polynomial(a, d)
-        return poly[i] if i < len(poly) else 0
-
-    return _ascent_series(cutoff, entry)
+    return _ascent_series(cutoff, eulerian_terms(i, cutoff))
 
 
 def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:

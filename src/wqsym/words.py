@@ -18,14 +18,19 @@ degrees above ``WQSYM_MAX_DEGREE`` (default 7), and packed-word enumeration
 checks it on every call.
 
 Everything in this module is a pure function on tuples, so results can be
-shared freely; the enumeration and product kernels keep memo tables whose
-observable behaviour is identical to recomputation.
+shared freely; :func:`enumerate_packed_words` and the product kernels keep
+memo tables whose observable behaviour is identical to recomputation.  The
+one enumeration kernel streams the packed words of a length with their ascent
+counts (:func:`packed_words_with_ascents`) and keeps none of them; the
+memoised tuples are collected from it.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import chain
 
 from .errors import CapExceeded, ExpressionError
 
@@ -187,60 +192,108 @@ def quasi_shuffle_words(u: Word, v: Word) -> tuple[Word, ...]:
     return tuple(sorted([tuple(map(label.__getitem__, letters)) for label in labels]))
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    check_degree_cap(n)
+
+
 def enumerate_packed_words(n: int) -> tuple[Word, ...]:
     """All packed words of length ``n`` in lexicographic order.
 
     Counts grow like the ordered Bell numbers, so lengths above the degree
     cap raise :class:`CapExceeded` instead of silently eating memory.
     """
-    return packed_words_with_ascents(n, n)[0]
-
-
-def packed_words_with_ascents(n: int, max_non_ascents: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
-    """The packed words of length ``n`` with at most ``max_non_ascents``
-    non-ascents (positions j with w(j) >= w(j+1)), in lexicographic order, and
-    in a parallel tuple the ascent count of each (positions with w(j) <
-    w(j+1)).  Checks the degree cap like :func:`enumerate_packed_words`.
-    """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    check_degree_cap(n)
-    return _packed_words(n, min(max_non_ascents, max(n - 1, 0)))
+    _check_length(n)
+    return _packed_words(n)
 
 
 @lru_cache(maxsize=None)
-def _packed_words(n: int, budget: int) -> tuple[tuple[Word, ...], tuple[int, ...]]:
-    if budget < 0:
-        return (), ()
-    if n == 0:
-        return ((),), (0,)
-    out: list[Word] = []
-    ascents: list[int] = []
-    top = n - 1
+def _packed_words(n: int) -> tuple[Word, ...]:
+    return tuple(w for w, _ in packed_words_with_ascents(n, n))
 
-    # DFS over letters in ascending order (gives lexicographic output).  A
-    # prefix can be completed iff the ``gaps`` letters below its maximum that
-    # have not appeared yet (the bits of ``missing``) still fit in the
-    # remaining positions.  Non-ascents only accumulate, so a prefix that has
-    # spent the budget continues with ascents only.
-    def rec(prefix: Word, last: int, mx: int, missing: int, gaps: int, remaining: int, non_asc: int) -> None:
-        if not remaining:
-            out.append(prefix)
-            ascents.append(top - non_asc)
+
+def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Word, int]]:
+    """An iterator over the packed words of length ``n`` with at most
+    ``max_non_ascents`` non-ascents (positions j with w(j) >= w(j+1)), in
+    lexicographic order, each paired with its ascent count (positions with
+    w(j) < w(j+1)).  No word is kept once it is passed on, so memory stays
+    flat at any length; the degree cap is checked at the call, like
+    :func:`enumerate_packed_words`.
+    """
+    _check_length(n)
+    return chain.from_iterable(_ascent_batches(n, max_non_ascents))
+
+
+#: the number of last letters of a word that :func:`_ascent_batches` lists
+#: once per prefix state.  At lengths 6 to 9, 3 letters were about the
+#: fastest, and their table stays at a few MB where 4 letters take up to 30 MB.
+_TAIL = 3
+
+
+def _ascent_batches(n: int, budget: int) -> Iterator[Sequence[tuple[Word, int]]]:
+    """The pairs of :func:`packed_words_with_ascents` in batches.
+
+    A depth-first search over letters in ascending order, which gives
+    lexicographic output.  A prefix can be completed iff the ``gaps`` letters
+    below its maximum that have not appeared yet (the bits of ``missing``)
+    still fit in the remaining positions.  Non-ascents only accumulate, so a
+    prefix that has spent the budget continues with ascents only.  The last
+    letter of each word is chosen in one list, a batch.
+
+    The last _TAIL letters of a word depend on its prefix only through the
+    prefix's last letter, maximum, missing letters and spare non-ascents.
+    Prefixes at least as long as the tail share these few states, so
+    ``tails`` lists the completions of each state once; shorter ones are too
+    few to repay the table."""
+    if budget < 0:
+        return
+    if n == 0:
+        yield (((), 0),)
+        return
+    top = n - 1
+    tails: dict = {}
+
+    def rec(prefix: Word, last: int, mx: int, missing: int, gaps: int, remaining: int, non_asc: int):
+        if remaining == _TAIL and len(prefix) >= _TAIL:
+            # a tail has at most _TAIL non-ascents, so every prefix with as
+            # many spare shares the one listed at budget - spare non-ascents;
+            # ``shift`` moves its ascent counts to this prefix's
+            spare = min(budget - non_asc, _TAIL)
+            key = (last, mx, missing, spare)
+            tail = tails.get(key)
+            if tail is None:
+                listed = rec((), last, mx, missing, gaps, _TAIL, budget - spare)
+                tail = tails[key] = list(chain.from_iterable(listed))
+            shift = budget - spare - non_asc
+            yield [(prefix + s, a + shift) for s, a in tail]
             return
         remaining -= 1
-        for letter in range(last + 1 if non_asc == budget else 1, mx + remaining - gaps + 2):
+        low = last + 1 if non_asc == budget else 1
+        if not remaining:
+            # the last letter: the one missing letter, or with no gap any
+            # letter up to a new maximum
+            ascents = top - non_asc
+            if not gaps:
+                yield [(prefix + (letter,), ascents - (letter <= last)) for letter in range(low, mx + 2)]
+            else:
+                letter = missing.bit_length() - 1
+                if letter >= low:
+                    yield ((prefix + (letter,), ascents - (letter <= last)),)
+            return
+        for letter in range(low, mx + remaining - gaps + 2):
             if letter > mx:
                 new_missing = missing | ((1 << letter) - (2 << mx))
-                rec(prefix + (letter,), letter, letter, new_missing, gaps + letter - mx - 1, remaining, non_asc)
+                yield from rec(prefix + (letter,), letter, letter, new_missing, gaps + letter - mx - 1, remaining,
+                               non_asc)
             elif missing >> letter & 1:
-                rec(prefix + (letter,), letter, mx, missing ^ (1 << letter), gaps - 1, remaining,
-                    non_asc + (letter <= last))
+                yield from rec(prefix + (letter,), letter, mx, missing ^ (1 << letter), gaps - 1, remaining,
+                               non_asc + (letter <= last))
             elif gaps <= remaining:
-                rec(prefix + (letter,), letter, mx, missing, gaps, remaining, non_asc + (letter <= last))
+                yield from rec(prefix + (letter,), letter, mx, missing, gaps, remaining,
+                               non_asc + (letter <= last))
 
-    rec((), 0, 0, 0, 0, n, 0)
-    return tuple(out), tuple(ascents)
+    yield from rec((), 0, 0, 0, 0, n, 0)
 
 
 @lru_cache(maxsize=None)

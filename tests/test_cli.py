@@ -12,13 +12,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wqsym import suites
-from wqsym.cli import main
-from wqsym.series import TruncatedSeries, identity_series
+from wqsym import series, suites, words
+from wqsym.cli import CLOSED_PIPE_EXIT, main
+from wqsym.serialization import series_to_obj
+from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, identity_series
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -314,3 +319,89 @@ def test_verify_all_at_small_degrees(degree):
         assert rc == 0, out
         assert out.count(": PASS") == 12
         assert " 0 checks" not in out
+
+
+@pytest.mark.parametrize(
+    "name,index,build",
+    [("e", i, eulerian_idempotent) for i in range(5)] + [("psi", k, adams) for k in (0, 1, 2, 3, 5)],
+)
+def test_streamed_expand_equals_the_built_series(name, index, build):
+    for degree in range(7):
+        argv = ("expand", name, str(index), "--degree", str(degree))
+        built = build(index, degree)
+        assert run(argv) == (0, f"{built}\n", "")
+        assert run((*argv, "--format", "json")) == (0, f"{series_to_obj(built)}\n", "")
+
+
+def test_expand_builds_no_series_and_fills_no_cache():
+    cached = (series.adams, series.eulerian_idempotent, words._packed_words)
+    for cache in cached:
+        cache.cache_clear()
+    assert run(("expand", "e", "1", "--degree", "6"))[0] == 0
+    assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0]
+
+
+class _DigestSink:
+    """A stdout that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        ((), "fbb1363bf452fdc0b0a3d8cd9e04c60d698a4c14ebee47bd11031b8b23b250b9"),
+        (("--format", "json"), "c2bffd03edc2fae736b9ffaf88b9a6dbd317e0b926430850b5319e8c1aa1a0e1"),
+    ],
+    ids=("text", "json"),
+)
+def test_expand_at_degree_8_under_a_raised_cap(monkeypatch, fmt, digest):
+    # 545 835 words of degree 8; the digests were recorded when expand still
+    # built the series, sorted it and printed it as one string
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "8")
+    sink = _DigestSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["expand", "e", "1", "--degree", "8", *fmt]) == 0
+    assert sink.sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        # read 200 bytes of megabytes, as ``| head -c 200`` does: a write fails
+        (("expand", "psi", "3", "--degree", "7", "--format", "json"), b'{"cutoff":7,"components":{"0":'),
+        # closed before the first byte: the output sits in the buffer and the
+        # flush fails, and would fail again at exit
+        (("expand", "e", "1", "--degree", "3"), b""),
+    ],
+    ids=("partly-read", "never-read"),
+)
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(argv, head):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as it is by default
+    read_end, write_end = os.pipe()
+    reader = open(read_end, "rb")
+    if not head:
+        reader.close()
+    argv = [sys.executable, "-m", "wqsym.cli", *argv]
+    proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    try:
+        if head:
+            assert reader.read(200).startswith(head)
+            reader.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        reader.close()
+        proc.kill()
+    assert "Traceback" not in err and "Error" not in err, err
+    assert code == CLOSED_PIPE_EXIT

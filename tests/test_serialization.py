@@ -146,7 +146,7 @@ def test_fresh_coefficient_objects_render_like_the_oracle(terms):
         for w, c in pairs:
             yield w, c if isinstance(c, ParamPoly) else Fraction(*c)
 
-    assert format_terms(fresh(), word_str) == format_terms_oracle(fresh(), word_str_oracle)
+    assert "".join(format_terms(fresh(), word_str)) == format_terms_oracle(fresh(), word_str_oracle)
 
 
 @given(shared_terms(st.tuples(packed_words, packed_words)))

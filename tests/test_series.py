@@ -250,9 +250,10 @@ def test_every_constructor_checks_the_cutoff():
         TruncatedSeries.zero,
         TruncatedSeries.unit,
         lambda n: TruncatedSeries.from_element(E((1,)), n),
+        lambda n: identity_series(2).truncate(n),
     )
     for build in builders:
-        for cutoff, error in ((2.5, TypeError), ("3", TypeError), (-3, ValueError)):
+        for cutoff, error in ((2.5, TypeError), ("3", TypeError), (True, TypeError), (-3, ValueError)):
             with pytest.raises(error):
                 build(cutoff)
         assert build(2).cutoff == 2

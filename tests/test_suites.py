@@ -10,9 +10,11 @@ silently changes what is checked does not.  The reference file is only read.
 Two properties are also checked: the fixed checks and seeded draws of
 crucial, action, convolution and adams build nothing above the degree asked
 for, and eulerian reports a wrong ascent table, which every closed form
-shares.
+and ``wqsym expand`` share.
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import pytest
 
 from wqsym import series
 from wqsym.algebra import WQSymElement
+from wqsym.cli import main
 from wqsym.params import SparseCombination
 from wqsym.qsym import QSymElement
 from wqsym.suites import SUITES, run_suite
@@ -66,20 +69,29 @@ def test_fixed_checks_stay_within_the_degree(monkeypatch, suite, degree):
     assert built and max(built) <= degree
 
 
+def _expand_e1_degree_3() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["expand", "e", "1", "--degree", "3"]) == 0
+    return out.getvalue()
+
+
 def test_eulerian_checks_the_ascent_table_against_convolutions(monkeypatch):
     # count one ascent too many on the word 21: every closed form agrees with
-    # every other, but not with the convolution powers of I
+    # every other, but not with the convolution powers of I; the streamed
+    # ``expand`` reads the same enumeration, so its output changes too
     real = series.packed_words_with_ascents
 
     def wrong(n, max_non_ascents):
-        words, ascents = real(n, max_non_ascents)
-        return words, tuple(a + (w == (2, 1)) for w, a in zip(words, ascents))
+        return ((w, a + (w == (2, 1))) for w, a in real(n, max_non_ascents))
 
+    right = _expand_e1_degree_3()
     monkeypatch.setattr(series, "packed_words_with_ascents", wrong)
     for cached in (series.adams, series.eulerian_idempotent):
         cached.cache_clear()
     try:
         report = run_suite("eulerian", degree=4, seed=0, cases=1, generators=5)
+        assert _expand_e1_degree_3() != right
     finally:
         for cached in (series.adams, series.eulerian_idempotent):
             cached.cache_clear()

@@ -111,9 +111,9 @@ def test_pruned_enumeration_matches_an_ascent_filter():
         every = enumerate_packed_words(n)
         non_ascents = [sum(x >= y for x, y in zip(w, w[1:])) for w in every]
         for budget in range(-1, n + 1):
-            words, ascents = packed_words_with_ascents(n, budget)
-            assert words == tuple(w for w, b in zip(every, non_ascents) if b <= budget), (n, budget)
-            assert ascents == tuple(sum(x < y for x, y in zip(w, w[1:])) for w in words), (n, budget)
+            pairs = list(packed_words_with_ascents(n, budget))
+            assert [w for w, _ in pairs] == [w for w, b in zip(every, non_ascents) if b <= budget], (n, budget)
+            assert all(a == sum(x < y for x, y in zip(w, w[1:])) for w, a in pairs), (n, budget)
     with pytest.raises(CapExceeded):
         packed_words_with_ascents(8, 0)
 
