@@ -10,8 +10,8 @@ semigroup product as the merge (Hoffman, "Quasi-shuffle products",
 J. Algebraic Combin. 11, 2000).  Three loops pair only keys of matching
 lengths and stay outside the kernels, which would call the key map once per
 pair and undo that bucketing: ``@``, :func:`truncated_product` (the product
-of series) and the right action on module elements
-(:func:`wqsym.series.right_action`).
+of series) and the right action on quasi-shuffle algebras
+(:meth:`wqsym.qshuffle.QuasiShuffle.act`).
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -303,7 +303,9 @@ class TensorSquare(SparseCombination):
         return (word_sort_key(key[0]), word_sort_key(key[1]))
 
     def __mul__(self, other):
-        """Componentwise outer product on both tensor legs."""
+        """Componentwise outer product on both tensor legs, or a scalar multiple."""
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
         if not isinstance(other, TensorSquare):
             return NotImplemented
         return _bilinear(TensorSquare, self.terms, other.terms, _legwise(quasi_shuffle_words))

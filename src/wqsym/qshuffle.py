@@ -1,22 +1,24 @@
-"""Quasi-shuffle algebra over a free commutative algebra without unit.
+"""Quasi-shuffle algebras, and the one over a free commutative algebra
+without unit.
 
-The base algebra A is spanned by the monomials of positive degree in a finite
-set of generators, as A has no unit; its product merges exponent vectors, so
-these monomials form a commutative semigroup.  The tensor space over A
-carries the quasi-shuffle product (interleave or merge leading factors), the
-deconcatenation coproduct, and a right action of packed-word elements: a
-basis word u of length n sends a degree-n tensor to the tensor whose i-th
-factor is the semigroup product of the factors at the positions where u has
-the letter i, and kills every other degree.
+:class:`QuasiShuffle` is the base of every quasi-shuffle algebra in the
+package: words over a commutative semigroup of letters, with the empty word
+as unit, the quasi-shuffle product (interleave or merge leading letters) and
+a right action of packed-word elements.  A basis word u of length n sends a
+key of length n to the word whose i-th letter is the semigroup product of the
+letters at the positions where u has the letter i, and kills every other
+length.  Each subclass names its semigroup product once, as ``_merge``, and
+the product is the shared kernel :func:`wqsym.words.quasi_shuffle` with that
+merge (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
 
+Here the base algebra A is spanned by the monomials of positive degree in a
+finite set of generators, as A has no unit; its product merges exponent
+vectors, so these monomials form a commutative semigroup.
 :mod:`wqsym.params` owns monomials and their product; :class:`AElement`
-derives from its :class:`~wqsym.params.Monomials`, :class:`QSElement`, whose
-unit is the empty tensor word, from :class:`~wqsym.params.Unital`, and
-:class:`QSTensor` from :class:`~wqsym.params.SparseCombination`.  The
-product is the shared kernel :func:`wqsym.words.quasi_shuffle` and the action
-the shared :func:`wqsym.series.right_action`, both with the monomial product
-as the semigroup product of two letters (Hoffman, "Quasi-shuffle products",
-J. Algebraic Combin. 11, 2000).
+derives from its :class:`~wqsym.params.Monomials`, :class:`QSElement`, the
+tensor space over A with the monomial product as merge, from
+:class:`QuasiShuffle`, and :class:`QSTensor`, which carries the
+deconcatenation coproduct, from :class:`~wqsym.params.SparseCombination`.
 
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
@@ -29,7 +31,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import product as iproduct
 
-from .algebra import WQSymElement, _add_multiple, _legwise, format_terms
+from .algebra import WQSymElement, _add_multiple, _by_length, _collect, _legwise, _numerators, format_terms
+from .errors import CapExceeded
 from .params import (
     SCALAR_TYPES,
     Monomial,
@@ -42,8 +45,8 @@ from .params import (
     mono_str,
     monomial as canonical_monomial,
 )
-from .series import TruncatedSeries, adams, eulerian_idempotent, right_action
-from .words import quasi_shuffle
+from .series import TruncatedSeries, adams, eulerian_idempotent
+from .words import block_masks, quasi_shuffle
 
 TensorWord = tuple[Monomial, ...]  # over nonempty monomials
 
@@ -84,41 +87,99 @@ class AElement(Monomials):
         return "".join(format_terms(self.sorted_terms(), mono_str))
 
 
-class QSElement(Unital):
+class _BlockProducts(dict):
+    """The products of the letters of one key over sets of positions, indexed
+    by bitmask; each is computed with ``merge`` on first use, from the product
+    over all but the lowest position."""
+
+    __slots__ = ("merge",)
+
+    def __init__(self, key, merge):
+        super().__init__((1 << i, letter) for i, letter in enumerate(key))
+        self.merge = merge
+
+    def __missing__(self, mask):
+        low = mask & -mask
+        value = self[mask] = self.merge(self[low], self[mask ^ low])
+        return value
+
+
+class QuasiShuffle(Unital):
+    """A combination of words over a commutative semigroup of letters, whose
+    product ``_merge`` each subclass names."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, word, coeff=1):
+        return cls({tuple(word): coeff})
+
+    def degrees(self) -> list[int]:
+        return sorted({len(w) for w in self.terms})
+
+    def __mul__(self, other):
+        """Quasi-shuffle product (the commutative product of the algebra), or
+        a scalar multiple."""
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return _bilinear(type(self), self.terms, other.terms, partial(quasi_shuffle, merge=self._merge))
+
+    def act(self, op):
+        """Right action of a packed-word element or series ``op``.
+
+        A word ``u`` sends a key of its own length to the word of blockwise
+        products: its i-th letter is the ``_merge`` of the key's letters at
+        the positions where ``u`` has the letter i.  Every other length is
+        killed, so a series acts by its whole element; lengths above its
+        cutoff were not computed and are refused.  The operator is bucketed
+        by length rather than paired with every key through
+        :func:`wqsym.params._bilinear`.  Each block product is computed once
+        per key, and with ``Fraction`` coefficients throughout the sums
+        accumulate as int numerators over one common denominator."""
+        if isinstance(op, TruncatedSeries):
+            for key in self.terms:
+                if len(key) > op.cutoff:
+                    raise CapExceeded(f"series cutoff {op.cutoff} cannot act on degree {len(key)}")
+            return self.act(op.element)
+        if not isinstance(op, WQSymElement):
+            raise TypeError("operators are WQSymElement or TruncatedSeries values")
+        lengths = {len(key) for key in self.terms}
+        xs, ops, d = _numerators(self.terms, {u: c for u, c in op.terms.items() if len(u) in lengths})
+        buckets = {n: (list(map(block_masks, us)), cs) for n, (us, cs) in _by_length(ops).items()}
+        out: dict = {}
+        get = out.get
+        for key, c in xs.items():
+            bucket = buckets.get(len(key))
+            if bucket is None:
+                continue
+            product = _BlockProducts(key, self._merge).__getitem__
+            for masks, cu in zip(*bucket):
+                w = tuple(map(product, masks))
+                out[w] = get(w, 0) + c * cu
+        return _collect(type(self), out, d)
+
+
+class QSElement(QuasiShuffle):
     """Element of the quasi-shuffle algebra: combination of tensor words."""
 
     __slots__ = ()
 
     _check_key = staticmethod(_tensor_word)
+    _merge = staticmethod(mono_mul)
+    # bound in the class body, where perfbench/spans.py wraps them
+    __mul__ = QuasiShuffle.__mul__
+    act = QuasiShuffle.act
 
     @staticmethod
     def _sort_key(word):
         return (len(word), word)
 
     @classmethod
-    def word(cls, monomials, coeff=1) -> "QSElement":
-        return cls({tuple(monomials): coeff})
-
-    @classmethod
     def generator(cls, name: str) -> "QSElement":
         """Degree-1 tensor word on a single generator."""
         return cls._raw({(((str(name), 1),),): Fraction(1)})
-
-    def __mul__(self, other):
-        """Quasi-shuffle product (the commutative product of the algebra)."""
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if not isinstance(other, QSElement):
-            return NotImplemented
-        return _bilinear(QSElement, self.terms, other.terms, partial(quasi_shuffle, merge=mono_mul))
-
-    # -- right action of packed-word elements -------------------------------
-
-    def act(self, op) -> "QSElement":
-        """Right action: a basis word of length n sends a degree-n tensor to
-        the tensor of blockwise monomial products and kills every other
-        degree; a truncated series acts by its element up to its cutoff."""
-        return right_action(self, op, mono_mul)
 
     # -- coalgebra -----------------------------------------------------------
 
@@ -132,9 +193,6 @@ class QSElement(Unital):
         if self.counit():
             raise ValueError("reduced coproduct needs zero constant term")
         return _linear(QSTensor, self.terms, _cuts(1))
-
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.terms})
 
     def __str__(self):
         def fmt(word):
@@ -169,14 +227,16 @@ class QSTensor(SparseCombination):
         return (_tensor_word(a), _tensor_word(b))
 
     def __mul__(self, other):
-        """Componentwise quasi-shuffle on both legs."""
+        """Componentwise quasi-shuffle on both legs, or a scalar multiple."""
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
         if not isinstance(other, QSTensor):
             return NotImplemented
-        return _bilinear(QSTensor, self.terms, other.terms, _legwise(partial(quasi_shuffle, merge=mono_mul)))
+        return _bilinear(QSTensor, self.terms, other.terms, _legwise(partial(quasi_shuffle, merge=QSElement._merge)))
 
     def multiply_legs(self) -> QSElement:
         """Quasi-shuffle the two legs together (the product-of-coproduct map)."""
-        return _linear(QSElement, self.terms, lambda legs: quasi_shuffle(*legs, mono_mul))
+        return _linear(QSElement, self.terms, lambda legs: quasi_shuffle(*legs, QSElement._merge))
 
     def __repr__(self):
         return f"<QSTensor {len(self.terms)} terms>"
@@ -185,18 +245,27 @@ class QSTensor(SparseCombination):
 # -- the identity battery ------------------------------------------------------
 
 
+def _convolve(pairs, left, right) -> QSElement:
+    """The sum of ``c * left(a) * right(b)`` over the ``((a, b), c)`` of
+    ``pairs``; ``right`` is not applied where ``left`` gives zero."""
+    out: dict[TensorWord, object] = {}
+    for (a, b), c in pairs:
+        lhs = left(a)
+        if not lhs:
+            continue
+        rhs = right(b)
+        if rhs:
+            _add_multiple(out, (lhs * rhs).terms, c)
+    return QSElement._raw(out)
+
+
 def convolution_of_operators(f, g, x: QSElement) -> QSElement:
     """Deconcatenate, act componentwise, quasi-shuffle back together."""
-    out: dict[TensorWord, object] = {}
-    for (a, b), c in x.deconcatenate().terms.items():
-        left = QSElement._raw({a: Fraction(1)}).act(f)
-        if not left:
-            continue
-        right = QSElement._raw({b: Fraction(1)}).act(g)
-        if not right:
-            continue
-        _add_multiple(out, (left * right).terms, c)
-    return QSElement._raw(out)
+    return _convolve(
+        x.deconcatenate().terms.items(),
+        lambda a: QSElement._raw({a: Fraction(1)}).act(f),
+        lambda b: QSElement._raw({b: Fraction(1)}).act(g),
+    )
 
 
 def apply_generator_map(f_spec: dict, x: QSElement) -> QSElement:
@@ -235,20 +304,11 @@ def car_coproduct_compatibility_check(
 ) -> bool:
     """(x # y) . sigma  ==  sum (x . sigma') # (y . sigma'') over the coproduct."""
     lhs = (x * y).act(sigma)
-    xdeg = set(x.degrees())
-    ydeg = set(y.degrees())
-    rhs: dict[TensorWord, object] = {}
-    for (a, b), c in sigma.element.coproduct().terms.items():
-        if len(a) not in xdeg or len(b) not in ydeg:
-            continue
-        left = x.act(WQSymElement.monomial(a))
-        if not left:
-            continue
-        right = y.act(WQSymElement.monomial(b))
-        if not right:
-            continue
-        _add_multiple(rhs, (left * right).terms, c)
-    return lhs == QSElement._raw(rhs)
+    xdeg, ydeg = set(x.degrees()), set(y.degrees())
+    pairs = sigma.element.coproduct().terms.items()
+    pairs = (((a, b), c) for (a, b), c in pairs if len(a) in xdeg and len(b) in ydeg)
+    M = WQSymElement.monomial
+    return lhs == _convolve(pairs, lambda a: x.act(M(a)), lambda b: y.act(M(b)))
 
 
 def e1_kills_products_check(x: QSElement, y: QSElement, cutoff: int) -> bool:

@@ -2,19 +2,16 @@
 integers.
 
 The monomial basis is indexed by compositions, words over the commutative
-semigroup of positive integers under addition.  The product is the
-quasi-shuffle where overlapping parts add, that is the shared kernel
-:func:`wqsym.words.quasi_shuffle` with the sum of parts as the merge (Hoffman,
-"Quasi-shuffle products", J. Algebraic Combin. 11, 2000), and
-:class:`QSymElement` derives from :class:`wqsym.params.Unital`.
-Packed-word elements act on the right by the same blockwise product as on
-tensors (:func:`wqsym.series.right_action`), here the sum of the parts in
-each block: QSym is the quasi-shuffle algebra over one generator x, with the
-composition I read as x^I1 (x) ... (x) x^Ik.  Adams operations come either
-through that action or through the internal iterated coproduct/product
-oracle, and the first quasi-Eulerian idempotent carves out free polynomial
-generators indexed by Lyndon compositions (verified degreewise by exact
-rank).
+semigroup of positive integers under addition, and :class:`QSymElement` is
+the :class:`wqsym.qshuffle.QuasiShuffle` whose merge is the sum of two parts
+(Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000): the
+product adds overlapping parts, and a packed word acts on the right by
+summing the parts in each of its blocks.  QSym is the quasi-shuffle algebra
+over one generator x, with the composition I read as x^I1 (x) ... (x) x^Ik.
+Adams operations come either through that action or through the internal
+iterated coproduct/product oracle, and the first quasi-Eulerian idempotent
+carves out free polynomial generators indexed by Lyndon compositions
+(verified degreewise by exact rank).
 """
 
 from __future__ import annotations
@@ -22,12 +19,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement
 
 from .algebra import WQSymElement, _add_multiple, format_terms, letters_str
-from .params import SCALAR_TYPES, Unital, _bilinear, _linear
-from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent, right_action
+from .params import SCALAR_TYPES, _linear
+from .qshuffle import QuasiShuffle
+from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent
 from .words import (
     Composition,
     check_composition,
@@ -35,37 +32,23 @@ from .words import (
     compositions,
     evaluation,
     lyndon_compositions,
-    quasi_shuffle,
 )
 
 
-class QSymElement(Unital):
+class QSymElement(QuasiShuffle):
     """Rational (or parameter-polynomial) combination of compositions."""
 
     __slots__ = ()
 
     _check_key = staticmethod(check_composition)
+    _merge = staticmethod(operator.add)
+    # bound in the class body, where perfbench/spans.py wraps them
+    __mul__ = QuasiShuffle.__mul__
+    act = QuasiShuffle.act
 
     @staticmethod
     def _sort_key(I):
         return (sum(I), len(I), I)
-
-    @classmethod
-    def monomial(cls, I, coeff=1) -> "QSymElement":
-        return cls({tuple(I): coeff})
-
-    def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if not isinstance(other, QSymElement):
-            return NotImplemented
-        return _bilinear(QSymElement, self.terms, other.terms, partial(quasi_shuffle, merge=operator.add))
-
-    def act(self, op) -> "QSymElement":
-        """Right action: a basis word of length len(I) regroups the parts of I
-        by summing over each block; other lengths act by zero.  A series acts
-        by its element up to its cutoff."""
-        return right_action(self, op, operator.add)
 
     def __str__(self):
         return "".join(format_terms(self.sorted_terms(), lambda I: "M(" + letters_str(I) + ")"))

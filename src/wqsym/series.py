@@ -38,17 +38,14 @@ from itertools import groupby
 from .algebra import (
     WQSymElement,
     _add_multiple,
-    _by_length,
-    _collect,
-    _numerators,
     format_terms,
     ribbon_hat,
     truncated_product,
     word_str,
 )
-from .errors import BasisMismatch, CapExceeded, NotInvertible
+from .errors import BasisMismatch, NotInvertible
 from .params import SCALAR_TYPES
-from .words import block_masks, check_degree_cap, compositions, packed_words_with_ascents
+from .words import check_degree_cap, compositions, packed_words_with_ascents
 
 
 def _binary(op, scalars=False):
@@ -239,67 +236,13 @@ def format_graded(cutoff: int, graded):
         yield f"0 (cutoff {cutoff})"
 
 
-class _BlockProducts(dict):
-    """The products of the letters of one key over sets of positions, indexed
-    by bitmask; each is computed with ``merge`` on first use, from the product
-    over all but the lowest position."""
-
-    __slots__ = ("merge",)
-
-    def __init__(self, key, merge):
-        super().__init__((1 << i, letter) for i, letter in enumerate(key))
-        self.merge = merge
-
-    def __missing__(self, mask):
-        low = mask & -mask
-        value = self[mask] = self.merge(self[low], self[mask ^ low])
-        return value
-
-
-def right_action(x, op, merge):
-    """Right action of a packed-word element or series ``op`` on a module
-    element ``x`` whose keys are words over a commutative semigroup with
-    product ``merge``.
-
-    A word ``u`` sends a key of its own length to the word of blockwise
-    products: its i-th letter is the product of the key's letters at the
-    positions where ``u`` has the letter i.  Every other length is killed, so
-    a series acts by its whole element; lengths above its cutoff were not
-    computed and are refused.  The operator is bucketed by length rather than
-    paired with every key through :func:`wqsym.algebra._bilinear`.  Each
-    block product is computed once per key, and with ``Fraction`` coefficients
-    throughout the sums accumulate as int numerators over one common
-    denominator."""
-    if isinstance(op, TruncatedSeries):
-        for key in x.terms:
-            if len(key) > op.cutoff:
-                raise CapExceeded(f"series cutoff {op.cutoff} cannot act on degree {len(key)}")
-        return x.act(op.element)
-    if not isinstance(op, WQSymElement):
-        raise TypeError("operators are WQSymElement or TruncatedSeries values")
-    lengths = {len(key) for key in x.terms}
-    xs, ops, d = _numerators(x.terms, {u: c for u, c in op.terms.items() if len(u) in lengths})
-    buckets = {n: (list(map(block_masks, us)), cs) for n, (us, cs) in _by_length(ops).items()}
-    out: dict = {}
-    get = out.get
-    for key, c in xs.items():
-        bucket = buckets.get(len(key))
-        if bucket is None:
-            continue
-        product = _BlockProducts(key, merge).__getitem__
-        for masks, cu in zip(*bucket):
-            w = tuple(map(product, masks))
-            out[w] = get(w, 0) + c * cu
-    return _collect(type(x), out, d)
-
-
 # -- the characteristic family ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def identity_series(cutoff: int) -> TruncatedSeries:
     """The diagonal series: staircase word 1 2 .. d in each degree d."""
-    check_degree_cap(cutoff)
+    check_degree_cap(_check_cutoff(cutoff))
     return TruncatedSeries._raw(
         cutoff, WQSymElement._raw({tuple(range(1, d + 1)): Fraction(1) for d in range(cutoff + 1)})
     )
@@ -361,11 +304,11 @@ def adams_terms(k: int, cutoff: int):
     call."""
     if k < 0:
         raise ValueError("Adams operations are indexed by nonnegative integers")
-    check_degree_cap(cutoff)
+    check_degree_cap(_check_cutoff(cutoff))
     return _ascent_terms(cutoff, partial(_adams_entry, k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def adams(k: int, cutoff: int) -> TruncatedSeries:
     """k-th Adams operation I^(*k): coefficient C(a + k, d) on a word of
     length d with a ascents (the convolution power is the definition and the
@@ -384,11 +327,11 @@ def eulerian_terms(i: int, cutoff: int):
     checked at the call."""
     if i < 0:
         raise ValueError("idempotent index must be nonnegative")
-    check_degree_cap(cutoff)
+    check_degree_cap(_check_cutoff(cutoff))
     return _ascent_terms(cutoff, partial(_eulerian_entry, i))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eulerian_idempotent(i: int, cutoff: int) -> TruncatedSeries:
     """i-th quasi-Eulerian idempotent log(I)^(*i) / i!.  Since Psi^k =
     sum_i k^i e_i, its coefficient on a word of length d with a ascents is
@@ -401,7 +344,7 @@ def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:
     """First idempotent by the explicit alternating ribbon formula: in degree n,
     (1/n) * sum over compositions I of n of (-1)^(len(I)-1) / C(n-1, len(I)-1)
     times the hat-embedded ribbon of I."""
-    check_degree_cap(cutoff)
+    check_degree_cap(_check_cutoff(cutoff))
     out: dict = {}
     for n in range(1, cutoff + 1):
         for I in compositions(n):

@@ -258,7 +258,7 @@ def suite_action(run: SuiteReport):
     top = min(run.degree, 4)
     for _, rng in run.draws():
         n = rng.randint(0, top)
-        x = QSElement.word(random_tensor_word(rng, gens, n))
+        x = QSElement.monomial(random_tensor_word(rng, gens, n))
         lf = n if rng.random() < 0.8 else rng.randint(0, top)
         f = WQSymElement.monomial(random_packed_word(rng, lf))
         kf = max(next(iter(f.terms)), default=0)

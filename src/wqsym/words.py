@@ -48,10 +48,9 @@ def max_degree_cap() -> int:
     raw = os.environ.get("WQSYM_MAX_DEGREE")
     if raw is None:
         return HARD_DEGREE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ExpressionError(f"WQSYM_MAX_DEGREE must be an integer, got {raw!r}") from None
+    if not raw.strip().isdecimal():
+        raise ExpressionError(f"WQSYM_MAX_DEGREE must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def check_degree_cap(n: int) -> int:
@@ -59,7 +58,7 @@ def check_degree_cap(n: int) -> int:
     if n > cap:
         raise CapExceeded(
             f"degree {n} exceeds the cap {cap}; raise WQSYM_MAX_DEGREE if you "
-            f"really want this (packed-word counts grow like n! / (2 log 2^(n+1)))"
+            f"really want this (packed-word counts grow like n! / (2 (ln 2)^(n+1)))"
         )
     return n
 

@@ -6,7 +6,7 @@ The oracle pairs every key of the module element with every operator word of
 the same length and builds the image letter by letter: for tensors the
 blockwise product of monomials, for compositions the blockwise sum of parts.
 It accumulates with ``Fraction`` (or ``ParamPoly``) arithmetic, one term at a
-time, and shares nothing with ``series.right_action`` but the element types.
+time, and shares nothing with ``QuasiShuffle.act`` but the element types.
 """
 
 from fractions import Fraction
@@ -200,7 +200,7 @@ def test_series_operators(kind, ring, data):
 
 
 def test_series_refusal_names_the_cutoff_and_the_degree():
-    x = QSElement.word([(("a", 1),)] * 3)
+    x = QSElement.monomial([(("a", 1),)] * 3)
     with pytest.raises(CapExceeded, match=r"^series cutoff 2 cannot act on degree 3$"):
         x.act(adams(2, 2))
     with pytest.raises(CapExceeded, match=r"^series cutoff 1 cannot act on degree 2$"):

@@ -296,6 +296,13 @@ def test_non_integer_degree_cap_exits_2(monkeypatch, argv):
     assert len(err.splitlines()) == 1 and "WQSYM_MAX_DEGREE" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "7.0", "7_0", "²"])
+def test_malformed_degree_cap_is_bad_input(monkeypatch, cap):
+    # a negative cap is refused like a non-integer one, not as a cap hit
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", cap)
+    assert run(("eval", "M[1]")) == (2, "", f"error: WQSYM_MAX_DEGREE must be a nonnegative integer, got {cap!r}\n")
+
+
 def test_generators_run_up_to_the_degree_cap():
     rc, out, _ = run(("generators", "--degree", "7"))
     assert rc == 0

@@ -261,7 +261,7 @@ def test_repeated_keys_are_counted():
     M = QSymElement.monomial
     assert M((1,)) * M((1,)) == QSymElement({(1, 1): 2, (2,): 1})
     assert M((1,)) * M((1,)) * M((1,)) == QSymElement({(1, 1, 1): 6, (1, 2): 3, (2, 1): 3, (3,): 1})
-    x = QSElement.word([a])
+    x = QSElement.monomial([a])
     assert x * x == QSElement({(a, a): 2, (a2,): 1})
     assert x * (x * T) == QSElement({(a, a): 2 * T, (a2,): T})
     legs = QSTensor({((a,), (a,)): Fraction(1, 2)})

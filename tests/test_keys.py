@@ -1,10 +1,11 @@
 """Every sparse-combination class keeps one canonical key per basis element.
 
 For each of the seven classes: the key check is idempotent, every spelling
-of a basis element builds the element of its canonical key, and a malformed
-key raises ``ValueError``.  A monomial is spelled with repeated names, zero
-exponents and permuted pairs, and must build the product of its generator
-powers; a word or a composition has one spelling.
+of a basis element builds the element of its canonical key, a malformed key
+raises ``ValueError``, and a scalar multiplies from either side.  A monomial
+is spelled with repeated names, zero exponents and permuted pairs, and must
+build the product of its generator powers; a word or a composition has one
+spelling.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from wqsym.algebra import TensorSquare, WQSymElement
 from wqsym.params import Monomials, ParamPoly, SparseCombination, Unital
-from wqsym.qshuffle import AElement, QSElement, QSTensor
+from wqsym.qshuffle import AElement, QSElement, QSTensor, QuasiShuffle
 from wqsym.qsym import QSymElement
 from wqsym.words import compositions, enumerate_packed_words
 
@@ -76,7 +77,7 @@ CLASSES = list(KEYS)
 
 def concrete_subclasses(cls):
     for sub in cls.__subclasses__():
-        if sub not in (Unital, Monomials):
+        if sub not in (Unital, Monomials, QuasiShuffle):
             yield sub
         yield from concrete_subclasses(sub)
 
@@ -126,3 +127,15 @@ def test_malformed_keys_raise(cls, key):
         cls._check_key(key)
     with pytest.raises(ValueError):
         cls({key: 1})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scalars_multiply_from_either_side(cls, data):
+    keys, _ = KEYS[cls]
+    x = cls({data.draw(keys): data.draw(st.integers(-3, 3)), data.draw(keys): Fraction(1, 2)})
+    for c in (3, Fraction(-2, 5), ParamPoly.var("t") + 1):
+        assert x * c == c * x
+        if cls is not ParamPoly or not isinstance(c, ParamPoly):  # else the ring product
+            assert x * c == cls._raw({key: c * a for key, a in x.terms.items()})

@@ -40,9 +40,15 @@ def test_benchmark_hooks_install_and_uninstall():
         series = wqsym.series.identity_series(2)
         series * series
         str(series)
-        wqsym.QSElement.generator("a").act(series)
+        a = wqsym.QSElement.generator("a")
+        a.act(series)
+        a * a
+        F = wqsym.QSymElement.monomial((1, 2))
+        F.act(wqsym.WQSymElement.monomial((1, 1)))
+        F * F
     finally:
         tracer.uninstall()
     names = {tracer.names[k] for k in tracer.kind}
-    assert {"series.conv", "series.build", "cli.render", "qshuffle.act"} <= names
+    recorded = {"series.conv", "series.build", "cli.render", "qshuffle.act", "qshuffle.mul", "qsym.act", "qsym.mul"}
+    assert recorded <= names
     assert snapshot() == before

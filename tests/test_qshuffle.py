@@ -95,8 +95,8 @@ def test_quasi_shuffle_is_the_staircase_pair_action():
     rng = random.Random(4)
     for _ in range(60):
         n, m = rng.randint(0, 3), rng.randint(0, 3)
-        x = QSElement.word(random_tensor_word(rng, GENS, n))
-        y = QSElement.word(random_tensor_word(rng, GENS, m))
+        x = QSElement.monomial(random_tensor_word(rng, GENS, n))
+        y = QSElement.monomial(random_tensor_word(rng, GENS, m))
         assert x * y == concat(x, y).act(embed_sym_hat(tuple(p for p in (n, m) if p)))
 
 
@@ -117,8 +117,8 @@ def test_deconcatenation_examples():
 def test_hopf_compatibility_of_deconcatenation():
     rng = random.Random(9)
     for _ in range(50):
-        x = QSElement.word(random_tensor_word(rng, GENS, rng.randint(0, 2)))
-        y = QSElement.word(random_tensor_word(rng, GENS, rng.randint(0, 2)))
+        x = QSElement.monomial(random_tensor_word(rng, GENS, rng.randint(0, 2)))
+        y = QSElement.monomial(random_tensor_word(rng, GENS, rng.randint(0, 2)))
         assert (x * y).deconcatenate() == x.deconcatenate() * y.deconcatenate()
 
 
@@ -126,7 +126,7 @@ def test_module_law():
     rng = random.Random(21)
     for _ in range(120):
         n = rng.randint(0, 4)
-        x = QSElement.word(random_tensor_word(rng, GENS, n))
+        x = QSElement.monomial(random_tensor_word(rng, GENS, n))
         lf = n if rng.random() < 0.7 else rng.randint(0, 4)
         f = _random_word_elem(rng, lf)
         word_f = next(iter(f.terms))

@@ -251,9 +251,16 @@ def test_every_constructor_checks_the_cutoff():
         TruncatedSeries.unit,
         lambda n: TruncatedSeries.from_element(E((1,)), n),
         lambda n: identity_series(2).truncate(n),
+        identity_series,
+        lambda n: adams(2, n),
+        lambda n: eulerian_idempotent(1, n),
+        log_identity,
+        eulerian_e1_closed_form,
     )
+    # an untyped memo would answer 2.0 and True from the entries of 2 and 1
+    refused = ((2.5, TypeError), (2.0, TypeError), ("3", TypeError), (True, TypeError), (-3, ValueError))
     for build in builders:
-        for cutoff, error in ((2.5, TypeError), ("3", TypeError), (True, TypeError), (-3, ValueError)):
+        for cutoff, error in refused:
             with pytest.raises(error):
                 build(cutoff)
         assert build(2).cutoff == 2
