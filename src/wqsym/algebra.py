@@ -1,17 +1,17 @@
 """The packed-word algebra on sparse exact linear combinations.
 
-:class:`WQSymElement` (packed words) and :class:`TensorSquare` (pairs of
-them) derive from the sparse-combination base of :mod:`wqsym.params`, which
-also holds the two kernels :func:`_bilinear` and :func:`_linear` and the one
-rule that promotes a scalar to a multiple of the unit.  Every product and
-coproduct here is the extension of a map on basis keys by one of the kernels;
-the quasi-shuffle products pass :func:`wqsym.words.quasi_shuffle` with their
-semigroup product as the merge (Hoffman, "Quasi-shuffle products",
-J. Algebraic Combin. 11, 2000).  Three loops pair only keys of matching
-lengths and stay outside the kernels, which would call the key map once per
-pair and undo that bucketing: ``@``, :func:`truncated_product` (the product
-of series) and the right action on quasi-shuffle algebras
-(:meth:`wqsym.qshuffle.QuasiShuffle.act`).
+:class:`Algebra` holds the product and the text of every algebra of words
+(packed words here, tensor words and compositions in :mod:`wqsym.qshuffle`
+and :mod:`wqsym.qsym`), and :class:`Tensor` those of their tensor squares,
+read from the leg algebra.  Both derive from the sparse-combination base of
+:mod:`wqsym.params`, which also holds the kernels :func:`_bilinear` and
+:func:`_linear` and the rule that promotes scalars.  Every product and
+coproduct is the extension of a map on basis keys by a kernel; the
+quasi-shuffle products merge letters by their semigroup product (Hoffman,
+"Quasi-shuffle products", J. Algebraic Combin. 11, 2000).  Three loops pair
+only keys of matching lengths and stay outside the kernels, which would call
+the key map once per pair: ``@``, :func:`truncated_product` (the product of
+series) and the right action (:meth:`wqsym.qshuffle.QuasiShuffle.act`).
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -61,12 +61,6 @@ from .words import (
 )
 
 
-def _legwise(product):
-    """The keys of the leg-wise product of two pairs of keys, ``product``
-    giving the keys on each leg."""
-    return lambda p, q: iproduct(product(p[0], q[0]), product(p[1], q[1]))
-
-
 def _add_multiple(data: dict, terms: dict, scalar) -> None:
     """Add ``scalar`` times the combination ``terms`` into ``data`` in place."""
     for key, c in terms.items():
@@ -114,27 +108,53 @@ def _composer(u: Word):
     return lambda v: tuple(v[x - 1] for x in u)
 
 
-class WQSymElement(Unital):
+class Algebra(Unital):
+    """A combination of words whose product extends bilinearly ``_product``,
+    a product of basis words, and whose text joins ``_key_str`` term by term."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, word, coeff=1):
+        return cls({tuple(word): coeff})
+
+    def degrees(self) -> list[int]:
+        return sorted({len(w) for w in self.terms})
+
+    def __mul__(self, other):
+        """The product of the algebra, or a scalar multiple."""
+        if isinstance(other, type(self)):
+            return _bilinear(type(self), self.terms, other.terms, self._product)
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __str__(self) -> str:
+        return "".join(format_terms(self.sorted_terms(), self._key_str))
+
+
+class WQSymElement(Algebra):
     """A finite linear combination of packed words."""
 
     __slots__ = ()
 
     _check_key = staticmethod(words.check_packed)
     _sort_key = staticmethod(word_sort_key)
+    # bound in the class body, where perfbench/spans.py wraps them
+    __mul__ = Algebra.__mul__
+    __str__ = Algebra.__str__
 
-    @classmethod
-    def monomial(cls, word, coeff=1) -> "WQSymElement":
-        return cls({tuple(word): coeff})
+    @staticmethod
+    def _key_str(w: Word) -> str:
+        return "M[" + letters_str(w) + "]"
 
     # -- the three products -------------------------------------------------
 
-    def __mul__(self, other):
-        """Outer product (on elements) or scalar multiple."""
-        if isinstance(other, WQSymElement):
-            return _bilinear(WQSymElement, self.terms, other.terms, quasi_shuffle_words)
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        return NotImplemented
+    @staticmethod
+    def _product(u, v):
+        """Outer product of two words, the kernel looked up in the module at
+        each call, where perfbench/spans.py wraps it."""
+        return quasi_shuffle_words(u, v)
 
     def __matmul__(self, other):
         """Internal product: compose basis surjections, zero on arity mismatch.
@@ -193,14 +213,8 @@ class WQSymElement(Unital):
 
     # -- inspection ---------------------------------------------------------
 
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.terms})
-
     def component(self, d: int) -> "WQSymElement":
         return WQSymElement._raw({w: c for w, c in self.terms.items() if len(w) == d})
-
-    def __str__(self) -> str:
-        return "".join(format_terms(self.sorted_terms(), word_str))
 
 
 def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
@@ -284,34 +298,42 @@ def letters_str(w) -> str:
     return ",".join(map(_LETTER_STRINGS.__getitem__, w))
 
 
-def word_str(w: Word) -> str:
-    return "M[" + letters_str(w) + "]"
+class Tensor(SparseCombination):
+    """A combination of pairs of basis words of the algebra ``_leg``, with its
+    key check, order, product and text on each leg.  It has no unit, so it
+    binds ``str``, and each subclass ``*``, from :class:`Algebra`."""
+
+    __slots__ = ()
+
+    __str__ = Algebra.__str__
+
+    @classmethod
+    def _check_key(cls, key):
+        a, b = key
+        return (cls._leg._check_key(a), cls._leg._check_key(b))
+
+    @classmethod
+    def _sort_key(cls, key):
+        return tuple(map(cls._leg._sort_key, key))
+
+    @classmethod
+    def _product(cls, p, q):
+        product = cls._leg._product
+        return iproduct(product(p[0], q[0]), product(p[1], q[1]))
+
+    @classmethod
+    def _key_str(cls, key) -> str:
+        return "x".join(map(cls._leg._key_str, key))
 
 
-class TensorSquare(SparseCombination):
+class TensorSquare(Tensor):
     """Finite linear combination of ordered pairs of packed words."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_key(key):
-        a, b = key
-        return (words.check_packed(a), words.check_packed(b))
-
-    @staticmethod
-    def _sort_key(key):
-        return (word_sort_key(key[0]), word_sort_key(key[1]))
-
-    def __mul__(self, other):
-        """Componentwise outer product on both tensor legs, or a scalar multiple."""
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return _bilinear(TensorSquare, self.terms, other.terms, _legwise(quasi_shuffle_words))
-
-    def __str__(self) -> str:
-        return "".join(format_terms(self.sorted_terms(), lambda p: word_str(p[0]) + "x" + word_str(p[1])))
+    _leg = WQSymElement
+    # bound in the class body, where perfbench/spans.py wraps it
+    __mul__ = Algebra.__mul__
 
 
 # -- embeddings of the free algebra on complete functions --------------------

@@ -18,7 +18,8 @@ vectors, so these monomials form a commutative semigroup.
 derives from its :class:`~wqsym.params.Monomials`, :class:`QSElement`, the
 tensor space over A with the monomial product as merge, from
 :class:`QuasiShuffle`, and :class:`QSTensor`, which carries the
-deconcatenation coproduct, from :class:`~wqsym.params.SparseCombination`.
+deconcatenation coproduct, from :class:`~wqsym.algebra.Tensor` with
+:class:`QSElement` on each leg.
 
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
@@ -28,17 +29,13 @@ is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import product as iproduct
 
-from .algebra import WQSymElement, _add_multiple, _by_length, _collect, _legwise, _numerators, format_terms
+from .algebra import Algebra, Tensor, WQSymElement, _add_multiple, _by_length, _collect, _numerators
 from .errors import CapExceeded
 from .params import (
-    SCALAR_TYPES,
     Monomial,
     Monomials,
-    SparseCombination,
-    Unital,
     _bilinear,
     _linear,
     mono_mul,
@@ -75,6 +72,9 @@ class AElement(Monomials):
 
     __slots__ = ()
 
+    _key_str = staticmethod(mono_str)
+    __str__ = Algebra.__str__
+
     @staticmethod
     def _check_key(m):
         return monomial(*m)
@@ -82,9 +82,6 @@ class AElement(Monomials):
     @classmethod
     def generator(cls, name: str) -> "AElement":
         return cls._raw({((str(name), 1),): Fraction(1)})
-
-    def __str__(self):
-        return "".join(format_terms(self.sorted_terms(), mono_str))
 
 
 class _BlockProducts(dict):
@@ -104,27 +101,16 @@ class _BlockProducts(dict):
         return value
 
 
-class QuasiShuffle(Unital):
+class QuasiShuffle(Algebra):
     """A combination of words over a commutative semigroup of letters, whose
     product ``_merge`` each subclass names."""
 
     __slots__ = ()
 
     @classmethod
-    def monomial(cls, word, coeff=1):
-        return cls({tuple(word): coeff})
-
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.terms})
-
-    def __mul__(self, other):
-        """Quasi-shuffle product (the commutative product of the algebra), or
-        a scalar multiple."""
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return _bilinear(type(self), self.terms, other.terms, partial(quasi_shuffle, merge=self._merge))
+    def _product(cls, u, v):
+        """Quasi-shuffle product, the commutative product of the algebra."""
+        return quasi_shuffle(u, v, cls._merge)
 
     def act(self, op):
         """Right action of a packed-word element or series ``op``.
@@ -176,6 +162,10 @@ class QSElement(QuasiShuffle):
     def _sort_key(word):
         return (len(word), word)
 
+    @staticmethod
+    def _key_str(word):
+        return "(" + " x ".join(map(mono_str, word)) + ")" if word else "1"
+
     @classmethod
     def generator(cls, name: str) -> "QSElement":
         """Degree-1 tensor word on a single generator."""
@@ -194,14 +184,6 @@ class QSElement(QuasiShuffle):
             raise ValueError("reduced coproduct needs zero constant term")
         return _linear(QSTensor, self.terms, _cuts(1))
 
-    def __str__(self):
-        def fmt(word):
-            if not word:
-                return "1"
-            return "(" + " x ".join(mono_str(m) for m in word) + ")"
-
-        return "".join(format_terms(self.sorted_terms(), fmt))
-
 
 def tensor(*factors: AElement) -> QSElement:
     """Multilinear expansion of a tensor of base-algebra elements."""
@@ -216,30 +198,18 @@ def concat(x: QSElement, y: QSElement) -> QSElement:
     return _bilinear(QSElement, x.terms, y.terms, lambda a, b: (a + b,))
 
 
-class QSTensor(SparseCombination):
+class QSTensor(Tensor):
     """Combination of ordered pairs of tensor words (coproduct values)."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _check_key(key):
-        a, b = key
-        return (_tensor_word(a), _tensor_word(b))
-
-    def __mul__(self, other):
-        """Componentwise quasi-shuffle on both legs, or a scalar multiple."""
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        if not isinstance(other, QSTensor):
-            return NotImplemented
-        return _bilinear(QSTensor, self.terms, other.terms, _legwise(partial(quasi_shuffle, merge=QSElement._merge)))
+    _leg = QSElement
+    # bound in the class body, where perfbench/spans.py wraps it
+    __mul__ = Algebra.__mul__
 
     def multiply_legs(self) -> QSElement:
         """Quasi-shuffle the two legs together (the product-of-coproduct map)."""
-        return _linear(QSElement, self.terms, lambda legs: quasi_shuffle(*legs, QSElement._merge))
-
-    def __repr__(self):
-        return f"<QSTensor {len(self.terms)} terms>"
+        return _linear(QSElement, self.terms, lambda legs: QSElement._product(*legs))
 
 
 # -- the identity battery ------------------------------------------------------

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import WQSymElement, _add_multiple, format_terms, letters_str
+from .algebra import WQSymElement, _add_multiple, letters_str
 from .params import SCALAR_TYPES, _linear
 from .qshuffle import QuasiShuffle
-from .series import TruncatedSeries, adams as adams_series, eulerian_idempotent
+from .series import TruncatedSeries, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (
     Composition,
     check_composition,
@@ -50,8 +50,9 @@ class QSymElement(QuasiShuffle):
     def _sort_key(I):
         return (sum(I), len(I), I)
 
-    def __str__(self):
-        return "".join(format_terms(self.sorted_terms(), lambda I: "M(" + letters_str(I) + ")"))
+    @staticmethod
+    def _key_str(I):
+        return "M(" + letters_str(I) + ")"
 
 
 # -- Adams operations ----------------------------------------------------------
@@ -66,9 +67,7 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
     """Independent route: cut each composition into k consecutive (possibly
     empty) segments and multiply the segments back together, entirely inside
     the composition algebra."""
-    if k < 0:
-        raise ValueError("Adams operations are indexed by nonnegative integers")
-    if k == 0:
+    if _check_index(k) == 0:
         return QSymElement._raw({(): F.counit()} if F.counit() else {})
     out: dict[Composition, object] = {}
     for I, c in F.terms.items():

@@ -41,7 +41,6 @@ from .algebra import (
     format_terms,
     ribbon_hat,
     truncated_product,
-    word_str,
 )
 from .errors import BasisMismatch, NotInvertible
 from .params import SCALAR_TYPES
@@ -75,6 +74,14 @@ def _check_cutoff(cutoff, *degrees) -> int:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     return cutoff
+
+
+def _check_index(k) -> int:
+    """The index of an Adams operation or an idempotent, refused unless it is
+    a nonnegative int (a ``bool`` is not)."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"indices are nonnegative ints, got {k!r}")
+    return k
 
 
 class TruncatedSeries:
@@ -230,7 +237,7 @@ def format_graded(cutoff: int, graded):
     sep = ""
     for d, terms in graded:
         yield f"{sep}{d}: "
-        yield from format_terms(terms, word_str)
+        yield from format_terms(terms, WQSymElement._key_str)
         sep = "\n"
     if not sep:
         yield f"0 (cutoff {cutoff})"
@@ -302,8 +309,7 @@ def adams_terms(k: int, cutoff: int):
     """The graded terms of the k-th Adams operation up to ``cutoff``, as
     :func:`_ascent_terms` yields them; ``k`` and the cap are checked at the
     call."""
-    if k < 0:
-        raise ValueError("Adams operations are indexed by nonnegative integers")
+    _check_index(k)
     check_degree_cap(_check_cutoff(cutoff))
     return _ascent_terms(cutoff, partial(_adams_entry, k))
 
@@ -325,8 +331,7 @@ def eulerian_terms(i: int, cutoff: int):
     """The graded terms of the i-th quasi-Eulerian idempotent up to
     ``cutoff``, as :func:`_ascent_terms` yields them; ``i`` and the cap are
     checked at the call."""
-    if i < 0:
-        raise ValueError("idempotent index must be nonnegative")
+    _check_index(i)
     check_degree_cap(_check_cutoff(cutoff))
     return _ascent_terms(cutoff, partial(_eulerian_entry, i))
 

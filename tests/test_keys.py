@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym.algebra import TensorSquare, WQSymElement
+from wqsym.algebra import Algebra, Tensor, TensorSquare, WQSymElement
 from wqsym.params import Monomials, ParamPoly, SparseCombination, Unital
 from wqsym.qshuffle import AElement, QSElement, QSTensor, QuasiShuffle
 from wqsym.qsym import QSymElement
@@ -77,7 +77,7 @@ CLASSES = list(KEYS)
 
 def concrete_subclasses(cls):
     for sub in cls.__subclasses__():
-        if sub not in (Unital, Monomials, QuasiShuffle):
+        if sub not in (Unital, Monomials, Algebra, Tensor, QuasiShuffle):
             yield sub
         yield from concrete_subclasses(sub)
 

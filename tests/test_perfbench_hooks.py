@@ -2,11 +2,16 @@
 where it is defined: ``spans.install`` reads a method with
 ``vars(cls)[attr]``, so it fails as soon as a patched method (for example
 ``TruncatedSeries.__mul__`` or ``QSElement.act``) stops being defined in its
-own class body.  This checks the hooks install, record and uninstall."""
+own class body, and it wraps ``quasi_shuffle_words`` only where a module binds
+it, so a product that holds the kernel elsewhere hides it.  This checks the
+hooks install, record and uninstall, and that each product is recorded with
+its kernel."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +57,25 @@ def test_benchmark_hooks_install_and_uninstall():
     recorded = {"series.conv", "series.build", "cli.render", "qshuffle.act", "qshuffle.mul", "qsym.act", "qsym.mul"}
     assert recorded <= names
     assert snapshot() == before
+
+
+
+@pytest.mark.parametrize(
+    "operand, recorded",
+    [
+        (lambda w: w.WQSymElement.monomial((1, 2)) + w.WQSymElement.monomial((1,)), {"algebra.mul", "words.qsw"}),
+        (lambda w: w.WQSymElement.monomial((1, 2, 1)).coproduct(), {"algebra.mul", "words.qsw"}),
+        (lambda w: w.QSElement.generator("a").deconcatenate(), {"qshuffle.mul"}),
+    ],
+    ids=["WQSymElement", "TensorSquare", "QSTensor"],
+)
+def test_squares_are_recorded_with_their_kernel(operand, recorded):
+    workloads, spans = _load("workloads"), _load("spans")
+    x = operand(workloads.import_wqsym())
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, workloads.wqsym_modules())
+        x * x
+    finally:
+        tracer.uninstall()
+    assert recorded <= {tracer.names[k] for k in tracer.kind}

@@ -14,8 +14,9 @@ from itertools import groupby
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wqsym.algebra import TensorSquare, WQSymElement, format_terms, word_str
+from wqsym.algebra import TensorSquare, WQSymElement, format_terms
 from wqsym.params import ParamPoly
+from wqsym.qshuffle import AElement, QSElement
 from wqsym.qsym import QSymElement, sigma_hat_series
 from wqsym.serialization import coeff_to_str, element_to_obj, series_to_obj
 from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
@@ -54,6 +55,14 @@ def letters_oracle(w) -> str:
 
 def word_str_oracle(w) -> str:
     return "M[%s]" % letters_oracle(w)
+
+
+def monomial_oracle(m) -> str:
+    return "*".join(name if e == 1 else "%s^%d" % (name, e) for name, e in m)
+
+
+def tensor_word_oracle(word) -> str:
+    return "(%s)" % " x ".join(map(monomial_oracle, word)) if word else "1"
 
 
 def sorted_terms_oracle(f):
@@ -112,6 +121,7 @@ def shared_terms(draw, words=packed_words, max_size=12):
 
 
 elements = shared_terms().map(WQSymElement._raw)
+monomials = st.dictionaries(st.sampled_from("abc"), st.integers(1, 3), min_size=1).map(lambda d: tuple(sorted(d.items())))
 
 
 @st.composite
@@ -146,7 +156,7 @@ def test_fresh_coefficient_objects_render_like_the_oracle(terms):
         for w, c in pairs:
             yield w, c if isinstance(c, ParamPoly) else Fraction(*c)
 
-    assert "".join(format_terms(fresh(), word_str)) == format_terms_oracle(fresh(), word_str_oracle)
+    assert "".join(format_terms(fresh(), WQSymElement._key_str)) == format_terms_oracle(fresh(), word_str_oracle)
 
 
 @given(shared_terms(st.tuples(packed_words, packed_words)))
@@ -161,6 +171,26 @@ def test_composition_text_equals_the_oracle(terms):
     f = QSymElement._raw(terms)
     fmt = lambda I: "M(%s)" % letters_oracle(I)
     assert str(f) == format_terms_oracle(sorted_terms_oracle(f), fmt)
+
+
+@given(shared_terms(monomials))
+def test_base_algebra_text_equals_the_oracle(terms):
+    f = AElement._raw(terms)
+    assert str(f) == format_terms_oracle(sorted_terms_oracle(f), monomial_oracle)
+
+
+@given(shared_terms(st.lists(monomials, max_size=3).map(tuple)))
+def test_tensor_word_text_equals_the_oracle(terms):
+    f = QSElement._raw(terms)
+    assert str(f) == format_terms_oracle(sorted_terms_oracle(f), tensor_word_oracle)
+
+
+def test_quasi_shuffle_text():
+    x, y = AElement.generator("x"), AElement.generator("y")
+    a, b = QSElement.generator("a"), QSElement.generator("b")
+    assert str(x * y * y - 2 * x) == "-2*x + x*y^2"
+    assert str(QSElement.unit() - a * b) == "1 - (a*b) - (a x b) - (b x a)"
+    assert str(QSElement.zero()) == "0"
 
 
 def test_built_series_equal_the_oracles():

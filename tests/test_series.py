@@ -12,13 +12,15 @@ from wqsym.algebra import WQSymElement
 from wqsym.errors import CapExceeded, NotInvertible
 from wqsym.params import ParamPoly
 from wqsym.qshuffle import QSElement
-from wqsym.qsym import QSymElement
+from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle
 from wqsym.series import (
     TruncatedSeries,
     adams,
+    adams_terms,
     check_degree_cap,
     eulerian_e1_closed_form,
     eulerian_idempotent,
+    eulerian_terms,
     identity_series,
     log_identity,
     unipotence_check,
@@ -264,6 +266,24 @@ def test_every_constructor_checks_the_cutoff():
             with pytest.raises(error):
                 build(cutoff)
         assert build(2).cutoff == 2
+
+
+def test_every_builder_checks_the_index():
+    F = QSymElement.monomial((1, 2))
+    builders = (
+        lambda k: adams(k, 2),
+        lambda k: adams_terms(k, 2),
+        lambda k: eulerian_idempotent(k, 3),
+        lambda k: eulerian_terms(k, 3),
+        lambda k: qsym_adams(k, F, 3),
+        lambda k: qsym_adams_oracle(k, F),
+    )
+    # True once read as 1, and 2.0 died in math.comb or range
+    for build in builders:
+        for k in (True, False, 2.0, 2.5, "2", Fraction(2), -1):
+            with pytest.raises(ValueError):
+                build(k)
+        build(2)
 
 
 def test_degree_cap_env_override(monkeypatch):
