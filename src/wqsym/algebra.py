@@ -164,7 +164,9 @@ class WQSymElement(Algebra):
         and the pairs do not go through :func:`_bilinear`, which would visit
         every pair.  With ``Fraction`` coefficients throughout, the products
         accumulate as int numerators over one common denominator, divided out
-        at the end.
+        at the end.  A one-term ``self`` whose coefficient is the ``Fraction``
+        1 passes each coefficient of ``other`` through unmultiplied; a
+        ``ParamPoly`` 1 still multiplies, so the product stays a ``ParamPoly``.
         """
         if not isinstance(other, WQSymElement):
             return NotImplemented
@@ -176,10 +178,11 @@ class WQSymElement(Algebra):
             # composer is built on the first match: many calls match nothing.
             ((u, cu),) = f.items()
             k, compose = breadth(u), None
+            one = type(cu) is Fraction and cu == 1
             for v, cv in g.items():
                 if len(v) == k:
                     compose = compose or _composer(u)
-                    out[compose(v)] = cu * cv
+                    out[compose(v)] = cv if one else cu * cv
             return WQSymElement._raw(out)
         f, g, d = _numerators(f, g)
         buckets = _by_length(g)

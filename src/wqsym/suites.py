@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .algebra import WQSymElement, crucial_factorization_check, embed_sym_hat
 from .qshuffle import (
@@ -137,15 +138,17 @@ def _gen_names(count: int):
 # -- suite bodies ----------------------------------------------------------------
 
 
-def _coassociative(el: WQSymElement) -> bool:
+def _coassociative(el: WQSymElement, legs) -> bool:
+    """``(Δ ⊗ id) Δ el == (id ⊗ Δ) Δ el``, with ``legs(a)`` the coproduct of
+    the leg word ``a``."""
     delta = el.coproduct()
     left: dict = {}
     right: dict = {}
     for (a, b), c in delta.terms.items():
-        for (a1, a2), c2 in WQSymElement.monomial(a).coproduct().terms.items():
+        for (a1, a2), c2 in legs(a).terms.items():
             key = (a1, a2, b)
             left[key] = left.get(key, 0) + c * c2
-        for (b1, b2), c2 in WQSymElement.monomial(b).coproduct().terms.items():
+        for (b1, b2), c2 in legs(b).terms.items():
             key = (a, b1, b2)
             right[key] = right.get(key, 0) + c * c2
     left = {k: v for k, v in left.items() if v}
@@ -161,9 +164,11 @@ def suite_hopf(run: SuiteReport):
             f"coproduct multiplicativity at {u},{v}",
         )
 
+    # memos live for one suite call, so each run starts cold
+    legs = cache(lambda a: WQSymElement.monomial(a).coproduct())
     for n in range(min(run.degree, 5) + 1):
         for u in enumerate_packed_words(n):
-            run.check(_coassociative(WQSymElement.monomial(u)), f"coassociativity at {u}")
+            run.check(_coassociative(WQSymElement.monomial(u), legs), f"coassociativity at {u}")
     for total in range(min(run.degree, 4) + 1):
         for a in range(total + 1):
             for u in enumerate_packed_words(a):
@@ -181,24 +186,28 @@ def suite_internal(run: SuiteReport):
     # on the right of a word of breadth k and on the left of one of length k
     mono = {u: WQSymElement.monomial(u) for words_ in words_by_len.values() for u in words_}
     staircase = [mono[tuple(range(1, n + 1))] for n in range(top + 1)]
+    # mono[u] @ mono[v] depends on the pair alone: the exhaustive loop meets
+    # each pair once as (u, v) and again as (v, w) for every u
+    products = cache(lambda u, v: mono[u] @ mono[v])
 
-    # the caller passes uv = mono[u] @ mono[v]: the exhaustive loop makes it once per pair
-    def associative(u, v, w, uv):
-        run.check(uv @ mono[w] == mono[u] @ (mono[v] @ mono[w]), f"associativity at {u},{v},{w}")
+    def associative(u, v, w):
+        run.check(
+            products(u, v) @ mono[w] == mono[u] @ products(v, w),
+            f"associativity at {u},{v},{w}",
+        )
 
     for n, words_ in words_by_len.items():
         for u in words_:
             mu = mono[u]
             run.check(staircase[n] @ mu == mu, f"left identity at {u}")
             run.check(mu @ staircase[max(u, default=0)] == mu, f"right identity at {u}")
-    for u, mu in mono.items():
+    for u in mono:
         for v in words_by_len[max(u, default=0)]:
-            uv = mu @ mono[v]
             for w in words_by_len[max(v, default=0)]:
-                associative(u, v, w, uv)
+                associative(u, v, w)
     for _, rng in run.draws():
         u, v, w = (random_packed_word(rng, rng.randint(0, top)) for _ in range(3))
-        associative(u, v, w, mono[u] @ mono[v])
+        associative(u, v, w)
 
 
 def suite_crucial(run: SuiteReport):

@@ -241,6 +241,33 @@ def test_internal_product_that_cancels_to_zero(kind, data):
     assert not assert_matches_oracle(f, WQSymElement.zero(), kind)
 
 
+T = ParamPoly.var("t")
+
+
+@pytest.mark.parametrize(
+    "cu",
+    [Fraction(1), Fraction(-1), Fraction(2, 3), ParamPoly({(): 1}), T],
+    ids=["one", "minus-one", "two-thirds", "param-one", "t"],
+)
+@pytest.mark.parametrize(
+    "g",
+    [
+        WQSymElement({(2, 1): 3, (1, 2): Fraction(-1, 2), (1, 1): 1, (1, 1, 1): 5}),
+        WQSymElement({(2, 1): ParamPoly({(): 3}), (1, 2): T + 1, (1, 1): ParamPoly({(): 1}), (1,): T}),
+    ],
+    ids=["fraction", "param"],
+)
+def test_one_term_internal_product_keeps_each_coefficient(cu, g):
+    # a Fraction 1 may pass g's coefficients through; a ParamPoly 1 must
+    # still multiply, or 3*M[2,1,2] would print instead of (3)*M[2,1,2]
+    f = WQSymElement({(1, 2, 1): cu})
+    product, oracle = f @ g, matmul_oracle(f, g)
+    assert product == oracle
+    types = [(w, type(c)) for w, c in product.sorted_terms()]
+    assert types == [(w, type(c)) for w, c in oracle.sorted_terms()]
+    assert str(product) == str(oracle)
+
+
 # -- bullet product --------------------------------------------------------------
 
 

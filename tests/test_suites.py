@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from wqsym import series
-from wqsym.algebra import WQSymElement
+from wqsym.algebra import TensorSquare, WQSymElement
 from wqsym.cli import main
 from wqsym.params import SparseCombination
 from wqsym.qsym import QSymElement
@@ -99,3 +99,70 @@ def test_eulerian_checks_the_ascent_table_against_convolutions(monkeypatch):
     assert "idempotents sum to the identity" in details
     assert "spectral decomposition at k=2" in details
     assert report.count == BATTERY["4/3"]["0"]["eulerian"]
+
+
+# -- the internal and hopf suites memoise products; a broken one still shows --
+
+
+def test_a_wrong_internal_product_fails_associativity(monkeypatch):
+    # mono[u] @ mono[v] is built once per pair: a wrong value for one pair
+    # must still fail every check that reads it
+    real = WQSymElement.__matmul__
+    u, v = (1, 2, 1), (2, 1)
+
+    def wrong(self, other):
+        out = real(self, other)
+        return out + out if list(self.terms) == [u] and list(other.terms) == [v] else out
+
+    monkeypatch.setattr(WQSymElement, "__matmul__", wrong)
+    report = run_suite("internal", 4, 0, 3, 5)
+    details = [f.detail for f in report.failures]
+    assert f"associativity at {u},{v},(1, 1)" in details
+    assert all(d.startswith("associativity at ") for d in details)
+    assert report.count == BATTERY["4/3"]["0"]["internal"]
+
+
+def test_a_wrong_coproduct_fails_coassociativity(monkeypatch):
+    # the coproduct of each leg word is built once per run: one split dropped
+    # from one word must fail wherever that word is a leg (the wrong
+    # coproduct of (1, 2, 1) alone is still coassociative)
+    real = WQSymElement.coproduct
+    u = (1, 2, 1)
+
+    def wrong(self):
+        out = real(self)
+        if list(self.terms) == [u]:
+            terms = dict(out.terms)
+            del terms[(1, 1), (1,)]
+            return TensorSquare._raw(terms)
+        return out
+
+    monkeypatch.setattr(WQSymElement, "coproduct", wrong)
+    report = run_suite("hopf", 4, 0, 3, 5)
+    details = [f.detail for f in report.failures]
+    # (1, 2, 1, 3) splits into the legs (1, 2, 1) and (1,)
+    assert "coassociativity at (1, 2, 1, 3)" in details
+
+
+def _calls(monkeypatch, name, suite):
+    """The calls of ``WQSymElement.<name>`` in ``suite`` at degree 5, 100 cases."""
+    real, calls = getattr(WQSymElement, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(WQSymElement, name, counted)
+    report = run_suite(suite, 5, 0, 100, 5)
+    assert report.passed, report.failures
+    return calls[0]
+
+
+def test_internal_builds_each_product_of_two_monomials_once(monkeypatch):
+    # 182 094 calls when mono[v] @ mono[w] was rebuilt for every u
+    assert _calls(monkeypatch, "__matmul__", "internal") <= 122_294
+
+
+def test_hopf_builds_each_leg_coproduct_once(monkeypatch):
+    # 7 565 calls when each leg word's coproduct was rebuilt at each appearance
+    assert _calls(monkeypatch, "coproduct", "hopf") <= 2_249
