@@ -53,7 +53,6 @@ from .words import (
     breadth,
     descents,
     enumerate_packed_words,
-    pack,
     quasi_shuffle_words,
     reverse,
     shifted_concat,
@@ -206,11 +205,13 @@ class WQSymElement(Algebra):
 
     def coproduct(self) -> "TensorSquare":
         """Split each basis word by letter value: letters <= i on the left,
-        the rest repacked on the right, summed over i = 0..breadth."""
+        the rest repacked on the right, summed over i = 0..breadth.  A packed
+        word's letters above i are exactly i+1..breadth, so repacking them
+        subtracts i."""
 
         def splits(u):
             for i in range(breadth(u) + 1):
-                yield tuple(x for x in u if x <= i), pack(tuple(x for x in u if x > i))
+                yield tuple(x for x in u if x <= i), tuple(x - i for x in u if x > i)
 
         return _linear(TensorSquare, self.terms, splits)
 

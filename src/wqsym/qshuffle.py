@@ -272,10 +272,18 @@ def naturality_check(f_spec: dict, u, x: QSElement) -> bool:
 def car_coproduct_compatibility_check(
     sigma: TruncatedSeries, x: QSElement, y: QSElement
 ) -> bool:
-    """(x # y) . sigma  ==  sum (x . sigma') # (y . sigma'') over the coproduct."""
+    """(x # y) . sigma  ==  sum (x . sigma') # (y . sigma'') over the coproduct.
+
+    ``x . M(a)`` is zero unless ``len(a)`` is a degree of x, so only the
+    pairs with a degree of x on the left and one of y on the right are kept;
+    a word splits into legs whose lengths sum to its own, so only the words
+    of sigma whose length is such a sum are split.
+    """
     lhs = (x * y).act(sigma)
     xdeg, ydeg = set(x.degrees()), set(y.degrees())
-    pairs = sigma.element.coproduct().terms.items()
+    lengths = {a + b for a in xdeg for b in ydeg}
+    met = WQSymElement._raw({w: c for w, c in sigma.element.terms.items() if len(w) in lengths})
+    pairs = met.coproduct().terms.items()
     pairs = (((a, b), c) for (a, b), c in pairs if len(a) in xdeg and len(b) in ydeg)
     M = WQSymElement.monomial
     return lhs == _convolve(pairs, lambda a: x.act(M(a)), lambda b: y.act(M(b)))

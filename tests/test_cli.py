@@ -89,7 +89,10 @@ GOLDEN = [
     (('eval', 'M[1]', '--degree', '8'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (('eval', 'M[1,2,3,4] * M[1,2,3,4]'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (('expand', 'e', '1', '--degree', '8'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    (('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5'), 0, '08b952b4ae75981af3a6616ebc2d134c777ae69b86ea4841e046426f8ed486b3'),
 ]
+#: the rows that take seconds, run only with ``-m slow``: the benchmark's battery
+SLOW = {('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5')}
 
 
 def run(argv):
@@ -99,7 +102,10 @@ def run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [pytest.param(*row, id=" ".join(row[0]), marks=[pytest.mark.slow] if row[0] in SLOW else []) for row in GOLDEN],
+)
 def test_golden_stdout(argv, code, digest):
     rc, out, _ = run(argv)
     assert rc == code

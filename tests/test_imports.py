@@ -31,6 +31,7 @@ TEST_ONLY = {
     "evaluation": "the check that the commutative image is a morphism",
     "ParamPoly.const": "the coefficient ring's API",
     "ParamPoly.substitute": "the coefficient ring's API",
+    "pack": "public API, and the oracle of WQSymElement.coproduct",
 }
 
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqsym.algebra import WQSymElement, embed_sym_hat
 from wqsym.errors import CapExceeded
@@ -24,8 +26,9 @@ from wqsym.qshuffle import (
     naturality_check,
     tensor,
 )
-from wqsym.series import adams, eulerian_idempotent, identity_series
+from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, identity_series
 from wqsym.suites import random_qs_element, random_tensor_word
+from wqsym.words import enumerate_packed_words
 
 E = WQSymElement.monomial
 
@@ -215,6 +218,10 @@ def test_naturality_rejects_bad_maps():
         apply_generator_map({"b": AElement.generator("b")}, tensor(a))
 
 
+#: the series of the car-compat suite, each of which meets the car identity
+CAR_SERIES = [identity_series(4), adams(2, 4), adams(3, 4), eulerian_idempotent(1, 4), eulerian_idempotent(2, 4)]
+
+
 def test_car_compatibility_examples():
     I = identity_series(4)
     x, y = tensor(a), tensor(b, c)
@@ -226,18 +233,56 @@ def test_car_compatibility_examples():
 
 def test_car_compatibility_seeded():
     rng = random.Random(55)
-    sigmas = [
-        identity_series(4),
-        adams(2, 4),
-        adams(3, 4),
-        eulerian_idempotent(1, 4),
-        eulerian_idempotent(2, 4),
-    ]
     for i in range(40):
-        sigma = sigmas[i % len(sigmas)]
+        sigma = CAR_SERIES[i % len(CAR_SERIES)]
         x = random_qs_element(rng, GENS, rng.randint(0, 2), rng.randint(1, 2))
         y = random_qs_element(rng, GENS, rng.randint(0, 2), rng.randint(1, 2))
         assert car_coproduct_compatibility_check(sigma, x, y)
+
+
+def unrestricted_car_check(sigma, x, y) -> bool:
+    """The car identity summed over every pair of sigma's coproduct: the
+    oracle of the check's filter on degrees and word lengths."""
+    rhs = QSElement.zero()
+    for (u, v), coeff in sigma.element.coproduct().terms.items():
+        rhs = rhs + coeff * (x.act(E(u)) * y.act(E(v)))
+    return (x * y).act(sigma) == rhs
+
+
+def _inhomogeneous(rng, degrees):
+    # one term in each degree, so the degrees cannot cancel
+    return sum((random_qs_element(rng, GENS, d) for d in degrees), QSElement.zero())
+
+
+WORDS_TO_4 = [w for n in range(5) for w in enumerate_packed_words(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CAR_SERIES),
+    st.dictionaries(st.sampled_from(WORDS_TO_4), st.integers(-2, 2), max_size=2),
+    st.sets(st.integers(0, 2), min_size=2, max_size=2),
+    st.sets(st.integers(0, 2), min_size=2, max_size=2),
+    st.randoms(use_true_random=False),
+)
+def test_car_check_matches_the_unrestricted_formula(series, wrong, xdeg, ydeg, rng):
+    # a series of the suite meets the identity, so a check that drops a
+    # needed word fails it; a few wrong coefficients mostly break it
+    sigma = TruncatedSeries.from_element(series.element + WQSymElement(wrong), 4)
+    x, y = _inhomogeneous(rng, sorted(xdeg)), _inhomogeneous(rng, sorted(ydeg))
+    assert car_coproduct_compatibility_check(sigma, x, y) == unrestricted_car_check(sigma, x, y)
+
+
+def test_one_wrong_coefficient_at_a_met_length_fails_the_car_check():
+    # x has degrees 1 and 2 and y degrees 0 and 1, so x * y meets the word
+    # lengths 1, 2 and 3: one wrong coefficient of I at any such word fails
+    x, y = tensor(a) + tensor(b, c), QSElement.unit() + tensor(c)
+    I = identity_series(4)
+    assert car_coproduct_compatibility_check(I, x, y)
+    for n in (1, 2, 3):
+        for w in enumerate_packed_words(n):
+            wrong = TruncatedSeries.from_element(I.element + E(w), 4)
+            assert not car_coproduct_compatibility_check(wrong, x, y), w
 
 
 def test_e1_kills_products():

@@ -25,7 +25,7 @@ from wqsym.algebra import TensorSquare, WQSymElement
 from wqsym.cli import main
 from wqsym.params import SparseCombination
 from wqsym.qsym import QSymElement
-from wqsym.suites import SUITES, run_suite
+from wqsym.suites import SUITES, SuiteReport, run_suite
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 BATTERY = json.loads(REFERENCE.read_text())["battery"]
@@ -104,22 +104,37 @@ def test_eulerian_checks_the_ascent_table_against_convolutions(monkeypatch):
 # -- the internal and hopf suites memoise products; a broken one still shows --
 
 
-def test_a_wrong_internal_product_fails_associativity(monkeypatch):
-    # mono[u] @ mono[v] is built once per pair: a wrong value for one pair
-    # must still fail every check that reads it
+def _internal_failures(monkeypatch, wrong):
+    """The failure texts of internal at 4/3 when ``mono[u] @ mono[v]`` for
+    ``u, v = (1, 2, 1), (2, 1)`` (the monomial of (2, 1, 2)) is replaced by
+    ``wrong(right value)``; every other product stays right."""
     real = WQSymElement.__matmul__
     u, v = (1, 2, 1), (2, 1)
 
-    def wrong(self, other):
+    def patched(self, other):
         out = real(self, other)
-        return out + out if list(self.terms) == [u] and list(other.terms) == [v] else out
+        return wrong(out) if list(self.terms) == [u] and list(other.terms) == [v] else out
 
-    monkeypatch.setattr(WQSymElement, "__matmul__", wrong)
+    monkeypatch.setattr(WQSymElement, "__matmul__", patched)
     report = run_suite("internal", 4, 0, 3, 5)
-    details = [f.detail for f in report.failures]
-    assert f"associativity at {u},{v},(1, 1)" in details
-    assert all(d.startswith("associativity at ") for d in details)
     assert report.count == BATTERY["4/3"]["0"]["internal"]
+    details = [f.detail for f in report.failures]
+    assert all(d.startswith("associativity at ") for d in details)
+    return details
+
+
+def test_a_wrong_internal_product_fails_associativity(monkeypatch):
+    # mono[u] @ mono[v] is built once per pair: a wrong value for one pair
+    # must still fail every check that reads it
+    assert "associativity at (1, 2, 1),(2, 1),(1, 1)" in _internal_failures(monkeypatch, lambda out: out + out)
+
+
+def test_a_wrong_unit_monomial_product_fails_associativity(monkeypatch):
+    # a product that is a basis monomial mono[x] is followed by the memo's
+    # product with x: a wrong monomial for one pair takes that path
+    assert WQSymElement.monomial((1, 2, 1)) @ WQSymElement.monomial((2, 1)) == WQSymElement.monomial((2, 1, 2))
+    details = _internal_failures(monkeypatch, lambda out: WQSymElement.monomial((1, 1, 1)))
+    assert "associativity at (1, 2, 1),(2, 1),(1, 1)" in details
 
 
 def test_a_wrong_coproduct_fails_coassociativity(monkeypatch):
@@ -159,10 +174,37 @@ def _calls(monkeypatch, name, suite):
 
 
 def test_internal_builds_each_product_of_two_monomials_once(monkeypatch):
-    # 182 094 calls when mono[v] @ mono[w] was rebuilt for every u
-    assert _calls(monkeypatch, "__matmul__", "internal") <= 122_294
+    # 182 094 calls when mono[v] @ mono[w] was rebuilt for every u, and
+    # 122 294 when a product that is a basis monomial was multiplied again
+    assert _calls(monkeypatch, "__matmul__", "internal") <= 2_871
 
 
 def test_hopf_builds_each_leg_coproduct_once(monkeypatch):
-    # 7 565 calls when each leg word's coproduct was rebuilt at each appearance
-    assert _calls(monkeypatch, "coproduct", "hopf") <= 2_249
+    # 7 565 calls when each leg word's coproduct was rebuilt at each
+    # appearance, and 2 249 when multiplicativity rebuilt both factors'
+    assert _calls(monkeypatch, "coproduct", "hopf") <= 961
+
+
+# -- SuiteReport.check formats a failure's text only when the check fails --
+
+
+def test_a_passing_check_formats_nothing():
+    formatted = []
+
+    class Loud:
+        def __format__(self, spec):
+            formatted.append(spec)
+            return "loud"
+
+    report = SuiteReport("internal", 4, 0, 3, 5)
+    report.check(True, "associativity at {},{},{}", Loud(), Loud(), Loud())
+    assert formatted == [] and report.passed and report.count == 1
+
+
+def test_a_failing_check_gives_the_f_string_text():
+    u, v, w = (1, 2, 1), (2, 1), ()
+    report = SuiteReport("internal", 4, 0, 3, 5)
+    report.check(False, "associativity at {},{},{}", u, v, w)
+    report.check(False, "a {literal} text")
+    assert [f.detail for f in report.failures] == [f"associativity at {u},{v},{w}", "a {literal} text"]
+    assert [f.check for f in report.failures] == [0, 1]
