@@ -20,19 +20,22 @@ I is the image of sigma = sum S_n under the hat embedding of noncommutative
 symmetric functions (Gelfand, Krob, Lascoux, Leclerc, Retakh, Thibon, Adv.
 Math. 112, 1995), so Psi^k is the image of sigma^k, and its coefficient on a
 packed word of length d with a ascents (positions j with w(j) < w(j+1)) is
-the binomial C(a + k, d).  As a polynomial in k this is sum_i k^i e_i, so
-e_i has the k^i coefficient of C(k + a, d), and log I is e_1.
-:func:`adams_terms` and :func:`eulerian_terms` yield these coefficients
-degree by degree straight from the packed-word enumeration, and the closed
-forms are built from them; ``wqsym expand`` renders them without building
-anything.
+the binomial C(k + a, d).  As a polynomial in k this is sum_i k^i e_i, so
+e_i has the k^i coefficient of C(k + a, d), and log I is e_1.  That one
+polynomial, :func:`_ascent_polynomial`, is the source of every
+characteristic series: Psi^k takes its value at k, e_i its k^i coefficient,
+and I is Psi^1.  :func:`adams_terms` and :func:`eulerian_terms` yield these
+coefficients degree by degree straight from the packed-word enumeration, and
+the closed forms are built from them; ``wqsym expand`` renders them without
+building anything.  :meth:`TruncatedSeries.unit` is Psi^0 but is built
+directly, as the one series that no degree cap bounds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 
 from .algebra import (
@@ -177,20 +180,18 @@ class TruncatedSeries:
         """k-th convolution power."""
         if k < 0:
             raise ValueError("negative convolution powers go through inverse()")
-        out = TruncatedSeries.unit(self.cutoff)
-        for _ in range(k):
-            out = out * self
-        return out
+        return self._power_sum([0] * k + [1])
 
     def _power_sum(self, coeffs) -> "TruncatedSeries":
         """``sum_j coeffs[j] * self^j`` (convolution powers), accumulated in
-        one dict."""
+        one dict; a zero coefficient adds nothing."""
         out: dict = {}
         p = TruncatedSeries.unit(self.cutoff)
         for j, a in enumerate(coeffs):
             if j:
                 p = p * self
-            _add_multiple(out, p.element.terms, a)
+            if a:
+                _add_multiple(out, p.element.terms, a)
         return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(out))
 
     def inverse(self) -> "TruncatedSeries":
@@ -246,15 +247,6 @@ def format_graded(cutoff: int, graded):
 # -- the characteristic family ------------------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
-def identity_series(cutoff: int) -> TruncatedSeries:
-    """The diagonal series: staircase word 1 2 .. d in each degree d."""
-    check_degree_cap(_check_cutoff(cutoff))
-    return TruncatedSeries._raw(
-        cutoff, WQSymElement._raw({tuple(range(1, d + 1)): Fraction(1) for d in range(cutoff + 1)})
-    )
-
-
 def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
     """Coefficients in k, from k^0 up, of C(k + a, d) = (k+a)(k+a-1)...(k+a-d+1) / d!."""
     poly = [Fraction(1, math.factorial(d))]
@@ -264,32 +256,21 @@ def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
     return poly
 
 
-def _adams_entry(k: int, a: int, d: int) -> Fraction:
-    """The coefficient of Psi^k on a word of length d with a ascents: C(a + k, d)."""
-    return Fraction(math.comb(a + k, d))
-
-
-def _eulerian_entry(i: int, a: int, d: int):
-    """The coefficient of e_i on a word of length d with a ascents: the k^i
-    coefficient of the polynomial C(k + a, d)."""
-    poly = _ascent_polynomial(a, d)
-    return poly[i] if i < len(poly) else 0
-
-
 def _ascent_terms(cutoff: int, entry):
     """``(d, terms)`` for each degree d <= cutoff with a nonzero term, in
     increasing order, ``terms`` an iterator over the ``(word, coefficient)``
-    pairs of degree d in canonical order, with coefficient ``entry(a, d)`` on
-    a word with a ascents: the graded terms of the series, straight from the
-    enumeration, with nothing built or stored.  As with ``groupby``, each
-    degree's terms are read before the next degree is drawn.
+    pairs of degree d in canonical order, with coefficient
+    ``entry(_ascent_polynomial(a, d))`` on a word with a ascents: the graded
+    terms of the series, straight from the enumeration, with nothing built or
+    stored.  As with ``groupby``, each degree's terms are read before the
+    next degree is drawn.
 
     One table per degree, indexed by a.  The enumeration never visits a word
     with fewer ascents than the smallest a with a nonzero entry, the words of
     one ascent count share one coefficient object, and the words whose entry
     is zero are dropped."""
     for d in range(cutoff + 1):
-        table = [entry(a, d) for a in range(max(d, 1))]
+        table = [entry(_ascent_polynomial(a, d)) for a in range(max(d, 1))]
         nonzero = list(map(bool, table))
         if True not in nonzero:
             continue
@@ -307,11 +288,11 @@ def _ascent_series(cutoff: int, graded) -> TruncatedSeries:
 
 def adams_terms(k: int, cutoff: int):
     """The graded terms of the k-th Adams operation up to ``cutoff``, as
-    :func:`_ascent_terms` yields them; ``k`` and the cap are checked at the
-    call."""
+    :func:`_ascent_terms` yields them: C(k + a, d) evaluated at k.  ``k`` and
+    the cap are checked at the call."""
     _check_index(k)
     check_degree_cap(_check_cutoff(cutoff))
-    return _ascent_terms(cutoff, partial(_adams_entry, k))
+    return _ascent_terms(cutoff, lambda poly: sum(c * k**j for j, c in enumerate(poly)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -322,6 +303,12 @@ def adams(k: int, cutoff: int) -> TruncatedSeries:
     return _ascent_series(cutoff, adams_terms(k, cutoff))
 
 
+def identity_series(cutoff: int) -> TruncatedSeries:
+    """The diagonal series I = Psi^1: staircase word 1 2 .. d in each degree
+    d, the one word of length d with d - 1 ascents."""
+    return adams(1, cutoff)
+
+
 def log_identity(cutoff: int) -> TruncatedSeries:
     """log I, which is the first idempotent e_1."""
     return eulerian_idempotent(1, cutoff)
@@ -329,11 +316,11 @@ def log_identity(cutoff: int) -> TruncatedSeries:
 
 def eulerian_terms(i: int, cutoff: int):
     """The graded terms of the i-th quasi-Eulerian idempotent up to
-    ``cutoff``, as :func:`_ascent_terms` yields them; ``i`` and the cap are
-    checked at the call."""
+    ``cutoff``, as :func:`_ascent_terms` yields them: the k^i coefficient of
+    C(k + a, d).  ``i`` and the cap are checked at the call."""
     _check_index(i)
     check_degree_cap(_check_cutoff(cutoff))
-    return _ascent_terms(cutoff, partial(_eulerian_entry, i))
+    return _ascent_terms(cutoff, lambda poly: poly[i] if i < len(poly) else 0)
 
 
 @lru_cache(maxsize=None, typed=True)

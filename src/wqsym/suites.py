@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import WQSymElement, crucial_factorization_check, embed_sym_hat
+from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .qshuffle import (
     AElement,
     QSElement,
@@ -539,8 +540,16 @@ MIN_DEGREE = {"e1-kernel": 1, "generators": 1}
 
 
 def run_suite(name, degree, seed, cases, generators) -> SuiteReport:
+    """Run one suite.  A suite body that raises ends with one failed check at
+    the case it was drawing, so its reproducer reruns the raise and the other
+    suites still report; the errors that carry an exit code propagate."""
     report = SuiteReport(name, degree, seed, cases, generators)
     start = time.perf_counter()
-    SUITES[name](report)
+    try:
+        SUITES[name](report)
+    except (ExpressionError, BasisMismatch, CapExceeded):
+        raise
+    except Exception as exc:
+        report.check(False, "raised {}: {}", type(exc).__name__, exc)
     report.wall_time = time.perf_counter() - start
     return report

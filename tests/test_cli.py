@@ -23,7 +23,7 @@ import pytest
 from wqsym import series, suites, words
 from wqsym.cli import CLOSED_PIPE_EXIT, main
 from wqsym.serialization import series_to_obj
-from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, identity_series
+from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -196,10 +196,10 @@ def test_deep_expression_exits_2_with_one_line(argv):
         (("expand", "psi", "1000000", "--degree", "4"), 1000000),
     ],
 )
-def test_adams_operation_of_a_large_index(argv, k):
+def test_adams_operation_of_a_large_index(argv, k, staircase):
     # Psi^k = sum_i k^i e_i, each e_i = log(I)^(*i) / i! by convolution
     degree = int(argv[-1])
-    log = identity_series(degree).log()
+    log = staircase(degree).log()
     spectral, power = TruncatedSeries.zero(degree), TruncatedSeries.unit(degree)
     for i in range(degree + 1):
         spectral = spectral + power * Fraction(k**i, math.factorial(i))
@@ -227,6 +227,30 @@ def test_failure_reproducer_carries_generators(monkeypatch):
     # the reproducer reruns the same case: its last failure is the same line
     rc, rerun, _ = run(reproducer.split()[1:])
     assert rc == 1 and rerun.splitlines()[-2:] == out.splitlines()[-2:]
+
+
+def test_a_suite_that_raises_fails_one_check(monkeypatch):
+    def broken(ws):
+        if any(len(w) == 4 for w in ws):
+            raise ValueError("a factor of length 4")
+        return True
+
+    monkeypatch.setattr(suites, "crucial_factorization_check", broken)
+    rc, out, _ = run(("verify", "all", "--degree", "4", "--cases", "3"))
+    assert rc == 1
+    lines = out.splitlines()
+    assert sum(line.endswith(": PASS") for line in lines) == 11
+    at = next(i for i, line in enumerate(lines) if line.startswith("suite crucial:"))
+    assert lines[at].endswith(": FAIL") and lines[at + 1].endswith(": raised ValueError: a factor of length 4")
+    # the failure is at the draw that raised, and its reproducer raises again
+    reproducer = lines[at + 2].strip().removeprefix("reproduce: ")
+    assert reproducer == "wqsym verify crucial --degree 4 --seed 0 --cases 2 --generators 5"
+    rc, rerun, _ = run(reproducer.split()[1:])
+    assert rc == 1 and rerun.splitlines()[1:] == lines[at + 1 : at + 3]
+    # an error that carries an exit code still ends the run with it
+    monkeypatch.setattr(suites, "crucial_factorization_check", lambda ws: series.adams(1, 99))
+    rc, out, err = run(("verify", "all", "--degree", "4", "--cases", "3"))
+    assert (rc, out) == (4, "") and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("calls,cases", [(1, 1), (6, 5)], ids=["fixed", "seeded case 4"])

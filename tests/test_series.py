@@ -36,12 +36,14 @@ def elem(d):
     return WQSymElement(d)
 
 
-def test_identity_series():
+def test_identity_series(staircase):
     I = identity_series(5)
     assert I.component(0) == WQSymElement.unit()
     assert I.component(2) == E((1, 2))
     assert I.degrees() == [0, 1, 2, 3, 4, 5]
     assert identity_series(0) == TruncatedSeries.unit(0)
+    for n in range(8):
+        assert identity_series(n) == staircase(n), n
 
 
 def test_convolution_square_low_degrees():
@@ -100,11 +102,20 @@ def test_log_exp_round_trip():
         identity_series(3).exp()
 
 
-def test_adams_basics():
-    assert adams(1, 4) == identity_series(4)
+def ascents(w):
+    return sum(x < y for x, y in zip(w, w[1:]))
+
+
+def test_adams_basics(staircase):
+    assert adams(1, 4) == staircase(4)
     assert adams(0, 4) == TruncatedSeries.unit(4)
     assert adams(2, 4).component(1) == 2 * E((1,))
     assert adams(3, 4) == adams(1, 4) * adams(2, 4)
+    # Psi^k is C(k + a, d) on a word of length d with a ascents
+    words = [w for d in range(7) for w in enumerate_packed_words(d)]
+    for k in (*range(7), 10**6):
+        binomial = elem({w: math.comb(ascents(w) + k, len(w)) for w in words})
+        assert adams(k, 6).element == binomial, k
 
 
 def test_adams_power_laws():
@@ -156,10 +167,10 @@ def test_e1_closed_form_matches_log_route():
     assert eulerian_e1_closed_form(5) == identity_series(5).log()
 
 
-def test_ascent_closed_forms_match_the_convolution_route():
+def test_ascent_closed_forms_match_the_convolution_route(staircase):
     # Psi^k = I^(*k), log I by the log series, e_i = log(I)^(*i) / i!
     for d in range(7):
-        I = identity_series(d)
+        I = staircase(d)
         power = TruncatedSeries.unit(d)
         for k in range(9):
             assert adams(k, d) == power, (k, d)
@@ -170,7 +181,7 @@ def test_ascent_closed_forms_match_the_convolution_route():
         for i in range(d + 2):
             assert eulerian_idempotent(i, d) == power / math.factorial(i), (i, d)
             power = power * log
-    I = identity_series(7)
+    I = staircase(7)
     assert adams(2, 7) == I * I
     assert adams(3, 7) == I * I * I
 
@@ -278,7 +289,8 @@ def test_every_builder_checks_the_index():
         lambda k: qsym_adams(k, F, 3),
         lambda k: qsym_adams_oracle(k, F),
     )
-    # True once read as 1, and 2.0 died in math.comb or range
+    # unchecked, True would be read as 1, and 2.0 would build float
+    # coefficients or die in range
     for build in builders:
         for k in (True, False, 2.0, 2.5, "2", Fraction(2), -1):
             with pytest.raises(ValueError):
