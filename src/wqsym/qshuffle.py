@@ -10,6 +10,11 @@ letters at the positions where u has the letter i, and kills every other
 length.  Each subclass names its semigroup product once, as ``_merge``, and
 the product is the shared kernel :func:`wqsym.words.quasi_shuffle` with that
 merge (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
+Within one action the letters are numbered by equality (:class:`_Letters`),
+so the pairs of keys and operator words hash tuples of small ints; each
+operator word becomes one ``itemgetter`` over its blocks (:func:`_image`),
+each pair of letter numbers is merged once per action, and only the images
+with a nonzero sum are spelled back into letters.
 
 Here the base algebra A is spanned by the monomials of positive degree in a
 finite set of generators, as A has no unit; its product merges exponent
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .algebra import Algebra, Tensor, WQSymElement, _add_multiple, _by_length, _collect, _numerators
 from .errors import CapExceeded
@@ -84,10 +90,39 @@ class AElement(Monomials):
         return cls._raw({((str(name), 1),): Fraction(1)})
 
 
+class _Letters(dict):
+    """The letters met in one action, each numbered in order of first sight
+    (by equality, so equal letters built apart share a number), with
+    ``spelled`` mapping numbers back to letters.  ``product`` merges the
+    letters of two numbers with ``merge`` once per pair and numbers the
+    result."""
+
+    __slots__ = ("spelled", "merge", "pairs")
+
+    def __init__(self, merge):
+        super().__init__()
+        self.spelled: list = []
+        self.merge = merge
+        self.pairs: dict[tuple[int, int], int] = {}
+
+    def __missing__(self, letter):
+        i = self[letter] = len(self.spelled)
+        self.spelled.append(letter)
+        return i
+
+    def product(self, i: int, j: int) -> int:
+        pair = (i, j)
+        k = self.pairs.get(pair)
+        if k is None:
+            k = self.pairs[pair] = self[self.merge(self.spelled[i], self.spelled[j])]
+        return k
+
+
 class _BlockProducts(dict):
     """The products of the letters of one key over sets of positions, indexed
     by bitmask; each is computed with ``merge`` on first use, from the product
-    over all but the lowest position."""
+    over all but the lowest position.  In :meth:`QuasiShuffle.act` the
+    letters are numbers and ``merge`` is :meth:`_Letters.product`."""
 
     __slots__ = ("merge",)
 
@@ -99,6 +134,15 @@ class _BlockProducts(dict):
         low = mask & -mask
         value = self[mask] = self.merge(self[low], self[mask ^ low])
         return value
+
+
+def _image(u):
+    """The map from a key's :class:`_BlockProducts` to the image of the key
+    under the word ``u``: one product per letter of ``u``, over its block."""
+    masks = block_masks(u)
+    if len(masks) > 1:
+        return itemgetter(*masks)
+    return lambda products: tuple(products[m] for m in masks)  # itemgetter needs two
 
 
 class QuasiShuffle(Algebra):
@@ -121,9 +165,15 @@ class QuasiShuffle(Algebra):
         killed, so a series acts by its whole element; lengths above its
         cutoff were not computed and are refused.  The operator is bucketed
         by length rather than paired with every key through
-        :func:`wqsym.params._bilinear`.  Each block product is computed once
-        per key, and with ``Fraction`` coefficients throughout the sums
-        accumulate as int numerators over one common denominator."""
+        :func:`wqsym.params._bilinear`.  Letters are numbered in order of
+        first sight, keys' letters and block products alike, so images are
+        tuples of ints until the nonzero sums are spelled at the end.  Each
+        operator word is one ``itemgetter`` of its block masks, applied to a
+        key's :class:`_BlockProducts`, which fills each block product on
+        first use; the merge of two letter numbers is memoised for the
+        whole call, as the keys of a product share their letters.  With
+        ``Fraction`` coefficients throughout the sums accumulate as int
+        numerators over one common denominator."""
         if isinstance(op, TruncatedSeries):
             for key in self.terms:
                 if len(key) > op.cutoff:
@@ -133,18 +183,21 @@ class QuasiShuffle(Algebra):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
         lengths = {len(key) for key in self.terms}
         xs, ops, d = _numerators(self.terms, {u: c for u, c in op.terms.items() if len(u) in lengths})
-        buckets = {n: (list(map(block_masks, us)), cs) for n, (us, cs) in _by_length(ops).items()}
+        buckets = {n: (list(map(_image, us)), cs) for n, (us, cs) in _by_length(ops).items()}
+        letters = _Letters(self._merge)
+        number, product = letters.__getitem__, letters.product
         out: dict = {}
         get = out.get
         for key, c in xs.items():
             bucket = buckets.get(len(key))
             if bucket is None:
                 continue
-            product = _BlockProducts(key, self._merge).__getitem__
-            for masks, cu in zip(*bucket):
-                w = tuple(map(product, masks))
+            products = _BlockProducts(map(number, key), product)
+            for image, cu in zip(*bucket):
+                w = image(products)
                 out[w] = get(w, 0) + c * cu
-        return _collect(type(self), out, d)
+        spell = letters.spelled.__getitem__
+        return _collect(type(self), {tuple(map(spell, w)): n for w, n in out.items() if n}, d)
 
 
 class QSElement(QuasiShuffle):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from wqsym.algebra import WQSymElement, _add_term
 from wqsym.errors import CapExceeded
 from wqsym.params import ParamPoly
-from wqsym.qshuffle import QSElement, mono_mul
+from wqsym.qshuffle import QSElement, QuasiShuffle, mono_mul, monomial
 from wqsym.qsym import QSymElement
 from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
 
@@ -44,8 +44,43 @@ def _regroup(I, u):
     return tuple(parts)
 
 
+class Clash:
+    """A positive integer as a letter whose hash is the same for every value:
+    an action that told letters apart by hash would merge distinct ones."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return 0
+
+    def __eq__(self, other):
+        return isinstance(other, Clash) and self.value == other.value
+
+    def __repr__(self):
+        return f"Clash({self.value})"
+
+
+class ClashShuffle(QuasiShuffle):
+    """The quasi-shuffle algebra of QSym, spelled with :class:`Clash` letters."""
+
+    __slots__ = ()
+
+    _merge = staticmethod(lambda a, b: Clash(a.value + b.value))
+
+    @staticmethod
+    def _check_key(word):
+        return tuple(word)
+
+
+def _regroup_clashes(word, u):
+    return tuple(map(Clash, _regroup([letter.value for letter in word], u)))
+
+
 def oracle_act(x, op):
-    image = _act_word if isinstance(x, QSElement) else _regroup
+    image = {QSElement: _act_word, QSymElement: _regroup, ClashShuffle: _regroup_clashes}[type(x)]
     if isinstance(op, TruncatedSeries):
         for key in x.terms:
             if len(key) > op.cutoff:
@@ -205,6 +240,68 @@ def test_series_refusal_names_the_cutoff_and_the_degree():
         x.act(adams(2, 2))
     with pytest.raises(CapExceeded, match=r"^series cutoff 1 cannot act on degree 2$"):
         QSymElement.monomial((1, 1)).act(TruncatedSeries.unit(1))
+
+
+# -- letters are numbered by equality, within one action -------------------------------
+
+
+def as_clashes(F: QSymElement) -> ClashShuffle:
+    return ClashShuffle._raw({tuple(map(Clash, I)): c for I, c in F.terms.items()})
+
+
+@pytest.mark.parametrize("ring", sorted(coefficients))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_letters_with_one_hash_stay_apart(ring, data):
+    F, op = data.draw(pairs("qsym", coefficients[ring]))
+    got = as_clashes(F).act(op)
+    assert got == oracle_act(as_clashes(F), op) == as_clashes(F.act(op))
+
+
+def _rebuilt(mono):
+    """An equal monomial that is not the same object, nor are its pairs."""
+    return tuple(tuple(list(pair)) for pair in mono)
+
+
+def test_equal_letters_built_apart_are_one_letter():
+    a, b = monomial(("a", 1)), monomial(("b", 1))
+    a2, b2 = _rebuilt(a), _rebuilt(b)
+    assert (a2, b2) == (a, b) and a2 is not a and a2[0] is not a[0]
+    ab, aa = monomial(("a", 1), ("b", 1)), monomial(("a", 2))
+    M = WQSymElement.monomial
+    # (a, b) and (b2, a2) have one image under M[1,1]: the sums must meet
+    x = QSElement._raw({(a, b): Fraction(1), (b2, a2): Fraction(1), (a, a2): Fraction(1, 2)})
+    op = M((1, 1)) + M((1, 2))
+    expected = QSElement._raw(
+        {(ab,): Fraction(2), (a, b): Fraction(1), (b, a): Fraction(1), (aa,): Fraction(1, 2), (a, a): Fraction(1, 2)}
+    )
+    assert x.act(op) == oracle_act(x, op) == expected
+    cancelling = QSElement._raw({(a, b): Fraction(1), (b2, a2): Fraction(-1)})
+    assert cancelling.act(M((1, 1))) == QSElement.zero()
+
+
+# -- operator words of one block or none ----------------------------------------------
+
+RING_SCALARS = {"fraction": Fraction(-2, 3), "parampoly": T + Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("ring", sorted(RING_SCALARS))
+def test_words_of_no_block_or_one_block(ring):
+    c = RING_SCALARS[ring]
+    M = WQSymElement.monomial
+    a, b = QSElement.generator("a"), QSElement.generator("b")
+    unit = QSElement.unit()
+    assert unit.act(M((), c)) == c * unit
+    assert (c * unit).act(M((1,))) == QSElement.zero()
+    assert (c * a).act(M((1,))) == c * a
+    assert (a + c * b).act(M((1,), c)) == c * a + (c * c) * b
+    x = c * unit + a - c * b + QSElement.monomial([(("a", 1),), (("b", 1),)], c)
+    op = M(()) + c * M((1,)) + M((1, 1)) + c * M((1, 1, 1))
+    assert x.act(op) == oracle_act(x, op)
+    ab = monomial(("a", 1), ("b", 1))
+    assert x.act(op) == c * unit + c * a - (c * c) * b + QSElement.monomial([ab], c)
+    F = QSymElement({(): c, (2,): 1, (1, 2): c, (1, 1, 3): 1})
+    assert F.act(op) == oracle_act(F, op) == QSymElement({(): c, (2,): c, (3,): c, (5,): c})
 
 
 # -- QSym as the quasi-shuffle algebra over one generator -----------------------------

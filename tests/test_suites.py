@@ -23,7 +23,8 @@ import pytest
 from wqsym import series
 from wqsym.algebra import TensorSquare, WQSymElement
 from wqsym.cli import main
-from wqsym.params import SparseCombination
+from wqsym.params import SparseCombination, mono_mul, monomial
+from wqsym.qshuffle import QSElement
 from wqsym.qsym import QSymElement
 from wqsym.suites import SUITES, SuiteReport, run_suite
 
@@ -183,6 +184,52 @@ def test_hopf_builds_each_leg_coproduct_once(monkeypatch):
     # 7 565 calls when each leg word's coproduct was rebuilt at each
     # appearance, and 2 249 when multiplicativity rebuilt both factors'
     assert _calls(monkeypatch, "coproduct", "hopf") <= 961
+
+
+# -- e1-kernel merges each pair of letters once per action; a wrong merge still shows --
+
+
+def _merges(monkeypatch, merge):
+    """The report of e1-kernel at degree 5, 100 cases, with ``QSElement._merge``
+    replaced by ``merge``, and the number of its calls."""
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return merge(a, b)
+
+    monkeypatch.setattr(QSElement, "_merge", staticmethod(counted))
+    return run_suite("e1-kernel", 5, 0, 100, 5), calls[0]
+
+
+def test_e1_kernel_merges_each_pair_of_letters_once_per_action(monkeypatch):
+    # 25 472 calls when each key of x * y merged its own letters
+    report, calls = _merges(monkeypatch, mono_mul)
+    assert report.passed, report.failures
+    assert calls <= 6_064
+
+
+def test_a_wrong_letter_product_fails_e1_kernel(monkeypatch):
+    # g1 * g2, wrong in both orders: the merge stays commutative but is no
+    # longer associative, so e_1 no longer kills the products that meet it
+    g1, g2 = monomial(("g1", 1)), monomial(("g2", 1))
+
+    def wrong(a, b):
+        out = mono_mul(a, b)
+        return mono_mul(out, g1) if {a, b} == {g1, g2} else out
+
+    report, _ = _merges(monkeypatch, wrong)
+    assert [f.detail for f in report.failures] == [
+        "kernel at (3,2)",
+        "kernel at (2,3)",
+        "kernel at (3,2)",
+        "kernel at (1,3)",
+        "kernel at (3,1)",
+        "kernel at (3,1)",
+        "kernel at (1,2)",
+        "kernel at (2,3)",
+        "kernel at (2,2)",
+    ]
 
 
 # -- SuiteReport.check formats a failure's text only when the check fails --
