@@ -13,6 +13,20 @@ only keys of matching lengths and stay outside the kernels, which would call
 the key map once per pair: ``@``, :func:`truncated_product` (the product of
 series) and the right action (:meth:`wqsym.qshuffle.QuasiShuffle.act`).
 
+``@`` has two routes per length bucket, the words ``u`` of ``self`` of one
+breadth k against the words ``v`` of ``other`` of length k.  The pair loop
+composes each pair and adds its product into a dict; it is the reference,
+and it takes one-term operands, ``ParamPoly`` coefficients and sparse
+buckets.  The bucket route (:func:`_compose_bucket`) writes each ``u`` as a
+permutation of its letters after its first-occurrence standardisation (a
+surjection is a set partition and an order of its blocks; Reutenauer, *Free
+Lie Algebras*, 1993, ch. 9), permutes the bucket of ``other``, laid out as
+one int vector over the packed words of length k, once per permutation with
+the cached tables of :mod:`wqsym.words`, sums those vectors in C and
+scatters one sum per standardisation.  A bucket of ``Fraction`` operands
+takes it when its estimated cost, from the bucket's sizes and its numbers of
+distinct permutations and standardisations, is below the pair loop's.
+
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
 
@@ -35,8 +49,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
 from itertools import product as iproduct
-from operator import eq, ge, itemgetter, le
+from operator import add, eq, ge, itemgetter, le, mul
 
 from . import words
 from .params import (
@@ -49,10 +64,13 @@ from .params import (
     _linear,
 )
 from .words import (
+    FUBINI,
     Word,
     breadth,
     descents,
     enumerate_packed_words,
+    packed_word_ranks,
+    position_swap_table,
     quasi_shuffle_words,
     reverse,
     shifted_concat,
@@ -88,13 +106,13 @@ def _collect(cls, out: dict, d):
     return cls._raw({w: Fraction(n, d) for w, n in out.items() if n})
 
 
-def _by_length(terms: dict) -> dict[int, tuple[list, list]]:
+def _by_length(terms: dict, measure=len) -> dict[int, tuple[list, list]]:
     """The keys of ``terms`` and their coefficients as parallel lists, grouped
-    by key length: the operand of every product or action that pairs only
-    matching lengths."""
+    by key length, or by ``measure`` of the key: the operand of every product
+    or action that pairs only matching lengths."""
     buckets: dict[int, tuple[list, list]] = {}
     for key, c in terms.items():
-        keys, coeffs = buckets.setdefault(len(key), ([], []))
+        keys, coeffs = buckets.setdefault(measure(key), ([], []))
         keys.append(key)
         coeffs.append(c)
     return buckets
@@ -105,6 +123,99 @@ def _composer(u: Word):
     if len(u) > 1:
         return itemgetter(*[x - 1 for x in u])
     return lambda v: tuple(v[x - 1] for x in u)
+
+
+#: the costs of a length bucket of ``@`` by either route, in multiply-adds of
+#: ints done by ``map`` over a list (a gather costs about one): a pair-loop
+#: update (compose two words, hash, add, store) costs _PAIR, an update of the
+#: bucket route's scatter _SCATTER, and factoring a left word and starting its
+#: products _FACTOR.  Fitted to the times of both routes on 144 buckets of
+#: lengths 2 to 6, full and thinned on each side (Python 3.11, 2-vCPU host).
+_PAIR, _SCATTER, _FACTOR = 7, 4, 48
+
+
+def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) -> bool:
+    """Add ``cu * cv`` at ``v o u`` into ``out`` for every word ``u`` of
+    breadth ``k`` in ``us`` and ``v`` of length ``k`` in ``vs``, their int
+    coefficients in ``cus`` and ``cs``, through whole vectors over the packed
+    words W_k of length ``k``, and return True; or add nothing and return
+    False when the pair loop is the cheaper route.
+
+    Each ``u`` is ``sigma o c`` for ``sigma`` the permutation of its letters
+    in order of first appearance and ``c`` its first-occurrence
+    standardisation (a surjection is a set partition and an order of its
+    blocks), so ``v o u = (v o sigma) o c``.  ``g``, the right operand laid
+    out over W_k, is permuted once per distinct ``sigma`` (:func:`_permuted`);
+    ``h_c``, the sum of ``cu`` times those vectors over the ``u`` with one
+    ``c``, is accumulated in C, and scattered through ``c`` once.
+
+    So the route pays |W_k| multiply-adds per ``u``, |W_k| gathers per
+    ``sigma`` and |W_k| scatter updates per ``c``, whatever ``vs`` holds,
+    where the pair loop pays one update per pair.  Their costs decide.  The
+    multiply-adds are weighed before any word is factored, so a bucket whose
+    ``vs`` is sparse in W_k leaves at once and builds no table.  Beyond the
+    lengths of ``FUBINI`` the tables would take a hundred MB or more, and the
+    pair loop always runs.
+    """
+    if k >= len(FUBINI):
+        return False
+    size, pair_cost = FUBINI[k], _PAIR * len(us) * len(vs)
+    if (size + _FACTOR) * len(us) >= pair_cost:
+        return False
+    by_sigma: dict[Word, list] = {}
+    for u, cu in zip(us, cus):
+        sigma = tuple(dict.fromkeys(u))
+        first = {x: i for i, x in enumerate(sigma, 1)}
+        by_sigma.setdefault(sigma, []).append((tuple(map(first.__getitem__, u)), cu))
+    n_c = len({c for group in by_sigma.values() for c, _ in group})
+    if (size + _FACTOR) * len(us) + size * (len(by_sigma) + _SCATTER * n_c) >= pair_cost:
+        return False
+    ranks = packed_word_ranks(k)
+    g = [0] * size
+    for v, cv in zip(vs, cs):
+        g[ranks[v]] = cv
+    h: dict[Word, list] = {}
+    for sigma, g_sigma in _permuted(g, k, sorted(by_sigma)):
+        for c, cu in by_sigma[sigma]:
+            scaled = map(mul, g_sigma, repeat(cu))
+            sums = h.get(c)
+            h[c] = list(scaled if sums is None else map(add, sums, scaled))
+    get = out.get
+    for c, sums in h.items():
+        for w, n in zip(map(_composer(c), compress(ranks, sums)), filter(None, sums)):
+            out[w] = get(w, 0) + n
+    return True
+
+
+def _permuted(g: list, k: int, sigmas):
+    """``(sigma, g_sigma)`` for each permutation ``sigma`` of 1..k in the
+    sorted ``sigmas``, where ``g`` is a vector over the packed words of length
+    ``k`` and ``g_sigma`` holds at ``v o sigma`` what ``g`` holds at ``v``.
+
+    ``sigma`` is reached from the identity by at most k - 1 gathers through
+    :func:`~wqsym.words.position_swap_table`, the j-th bringing ``sigma[j]``
+    to position j; the first j steps depend only on ``sigma[:j]``, so a stack
+    keeps each step's arrangement and vector for the next ``sigma`` sharing
+    that prefix, at most ``k`` vectors at a time."""
+    stack = [(list(range(1, k + 1)), g)]
+    previous: Word = ()
+    for sigma in sigmas:
+        depth = 0
+        for a, b in zip(sigma, previous):
+            if a != b:
+                break
+            depth += 1
+        del stack[depth + 1 :]
+        arrangement, vector = stack[-1]
+        for j in range(depth, k - 1):
+            p = arrangement.index(sigma[j], j)
+            if p != j:
+                arrangement = arrangement.copy()
+                arrangement[j], arrangement[p] = arrangement[p], arrangement[j]
+                vector = list(map(vector.__getitem__, position_swap_table(k, j, p)))
+            stack.append((arrangement, vector))
+        previous = sigma
+        yield sigma, vector
 
 
 class Algebra(Unital):
@@ -163,9 +274,13 @@ class WQSymElement(Algebra):
         and the pairs do not go through :func:`_bilinear`, which would visit
         every pair.  With ``Fraction`` coefficients throughout, the products
         accumulate as int numerators over one common denominator, divided out
-        at the end.  A one-term ``self`` whose coefficient is the ``Fraction``
-        1 passes each coefficient of ``other`` through unmultiplied; a
-        ``ParamPoly`` 1 still multiplies, so the product stays a ``ParamPoly``.
+        at the end, and ``self`` is bucketed by breadth too: each pair of
+        buckets goes through :func:`_compose_bucket` when its cost model says
+        that whole permuted vectors are cheaper than the pair loop, which
+        takes every other bucket.  A one-term ``self`` whose coefficient is
+        the ``Fraction`` 1 passes each coefficient of ``other`` through
+        unmultiplied; a ``ParamPoly`` 1 still multiplies, so the product stays
+        a ``ParamPoly``.
         """
         if not isinstance(other, WQSymElement):
             return NotImplemented
@@ -186,13 +301,16 @@ class WQSymElement(Algebra):
         f, g, d = _numerators(f, g)
         buckets = _by_length(g)
         get = out.get
-        for u, cu in f.items():
-            bucket = buckets.get(breadth(u))
+        for k, (us, cus) in _by_length(f, breadth).items():
+            bucket = buckets.get(k)
             if bucket is None:
                 continue
             vs, cs = bucket
-            for w, cv in zip(map(_composer(u), vs), cs):
-                out[w] = get(w, 0) + cu * cv
+            if d is not None and _compose_bucket(out, us, cus, k, vs, cs):
+                continue
+            for u, cu in zip(us, cus):
+                for w, cv in zip(map(_composer(u), vs), cs):
+                    out[w] = get(w, 0) + cu * cv
         return _collect(WQSymElement, out, d)
 
     def __and__(self, other):

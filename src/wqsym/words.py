@@ -19,8 +19,11 @@ checks it on every call.
 
 Everything in this module is a pure function on tuples, so results can be
 shared freely; :func:`enumerate_packed_words` and the product kernels keep
-memo tables whose observable behaviour is identical to recomputation.  The
-one enumeration kernel streams the packed words of a length with their ascent
+memo tables whose observable behaviour is identical to recomputation, and so
+do the rank and position-swap tables over the packed words of one length
+with which the internal product permutes whole vectors
+(:func:`packed_word_ranks`, :func:`position_swap_table`).  The one
+enumeration kernel streams the packed words of a length with their ascent
 counts (:func:`packed_words_with_ascents`) and keeps none of them; the
 memoised tuples are collected from it.
 """
@@ -31,6 +34,7 @@ import os
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from .errors import CapExceeded, ExpressionError
 
@@ -210,6 +214,25 @@ def enumerate_packed_words(n: int) -> tuple[Word, ...]:
 @lru_cache(maxsize=None)
 def _packed_words(n: int) -> tuple[Word, ...]:
     return tuple(w for w, _ in packed_words_with_ascents(n, n))
+
+
+@lru_cache(maxsize=None)
+def packed_word_ranks(n: int) -> dict[Word, int]:
+    """The index of each packed word of length ``n`` in the order of
+    :func:`enumerate_packed_words`, its keys in that order.  Shared: do not
+    mutate it."""
+    return {w: i for i, w in enumerate(_packed_words(n))}
+
+
+@lru_cache(maxsize=None)
+def position_swap_table(n: int, a: int, b: int) -> tuple[int, ...]:
+    """For each packed word of length ``n``, in order, the index of the word
+    with its letters at positions ``a < b`` (from 0) exchanged: gathering a
+    vector ``x`` over those words through it, ``[x[i] for i in table]``, gives
+    each word the entry of its swapped word."""
+    order = list(range(n))
+    order[a], order[b] = b, a
+    return tuple(map(packed_word_ranks(n).__getitem__, map(itemgetter(*order), _packed_words(n))))
 
 
 def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Word, int]]:

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqsym import algebra, words
 from wqsym.algebra import (
     TensorSquare,
     WQSymElement,
@@ -18,6 +20,7 @@ from wqsym.algebra import (
     ribbon_standard,
 )
 from wqsym.params import ParamPoly
+from wqsym.series import eulerian_idempotent
 from wqsym.words import compositions, enumerate_packed_words, pack, reverse
 
 E = WQSymElement.monomial
@@ -239,6 +242,116 @@ def test_internal_product_that_cancels_to_zero(kind, data):
     assert not assert_matches_oracle(f, g, kind)
     assert not assert_matches_oracle(WQSymElement.zero(), g, kind)
     assert not assert_matches_oracle(f, WQSymElement.zero(), kind)
+
+
+@given(data=st.data())
+def test_bucket_route_matches_pairwise_oracle_on_every_draw(data):
+    # a huge pair cost sends every Fraction bucket, down to lengths 0 and 1,
+    # through the permutation tables
+    f = data.draw(st.one_of(elements(rationals), elements(rationals, min_size=1, max_size=1)), label="f")
+    g = data.draw(elements(rationals), label="g")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_PAIR", 10**9)
+        assert_matches_oracle(f, g)
+
+
+# -- dense operands: the bucket route of @, checked against the pair loop ----
+
+
+def dense(rng, lengths, keep=1.0, coeff=None):
+    """Every packed word of the given lengths, each kept with probability
+    ``keep``, with a random nonzero ``Fraction`` (or ``coeff(rng)``)."""
+    coeff = coeff or (lambda rng: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)))
+    return WQSymElement(
+        {w: coeff(rng) for n in lengths for w in enumerate_packed_words(n) if rng.random() < keep}
+    )
+
+
+def permutation_calls(monkeypatch):
+    """A counter of the bucket route's runs: one call of ``_permuted`` each."""
+    real, calls = algebra._permuted, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_permuted", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sides,route", [("left", False), ("right", True), ("both", True)])
+def test_full_buckets_match_the_oracle(monkeypatch, sides, route):
+    # every packed word of length <= 5 on the full sides, a tenth of them on
+    # the other; a sparse right operand keeps every bucket on the pair loop
+    rng = random.Random(len(sides))
+    f = dense(rng, range(6), keep=0.1 if sides == "right" else 1.0)
+    g = dense(rng, range(6), keep=0.1 if sides == "left" else 1.0)
+    calls = permutation_calls(monkeypatch)
+    assert assert_matches_oracle(f, g)
+    assert (calls[0] > 0) == route
+
+
+@pytest.mark.parametrize("kept,route", [(100, 0), (250, 1)], ids=["pair-loop", "bucket"])
+def test_thinned_buckets_on_either_side_of_the_selection(monkeypatch, kept, route):
+    # the 120 permutations of length 5 against kept of the 541 packed words
+    # of length 5: the route pays off from about 164 of them
+    rng = random.Random(kept)
+    f = WQSymElement({u: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 3)) for u in permutations(range(1, 6))})
+    g = WQSymElement({v: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for v in rng.sample(enumerate_packed_words(5), kept)})
+    calls = permutation_calls(monkeypatch)
+    assert assert_matches_oracle(f, g)
+    assert calls[0] == route
+
+
+def test_dense_coefficients_that_cancel(monkeypatch):
+    # u and its reverse share their breadth, so against the constant word
+    # 1^k both land on 1^n and cancel; against a full bucket the other words
+    # survive
+    rng = random.Random(4)
+    f = WQSymElement.zero()
+    for n in range(6):
+        for u in enumerate_packed_words(n):
+            f = f + Fraction(rng.randint(1, 5), rng.randint(1, 3)) * (E(u) - E(reverse(u)))
+    g = dense(rng, range(6))
+    calls = permutation_calls(monkeypatch)
+    product = assert_matches_oracle(f, g)
+    assert calls[0] >= 2
+    assert product and not any(len(set(w)) == 1 for w in product.terms)
+
+
+def test_a_dense_param_operand_stays_on_the_pair_loop(monkeypatch):
+    rng = random.Random(5)
+    f = dense(rng, range(5), coeff=lambda rng: ParamPoly({(): rng.randint(1, 3), (("x", 1),): rng.randint(-2, 2)}))
+    g = dense(rng, range(5))
+    calls = permutation_calls(monkeypatch)
+    assert assert_matches_oracle(f, g, "param")
+    assert assert_matches_oracle(g, f, "param")
+    assert calls[0] == 0
+
+
+def test_a_sparse_length_seven_product_builds_no_table():
+    f = E((1, 2, 3, 4, 5, 6, 7)) + E((7, 6, 5, 4, 3, 2, 1))
+    tables = (words.packed_word_ranks, words.position_swap_table)
+    for table in tables:
+        table.cache_clear()
+    assert f @ E((2, 1, 3, 4, 5, 6, 7)) == E((2, 1, 3, 4, 5, 6, 7)) + E((7, 6, 5, 4, 3, 1, 2))
+    assert [table.cache_info().currsize for table in tables] == [0, 0]
+
+
+def test_dense_idempotent_products_take_the_bucket_route(monkeypatch):
+    # 633 calls, one per left word, on the pair loop alone; one per distinct
+    # first-occurrence standardisation on the bucket route
+    real, calls = algebra._composer, [0]
+
+    def counted(u):
+        calls[0] += 1
+        return real(u)
+
+    e1 = eulerian_idempotent(1, 5)
+    assert len(e1.element.terms) == 633
+    monkeypatch.setattr(algebra, "_composer", counted)
+    assert e1 @ e1 == e1
+    assert calls[0] <= 101
 
 
 T = ParamPoly.var("t")

@@ -119,10 +119,15 @@ def test_adams_basics(staircase):
 
 
 def test_adams_power_laws():
-    for k in range(4):
-        for l in range(4):
-            assert adams(k, 5) * adams(l, 5) == adams(k + l, 5)
-            assert adams(k, 4) @ adams(l, 4) == adams(k * l, 4)
+    # at cutoff n both sides are polynomials of degree <= n in k and in l, so
+    # agreeing on the grid {0..n}^2 proves both laws for every integer k and
+    # l (Alon, "Combinatorial Nullstellensatz", CPC 8, 1999, Lemma 2.1)
+    n = 5
+    psi = {k: adams(k, n) for k in range(n * n + 1)}
+    for k in range(n + 1):
+        for l in range(n + 1):
+            assert psi[k] * psi[l] == psi[k + l], (k, l)
+            assert psi[k] @ psi[l] == psi[k * l], (k, l)
 
 
 # printed degree-<=3 expansions; the degree-3 coefficient table for e1 was
@@ -194,6 +199,16 @@ def test_idempotents_are_orthogonal():
         assert e[i]
         for j in range(6):
             assert e[i] @ e[j] == (e[i] if i == j else TruncatedSeries.zero(5)), (i, j)
+
+
+@pytest.mark.slow
+def test_idempotents_are_orthogonal_at_cutoff_six():
+    # one degree past the tier-1 check above; each dense product goes
+    # through the bucket route of @
+    e = {i: eulerian_idempotent(i, 6) for i in (1, 2, 3)}
+    for i in e:
+        for j in e:
+            assert e[i] @ e[j] == (e[i] if i == j else TruncatedSeries.zero(6)), (i, j)
 
 
 def test_idempotents_sum_to_identity():
