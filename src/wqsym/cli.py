@@ -15,11 +15,16 @@ Each command checks its arguments, computes what it must, and returns its
 exit code and two renderings of its result, its JSON as compact text and its
 text; a rendering is a callable that returns an iterable of text chunks, and
 ``main`` writes the chunks of the one that ``--format`` asks for as they
-come.  Every check, the degree cap included, runs before the first byte is
-written.  ``expand psi`` and ``expand e`` build nothing: their renderings
-write each term straight from the packed-word enumeration, degree by degree,
-so memory stays flat at any degree.  Output on stdout is byte-identical for
-identical (command, flags, seed); wall-clock timings go to stderr only.
+come, joined into blocks of about ``WRITE_SIZE`` characters.  Every check,
+the degree cap included, runs before the first byte is written.  ``expand
+psi`` and ``expand e`` build nothing: their renderings write the terms
+straight from the packed-word enumeration, one batch of words at a time,
+degree by degree, so memory stays flat at any degree.  A batch is a prefix
+and a list of last letters that every prefix in the same state shares; the
+text of each such list is made once per degree and ascent shift, and each
+batch puts only its prefix's letters into it.  Output on stdout is
+byte-identical for identical (command, flags, seed); wall-clock timings go
+to stderr only.
 
 A ``verify`` failure prints the command that reproduces it: the suite's own
 name with the same degree, seed and generators, and ``--cases i+1`` for a
@@ -34,7 +39,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 from . import suites
 from .errors import BasisMismatch, CapExceeded, ExpressionError
@@ -50,9 +55,11 @@ REALIZE_ALPHABET_CAP = 8
 #: exit code when stdout is closed early: 128 + SIGPIPE
 CLOSED_PIPE_EXIT = 141
 
-#: chunks of a rendering joined into one write; a few large writes cost less
-#: time than one per term, and less memory when stdout is a ``StringIO``
-WRITE_BATCH = 1024
+#: characters of a rendering joined into one write, once that many have
+#: come: a few large writes cost less time than one per chunk, and less memory
+#: when stdout is a ``StringIO``; a size bounds the block where a count of
+#: chunks would not, since a chunk can hold a whole batch of terms
+WRITE_SIZE = 32768
 
 
 def _check_bounds(args) -> None:
@@ -246,9 +253,14 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         code, as_json, as_text = args.fn(args)
-        chunks = iter((as_json if args.format == "json" else as_text)())
-        while block := "".join(islice(chunks, WRITE_BATCH)):
-            sys.stdout.write(block)
+        block, size = [], 0
+        for chunk in (as_json if args.format == "json" else as_text)():
+            block.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_SIZE:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+        sys.stdout.write("".join(block))
         sys.stdout.flush()
         return code
     except (ExpressionError, BasisMismatch, CapExceeded) as exc:

@@ -2,10 +2,11 @@
 
 The JSON is written as compact text (``json.dumps`` with
 ``separators=(",", ":")`` of the objects described below), in chunks, one
-per term, straight from an iterator over the terms in canonical order:
-:func:`series_json` renders a series from its graded terms, so ``wqsym
-expand`` streams a named series from the packed-word enumeration without
-building it.  :func:`element_to_obj` and :func:`series_to_obj` join the
+per batch of terms in canonical order, by the batch writer
+:func:`wqsym.series.batch_chunks`: :func:`series_json` renders a series
+from its graded terms, so ``wqsym expand`` streams a named series from the
+packed-word enumeration without building it, and a built element or series
+is one batch per degree.  :func:`element_to_obj` and :func:`series_to_obj` join the
 chunks of a built value; they keep their names because the benchmark's
 tracer patches them by name.  An element is ``{"basis": "WQSym-M", "terms":
 [{"word": [...], "coeff": "p/q"}, ...]}`` and a series is ``{"cutoff": n,
@@ -21,9 +22,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import WQSymElement, letters_str
+from .algebra import WQSymElement
 from .params import ParamPoly
-from .series import TruncatedSeries
+from .series import TruncatedSeries, batch_chunks, indexed_batch
 
 
 def coeff_to_str(c) -> str:
@@ -34,37 +35,31 @@ def coeff_to_str(c) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _terms_json(sorted_terms):
-    """The element object of ``(word, coefficient)`` pairs, in chunks of text,
-    one per term.  The text after each word is made once per distinct
-    coefficient object; ``tails`` holds the object, so no id is reused while
-    the chunks are made."""
+def _terms_json(table, batches):
+    """The element object of terms given as a coefficient table and batches
+    (:func:`wqsym.series.batch_chunks`), in chunks of text.  The text after
+    each word is made once per coefficient index."""
     yield '{"basis":"WQSym-M","terms":['
-    tails: dict = {}
-    sep = ""
-    for w, c in sorted_terms:
-        entry = tails.get(id(c))
-        if entry is None:
-            entry = tails[id(c)] = ('],"coeff":' + json.dumps(coeff_to_str(c)) + "}", c)
-        yield sep + '{"word":[' + letters_str(w) + entry[0]
-        sep = ","
+    texts = [("", ",", '],"coeff":' + json.dumps(coeff_to_str(c)) + "}") if c else None for c in table]
+    yield from batch_chunks(batches, '{"word":[', texts)
     yield "]}"
 
 
 def series_json(cutoff: int, graded):
     """The series object, in chunks of text, from its cutoff and its graded
-    terms as :meth:`TruncatedSeries.graded_terms` yields them."""
+    terms as :func:`wqsym.series._ascent_terms` or
+    :meth:`TruncatedSeries.graded_terms` yields them."""
     yield '{"cutoff":' + str(cutoff) + ',"components":{'
     sep = ""
-    for d, terms in graded:
+    for d, table, batches in graded:
         yield f'{sep}"{d}":'
-        yield from _terms_json(terms)
+        yield from _terms_json(table, batches)
         sep = ","
     yield "}}"
 
 
 def element_to_obj(f: WQSymElement) -> str:
-    return "".join(_terms_json(f.sorted_terms()))
+    return "".join(_terms_json(*indexed_batch(f.sorted_keys(), f.terms)))
 
 
 def series_to_obj(s: TruncatedSeries) -> str:

@@ -25,10 +25,12 @@ e_i has the k^i coefficient of C(k + a, d), and log I is e_1.  That one
 polynomial, :func:`_ascent_polynomial`, is the source of every
 characteristic series: Psi^k takes its value at k, e_i its k^i coefficient,
 and I is Psi^1.  :func:`adams_terms` and :func:`eulerian_terms` yield these
-coefficients degree by degree straight from the packed-word enumeration, and
-the closed forms are built from them; ``wqsym expand`` renders them without
-building anything.  :meth:`TruncatedSeries.unit` is Psi^0 but is built
-directly, as the one series that no degree cap bounds.
+coefficients degree by degree straight from the packed-word enumeration, as
+one table per degree and the enumeration's batches of words, and the closed
+forms are built from them; ``wqsym expand`` renders them without building
+anything, through the one batch writer :func:`batch_chunks`, which also
+writes every built series.  :meth:`TruncatedSeries.unit` is Psi^0 but is
+built directly, as the one series that no degree cap bounds.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ from itertools import groupby
 from .algebra import (
     WQSymElement,
     _add_multiple,
-    format_terms,
+    _term_prefixes,
+    letters_str,
     ribbon_hat,
     truncated_product,
 )
 from .errors import BasisMismatch, NotInvertible
 from .params import SCALAR_TYPES
-from .words import check_degree_cap, compositions, packed_words_with_ascents
+from .words import _ascent_batches, check_degree_cap, compositions
 
 
 def _binary(op, scalars=False):
@@ -216,13 +219,12 @@ class TruncatedSeries:
         return self._power_sum([Fraction(1, math.factorial(j)) for j in range(self.cutoff + 1)])
 
     def graded_terms(self):
-        """``(d, terms)`` for each nonzero degree ``d`` in increasing order,
-        ``terms`` the ``(word, coefficient)`` pairs of degree ``d`` in
-        canonical order: one sort, no scan per degree."""
+        """The graded terms of the series, as :func:`_ascent_terms` yields
+        them: for each nonzero degree, its words in canonical order as one
+        batch (:func:`indexed_batch`).  One sort, no scan per degree."""
         terms = self.element.terms
         for d, words in groupby(self.element.sorted_keys(), key=len):
-            words = list(words)
-            yield d, zip(words, map(terms.__getitem__, words))
+            yield d, *indexed_batch(words, terms)
 
     def __str__(self) -> str:
         return "".join(format_graded(self.cutoff, self.graded_terms()))
@@ -231,14 +233,82 @@ class TruncatedSeries:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
 
 
+def indexed_batch(words, coefficients) -> tuple[list, tuple]:
+    """``(table, batches)`` of the terms of ``words``, in their order, with
+    their coefficients in the dict ``coefficients``: ``table`` lists each
+    distinct coefficient object once, and the one batch ``((), pairs, 0)``
+    pairs each word with the index of its coefficient in ``table``.  The
+    table holds the objects, so no id is reused while it is built."""
+    table: list = []
+    index: dict = {}
+    pairs = []
+    for w in words:
+        c = coefficients[w]
+        i = index.get(id(c))
+        if i is None:
+            i = index[id(c)] = len(table)
+            table.append(c)
+        pairs.append((w, i))
+    return table, (((), pairs, 0),)
+
+
+#: marks where a term's key opens in the memoised text of a shared tail;
+#: no text of a ``Fraction`` or a letter contains it
+_HEAD = "\0"
+
+
+def batch_chunks(batches, key_open: str, texts):
+    """The text of the terms of one degree, one chunk per batch, from
+    ``batches`` as :func:`_ascent_terms` yields them and the texts of each
+    coefficient index: ``texts[i]`` is ``(first, later, close)``, or None
+    for a zero coefficient, whose terms are left out.  A term is ``later +
+    key_open + letters + close`` with its word's letters joined by commas,
+    and the degree's first term starts with ``first`` instead.
+
+    The terms of a shared tail after one prefix differ from those after
+    another only in the prefix's letters, so each tail list is rendered once
+    per shift, with _HEAD where each key opens, and each batch of it is that
+    text with the key's opening and the prefix's letters put in.  ``memo``
+    holds each tail list, so no id is reused while the chunks are made; it
+    lives for one call."""
+    memo: dict = {}
+    lead = 0  # the index of ``first`` in an entry of ``texts``, then of ``later``
+    for prefix, pairs, shift in batches:
+        if prefix:
+            entry = memo.get((id(pairs), shift))
+            if entry is None:
+                entry = memo[id(pairs), shift] = (*_batch_text(pairs, shift, texts, _HEAD), pairs)
+            start, text, _ = entry
+            if text:
+                text = text.replace(_HEAD, key_open + letters_str(prefix) + ",")
+        else:
+            start, text = _batch_text(pairs, 0, texts, key_open)
+        if text:
+            yield start[lead] + text
+            lead = 1
+
+
+def _batch_text(pairs, shift, texts, head):
+    """The terms ``(s, a)`` of ``pairs`` with coefficient index ``a +
+    shift``, each key opened by ``head`` and holding the letters of ``s``,
+    as the ``texts`` entry of the first term and the text that follows its
+    ``first`` or ``later``; ``(None, "")`` when every coefficient is zero."""
+    terms = [(texts[a + shift], letters_str(s)) for s, a in pairs if texts[a + shift]]
+    if not terms:
+        return None, ""
+    (first, letters), rest = terms[0], terms[1:]
+    return first, "".join([head, letters, first[2], *[t[1] + head + w + t[2] for t, w in rest]])
+
+
 def format_graded(cutoff: int, graded):
     """The text of a series, in chunks, from its cutoff and its graded terms
-    as :meth:`TruncatedSeries.graded_terms` yields them: one line
-    ``d: <terms>`` per nonzero degree, or ``0 (cutoff n)`` for none."""
+    as :func:`_ascent_terms` or :meth:`TruncatedSeries.graded_terms` yields
+    them: one line ``d: <terms>`` per nonzero degree, or ``0 (cutoff n)``
+    for none."""
     sep = ""
-    for d, terms in graded:
+    for d, table, batches in graded:
         yield f"{sep}{d}: "
-        yield from format_terms(terms, WQSymElement._key_str)
+        yield from batch_chunks(batches, "M[", [(*_term_prefixes(c), "]") if c else None for c in table])
         sep = "\n"
     if not sep:
         yield f"0 (cutoff {cutoff})"
@@ -257,32 +327,35 @@ def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
 
 
 def _ascent_terms(cutoff: int, entry):
-    """``(d, terms)`` for each degree d <= cutoff with a nonzero term, in
-    increasing order, ``terms`` an iterator over the ``(word, coefficient)``
-    pairs of degree d in canonical order, with coefficient
-    ``entry(_ascent_polynomial(a, d))`` on a word with a ascents: the graded
-    terms of the series, straight from the enumeration, with nothing built or
-    stored.  As with ``groupby``, each degree's terms are read before the
-    next degree is drawn.
+    """The graded terms of a series, straight from the enumeration, with
+    nothing built or stored: ``(d, table, batches)`` for each degree d <=
+    cutoff with a nonzero term, in increasing order.  ``table[a]`` is
+    ``entry(_ascent_polynomial(a, d))``, the coefficient of the words of
+    length d with a ascents, and ``batches`` holds those words in canonical
+    order as :func:`wqsym.words._ascent_batches` factors them: the word
+    ``prefix + s`` has coefficient ``table[a + shift]`` for each ``(s, a)``
+    of a batch ``(prefix, pairs, shift)``, and a zero entry puts no term on
+    its words.  As with ``groupby``, each degree's batches are read before
+    the next degree is drawn.
 
-    One table per degree, indexed by a.  The enumeration never visits a word
-    with fewer ascents than the smallest a with a nonzero entry, the words of
-    one ascent count share one coefficient object, and the words whose entry
-    is zero are dropped."""
+    The enumeration never visits a word with fewer ascents than the smallest
+    a with a nonzero entry, and the words of one ascent count share one
+    coefficient object."""
     for d in range(cutoff + 1):
         table = [entry(_ascent_polynomial(a, d)) for a in range(max(d, 1))]
         nonzero = list(map(bool, table))
         if True not in nonzero:
             continue
-        pairs = packed_words_with_ascents(d, len(table) - 1 - nonzero.index(True))
-        yield d, ((w, table[a]) for w, a in pairs if nonzero[a])
+        yield d, table, _ascent_batches(d, len(table) - 1 - nonzero.index(True))
 
 
 def _ascent_series(cutoff: int, graded) -> TruncatedSeries:
     """The series of the graded terms of :func:`_ascent_terms`."""
     terms: dict = {}
-    for _, pairs in graded:
-        terms.update(pairs)
+    for _, table, batches in graded:
+        nonzero = list(map(bool, table))
+        for prefix, pairs, shift in batches:
+            terms.update([(prefix + s, table[a + shift]) for s, a in pairs if nonzero[a + shift]])
     return TruncatedSeries._raw(cutoff, WQSymElement._raw(terms))
 
 

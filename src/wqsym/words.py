@@ -23,9 +23,11 @@ memo tables whose observable behaviour is identical to recomputation, and so
 do the rank and position-swap tables over the packed words of one length
 with which the internal product permutes whole vectors
 (:func:`packed_word_ranks`, :func:`position_swap_table`).  The one
-enumeration kernel streams the packed words of a length with their ascent
-counts (:func:`packed_words_with_ascents`) and keeps none of them; the
-memoised tuples are collected from it.
+enumeration kernel, :func:`_ascent_batches`, streams the packed words of a
+length with their ascent counts in batches that share their last letters,
+and keeps none of them but the few lists of those shared last letters;
+:func:`packed_words_with_ascents` flattens it, and the memoised tuples are
+collected from that.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 
 from .errors import CapExceeded, ExpressionError
@@ -239,12 +240,16 @@ def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Wo
     """An iterator over the packed words of length ``n`` with at most
     ``max_non_ascents`` non-ascents (positions j with w(j) >= w(j+1)), in
     lexicographic order, each paired with its ascent count (positions with
-    w(j) < w(j+1)).  No word is kept once it is passed on, so memory stays
-    flat at any length; the degree cap is checked at the call, like
-    :func:`enumerate_packed_words`.
+    w(j) < w(j+1)): the batches of :func:`_ascent_batches` flattened.  No
+    word is kept once it is passed on, so memory stays flat at any length;
+    the degree cap is checked at the call, like :func:`enumerate_packed_words`.
     """
     _check_length(n)
-    return chain.from_iterable(_ascent_batches(n, max_non_ascents))
+    return (
+        (prefix + s, a + shift)
+        for prefix, pairs, shift in _ascent_batches(n, max_non_ascents)
+        for s, a in pairs
+    )
 
 
 #: the number of last letters of a word that :func:`_ascent_batches` lists
@@ -253,28 +258,37 @@ def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Wo
 _TAIL = 3
 
 
-def _ascent_batches(n: int, budget: int) -> Iterator[Sequence[tuple[Word, int]]]:
-    """The pairs of :func:`packed_words_with_ascents` in batches.
+def _ascent_batches(n: int, budget: int) -> Iterator[tuple[Word, Sequence[tuple[Word, int]], int]]:
+    """The words of :func:`packed_words_with_ascents`, factored in batches
+    ``(prefix, pairs, shift)``: the words ``prefix + s`` with ascent count
+    ``a + shift`` for each ``(s, a)`` in ``pairs``, in order.  The degree cap
+    is not checked here.
 
     A depth-first search over letters in ascending order, which gives
     lexicographic output.  A prefix can be completed iff the ``gaps`` letters
     below its maximum that have not appeared yet (the bits of ``missing``)
     still fit in the remaining positions.  Non-ascents only accumulate, so a
     prefix that has spent the budget continues with ascents only.  The last
-    letter of each word is chosen in one list, a batch.
+    letter of each word is chosen in one list, a batch ``((), pairs, 0)`` of
+    whole words.
 
     The last _TAIL letters of a word depend on its prefix only through the
     prefix's last letter, maximum, missing letters and spare non-ascents.
     Prefixes at least as long as the tail share these few states, so
-    ``tails`` lists the completions of each state once; shorter ones are too
-    few to repay the table."""
+    ``tails`` lists the completions of each state once, and every prefix in
+    a state gets that same list object as its batch, none if it is empty: a
+    consumer may key what it derives from a tail list on the list's identity
+    while it holds the list.  Shorter prefixes are too few to repay the
+    table."""
     if budget < 0:
         return
     if n == 0:
-        yield (((), 0),)
+        yield (), (((), 0),), 0
         return
     top = n - 1
     tails: dict = {}
+    # one object per distinct (s, a) pair, however many tails hold it
+    shared: dict = {}
 
     def rec(prefix: Word, last: int, mx: int, missing: int, gaps: int, remaining: int, non_asc: int):
         if remaining == _TAIL and len(prefix) >= _TAIL:
@@ -286,9 +300,9 @@ def _ascent_batches(n: int, budget: int) -> Iterator[Sequence[tuple[Word, int]]]
             tail = tails.get(key)
             if tail is None:
                 listed = rec((), last, mx, missing, gaps, _TAIL, budget - spare)
-                tail = tails[key] = list(chain.from_iterable(listed))
-            shift = budget - spare - non_asc
-            yield [(prefix + s, a + shift) for s, a in tail]
+                tail = tails[key] = [shared.setdefault(pair, pair) for _, pairs, _ in listed for pair in pairs]
+            if tail:
+                yield prefix, tail, budget - spare - non_asc
             return
         remaining -= 1
         low = last + 1 if non_asc == budget else 1
@@ -297,11 +311,11 @@ def _ascent_batches(n: int, budget: int) -> Iterator[Sequence[tuple[Word, int]]]
             # letter up to a new maximum
             ascents = top - non_asc
             if not gaps:
-                yield [(prefix + (letter,), ascents - (letter <= last)) for letter in range(low, mx + 2)]
+                yield (), [(prefix + (letter,), ascents - (letter <= last)) for letter in range(low, mx + 2)], 0
             else:
                 letter = missing.bit_length() - 1
                 if letter >= low:
-                    yield ((prefix + (letter,), ascents - (letter <= last)),)
+                    yield (), ((prefix + (letter,), ascents - (letter <= last)),), 0
             return
         for letter in range(low, mx + remaining - gaps + 2):
             if letter > mx:

@@ -370,6 +370,19 @@ def test_streamed_expand_equals_the_built_series(name, index, build):
         assert run((*argv, "--format", "json")) == (0, f"{series_to_obj(built)}\n", "")
 
 
+@pytest.mark.parametrize(
+    "name,index,build",
+    [("e", i, eulerian_idempotent) for i in (5, 6, 7)] + [("psi", k, adams) for k in (0, 7)],
+)
+def test_streamed_expand_of_a_sparse_table_equals_the_built_series(name, index, build):
+    # tables with zero entries: at degree 7 every word comes from a shared
+    # tail, and a degree's first term can follow words whose entry is zero
+    argv = ("expand", name, str(index), "--degree", "7")
+    built = build(index, 7)
+    assert run(argv) == (0, f"{built}\n", "")
+    assert run((*argv, "--format", "json")) == (0, f"{series_to_obj(built)}\n", "")
+
+
 def test_expand_builds_no_series_and_fills_no_cache():
     cached = (series.adams, series.eulerian_idempotent, words._packed_words)
     for cache in cached:
@@ -407,6 +420,17 @@ def test_expand_at_degree_8_under_a_raised_cap(monkeypatch, fmt, digest):
     with contextlib.redirect_stdout(sink):
         assert main(["expand", "e", "1", "--degree", "8", *fmt]) == 0
     assert sink.sha.hexdigest() == digest
+
+
+@pytest.mark.slow
+def test_expand_at_degree_9_under_a_raised_cap(monkeypatch):
+    # 7 087 261 words, 221 512 952 bytes; the digest was recorded when each
+    # term was still written on its own, before words came in shared batches
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "9")
+    sink = _DigestSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["expand", "e", "1", "--degree", "9"]) == 0
+    assert sink.sha.hexdigest() == "f2fec080eb97aaa5dce319b830b2825a21c06150251e7ef87c3a96760ee8eb46"
 
 
 @pytest.mark.parametrize(

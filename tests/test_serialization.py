@@ -18,8 +18,8 @@ from wqsym.algebra import TensorSquare, WQSymElement, format_terms
 from wqsym.params import ParamPoly
 from wqsym.qshuffle import AElement, QSElement
 from wqsym.qsym import QSymElement, sigma_hat_series
-from wqsym.serialization import coeff_to_str, element_to_obj, series_to_obj
-from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
+from wqsym.serialization import coeff_to_str, element_to_obj, series_json, series_to_obj
+from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, format_graded
 from wqsym.words import pack
 
 E = WQSymElement.monomial
@@ -198,6 +198,17 @@ def test_built_series_equal_the_oracles():
     for s in (adams(3, 5), eulerian_idempotent(2, 5), sigma_hat_series(t, 4), TruncatedSeries.zero(0)):
         assert str(s) == series_text_oracle(s)
         assert series_to_obj(s) == series_json_oracle(s)
+
+
+def test_a_degree_opens_with_its_first_nonzero_term():
+    # graded terms as the enumeration factors them: 11 and 12 share the tail
+    # list after the prefix 1, 21 has a batch of its own; the entry of words
+    # with no ascent is zero, so the first written term sits inside a batch
+    tail = [((1,), 0), ((2,), 1)]
+    graded = [(2, [0, Fraction(-1, 2)], [((1,), tail, 0), ((2,), [((1,), 0)], 0)])]
+    assert "".join(format_graded(2, graded)) == "2: -1/2*M[1,2]"
+    obj = {"cutoff": 2, "components": {"2": {"basis": "WQSym-M", "terms": [{"word": [1, 2], "coeff": "-1/2"}]}}}
+    assert "".join(series_json(2, graded)) == json.dumps(obj, separators=(",", ":"))
 
 
 # -- the expected objects ----------------------------------------------------

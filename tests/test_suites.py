@@ -80,14 +80,15 @@ def _expand_e1_degree_3() -> str:
 def test_eulerian_checks_the_ascent_table_against_convolutions(monkeypatch):
     # count one ascent too many on the word 21: every closed form agrees with
     # every other, but not with the convolution powers of I; the streamed
-    # ``expand`` reads the same enumeration, so its output changes too
-    real = series.packed_words_with_ascents
+    # ``expand`` reads the same batches, so its output changes too
+    real = series._ascent_batches
 
-    def wrong(n, max_non_ascents):
-        return ((w, a + (w == (2, 1))) for w, a in real(n, max_non_ascents))
+    def wrong(n, budget):
+        for prefix, pairs, shift in real(n, budget):
+            yield prefix, [(s, a + (prefix + s == (2, 1))) for s, a in pairs], shift
 
     right = _expand_e1_degree_3()
-    monkeypatch.setattr(series, "packed_words_with_ascents", wrong)
+    monkeypatch.setattr(series, "_ascent_batches", wrong)
     for cached in (series.adams, series.eulerian_idempotent):
         cached.cache_clear()
     try:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wqsym.errors import CapExceeded
 from wqsym.words import (
     FUBINI,
+    _ascent_batches,
     block_masks,
     breadth,
     compositions,
@@ -116,6 +117,28 @@ def test_pruned_enumeration_matches_an_ascent_filter():
             assert all(a == sum(x < y for x, y in zip(w, w[1:])) for w, a in pairs), (n, budget)
     with pytest.raises(CapExceeded):
         packed_words_with_ascents(8, 0)
+
+
+def test_batches_flatten_to_the_enumeration_and_share_each_tail():
+    # a tail batch's list depends on its prefix only through the prefix's
+    # last letter, maximum, missing letters and spare non-ascents (at most 3),
+    # and every prefix in one state must get the same list object
+    for n in range(8):
+        every = enumerate_packed_words(n)
+        non_ascents = [sum(x >= y for x, y in zip(w, w[1:])) for w in every]
+        for budget in range(-1, n + 1):
+            flat, lists = [], {}
+            for prefix, pairs, shift in _ascent_batches(n, budget):
+                assert pairs, (n, budget, prefix)
+                flat += [(prefix + s, a + shift) for s, a in pairs]
+                if prefix:
+                    spent = sum(x >= y for x, y in zip(prefix, prefix[1:]))
+                    state = (prefix[-1], max(prefix), frozenset(range(1, max(prefix))) - set(prefix),
+                             min(budget - spent, 3))
+                    assert lists.setdefault(state, pairs) is pairs, (n, budget, prefix)
+            assert [w for w, _ in flat] == [w for w, b in zip(every, non_ascents) if b <= budget], (n, budget)
+            assert all(a == sum(x < y for x, y in zip(w, w[1:])) for w, a in flat), (n, budget)
+            assert bool(lists) == (n >= 6 and budget >= 0), (n, budget)
 
 
 def test_enumeration_checks_the_degree_cap_on_every_call(monkeypatch):
