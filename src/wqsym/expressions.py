@@ -12,10 +12,15 @@ Grammar (operators listed loosest-binding first):
 
 '*' is the outer/convolution product, '@' the internal product, '&' the
 bullet product.  A scalar c denotes c*M[], c times the unit.  I, Psi(k) and
-e(i) evaluate to series truncated at the evaluator's cutoff; finite elements
-are promoted to that cutoff when they meet a series.  The bullet product is
-only defined on finite elements.  The evaluator only parses and dispatches:
-the value types promote their operands.
+e(i) evaluate to series truncated at the evaluator's cutoff, held as their
+coordinates in the quasi-Eulerian idempotents
+(:class:`wqsym.series.Characteristic`): '+', '-', '*' and '@' combine such
+values, and scalars, which are c*e_0, without building a word.  A finite
+element or a series that meets them makes them build their series, and
+finite elements are promoted to that cutoff when they meet a series.  The
+bullet product is only defined on finite elements.  The evaluator only
+parses and dispatches: the value types promote their operands, and
+:func:`evaluate` builds a result still held as coordinates.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .algebra import (
     ribbon_standard,
 )
 from .errors import ExpressionError
-from .series import adams, eulerian_idempotent, identity_series
+from .series import Characteristic
 from .words import check_degree_cap, is_packed
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[\[\](),+\-*@&/]))")
@@ -189,9 +194,9 @@ LITERALS = {
     "R": ("[]", _composition(ribbon_standard)),
     "hatS": ("[]", _composition(embed_sym_hat)),
     "hatR": ("[]", _composition(ribbon_hat)),
-    "I": (None, lambda name, args, cutoff: identity_series(cutoff)),
-    "Psi": ("()", lambda name, args, cutoff: adams(_one_index(name, args), cutoff)),
-    "e": ("()", lambda name, args, cutoff: eulerian_idempotent(_one_index(name, args), cutoff)),
+    "I": (None, lambda name, args, cutoff: Characteristic.adams(1, cutoff)),
+    "Psi": ("()", lambda name, args, cutoff: Characteristic.adams(_one_index(name, args), cutoff)),
+    "e": ("()", lambda name, args, cutoff: Characteristic.eulerian(_one_index(name, args), cutoff)),
 }
 
 _OPERATORS = {
@@ -220,9 +225,12 @@ def _run(node, cutoff):
 
 
 def evaluate(text: str, cutoff: int):
-    """Parse and evaluate; returns a WQSymElement or TruncatedSeries."""
+    """Parse and evaluate; returns a WQSymElement or TruncatedSeries.  A
+    value still held as Eulerian coordinates is built as its series here,
+    once."""
     node = parse(text)
     try:
-        return _run(node, cutoff)
+        value = _run(node, cutoff)
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
+    return value.series() if isinstance(value, Characteristic) else value

@@ -24,20 +24,28 @@ the binomial C(k + a, d).  As a polynomial in k this is sum_i k^i e_i, so
 e_i has the k^i coefficient of C(k + a, d), and log I is e_1.  That one
 polynomial, :func:`_ascent_polynomial`, is the source of every
 characteristic series: Psi^k takes its value at k, e_i its k^i coefficient,
-and I is Psi^1.  :func:`adams_terms` and :func:`eulerian_terms` yield these
-coefficients degree by degree straight from the packed-word enumeration, as
-one table per degree and the enumeration's batches of words, and the closed
-forms are built from them; ``wqsym expand`` renders them without building
-anything, through the one batch writer :func:`batch_chunks`, which also
-writes every built series.  :meth:`TruncatedSeries.unit` is Psi^0 but is
-built directly, as the one series that no degree cap bounds.
+and I is Psi^1.  :class:`Characteristic` holds a series sum_i c_i e_i as its
+coordinates (c_0, ..., c_n): Psi^k is (1, k, ..., k^n) and e_i the i-th unit
+vector.  Since e_i @ e_j = delta_ij e_i and e_i * e_j = C(i + j, i) e_{i+j},
+sums and both products of such series are computed on the coordinates alone,
+which is how ``wqsym eval`` combines I, Psi(k) and e(i).  A word of length d
+with a ascents has the coefficient sum_i c_i [k^i] C(k + a, d), the one
+coefficient rule: :meth:`Characteristic.terms`, and so :func:`adams_terms`
+and :func:`eulerian_terms`, yield these coefficients degree by degree
+straight from the packed-word enumeration, as one table per degree and the
+enumeration's batches of words, and the closed forms are built from them;
+``wqsym expand`` renders them without building anything, through the one
+batch writer :func:`batch_chunks`, which also writes every built series.
+:meth:`TruncatedSeries.unit` is Psi^0 but is built directly, as the one
+series that no degree cap bounds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 
 from .algebra import (
@@ -359,13 +367,96 @@ def _ascent_series(cutoff: int, graded) -> TruncatedSeries:
     return TruncatedSeries._raw(cutoff, WQSymElement._raw(terms))
 
 
+def _coordinate_rules(rule, op):
+    """The :class:`Characteristic` operations ``self op other`` and ``other
+    op self``: ``rule(a, b)`` of the left and right operands' coordinates,
+    truncated to the smaller cutoff, when the other operand has coordinates;
+    ``op`` of the operands, this one built as a series, when the other is
+    another element or a series."""
+
+    def apply(self, other, reflected):
+        if isinstance(other, Characteristic):
+            n = min(self.cutoff, other.cutoff)
+            theirs = other.coords[: n + 1]
+        elif isinstance(other, WQSymElement) and other.terms.keys() <= {()}:
+            n = self.cutoff
+            theirs = (other.counit(),) + (0,) * n
+        elif isinstance(other, (WQSymElement, TruncatedSeries)):
+            return op(other, self.series()) if reflected else op(self.series(), other)
+        else:
+            return NotImplemented
+        ours = self.coords[: n + 1]
+        return Characteristic(n, rule(theirs, ours) if reflected else rule(ours, theirs))
+
+    return (lambda self, other: apply(self, other, False)), (lambda self, other: apply(self, other, True))
+
+
+def _binomial_convolution(a, b):
+    """The coordinates of the convolution product: e_i * e_j = C(i + j, i) e_{i+j}."""
+    return [sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+class Characteristic:
+    """The series ``sum_i coords[i] * e_i`` up to ``cutoff``, held as its
+    ``cutoff + 1`` coordinates in the quasi-Eulerian idempotents.
+
+    Since e_i @ e_j = delta_ij e_i and e_i * e_j = C(i + j, i) e_{i+j}, these
+    series are closed under ``+``, ``-``, ``*`` and ``@``, and none of them
+    builds a word: ``@`` multiplies the coordinates pointwise and ``*``
+    convolves them binomially.  Psi^k is (1, k, ..., k^n), I is Psi^1, and a
+    ``WQSymElement`` whose only word is the empty one, or zero, is c * e_0.
+    Any other element or series operand meets :meth:`series`, built once
+    from the coordinates, under the series' own operator; the bullet product
+    is refused as a series refuses it."""
+
+    __slots__ = ("cutoff", "coords")
+
+    def __init__(self, cutoff: int, coords):
+        self.cutoff = cutoff
+        self.coords = tuple(coords)
+
+    @classmethod
+    def adams(cls, k: int, cutoff: int) -> "Characteristic":
+        """Psi^k; ``k`` and the cap are checked as :func:`adams` checks them."""
+        _check_index(k)
+        check_degree_cap(_check_cutoff(cutoff))
+        return cls(cutoff, [k**i for i in range(cutoff + 1)])
+
+    @classmethod
+    def eulerian(cls, i: int, cutoff: int) -> "Characteristic":
+        """e_i, zero when i is above the cutoff; ``i`` and the cap are checked
+        as :func:`eulerian_idempotent` checks them."""
+        _check_index(i)
+        check_degree_cap(_check_cutoff(cutoff))
+        return cls(cutoff, [int(j == i) for j in range(cutoff + 1)])
+
+    def terms(self):
+        """The graded terms of the series, as :func:`_ascent_terms` yields
+        them: a word of length d with a ascents has coefficient ``sum_i
+        coords[i] * poly[i]``, with ``poly`` the coefficients in k of C(k +
+        a, d)."""
+        coords = self.coords
+        return _ascent_terms(self.cutoff, lambda poly: sum(map(operator.mul, coords, poly)))
+
+    def series(self) -> TruncatedSeries:
+        return _ascent_series(self.cutoff, self.terms())
+
+    def __neg__(self):
+        return Characteristic(self.cutoff, map(operator.neg, self.coords))
+
+    __add__, __radd__ = _coordinate_rules(partial(map, operator.add), operator.add)
+    __sub__, __rsub__ = _coordinate_rules(partial(map, operator.sub), operator.sub)
+    __mul__, __rmul__ = _coordinate_rules(_binomial_convolution, operator.mul)
+    __matmul__, __rmatmul__ = _coordinate_rules(partial(map, operator.mul), operator.matmul)
+    __and__ = __rand__ = TruncatedSeries.__and__
+
+
 def adams_terms(k: int, cutoff: int):
     """The graded terms of the k-th Adams operation up to ``cutoff``, as
-    :func:`_ascent_terms` yields them: C(k + a, d) evaluated at k.  ``k`` and
+    :func:`_ascent_terms` yields them: the coordinates (1, k, ..., k^n) of
+    :meth:`Characteristic.adams`, so C(k + a, d) evaluated at k.  ``k`` and
     the cap are checked at the call."""
-    _check_index(k)
-    check_degree_cap(_check_cutoff(cutoff))
-    return _ascent_terms(cutoff, lambda poly: sum(c * k**j for j, c in enumerate(poly)))
+    return Characteristic.adams(k, cutoff).terms()
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -389,11 +480,10 @@ def log_identity(cutoff: int) -> TruncatedSeries:
 
 def eulerian_terms(i: int, cutoff: int):
     """The graded terms of the i-th quasi-Eulerian idempotent up to
-    ``cutoff``, as :func:`_ascent_terms` yields them: the k^i coefficient of
-    C(k + a, d).  ``i`` and the cap are checked at the call."""
-    _check_index(i)
-    check_degree_cap(_check_cutoff(cutoff))
-    return _ascent_terms(cutoff, lambda poly: poly[i] if i < len(poly) else 0)
+    ``cutoff``, as :func:`_ascent_terms` yields them: the i-th unit vector of
+    :meth:`Characteristic.eulerian`, so the k^i coefficient of C(k + a, d).
+    ``i`` and the cap are checked at the call."""
+    return Characteristic.eulerian(i, cutoff).terms()
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -83,6 +83,10 @@ GOLDEN = [
     (('eval', 'I + 2', '--degree', '3'), 0, '1ea73a8ce671ec51c42911f3ebab70ced0e2c9fe1b0603d6c7f16cef6b8927e6'),
     (('eval', 'S[2,1] + R[1,2]', '--format', 'json'), 0, '8688da4a42e44e0474c6da8f2239e026af56fc93f06556f0d81f74e7d0759cb4'),
     (('eval', 'e(2) - 1', '--degree', '3', '--format', 'json'), 0, '9bd746015a2262893663367fbbdea69272c14fb091f4844fdc8defef7b2e8cd6'),
+    # recorded while eval still built every intermediate series densely
+    (('eval', 'e(1) @ Psi(2) + 3*Psi(2) * e(1)', '--degree', '7'), 0, 'ac22c5f773ac69c1fea804d5ceb994dd46447ca0847d45241f783c404075a89f'),
+    (('eval', 'e(1) @ Psi(2) + 3*Psi(2) * e(1)', '--degree', '7', '--format', 'json'), 0, 'c02ad4601cce8c39c4b86a1f42bd2f5ef787ce429bdbdd2e19eb27ca77a2e86a'),
+    (('eval', 'Psi(2) @ Psi(3) - Psi(6)', '--degree', '6'), 0, '0e4356264c8af3460859752b7c59f9ad04c1e52575df128e69996e8948e28793'),
     (('eval', 'I & M[1]'), 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (('eval', '2 & I'), 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (('eval', 'M[1] & I'), 3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

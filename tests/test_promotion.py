@@ -92,7 +92,6 @@ def test_series_refuse_the_bullet_product(s, x):
 
 # -- eval against the operators ---------------------------------------------------
 
-CUTOFF = 3
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "@": operator.matmul, "&": operator.and_}
 
 
@@ -107,15 +106,17 @@ def _apply(fn, *values):
         return BasisMismatch
 
 
-leaves = st.one_of(
-    st.fractions(min_value=0, max_value=3, max_denominator=3).map(lambda c: (str(c), c * WQSymElement.unit())),
-    st.lists(st.integers(1, 2), max_size=2).map(pack).map(
-        lambda w: ("M[%s]" % ",".join(map(str, w)), WQSymElement.monomial(w))
-    ),
-    st.just(("I", identity_series(CUTOFF))),
-    st.integers(0, 3).map(lambda k: (f"Psi({k})", adams(k, CUTOFF))),
-    st.integers(0, 2).map(lambda i: (f"e({i})", eulerian_idempotent(i, CUTOFF))),
-)
+def leaves(cutoff):
+    """Literals and their values at ``cutoff``; one index of e lies past it."""
+    return st.one_of(
+        st.fractions(min_value=0, max_value=3, max_denominator=3).map(lambda c: (str(c), c * WQSymElement.unit())),
+        st.lists(st.integers(1, 2), max_size=2).map(pack).map(
+            lambda w: ("M[%s]" % ",".join(map(str, w)), WQSymElement.monomial(w))
+        ),
+        st.just(("I", identity_series(cutoff))),
+        st.integers(0, 5).map(lambda k: (f"Psi({k})", adams(k, cutoff))),
+        st.integers(0, cutoff + 1).map(lambda i: (f"e({i})", eulerian_idempotent(i, cutoff))),
+    )
 
 
 def _binary(args):
@@ -123,19 +124,21 @@ def _binary(args):
     return f"({ta} {sym} {tb})", _apply(OPERATORS[sym], va, vb)
 
 
-expressions = st.recursive(
-    leaves,
-    lambda children: st.one_of(
-        st.tuples(st.sampled_from(list(OPERATORS)), children, children).map(_binary),
-        children.map(lambda tv: (f"-{tv[0]}", _apply(operator.neg, tv[1]))),
-    ),
-    max_leaves=3,
-)
+def expressions(cutoff):
+    return st.recursive(
+        leaves(cutoff),
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from(list(OPERATORS)), children, children).map(_binary),
+            children.map(lambda tv: (f"-{tv[0]}", _apply(operator.neg, tv[1]))),
+        ),
+        max_leaves=3,
+    )
 
 
 @settings(max_examples=150, deadline=None)
-@given(expressions)
-def test_eval_matches_the_operators(expr):
-    text, expected = expr
-    got = _apply(evaluate, text, CUTOFF)
+@given(data=st.data())
+def test_eval_matches_the_operators(data):
+    cutoff = data.draw(st.integers(0, 4), label="cutoff")
+    text, expected = data.draw(expressions(cutoff), label="expression")
+    got = _apply(evaluate, text, cutoff)
     assert type(got) is type(expected) and got == expected

@@ -2,6 +2,8 @@
 quasi-Eulerian idempotents."""
 
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from wqsym.params import ParamPoly
 from wqsym.qshuffle import QSElement
 from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle
 from wqsym.series import (
+    Characteristic,
     TruncatedSeries,
     adams,
     adams_terms,
@@ -209,6 +212,35 @@ def test_idempotents_are_orthogonal_at_cutoff_six():
     for i in e:
         for j in e:
             assert e[i] @ e[j] == (e[i] if i == j else TruncatedSeries.zero(6)), (i, j)
+
+
+def test_eulerian_coordinates_follow_the_dense_operators():
+    # each rule of Characteristic against the dense series operators
+    rng = random.Random(5)
+    for n in range(6):
+        e = [eulerian_idempotent(i, n) for i in range(n + 1)]
+        x = [Characteristic.eulerian(i, n) for i in range(n + 1)]
+        for i in range(n + 1):
+            for j in range(n + 1):
+                # e_i * e_j = C(i + j, i) e_{i+j} and e_i @ e_j = delta_ij e_i
+                assert (x[i] * x[j]).series() == e[i] * e[j], (n, i, j)
+                assert (x[i] @ x[j]).series() == e[i] @ e[j], (n, i, j)
+        for k in range(n + 2):
+            # Psi^k = sum_i k^i e_i
+            dense = TruncatedSeries.zero(n)
+            for i in range(n + 1):
+                dense = dense + e[i] * Fraction(k**i)
+            assert Characteristic.adams(k, n).series() == dense, (n, k)
+        for c in (0, 3, Fraction(-1, 2)):
+            # c*M[] = c*e_0, on either side of every operator
+            scalar = c * WQSymElement.unit()
+            assert Characteristic(n, [c] + [0] * n).series() == TruncatedSeries.from_element(scalar, n)
+            y = Characteristic(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n + 1)])
+            for op in (operator.add, operator.sub, operator.mul, operator.matmul):
+                assert op(y, scalar).series() == op(y.series(), scalar), (n, c, op)
+                assert op(scalar, y).series() == op(scalar, y.series()), (n, c, op)
+        # the antipode, Psi^{-1} = (1, -1, 1, ...), is the convolution inverse of I
+        assert Characteristic(n, [(-1) ** i for i in range(n + 1)]).series() == identity_series(n).inverse(), n
 
 
 def test_idempotents_sum_to_identity():
