@@ -22,8 +22,9 @@ permutation of its letters after its first-occurrence standardisation (a
 surjection is a set partition and an order of its blocks; Reutenauer, *Free
 Lie Algebras*, 1993, ch. 9), permutes the bucket of ``other``, laid out as
 one int vector over the packed words of length k, once per permutation with
-the cached tables of :mod:`wqsym.words`, sums those vectors in C and
-scatters one sum per standardisation.  A bucket of ``Fraction`` operands
+the cached tables of :mod:`wqsym.words` (:func:`_permuted`, which the right
+action shares), sums those vectors in C and scatters one sum per
+standardisation.  A bucket of ``Fraction`` operands
 takes it when its estimated cost, from the bucket's sizes and its numbers of
 distinct permutations and standardisations, is below the pair loop's.
 
@@ -84,6 +85,14 @@ def _add_multiple(data: dict, terms: dict, scalar) -> None:
         _add_term(data, key, scalar * c)
 
 
+def _over_lcm(terms: dict):
+    """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
+    numerators over ``d``, the lcm of their denominators, under the same
+    keys."""
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
+
+
 def _numerators(f: dict, g: dict):
     """``(f, g, d)``: when every coefficient of both is a ``Fraction``, each
     as int numerators over the lcm of its denominators and ``d`` the product
@@ -91,10 +100,7 @@ def _numerators(f: dict, g: dict):
     exact sum; otherwise the two unchanged and ``d = None``."""
     if not all(type(c) is Fraction for terms in (f, g) for c in terms.values()):
         return f, g, None
-    df = math.lcm(*[c.denominator for c in f.values()])
-    dg = math.lcm(*[c.denominator for c in g.values()])
-    f = {key: c.numerator * (df // c.denominator) for key, c in f.items()}
-    g = {key: c.numerator * (dg // c.denominator) for key, c in g.items()}
+    (f, df), (g, dg) = _over_lcm(f), _over_lcm(g)
     return f, g, df * dg
 
 
@@ -187,16 +193,19 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     return True
 
 
-def _permuted(g: list, k: int, sigmas):
+def _permuted(g: list, k: int, sigmas, swaps=position_swap_table):
     """``(sigma, g_sigma)`` for each permutation ``sigma`` of 1..k in the
     sorted ``sigmas``, where ``g`` is a vector over the packed words of length
     ``k`` and ``g_sigma`` holds at ``v o sigma`` what ``g`` holds at ``v``.
+    With ``swaps`` :func:`~wqsym.words.mask_swap_table`, ``g`` is a vector
+    over the sets of positions 0..k-1 as bitmasks instead, and ``g_sigma``
+    holds at a set ``S`` what ``g`` holds at ``{sigma[j] - 1 : j in S}``.
 
     ``sigma`` is reached from the identity by at most k - 1 gathers through
-    :func:`~wqsym.words.position_swap_table`, the j-th bringing ``sigma[j]``
-    to position j; the first j steps depend only on ``sigma[:j]``, so a stack
-    keeps each step's arrangement and vector for the next ``sigma`` sharing
-    that prefix, at most ``k`` vectors at a time."""
+    the tables ``swaps(k, j, p)``, the j-th bringing ``sigma[j]`` to position
+    j; the first j steps depend only on ``sigma[:j]``, so a stack keeps each
+    step's arrangement and vector for the next ``sigma`` sharing that prefix,
+    at most ``k`` vectors at a time."""
     stack = [(list(range(1, k + 1)), g)]
     previous: Word = ()
     for sigma in sigmas:
@@ -212,7 +221,7 @@ def _permuted(g: list, k: int, sigmas):
             if p != j:
                 arrangement = arrangement.copy()
                 arrangement[j], arrangement[p] = arrangement[p], arrangement[j]
-                vector = list(map(vector.__getitem__, position_swap_table(k, j, p)))
+                vector = list(map(vector.__getitem__, swaps(k, j, p)))
             stack.append((arrangement, vector))
         previous = sigma
         yield sigma, vector
@@ -244,9 +253,11 @@ class Algebra(Unital):
 
 
 class WQSymElement(Algebra):
-    """A finite linear combination of packed words."""
+    """A finite linear combination of packed words.  ``_acting`` holds what
+    the right action (:meth:`wqsym.qshuffle.QuasiShuffle.act`) prepares of
+    an operator, made on its first use as one; it is unset until then."""
 
-    __slots__ = ()
+    __slots__ = ("_acting",)
 
     _check_key = staticmethod(words.check_packed)
     _sort_key = staticmethod(word_sort_key)

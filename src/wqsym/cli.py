@@ -19,7 +19,9 @@ come, joined into blocks of about ``WRITE_SIZE`` characters.  Every check,
 the degree cap included, runs before the first byte is written.  ``expand
 psi`` and ``expand e`` build nothing: their renderings write the terms
 straight from the packed-word enumeration, one batch of words at a time,
-degree by degree, so memory stays flat at any degree.  A batch is a prefix
+degree by degree, so memory stays flat at any degree, and so does ``eval``
+of a value held as Eulerian coordinates (I, Psi(k), e(i), scalars and their
+sums and products, :class:`wqsym.series.Characteristic`).  A batch is a prefix
 and a list of last letters that every prefix in the same state shares; the
 text of each such list is made once per degree and ascent shift, and each
 batch puts only its prefix's letters into it.  Output on stdout is
@@ -46,7 +48,7 @@ from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report, sigma_hat_series
 from .params import ParamPoly
-from .series import TruncatedSeries, adams_terms, eulerian_terms, format_graded
+from .series import Characteristic, TruncatedSeries, adams_terms, eulerian_terms, format_graded
 from .serialization import element_to_obj, series_json, series_to_obj
 from .words import check_degree_cap, is_packed
 
@@ -102,8 +104,21 @@ def _outputs(value):
     return 0, lambda: (to_obj(value), "\n"), lambda: (str(value), "\n")
 
 
+def _graded_outputs(cutoff: int, graded):
+    """The outputs of a series given by its graded terms, written as they
+    come (:func:`wqsym.series._ascent_terms`)."""
+    return (
+        0,
+        lambda: chain(series_json(cutoff, graded), ("\n",)),
+        lambda: chain(format_graded(cutoff, graded), ("\n",)),
+    )
+
+
 def cmd_eval(args):
-    return _outputs(evaluate(args.expression, cutoff=args.degree))
+    value = evaluate(args.expression, cutoff=args.degree, coordinates=True)
+    if isinstance(value, Characteristic):
+        return _graded_outputs(value.cutoff, value.terms())
+    return _outputs(value)
 
 
 def cmd_expand(args):
@@ -114,11 +129,7 @@ def cmd_expand(args):
     if args.index is None:
         raise ExpressionError(f"expand {args.object} needs an index")
     graded = {"psi": adams_terms, "e": eulerian_terms}[args.object](args.index, args.degree)
-    return (
-        0,
-        lambda: chain(series_json(args.degree, graded), ("\n",)),
-        lambda: chain(format_graded(args.degree, graded), ("\n",)),
-    )
+    return _graded_outputs(args.degree, graded)
 
 
 def _reproducer(r, failure) -> str:
@@ -200,13 +211,34 @@ def cmd_generators(args):
     return code, lambda: (_compact([asdict(r) for r in reports]), "\n"), as_text
 
 
+def _operand_or_option(parser, arg_string):
+    """How ``parser`` reads the command-line word ``arg_string``: as argparse
+    does, except that a word opening with a single '-' that is none of its
+    options is an operand, such as the negated expression ``-M[1]+M[2,1]``
+    or a negative number, where argparse would read an unknown option unless
+    the word held a space.  No subcommand has a single-dash option but
+    ``-h``; a word opening with '--' that is no option stays an unknown
+    option."""
+    single = arg_string.startswith("-") and not arg_string.startswith("--")
+    if single and arg_string not in parser._option_string_actions:
+        return None
+    return argparse.ArgumentParser._parse_optional(parser, arg_string)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser, which reads its words with
+    :func:`_operand_or_option`."""
+
+    _parse_optional = _operand_or_option
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wqsym",
         description="Exact computations with packed words, their products, and "
         "their action on quasi-shuffle algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
         p.add_argument("--degree", type=int, default=5, help="series cutoff / degree bound")

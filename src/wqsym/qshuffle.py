@@ -11,10 +11,27 @@ length.  Each subclass names its semigroup product once, as ``_merge``, and
 the product is the shared kernel :func:`wqsym.words.quasi_shuffle` with that
 merge (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11, 2000).
 Within one action the letters are numbered by equality (:class:`_Letters`),
-so the pairs of keys and operator words hash tuples of small ints; each
-operator word becomes one ``itemgetter`` over its blocks (:func:`_image`),
-each pair of letter numbers is merged once per action, and only the images
-with a nonzero sum are spelled back into letters.
+so images are tuples of small ints, each pair of letter numbers is merged
+once per action, and only the images with a nonzero sum are spelled back
+into letters.
+
+The keys of one length take one of two routes.  The pair loop is the
+reference: each operator word is one ``itemgetter`` over its blocks
+(:func:`_image`), applied to each key's block products
+(:class:`_BlockProducts`), one update per pair.  The bucket route
+(:class:`_Route`), for ``Fraction`` coefficients and operators dense in
+the packed words of that length (:func:`_route_pays`), is the one of
+``@`` (:func:`wqsym.algebra._compose_bucket`): a key's block products are
+laid out by its letters sorted, that table is the key's class, the
+operator as one int vector over the packed words is permuted once per
+letter order by the same kernel as ``@`` (:func:`wqsym.algebra._permuted`),
+the keys of a class sum their permuted vectors in C, and each class is
+scattered once.  Both routes make every block product as the pair loop
+does, from a key's lowest position up, and a class holds only keys whose
+tables agree entry for entry, so the route is exact under any merge; keys
+that rearrange each other share a class when the merge is associative and
+commutative, as the keys of a quasi-shuffle product do.  What an operator
+needs for either route is kept on it (:class:`_Acting`).
 
 Here the base algebra A is spanned by the monomials of positive degree in a
 finite set of generators, as A has no unit; its product merges exponent
@@ -33,11 +50,25 @@ is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress, groupby, repeat
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
-from .algebra import Algebra, Tensor, WQSymElement, _add_multiple, _by_length, _collect, _numerators
+from .algebra import (
+    _FACTOR,
+    _PAIR,
+    _SCATTER,
+    Algebra,
+    Tensor,
+    WQSymElement,
+    _add_multiple,
+    _by_length,
+    _collect,
+    _over_lcm,
+    _permuted,
+)
 from .errors import CapExceeded
 from .params import (
     Monomial,
@@ -49,7 +80,7 @@ from .params import (
     monomial as canonical_monomial,
 )
 from .series import TruncatedSeries, adams, eulerian_idempotent
-from .words import block_masks, quasi_shuffle
+from .words import FUBINI, block_masks, breadth, mask_swap_table, packed_word_ranks, quasi_shuffle
 
 TensorWord = tuple[Monomial, ...]  # over nonempty monomials
 
@@ -136,13 +167,171 @@ class _BlockProducts(dict):
         return value
 
 
+def _gather(indices):
+    """The map from a sequence to the tuple of its entries at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)  # itemgetter needs two
+
+
 def _image(u):
     """The map from a key's :class:`_BlockProducts` to the image of the key
     under the word ``u``: one product per letter of ``u``, over its block."""
-    masks = block_masks(u)
-    if len(masks) > 1:
-        return itemgetter(*masks)
-    return lambda products: tuple(products[m] for m in masks)  # itemgetter needs two
+    return _gather(block_masks(u))
+
+
+def _route_pays(n: int, words: int, keys: int) -> bool:
+    """Whether the bucket route (:class:`_Route`) costs less than the pair
+    loop for ``keys`` keys of length ``n`` against ``words`` operator words,
+    in the units of :func:`wqsym.algebra._compose_bucket`.  The route pays
+    |W_n| multiply-adds and a table of 2^n gathers per key, |W_n| gathers per
+    letter order, of which there are at most n! and at most one per key, and
+    at most one table's scatter of |W_n| updates per key, where the pair loop
+    pays one update per pair."""
+    if not 2 <= n < len(FUBINI):
+        return False
+    size = FUBINI[n]
+    orders = min(keys, math.factorial(n))
+    route = keys * (size * (1 + _SCATTER) + (1 << n) + _FACTOR) + orders * size
+    return route < _PAIR * keys * words
+
+
+class _Route:
+    """The bucket route of the action of one operator on the keys of one
+    length n: what :meth:`act` needs, built once.
+
+    ``g`` is the operator's bucket as int numerators over the packed words
+    W_n.  A key's block products fill a list, its letters first and then
+    the masks of ``filled`` in ``layers``: each mask the pair loop's
+    :class:`_BlockProducts` fills for the operator's words, from its lowest
+    position and the rest, one layer per number of positions.  ``index``
+    maps each of the 2^n masks to its entry, or to the sentinel entry past
+    them if none fills it.  ``groups`` holds, for each breadth k, the map
+    from a vector over W_n to its entries at the words of breadth k, and the
+    map from a table laid out by mask to those words' block products, k per
+    word."""
+
+    __slots__ = ("n", "g", "layers", "index", "groups")
+
+    def __init__(self, n: int, words: list, numerators: list):
+        ranks = packed_word_ranks(n)
+        self.n, self.g = n, [0] * len(ranks)
+        needed = set()
+        for u, c in zip(words, numerators):
+            self.g[ranks[u]] = c
+            needed.update(block_masks(u))
+        filled = set()
+        for mask in needed:
+            while mask & (mask - 1) and mask not in filled:
+                filled.add(mask)
+                mask &= mask - 1
+        filled = sorted(filled, key=lambda m: (m.bit_count(), m))
+        position = {m: i for i, m in enumerate([1 << i for i in range(n)] + filled)}
+        self.layers = [
+            ([position[m & -m] for m in layer], [position[m & (m - 1)] for m in layer])
+            for layer in (list(group) for _, group in groupby(filled, int.bit_count))
+        ]
+        self.index = [position.get(m, len(position)) for m in range(1 << n)]
+        by_breadth: dict[int, list] = {}
+        for u, rank in ranks.items():
+            by_breadth.setdefault(breadth(u), []).append((rank, block_masks(u)))
+        self.groups = [
+            (k, _gather([rank for rank, _ in group]), _gather([m for _, masks in group for m in masks]))
+            for k, group in sorted(by_breadth.items())
+        ]
+
+    def act(self, out: dict, keys: list, coeffs: list, letters: "_Letters") -> None:
+        """Add ``c`` times the image of each key of ``keys``, its int
+        coefficient ``c`` in ``coeffs``, into ``out``, keys and images spelled
+        in the numbers of ``letters``.
+
+        Let ``sigma`` be the permutation that sorts a key ``x``, so that
+        ``x o sigma`` is its letters sorted.  Its table holds at each set
+        ``S`` of positions the block product of ``x`` over ``{sigma[j] - 1 :
+        j in S}``, as the pair loop makes it.  The image of ``x`` under ``u``
+        is that of ``u o sigma`` on the table, so the image of ``x`` under
+        the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`) on it.
+        Keys whose tables agree, entry for entry and in which masks are
+        filled, share the sum of ``c * g_sigma`` over them, and each such sum
+        is scattered once, so the result is exact under any merge; under an
+        associative and commutative one, the table holds the products of the
+        sorted letters over each S, and keys that rearrange each other share
+        it."""
+        n, number, product = self.n, letters.__getitem__, letters.product
+        by_sigma: dict[tuple, list] = {}
+        for key, c in zip(keys, coeffs):
+            key = list(map(number, key))
+            sigma = tuple(i + 1 for i in sorted(range(n), key=key.__getitem__))
+            by_sigma.setdefault(sigma, []).append((key, c))
+        sigmas = sorted(by_sigma)
+        sums: dict[tuple, list] = {}
+        for (sigma, g_sigma), (_, index) in zip(
+            _permuted(self.g, n, sigmas), _permuted(self.index, n, sigmas, mask_swap_table)
+        ):
+            layout = itemgetter(*index)
+            for table, c in by_sigma[sigma]:
+                get = table.__getitem__
+                for lows, rests in self.layers:  # each reads the layers before it
+                    table += map(product, map(get, lows), map(get, rests))
+                table.append(-1)  # the sentinel: no letter is numbered -1
+                table = layout(table)
+                scaled = map(mul, g_sigma, repeat(c))
+                total = sums.get(table)
+                sums[table] = list(scaled if total is None else map(add, total, scaled))
+        get = out.get
+        for table, total in sums.items():
+            for k, select, blocks in self.groups:
+                part = select(total)
+                images = zip(*[iter(blocks(table))] * k)
+                for w, c in zip(compress(images, part), filter(None, part)):
+                    out[w] = get(w, 0) + c
+
+
+class _Acting:
+    """What the action of one operator needs, per length of its words, made
+    on first use and kept on the operator (``WQSymElement._acting``), which
+    never changes once built: its words and coefficients, the coefficients
+    as int numerators over one ``denominator`` when they are all
+    ``Fraction`` (else ``denominator`` is None), each word's image map for
+    the pair loop, and the bucket route (:class:`_Route`)."""
+
+    __slots__ = ("denominator", "buckets", "numerators", "images", "routes")
+
+    def __init__(self, terms: dict):
+        self.buckets = _by_length(terms)
+        self.numerators, self.denominator = None, None
+        if all(type(c) is Fraction for c in terms.values()):
+            numerators, self.denominator = _over_lcm(terms)
+            self.numerators = {n: list(map(numerators.__getitem__, us)) for n, (us, _) in self.buckets.items()}
+        self.images: dict[int, list] = {}
+        self.routes: dict[int, _Route] = {}
+
+    def pairs(self, n: int, exact: bool):
+        """The image maps of the words of length ``n`` and their
+        coefficients, as numerators if ``exact``."""
+        images = self.images.get(n)
+        if images is None:
+            images = self.images[n] = list(map(_image, self.buckets[n][0]))
+        return images, self.numerators[n] if exact else self.buckets[n][1]
+
+    def route(self, n: int, keys: int):
+        """The bucket route at length ``n`` if it pays for ``keys`` keys
+        (:func:`_route_pays`), else None."""
+        if not _route_pays(n, len(self.buckets[n][0]), keys):
+            return None
+        route = self.routes.get(n)
+        if route is None:
+            route = self.routes[n] = _Route(n, self.buckets[n][0], self.numerators[n])
+        return route
+
+
+def _acting(op: WQSymElement) -> _Acting:
+    """What ``op`` needs to act, prepared on its first action."""
+    try:
+        return op._acting
+    except AttributeError:
+        acting = op._acting = _Acting(op.terms)
+        return acting
 
 
 class QuasiShuffle(Algebra):
@@ -163,17 +352,28 @@ class QuasiShuffle(Algebra):
         products: its i-th letter is the ``_merge`` of the key's letters at
         the positions where ``u`` has the letter i.  Every other length is
         killed, so a series acts by its whole element; lengths above its
-        cutoff were not computed and are refused.  The operator is bucketed
-        by length rather than paired with every key through
-        :func:`wqsym.params._bilinear`.  Letters are numbered in order of
-        first sight, keys' letters and block products alike, so images are
-        tuples of ints until the nonzero sums are spelled at the end.  Each
-        operator word is one ``itemgetter`` of its block masks, applied to a
-        key's :class:`_BlockProducts`, which fills each block product on
-        first use; the merge of two letter numbers is memoised for the
-        whole call, as the keys of a product share their letters.  With
-        ``Fraction`` coefficients throughout the sums accumulate as int
-        numerators over one common denominator."""
+        cutoff were not computed and are refused.  Keys and operator words
+        are paired by length only.  Letters are numbered in order of first
+        sight, keys' letters and block products alike, so images are tuples
+        of ints until the nonzero sums are spelled at the end, and the merge
+        of two letter numbers is memoised for the whole call, as the keys of
+        a product share their letters.
+
+        Each length has one of two routes.  The pair loop applies each
+        operator word, one ``itemgetter`` of its block masks, to each key's
+        :class:`_BlockProducts`, which fills each block product on first
+        use, and adds one product of coefficients per pair.  With
+        ``Fraction`` coefficients throughout, the sums accumulate as int
+        numerators over one common denominator, and a length whose cost
+        model (:func:`_route_pays`) says so takes the bucket route
+        (:class:`_Route`) instead: each key's block products are laid out
+        by its letters sorted, keys whose tables agree share one, and the
+        operator, as a vector over the packed words, is permuted once per
+        letter order and scattered once per table.  Both routes compute
+        every block product as the pair loop does, from the lowest position
+        up, so the result is exact under any merge.  What the operator needs
+        for either route is prepared once and kept on it (:class:`_Acting`).
+        """
         if isinstance(op, TruncatedSeries):
             for key in self.terms:
                 if len(key) > op.cutoff:
@@ -181,23 +381,31 @@ class QuasiShuffle(Algebra):
             return self.act(op.element)
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
-        lengths = {len(key) for key in self.terms}
-        xs, ops, d = _numerators(self.terms, {u: c for u, c in op.terms.items() if len(u) in lengths})
-        buckets = {n: (list(map(_image, us)), cs) for n, (us, cs) in _by_length(ops).items()}
+        acting = _acting(op)
+        terms, d = self.terms, None
+        exact = acting.denominator is not None and all(type(c) is Fraction for c in terms.values())
+        if exact:
+            terms, d = _over_lcm(terms)
         letters = _Letters(self._merge)
         number, product = letters.__getitem__, letters.product
         out: dict = {}
         get = out.get
-        for key, c in xs.items():
-            bucket = buckets.get(len(key))
-            if bucket is None:
+        for n, (keys, cs) in _by_length(terms).items():
+            if n not in acting.buckets:
                 continue
-            products = _BlockProducts(map(number, key), product)
-            for image, cu in zip(*bucket):
-                w = image(products)
-                out[w] = get(w, 0) + c * cu
+            route = acting.route(n, len(keys)) if exact else None
+            if route is not None:
+                route.act(out, keys, cs, letters)
+                continue
+            images, cus = acting.pairs(n, exact)
+            for key, c in zip(keys, cs):
+                products = _BlockProducts(map(number, key), product)
+                for image, cu in zip(images, cus):
+                    w = image(products)
+                    out[w] = get(w, 0) + c * cu
         spell = letters.spelled.__getitem__
-        return _collect(type(self), {tuple(map(spell, w)): n for w, n in out.items() if n}, d)
+        spelled = {tuple(map(spell, w)): n for w, n in out.items() if n}
+        return _collect(type(self), spelled, d * acting.denominator if exact else None)
 
 
 class QSElement(QuasiShuffle):

@@ -21,8 +21,9 @@ Everything in this module is a pure function on tuples, so results can be
 shared freely; :func:`enumerate_packed_words` and the product kernels keep
 memo tables whose observable behaviour is identical to recomputation, and so
 do the rank and position-swap tables over the packed words of one length
-with which the internal product permutes whole vectors
-(:func:`packed_word_ranks`, :func:`position_swap_table`).  The one
+with which the internal product and the right action permute whole vectors
+(:func:`packed_word_ranks`, :func:`position_swap_table`), and the same swaps
+on sets of positions (:func:`mask_swap_table`).  The one
 enumeration kernel, :func:`_ascent_batches`, streams the packed words of a
 length with their ascent counts in batches that share their last letters,
 and keeps none of them but the few lists of those shared last letters;
@@ -234,6 +235,15 @@ def position_swap_table(n: int, a: int, b: int) -> tuple[int, ...]:
     order = list(range(n))
     order[a], order[b] = b, a
     return tuple(map(packed_word_ranks(n).__getitem__, map(itemgetter(*order), _packed_words(n))))
+
+
+@lru_cache(maxsize=None)
+def mask_swap_table(n: int, a: int, b: int) -> tuple[int, ...]:
+    """For each set of positions 0..n-1 as a bitmask, in order, the mask with
+    positions ``a < b`` exchanged: the tables of :func:`position_swap_table`
+    for the sets of positions of a word, gathered the same way."""
+    bits = (1 << a) | (1 << b)
+    return tuple(m ^ bits if (m >> a ^ m >> b) & 1 else m for m in range(1 << n))
 
 
 def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Word, int]]:

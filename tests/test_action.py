@@ -9,18 +9,21 @@ It accumulates with ``Fraction`` (or ``ParamPoly``) arithmetic, one term at a
 time, and shares nothing with ``QuasiShuffle.act`` but the element types.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqsym import qshuffle
 from wqsym.algebra import WQSymElement, _add_term
 from wqsym.errors import CapExceeded
 from wqsym.params import ParamPoly
 from wqsym.qshuffle import QSElement, QuasiShuffle, mono_mul, monomial
 from wqsym.qsym import QSymElement
 from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
+from wqsym.words import compositions, enumerate_packed_words
 
 # -- the oracle -------------------------------------------------------------------
 
@@ -325,3 +328,135 @@ def test_qsym_product_is_the_tensor_product_over_one_generator():
     assert as_tensors(F * G) == as_tensors(F) * as_tensors(G)
     e1 = eulerian_idempotent(1, 5)
     assert as_tensors((F * G).act(e1)) == as_tensors(F * G).act(e1)
+
+
+# -- the bucket route: dense operators on many keys of one length -------------------
+
+
+def route_calls(monkeypatch):
+    """A counter of the runs of the bucket route, one per length it takes."""
+    real, calls = qshuffle._Route.act, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(qshuffle._Route, "act", counted)
+    return calls
+
+
+def every_word(lengths, rng):
+    """Every packed word of the given lengths, with random nonzero ``Fraction``
+    coefficients."""
+    return WQSymElement._raw(
+        {
+            w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+            for n in lengths
+            for w in enumerate_packed_words(n)
+        }
+    )
+
+
+def tensor_word(rng, n):
+    """A tensor word of ``n`` letters among a, b and ab, so letters repeat."""
+    return tuple(rng.choice([monomial(("a", 1)), monomial(("b", 1)), monomial(("a", 1), ("b", 1))]) for _ in range(n))
+
+
+@pytest.mark.parametrize(
+    "op", [eulerian_idempotent(1, 6), adams(6, 6), every_word(range(7), random.Random(6))], ids=["e1", "psi6", "every"]
+)
+def test_dense_operators_on_a_product_take_the_route(monkeypatch, op):
+    # the product of two words of three letters has keys of lengths 3 to 6,
+    # many of them rearrangements of each other
+    rng = random.Random(3)
+    x = QSElement._raw({tensor_word(rng, 3): Fraction(1, 2), tensor_word(rng, 3): Fraction(-2)})
+    y = QSElement._raw({tensor_word(rng, 3): Fraction(3)})
+    xy = x * y
+    assert {len(key) for key in xy.terms} >= {4, 5, 6}
+    calls = route_calls(monkeypatch)
+    got = xy.act(op)
+    assert calls[0] >= 3
+    assert got == oracle_act(xy, op)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("kind", ["qsym", "clash"])
+def test_compositions_and_clashing_letters_take_the_route(monkeypatch, kind):
+    # every composition of 4 and 5 with parts 1 to 3 and repeated parts,
+    # as compositions and as letters that share one hash
+    rng = random.Random(5)
+    F = QSymElement._raw(
+        {I: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for n in (4, 5) for I in compositions(n) if max(I) <= 3}
+    )
+    x = as_clashes(F) if kind == "clash" else F
+    op = every_word((3, 4, 5), rng)
+    calls = route_calls(monkeypatch)
+    got = x.act(op)
+    assert calls[0] == 2
+    assert got == oracle_act(x, op)
+    if kind == "clash":
+        assert got == as_clashes(F.act(op))
+    assert x.act(eulerian_idempotent(1, 5)) == oracle_act(x, eulerian_idempotent(1, 5))
+
+
+def test_one_word_and_param_operators_keep_the_pair_loop(monkeypatch):
+    rng = random.Random(7)
+    F = QSymElement._raw({I: Fraction(1) for I in compositions(5)})
+    calls = route_calls(monkeypatch)
+    assert F.act(WQSymElement.monomial((1, 2, 1, 3, 2))) == oracle_act(F, WQSymElement.monomial((1, 2, 1, 3, 2)))
+    param = WQSymElement._raw({w: c * T for w, c in every_word((5,), rng).terms.items()})
+    assert F.act(param) == oracle_act(F, param)
+    assert (F * T).act(eulerian_idempotent(1, 5)) == oracle_act(F * T, eulerian_idempotent(1, 5))
+    assert calls[0] == 0
+
+
+class Lopsided(QuasiShuffle):
+    """Positive integers under a commutative merge that is not associative:
+    a block's product depends on the order in which its letters meet."""
+
+    __slots__ = ()
+
+    _merge = staticmethod(lambda a, b: a * b + 1)
+
+    @staticmethod
+    def _check_key(word):
+        return tuple(word)
+
+
+def _lopsided_image(word, u):
+    """The image of ``word`` under ``u`` in :class:`Lopsided`: each block's
+    letters merged from its last position down to its first."""
+    blocks = [[] for _ in range(max(u, default=0))]
+    for letter, i in zip(word, u):
+        blocks[i - 1].append(letter)
+    image = []
+    for block in blocks:
+        product = block[-1]
+        for letter in reversed(block[:-1]):
+            product = Lopsided._merge(letter, product)
+        image.append(product)
+    return tuple(image)
+
+
+def test_the_route_is_the_pair_loop_under_a_non_associative_merge(monkeypatch):
+    rng = random.Random(8)
+    x = Lopsided._raw(
+        {
+            tuple(rng.randint(1, 3) for _ in range(n)): Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+            for n in (4, 5, 5, 5)
+            for _ in range(12)
+        }
+    )
+    op = every_word((4, 5), rng)
+    assert Lopsided._merge(Lopsided._merge(1, 2), 3) != Lopsided._merge(1, Lopsided._merge(2, 3))
+    expected = {}
+    for key, c in x.terms.items():
+        for u, d in op.terms.items():
+            if len(u) == len(key):
+                _add_term(expected, _lopsided_image(key, u), c * d)
+    calls = route_calls(monkeypatch)
+    routed = x.act(op)
+    assert calls[0] == 2
+    assert routed == Lopsided._raw(expected)
+    monkeypatch.setattr(qshuffle, "_route_pays", lambda *sizes: False)
+    assert x.act(op) == routed and calls[0] == 2

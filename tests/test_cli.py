@@ -94,9 +94,16 @@ GOLDEN = [
     (('eval', 'M[1,2,3,4] * M[1,2,3,4]'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (('expand', 'e', '1', '--degree', '8'), 4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     (('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5'), 0, '08b952b4ae75981af3a6616ebc2d134c777ae69b86ea4841e046426f8ed486b3'),
+    (('verify', 'e1-kernel', '--degree', '7', '--seed', '0'), 0, '28143da577a8d496d6dc483d670314781a0527fcf30b841f3477260bc555fe66'),
+    (('verify', 'all', '--degree', '7', '--seed', '0'), 0, '58ead0d9e85b7a542b66d44f3ed8fe35ce11e97deb2fb746cb608b6cb701803c'),
 ]
-#: the rows that take seconds, run only with ``-m slow``: the benchmark's battery
-SLOW = {('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5')}
+#: the rows that take seconds, run only with ``-m slow``: the benchmark's
+#: battery, and the battery at degree 7, where keys of length 6 act
+SLOW = {
+    ('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5'),
+    ('verify', 'e1-kernel', '--degree', '7', '--seed', '0'),
+    ('verify', 'all', '--degree', '7', '--seed', '0'),
+}
 
 
 def run(argv):
@@ -393,6 +400,48 @@ def test_expand_builds_no_series_and_fills_no_cache():
         cache.cache_clear()
     assert run(("expand", "e", "1", "--degree", "6"))[0] == 0
     assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0]
+
+
+def test_eval_of_coordinates_builds_no_series_and_fills_no_cache(monkeypatch):
+    # I, Psi(k), e(i) and their sums and products stream their terms as
+    # expand does: no series is built, and no word is kept
+    built = []
+    monkeypatch.setattr(series, "_ascent_series", lambda *args: built.append(args))
+    cached = (series.adams, series.eulerian_idempotent, words._packed_words)
+    for cache in cached:
+        cache.cache_clear()
+    for expression in ("e(1)", "2*Psi(2) - e(1) @ I + 1/2"):
+        for fmt in ("text", "json"):
+            assert run(("eval", expression, "--degree", "6", "--format", fmt))[0] == 0
+    assert built == []
+    assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0]
+    assert run(("eval", "e(1)", "--degree", "6")) == run(("expand", "e", "1", "--degree", "6"))
+
+
+DASH_LED = [
+    (("eval", "-M[1]+M[2,1]", "--degree", "2"), "-M[1] + M[2,1]\n"),
+    (("eval", "-e(1)", "--degree", "2"), "1: -M[1]\n2: 1/2*M[1,1] - 1/2*M[1,2] + 1/2*M[2,1]\n"),
+    (("eval", "--degree", "2", "-I"), "0: -M[]\n1: -M[1]\n2: -M[1,2]\n"),
+    (("eval", "-2"), "-2*M[]\n"),
+    (("eval", "-hatS[1,2]", "--degree", "3"), "-M[1,1,2] - M[1,2,3] - M[2,1,2] - M[2,1,3] - M[3,1,2]\n"),
+]
+
+
+@pytest.mark.parametrize("argv,out", DASH_LED, ids=[" ".join(argv) for argv, _ in DASH_LED])
+def test_a_dash_led_expression_is_the_expression(argv, out):
+    # argparse reads a word opening with '-' and holding no space as an
+    # option unless told otherwise, and -hatS as -h with an argument
+    assert run(argv) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "M[1]", "--bogus"), ("eval", "--bogus", "M[1]"), ("eval", "-x"), ("verify", "hopf", "-x")],
+    ids=" ".join,
+)
+def test_an_unknown_option_still_exits_2(argv):
+    rc, out, err = run(argv)
+    assert (rc, out) == (2, "") and err
 
 
 class _DigestSink:
