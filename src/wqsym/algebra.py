@@ -38,17 +38,15 @@ read like the algebra they compute in:
 
 Coefficients are exact: ``Fraction`` everywhere, or :class:`ParamPoly` for
 the parameter-deformed operators.  When both operands have only ``Fraction``
-coefficients, the three bucketed loops accumulate integer numerators over a
-common denominator and make one ``Fraction`` per output key; the kernels add
-each product's coefficient as it is, which is cheaper on small operands.
-Zero coefficients are pruned after every operation, so ``==`` is literal
-term-by-term equality.  Elements are immutable by convention; nothing here
-mutates a constructed value.
+coefficients, the kernels and the three bucketed loops accumulate integer
+numerators over a common denominator and make one ``Fraction`` per output
+key, by the one rule of :mod:`wqsym.params`.  Zero coefficients are pruned
+after every operation, so ``==`` is literal term-by-term equality.  Elements
+are immutable by convention; nothing here mutates a constructed value.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import compress, repeat
 from itertools import product as iproduct
@@ -62,7 +60,9 @@ from .params import (
     Unital,
     _add_term,
     _bilinear,
+    _collect,
     _linear,
+    _numerators,
 )
 from .words import (
     FUBINI,
@@ -83,33 +83,6 @@ def _add_multiple(data: dict, terms: dict, scalar) -> None:
     """Add ``scalar`` times the combination ``terms`` into ``data`` in place."""
     for key, c in terms.items():
         _add_term(data, key, scalar * c)
-
-
-def _over_lcm(terms: dict):
-    """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
-    numerators over ``d``, the lcm of their denominators, under the same
-    keys."""
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
-
-
-def _numerators(f: dict, g: dict):
-    """``(f, g, d)``: when every coefficient of both is a ``Fraction``, each
-    as int numerators over the lcm of its denominators and ``d`` the product
-    of the two lcms, so a sum of products of numerators over ``d`` is the
-    exact sum; otherwise the two unchanged and ``d = None``."""
-    if not all(type(c) is Fraction for terms in (f, g) for c in terms.values()):
-        return f, g, None
-    (f, df), (g, dg) = _over_lcm(f), _over_lcm(g)
-    return f, g, df * dg
-
-
-def _collect(cls, out: dict, d):
-    """The ``cls`` element of the nonzero sums in ``out``, over ``d`` if not
-    None."""
-    if d is None:
-        return cls._raw({w: c for w, c in out.items() if c})
-    return cls._raw({w: Fraction(n, d) for w, n in out.items() if n})
 
 
 def _by_length(terms: dict, measure=len) -> dict[int, tuple[list, list]]:

@@ -10,6 +10,12 @@ sorted rendering written once.  Each subclass supplies its key check, its sort
 key and its products.  Every product and coproduct is the extension of a map
 on basis keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
 
+It owns the one exact-coefficient rule: with ``Fraction`` coefficients
+throughout, the kernels, ``@``, the product of series and the right action
+add int numerators over one common denominator (:func:`_numerators`) and make
+one ``Fraction`` per output key (:func:`_collect`), a small integer being one
+shared object (:data:`_INTEGERS`); ``ParamPoly`` coefficients add in their ring.
+
 :class:`Unital` is the base of the combinations whose unit is the empty key
 (packed words, tensor words, compositions and parameter polynomials).  It
 holds the one rule that promotes scalars: a scalar operand of ``+``, ``-`` or
@@ -26,6 +32,7 @@ parameters (x, y, t).  Coefficients elsewhere are ``Fraction`` or
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Monomial = tuple[tuple[str, int], ...]  # ((name, exponent), ...) sorted by name
@@ -67,9 +74,17 @@ def _rational(c) -> Fraction:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+#: one shared ``Fraction`` per small int: the integral coefficients that
+#: construction and the kernels make are then the same objects, and dict
+#: ``==`` finds two equal by identity, without calling ``Fraction.__eq__``
+_INTEGERS = {i: Fraction(i) for i in range(-64, 65)}
+#: the int of each shared ``Fraction``, by its id: they live as long as the table
+_SHARED = {id(c): i for i, c in _INTEGERS.items()}
+
+
 def _coerce_coeff(c):
     if isinstance(c, int):
-        return Fraction(c)
+        return _INTEGERS[c] if c in _INTEGERS else Fraction(c)
     if isinstance(c, (Fraction, ParamPoly)):
         return c
     raise TypeError(f"coefficients must be exact (int/Fraction/ParamPoly), got {c!r}")
@@ -84,26 +99,68 @@ def _add_term(data: dict, key, coeff) -> None:
         data.pop(key, None)
 
 
+def _over_lcm(terms: dict):
+    """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
+    numerators over ``d``, the lcm of their denominators (a shared one's read
+    by identity), under the same keys; None if one is not a ``Fraction``."""
+    numerators = dict(zip(terms, map(_SHARED.get, map(id, terms.values()))))
+    if None not in numerators.values():
+        return numerators, 1
+    if not all(type(c) is Fraction for c in terms.values()):
+        return None
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
+
+
+def _numerators(*operands):
+    """``(*operands, d)``: with only ``Fraction`` coefficients, each operand
+    over the lcm of its denominators (:func:`_over_lcm`) and ``d`` the product
+    of those lcms, so a sum of products of one numerator from each operand,
+    over ``d``, is exact; otherwise the operands and ``d = None``."""
+    scaled = list(map(_over_lcm, operands))
+    if None in scaled:
+        return (*operands, None)
+    numerators, lcms = zip(*scaled)
+    return (*numerators, math.prod(lcms))
+
+
+def _collect(cls, out: dict, d):
+    """The ``cls`` element of the nonzero sums in ``out``, over ``d`` if not
+    None; over 1, each small sum is its shared ``Fraction``."""
+    if d is None:
+        return cls._raw({w: c for w, c in out.items() if c})
+    if d == 1:
+        shared = _INTEGERS
+        return cls._raw({w: shared[n] if n in shared else Fraction(n) for w, n in out.items() if n})
+    return cls._raw({w: Fraction(n, d) for w, n in out.items() if n})
+
+
 def _bilinear(cls, f: dict, g: dict, keys):
     """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
-    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``."""
+    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``:
+    as int numerators (:func:`_numerators`) when every coefficient is a
+    ``Fraction``, else in the coefficient ring."""
+    f, g, d = _numerators(f, g)
     out: dict = {}
+    get = out.get
     for u, cu in f.items():
         for v, cv in g.items():
             c = cu * cv
             for w in keys(u, v):
-                _add_term(out, w, c)
-    return cls._raw(out)
+                out[w] = get(w, 0) + c
+    return _collect(cls, out, d)
 
 
 def _linear(cls, f: dict, keys):
     """The ``cls`` element summing ``c`` over every key of ``keys(u)``,
-    repeats counted, for each key ``u`` of ``f``."""
+    repeats counted, for each key ``u`` of ``f``, as :func:`_bilinear` adds."""
+    f, d = _numerators(f)
     out: dict = {}
+    get = out.get
     for u, c in f.items():
         for w in keys(u):
-            _add_term(out, w, c)
-    return cls._raw(out)
+            out[w] = get(w, 0) + c
+    return _collect(cls, out, d)
 
 
 class SparseCombination:
@@ -201,7 +258,7 @@ class SparseCombination:
         return list(zip(keys, map(self.terms.__getitem__, keys)))
 
     def counit(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), _INTEGERS[0])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
@@ -216,7 +273,7 @@ class Unital(SparseCombination):
 
     @classmethod
     def unit(cls):
-        return cls._raw({(): Fraction(1)})
+        return cls._raw({(): _INTEGERS[1]})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, type(self)):

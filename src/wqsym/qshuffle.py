@@ -65,8 +65,6 @@ from .algebra import (
     WQSymElement,
     _add_multiple,
     _by_length,
-    _collect,
-    _over_lcm,
     _permuted,
 )
 from .errors import CapExceeded
@@ -74,7 +72,9 @@ from .params import (
     Monomial,
     Monomials,
     _bilinear,
+    _collect,
     _linear,
+    _numerators,
     mono_mul,
     mono_str,
     monomial as canonical_monomial,
@@ -299,9 +299,9 @@ class _Acting:
 
     def __init__(self, terms: dict):
         self.buckets = _by_length(terms)
-        self.numerators, self.denominator = None, None
-        if all(type(c) is Fraction for c in terms.values()):
-            numerators, self.denominator = _over_lcm(terms)
+        numerators, self.denominator = _numerators(terms)
+        self.numerators = None
+        if self.denominator is not None:
             self.numerators = {n: list(map(numerators.__getitem__, us)) for n, (us, _) in self.buckets.items()}
         self.images: dict[int, list] = {}
         self.routes: dict[int, _Route] = {}
@@ -382,10 +382,8 @@ class QuasiShuffle(Algebra):
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
         acting = _acting(op)
-        terms, d = self.terms, None
-        exact = acting.denominator is not None and all(type(c) is Fraction for c in terms.values())
-        if exact:
-            terms, d = _over_lcm(terms)
+        terms, d = _numerators(self.terms) if acting.denominator is not None else (self.terms, None)
+        exact = d is not None
         letters = _Letters(self._merge)
         number, product = letters.__getitem__, letters.product
         out: dict = {}

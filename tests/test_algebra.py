@@ -42,6 +42,34 @@ def random_packed(rng, length):
     return tuple(word)
 
 
+# -- shared integral coefficients --------------------------------------------
+
+
+def test_integral_coefficients_are_shared_objects():
+    # dict == compares values by identity first, so equal shared coefficients
+    # never reach Fraction.__eq__
+    one = E((1, 2)).terms[(1, 2)]
+    assert E((2, 1, 1)).terms[(2, 1, 1)] is one
+    assert WQSymElement.unit().terms[()] is one
+    square = E((1,)) * E((1,))
+    assert square == elem((1, 1), (1, 2), (2, 1))
+    assert all(c is one for c in square.terms.values())
+    assert WQSymElement.zero().counit() is E((1,), 0).counit() == 0
+    # a sum made outside the kernels is a new object; the kernel's is shared
+    twice = E((1,)) + E((1,))
+    assert twice.terms[(1,)] is not E((1,), 2).terms[(1,)]
+    assert twice.coproduct().terms[(), (1,)] is E((1,), 2).terms[(1,)]
+
+
+def test_coefficients_outside_the_shared_ones_still_compare_equal():
+    big = E((1,), 10**10) * E((1,), 10**10)
+    assert big == E((1,)) * E((1,), 10**20) == 10**20 * elem((1, 1), (1, 2), (2, 1))
+    assert E((1,), 65) == WQSymElement({(1,): Fraction(130, 2)})
+    half = E((1,), Fraction(1, 2)) * E((1,), 2)
+    assert half == E((1,)) * E((1,))
+    assert E((1,), Fraction(1, 3)) == WQSymElement({(1,): Fraction(2, 6)})
+
+
 # -- outer product -----------------------------------------------------------
 
 

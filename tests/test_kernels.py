@@ -6,9 +6,13 @@ accumulates one term at a time, and counts repeated keys in its own way:
 with ``_add_term`` per key, or with a ``Counter`` and one multiple.  The
 operands draw ``Fraction``, ``ParamPoly`` or mixed coefficients from few
 keys, so that images collide and cancel; empty operands are included.
+Seeded operands add integers far outside the shared ``Fraction`` objects,
+proper fractions, and hand-made sums that cancel, against the int-numerator
+route the kernels take whenever every coefficient is a ``Fraction``.
 """
 
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -319,3 +323,98 @@ def test_coproduct_is_multiplicative_on_multi_term_elements(ring, data):
     short_words = st.lists(st.integers(1, max(room, 1)), max_size=room).map(pack)
     g = data.draw(st.dictionaries(short_words, coeffs, max_size=4).map(WQSymElement), label="g")
     assert (f * g).coproduct() == f.coproduct() * g.coproduct()
+
+
+# -- the int-numerator route against the term-by-term loops, on seeded elements ------------
+
+ab = (("a", 1), ("b", 1))
+SEEDED_KEYS = {
+    WQSymElement: lambda rng: pack([rng.randint(1, 3) for _ in range(rng.randint(0, 3))]),
+    QSElement: lambda rng: tuple(rng.choice([a, b, a2, ab]) for _ in range(rng.randint(0, 3))),
+    QSymElement: lambda rng: tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))),
+}
+
+
+def seeded_coefficient(rng):
+    """A small integer, an integer far outside the shared ones, or a proper
+    fraction."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(rng.choice([-2, -1, 1, 2]))
+    if kind == 1:
+        return Fraction(rng.choice([-1, 1]) * rng.choice([65, 1000, 10**20]))
+    return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3, 6]))
+
+
+def seeded_param_poly(rng):
+    return seeded_coefficient(rng) * T + seeded_coefficient(rng)
+
+
+def seeded(cls, rng, coefficient=seeded_coefficient):
+    return cls({SEEDED_KEYS[cls](rng): coefficient(rng) for _ in range(rng.randint(1, 5))})
+
+
+M, QS, QSym = WQSymElement.monomial, QSElement.monomial, QSymElement.monomial
+#: name -> (kernel operation, term-by-term oracle, operand classes, and None
+#: or operands two of whose terms' images meet at a key and cancel there)
+SEEDED = {
+    "WQSym *": (operator.mul, wqsym_mul_oracle, (WQSymElement,) * 2, None),
+    "WQSym &": (
+        operator.and_,
+        bullet_oracle,
+        (WQSymElement,) * 2,
+        ((M((1, 2)) - M((1,)), M((1,)) + M((1, 2))), (1, 2, 3)),
+    ),
+    "WQSym coproduct": (
+        WQSymElement.coproduct,
+        coproduct_oracle,
+        (WQSymElement,),
+        ((M((1, 2)) - M((2, 1)),), ((1,), (1,))),
+    ),
+    "QSElement *": (
+        operator.mul,
+        qs_mul_oracle,
+        (QSElement,) * 2,
+        ((QS([a]) - QS([b]), QS([a]) + QS([b])), (a, b)),
+    ),
+    "QSymElement *": (
+        operator.mul,
+        qsym_mul_oracle,
+        (QSymElement,) * 2,
+        ((QSym((2,)) - QSym((1, 1)), QSym((1,))), (2, 1)),
+    ),
+    "deconcatenate": (QSElement.deconcatenate, deconcatenate_oracle, (QSElement,), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("seed", range(40))
+def test_numerator_route_matches_the_fraction_loop(name, seed):
+    op, oracle, classes, _ = SEEDED[name]
+    rng = random.Random(seed)
+    xs = [seeded(cls, rng) for cls in classes]
+    got = op(*xs)
+    assert got == oracle(*xs)
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(name for name, spec in SEEDED.items() if spec[3]))
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(-7, 6), Fraction(10**20, 3)])
+def test_numerator_route_prunes_sums_that_cancel(name, scale):
+    op, oracle, _, (operands, cancelled) = SEEDED[name]
+    xs = [scale * x for x in operands]
+    got = op(*xs)
+    assert got == oracle(*xs)
+    assert got and cancelled not in got.terms
+    assert all(got.terms.values())
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+@pytest.mark.parametrize("seed", range(10))
+def test_param_poly_coefficients_keep_their_type(name, seed):
+    op, oracle, classes, _ = SEEDED[name]
+    rng = random.Random(seed)
+    xs = [seeded(cls, rng, seeded_param_poly) for cls in classes]
+    got = op(*xs)
+    assert got == oracle(*xs)
+    assert all(type(c) is ParamPoly and c for c in got.terms.values())

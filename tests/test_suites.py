@@ -16,6 +16,7 @@ and ``wqsym expand`` share.
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,27 @@ def test_a_wrong_coproduct_fails_coassociativity(monkeypatch):
     report = run_suite("hopf", 4, 0, 3, 5)
     details = [f.detail for f in report.failures]
     # (1, 2, 1, 3) splits into the legs (1, 2, 1) and (1,)
+    assert "coassociativity at (1, 2, 1, 3)" in details
+
+
+def test_a_fractional_coproduct_fails_coassociativity(monkeypatch):
+    # one split of (1, 2, 1) carries 1/2 instead of 1: coassociativity sums
+    # the legs' coefficients as int numerators, so a route that dropped their
+    # denominators would read 1/2 as 1 and pass
+    real = WQSymElement.coproduct
+    u = (1, 2, 1)
+
+    def wrong(self):
+        out = real(self)
+        if list(self.terms) == [u]:
+            terms = dict(out.terms)
+            terms[(1, 1), (1,)] = Fraction(1, 2)
+            return TensorSquare._raw(terms)
+        return out
+
+    monkeypatch.setattr(WQSymElement, "coproduct", wrong)
+    report = run_suite("hopf", 4, 0, 3, 5)
+    details = [f.detail for f in report.failures]
     assert "coassociativity at (1, 2, 1, 3)" in details
 
 
