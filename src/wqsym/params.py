@@ -78,8 +78,6 @@ def _rational(c) -> Fraction:
 #: construction and the kernels make are then the same objects, and dict
 #: ``==`` finds two equal by identity, without calling ``Fraction.__eq__``
 _INTEGERS = {i: Fraction(i) for i in range(-64, 65)}
-#: the int of each shared ``Fraction``, by its id: they live as long as the table
-_SHARED = {id(c): i for i, c in _INTEGERS.items()}
 
 
 def _coerce_coeff(c):
@@ -101,11 +99,8 @@ def _add_term(data: dict, key, coeff) -> None:
 
 def _over_lcm(terms: dict):
     """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
-    numerators over ``d``, the lcm of their denominators (a shared one's read
-    by identity), under the same keys; None if one is not a ``Fraction``."""
-    numerators = dict(zip(terms, map(_SHARED.get, map(id, terms.values()))))
-    if None not in numerators.values():
-        return numerators, 1
+    numerators over ``d``, the lcm of their denominators, under the same
+    keys; None if one is not a ``Fraction``."""
     if not all(type(c) is Fraction for c in terms.values()):
         return None
     d = math.lcm(*[c.denominator for c in terms.values()])
@@ -147,7 +142,8 @@ def _bilinear(cls, f: dict, g: dict, keys):
         for v, cv in g.items():
             c = cu * cv
             for w in keys(u, v):
-                out[w] = get(w, 0) + c
+                o = get(w)
+                out[w] = c if o is None else o + c
     return _collect(cls, out, d)
 
 
@@ -159,7 +155,8 @@ def _linear(cls, f: dict, keys):
     get = out.get
     for u, c in f.items():
         for w in keys(u):
-            out[w] = get(w, 0) + c
+            o = get(w)
+            out[w] = c if o is None else o + c
     return _collect(cls, out, d)
 
 

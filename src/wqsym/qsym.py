@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebra import WQSymElement, _add_multiple, letters_str
-from .params import _INTEGERS, SCALAR_TYPES, _linear
+from .params import SCALAR_TYPES, _linear
 from .qshuffle import QuasiShuffle
 from .series import TruncatedSeries, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (
@@ -75,7 +76,7 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
             bounds = (0,) + cuts + (l,)
             prod = QSymElement.unit()
             for a, b in zip(bounds, bounds[1:]):
-                prod = prod * QSymElement._raw({I[a:b]: _INTEGERS[1]})
+                prod = prod * QSymElement._raw({I[a:b]: Fraction(1)})
             _add_multiple(out, prod.terms, c)
     return QSymElement._raw(out)
 
