@@ -23,10 +23,13 @@ surjection is a set partition and an order of its blocks; Reutenauer, *Free
 Lie Algebras*, 1993, ch. 9), permutes the bucket of ``other``, laid out as
 one int vector over the packed words of length k, once per permutation with
 the cached tables of :mod:`wqsym.words` (:func:`_permuted`, which the right
-action shares), sums those vectors in C and scatters one sum per
-standardisation.  A bucket of ``Fraction`` operands
-takes it when its estimated cost, from the bucket's sizes and its numbers of
-distinct permutations and standardisations, is below the pair loop's.
+action shares), packs each permuted vector into one int with a 64-bit lane
+per word (:class:`_Lanes`), so that adding a multiple of it is one big-int
+multiply-add, and unpacks and scatters one sum per standardisation.  A
+bucket of ``Fraction`` operands takes it when its estimated cost, from the
+bucket's sizes and its numbers of distinct permutations and
+standardisations, is below the pair loop's, and when no sum can leave its
+lane (:func:`_fits`), which keeps the route exact.
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -47,10 +50,12 @@ are immutable by convention; nothing here mutates a constructed value.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from itertools import compress, repeat
+from functools import cache
+from itertools import compress
 from itertools import product as iproduct
-from operator import add, eq, ge, itemgetter, le, mul
+from operator import eq, ge, itemgetter, le
 
 from . import words
 from .params import (
@@ -90,10 +95,15 @@ def _by_length(terms: dict, measure=len) -> dict[int, tuple[list, list]]:
     by key length, or by ``measure`` of the key: the operand of every product
     or action that pairs only matching lengths."""
     buckets: dict[int, tuple[list, list]] = {}
+    get = buckets.get
     for key, c in terms.items():
-        keys, coeffs = buckets.setdefault(measure(key), ([], []))
-        keys.append(key)
-        coeffs.append(c)
+        m = measure(key)
+        bucket = get(m)
+        if bucket is None:
+            buckets[m] = ([key], [c])
+        else:
+            bucket[0].append(key)
+            bucket[1].append(c)
     return buckets
 
 
@@ -109,8 +119,60 @@ def _composer(u: Word):
 #: update (compose two words, hash, add, store) costs _PAIR, an update of the
 #: bucket route's scatter _SCATTER, and factoring a left word and starting its
 #: products _FACTOR.  Fitted to the times of both routes on 144 buckets of
-#: lengths 2 to 6, full and thinned on each side (Python 3.11, 2-vCPU host).
+#: lengths 2 to 6, full and thinned on each side (Python 3.11, 2-vCPU host),
+#: when the route added its vectors entry by entry.  It now adds each as one
+#: packed int (:class:`_Lanes`), so the |W_k| per left word that the models
+#: charge overstate it, and the route is chosen conservatively.
 _PAIR, _SCATTER, _FACTOR = 7, 4, 48
+
+#: a lane of a packed vector holds one 64-bit entry; its sums must lie
+#: strictly between -_LANE and _LANE
+_LANE = 1 << 63
+
+
+class _Lanes:
+    """Int vectors of one length packed into one int each: entry i, in
+    [-2^63, 2^63), is the 64-bit lane i, and the int is the sum of
+    ``vector[i] << 64 * i``.  ``layout`` holds the entries as little-endian
+    64-bit ints, ``bias`` 2^63 in each lane.
+
+    A sum of int multiples of packed vectors is then the packing of the same
+    sum of the vectors, one big-int multiply-add per vector instead of one
+    per entry, and :meth:`decode` reads it back exactly while every entry of
+    that sum lies strictly between -2^63 and 2^63: biased by 2^63, each lane
+    lies in [0, 2^64), so none borrows from or carries into the next, and
+    flipping its top bit leaves the entry in two's complement.  Such are the
+    sums of ``c`` times vectors with entries of at most ``top`` in size when
+    ``top`` times the sum of every ``abs(c)`` is below 2^63 (:func:`_fits`)."""
+
+    __slots__ = ("layout", "bias")
+
+    def __init__(self, size: int):
+        self.layout = struct.Struct(f"<{size}q")
+        self.bias = int.from_bytes((bytes(7) + b"\x80") * size, "little")
+
+    def encode(self, vector) -> int:
+        """The packed int of ``vector``."""
+        buffer = bytearray(self.layout.size)
+        self.layout.pack_into(buffer, 0, *vector)
+        return (int.from_bytes(buffer, "little") ^ self.bias) - self.bias
+
+    def decode(self, total: int) -> tuple:
+        """The vector whose packed int is ``total``."""
+        return self.layout.unpack(((total + self.bias) ^ self.bias).to_bytes(self.layout.size, "little"))
+
+
+@cache
+def _lanes(size: int) -> _Lanes:
+    """The packing of int vectors of length ``size``."""
+    return _Lanes(size)
+
+
+def _fits(top: int, coeffs: list) -> bool:
+    """Whether every sum of ``c`` times vectors with entries of at most
+    ``top`` in size, over the ``c`` of ``coeffs``, stays inside the lanes
+    of a packed vector (:class:`_Lanes`)."""
+    return top * sum(map(abs, coeffs)) < _LANE
 
 
 def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) -> bool:
@@ -118,28 +180,33 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     breadth ``k`` in ``us`` and ``v`` of length ``k`` in ``vs``, their int
     coefficients in ``cus`` and ``cs``, through whole vectors over the packed
     words W_k of length ``k``, and return True; or add nothing and return
-    False when the pair loop is the cheaper route.
+    False when the pair loop is the cheaper route or the sums might leave
+    the lanes of a packed vector.
 
     Each ``u`` is ``sigma o c`` for ``sigma`` the permutation of its letters
     in order of first appearance and ``c`` its first-occurrence
     standardisation (a surjection is a set partition and an order of its
     blocks), so ``v o u = (v o sigma) o c``.  ``g``, the right operand laid
-    out over W_k, is permuted once per distinct ``sigma`` (:func:`_permuted`);
-    ``h_c``, the sum of ``cu`` times those vectors over the ``u`` with one
-    ``c``, is accumulated in C, and scattered through ``c`` once.
+    out over W_k, is permuted once per distinct ``sigma`` (:func:`_permuted`)
+    and packed into one int (:class:`_Lanes`); ``h_c``, the sum of ``cu`` times
+    those ints over the ``u`` with one ``c``, takes one big-int multiply-add
+    per ``u``, and is unpacked and scattered through ``c`` once.  Every
+    entry of ``h_c`` is at most max|cv| times the sum of every |cu| in size,
+    so when that is below 2^63 (:func:`_fits`) no lane overflows and the
+    route is exact; any other bucket takes the pair loop.
 
-    So the route pays |W_k| multiply-adds per ``u``, |W_k| gathers per
+    The cost model charges |W_k| multiply-adds per ``u``, |W_k| gathers per
     ``sigma`` and |W_k| scatter updates per ``c``, whatever ``vs`` holds,
-    where the pair loop pays one update per pair.  Their costs decide.  The
-    multiply-adds are weighed before any word is factored, so a bucket whose
-    ``vs`` is sparse in W_k leaves at once and builds no table.  Beyond the
-    lengths of ``FUBINI`` the tables would take a hundred MB or more, and the
-    pair loop always runs.
+    where the pair loop pays one update per pair.  The multiply-adds are
+    weighed before any word is factored, so a bucket whose ``vs`` is sparse
+    in W_k leaves at once and builds no table.  Beyond the lengths of
+    ``FUBINI`` the tables would take a hundred MB or more, and the pair
+    loop always runs.
     """
     if k >= len(FUBINI):
         return False
     size, pair_cost = FUBINI[k], _PAIR * len(us) * len(vs)
-    if (size + _FACTOR) * len(us) >= pair_cost:
+    if (size + _FACTOR) * len(us) >= pair_cost or not _fits(max(map(abs, cs)), cus):
         return False
     by_sigma: dict[Word, list] = {}
     for u, cu in zip(us, cus):
@@ -153,14 +220,15 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     g = [0] * size
     for v, cv in zip(vs, cs):
         g[ranks[v]] = cv
-    h: dict[Word, list] = {}
+    lanes = _lanes(size)
+    h: dict[Word, int] = {}
     for sigma, g_sigma in _permuted(g, k, sorted(by_sigma)):
+        packed = lanes.encode(g_sigma)
         for c, cu in by_sigma[sigma]:
-            scaled = map(mul, g_sigma, repeat(cu))
-            sums = h.get(c)
-            h[c] = list(scaled if sums is None else map(add, sums, scaled))
+            h[c] = h.get(c, 0) + cu * packed
     get = out.get
-    for c, sums in h.items():
+    for c, total in h.items():
+        sums = lanes.decode(total)
         for w, n in zip(map(_composer(c), compress(ranks, sums)), filter(None, sums)):
             out[w] = get(w, 0) + n
     return True

@@ -24,11 +24,14 @@ the packed words of that length (:func:`_route_pays`), is the one of
 ``@`` (:func:`wqsym.algebra._compose_bucket`): a key's block products are
 laid out by its letters sorted, that table is the key's class, the
 operator as one int vector over the packed words is permuted once per
-letter order by the same kernel as ``@`` (:func:`wqsym.algebra._permuted`),
-the keys of a class sum their permuted vectors in C, and each class is
-scattered once.  Both routes make every block product as the pair loop
-does, from a key's lowest position up, and a class holds only keys whose
-tables agree entry for entry, so the route is exact under any merge; keys
+letter order by the same kernel as ``@`` (:func:`wqsym.algebra._permuted`)
+and packed into one int (:class:`wqsym.algebra._Lanes`), the keys of a class
+sum their packed vectors with one big-int multiply-add each, and each class
+is unpacked and scattered once.  A length takes the route only while no
+sum can leave its 64-bit lane (:func:`wqsym.algebra._fits`).  Both routes
+make every block product as the pair loop does, from a key's lowest
+position up, and a class holds only keys whose tables agree entry for
+entry, so the route is exact under any merge; keys
 that rearrange each other share a class when the merge is associative and
 commutative, as the keys of a quasi-shuffle product do.  What an operator
 needs for either route is kept on it (:class:`_Acting`).
@@ -52,9 +55,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, groupby, repeat
+from itertools import compress, groupby
 from itertools import product as iproduct
-from operator import add, itemgetter, mul
+from operator import itemgetter
 
 from .algebra import (
     _FACTOR,
@@ -65,6 +68,8 @@ from .algebra import (
     WQSymElement,
     _add_multiple,
     _by_length,
+    _fits,
+    _lanes,
     _permuted,
 )
 from .errors import CapExceeded
@@ -183,11 +188,13 @@ def _image(u):
 def _route_pays(n: int, words: int, keys: int) -> bool:
     """Whether the bucket route (:class:`_Route`) costs less than the pair
     loop for ``keys`` keys of length ``n`` against ``words`` operator words,
-    in the units of :func:`wqsym.algebra._compose_bucket`.  The route pays
+    in the units of :func:`wqsym.algebra._compose_bucket`.  The model charges
     |W_n| multiply-adds and a table of 2^n gathers per key, |W_n| gathers per
     letter order, of which there are at most n! and at most one per key, and
     at most one table's scatter of |W_n| updates per key, where the pair loop
-    pays one update per pair."""
+    pays one update per pair.  A key's multiply-add is one big-int operation
+    on its packed vector now, which the |W_n| overstate, so the route is
+    chosen conservatively."""
     if not 2 <= n < len(FUBINI):
         return False
     size = FUBINI[n]
@@ -201,17 +208,18 @@ class _Route:
     length n: what :meth:`act` needs, built once.
 
     ``g`` is the operator's bucket as int numerators over the packed words
-    W_n.  A key's block products fill a list, its letters first and then
-    the masks of ``filled`` in ``layers``: each mask the pair loop's
-    :class:`_BlockProducts` fills for the operator's words, from its lowest
-    position and the rest, one layer per number of positions.  ``index``
+    W_n, and ``top`` the largest of them in size.  A key's block products
+    fill a list, its letters first and then the masks of ``filled`` in
+    ``layers``: each mask the pair loop's :class:`_BlockProducts` fills for
+    the operator's words, from its lowest position and the rest, one layer
+    per number of positions.  ``index``
     maps each of the 2^n masks to its entry, or to the sentinel entry past
     them if none fills it.  ``groups`` holds, for each breadth k, the map
     from a vector over W_n to its entries at the words of breadth k, and the
     map from a table laid out by mask to those words' block products, k per
     word."""
 
-    __slots__ = ("n", "g", "layers", "index", "groups")
+    __slots__ = ("n", "g", "top", "layers", "index", "groups")
 
     def __init__(self, n: int, words: list, numerators: list):
         ranks = packed_word_ranks(n)
@@ -220,6 +228,7 @@ class _Route:
         for u, c in zip(words, numerators):
             self.g[ranks[u]] = c
             needed.update(block_masks(u))
+        self.top = max(map(abs, numerators))
         filled = set()
         for mask in needed:
             while mask & (mask - 1) and mask not in filled:
@@ -252,34 +261,37 @@ class _Route:
         is that of ``u o sigma`` on the table, so the image of ``x`` under
         the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`) on it.
         Keys whose tables agree, entry for entry and in which masks are
-        filled, share the sum of ``c * g_sigma`` over them, and each such sum
-        is scattered once, so the result is exact under any merge; under an
-        associative and commutative one, the table holds the products of the
-        sorted letters over each S, and keys that rearrange each other share
-        it."""
+        filled, share the sum of ``c * g_sigma`` over them, one big-int
+        multiply-add per key on ``g_sigma`` packed into one int
+        (:class:`wqsym.algebra._Lanes`), and each such sum is unpacked and
+        scattered once.  The caller has checked that ``top`` times the sum
+        of every ``abs(c)`` is below 2^63 (:func:`wqsym.algebra._fits`), so
+        no entry of a sum leaves its lane, and the result is exact under any
+        merge; under an associative and commutative one, the table holds the
+        products of the sorted letters over each S, and keys that rearrange
+        each other share it."""
         n, number, product = self.n, letters.__getitem__, letters.product
         by_sigma: dict[tuple, list] = {}
         for key, c in zip(keys, coeffs):
             key = list(map(number, key))
             sigma = tuple(i + 1 for i in sorted(range(n), key=key.__getitem__))
             by_sigma.setdefault(sigma, []).append((key, c))
-        sigmas = sorted(by_sigma)
-        sums: dict[tuple, list] = {}
+        sigmas, lanes = sorted(by_sigma), _lanes(len(self.g))
+        sums: dict[tuple, int] = {}
         for (sigma, g_sigma), (_, index) in zip(
             _permuted(self.g, n, sigmas), _permuted(self.index, n, sigmas, mask_swap_table)
         ):
-            layout = itemgetter(*index)
+            layout, packed = itemgetter(*index), lanes.encode(g_sigma)
             for table, c in by_sigma[sigma]:
                 get = table.__getitem__
                 for lows, rests in self.layers:  # each reads the layers before it
                     table += map(product, map(get, lows), map(get, rests))
                 table.append(-1)  # the sentinel: no letter is numbered -1
                 table = layout(table)
-                scaled = map(mul, g_sigma, repeat(c))
-                total = sums.get(table)
-                sums[table] = list(scaled if total is None else map(add, total, scaled))
+                sums[table] = sums.get(table, 0) + c * packed
         get = out.get
         for table, total in sums.items():
+            total = lanes.decode(total)
             for k, select, blocks in self.groups:
                 part = select(total)
                 images = zip(*[iter(blocks(table))] * k)
@@ -314,15 +326,16 @@ class _Acting:
             images = self.images[n] = list(map(_image, self.buckets[n][0]))
         return images, self.numerators[n] if exact else self.buckets[n][1]
 
-    def route(self, n: int, keys: int):
-        """The bucket route at length ``n`` if it pays for ``keys`` keys
-        (:func:`_route_pays`), else None."""
-        if not _route_pays(n, len(self.buckets[n][0]), keys):
+    def route(self, n: int, coeffs: list):
+        """The bucket route at length ``n`` if it pays for keys with the int
+        coefficients ``coeffs`` (:func:`_route_pays`) and their sums fit the
+        lanes of a packed vector (:func:`wqsym.algebra._fits`), else None."""
+        if not _route_pays(n, len(self.buckets[n][0]), len(coeffs)):
             return None
         route = self.routes.get(n)
         if route is None:
             route = self.routes[n] = _Route(n, self.buckets[n][0], self.numerators[n])
-        return route
+        return route if _fits(route.top, coeffs) else None
 
 
 def _acting(op: WQSymElement) -> _Acting:
@@ -391,7 +404,7 @@ class QuasiShuffle(Algebra):
         for n, (keys, cs) in _by_length(terms).items():
             if n not in acting.buckets:
                 continue
-            route = acting.route(n, len(keys)) if exact else None
+            route = acting.route(n, cs) if exact else None
             if route is not None:
                 route.act(out, keys, cs, letters)
                 continue

@@ -326,12 +326,14 @@ def format_graded(cutoff: int, graded):
 
 
 def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
-    """Coefficients in k, from k^0 up, of C(k + a, d) = (k+a)(k+a-1)...(k+a-d+1) / d!."""
-    poly = [Fraction(1, math.factorial(d))]
+    """Coefficients in k, from k^0 up, of C(k + a, d) = (k+a)(k+a-1)...(k+a-d+1) / d!:
+    the int coefficients of the product, each then divided by d! once."""
+    poly = [1]
     for j in range(d):
         # multiply by (k + a - j)
         poly = [(a - j) * x + y for x, y in zip(poly + [0], [0] + poly)]
-    return poly
+    denominator = math.factorial(d)
+    return [Fraction(c, denominator) for c in poly]
 
 
 def _ascent_terms(cutoff: int, entry):

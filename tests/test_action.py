@@ -399,6 +399,22 @@ def test_compositions_and_clashing_letters_take_the_route(monkeypatch, kind):
     assert x.act(eulerian_idempotent(1, 5)) == oracle_act(x, eulerian_idempotent(1, 5))
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("excess,route", [(0, 1), (1, 0)], ids=["at-the-bound", "one-over"])
+def test_the_lane_bound_of_the_route(monkeypatch, sign, excess, route):
+    # the two keys rearrange each other, so they share one table and every
+    # lane of their sum is 1 + 6 times an operator coefficient: exactly
+    # +-(2^63 - 1) at the bound; one unit more takes the pair loop
+    F = QSymElement._raw({(1, 2, 3, 4, 5): Fraction(1), (2, 1, 3, 4, 5): Fraction(6)})
+    top = sign * (((1 << 63) - 1) // 7 + excess)
+    op = WQSymElement._raw({w: Fraction(top) for w in enumerate_packed_words(5)})
+    calls = route_calls(monkeypatch)
+    got = F.act(op)
+    assert calls[0] == route
+    assert got == oracle_act(F, op)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
 def test_one_word_and_param_operators_keep_the_pair_loop(monkeypatch):
     rng = random.Random(7)
     F = QSymElement._raw({I: Fraction(1) for I in compositions(5)})

@@ -330,6 +330,30 @@ def test_thinned_buckets_on_either_side_of_the_selection(monkeypatch, kept, rout
     assert calls[0] == route
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("excess,route", [(0, 1), (1, 0)], ids=["at-the-bound", "one-over"])
+def test_the_lane_bound_of_the_bucket_route(monkeypatch, sign, excess, route):
+    # 12345 and 21345 share their standardisation, so every lane of their
+    # sum is g(w) + 6 g(w o 21345) = 7 g: exactly +-(2^63 - 1) at the bound,
+    # which the packed route must read back; one unit more takes the pair loop
+    f = WQSymElement({(1, 2, 3, 4, 5): Fraction(1), (2, 1, 3, 4, 5): Fraction(6)})
+    top = sign * (((1 << 63) - 1) // 7 + excess)
+    g = WQSymElement({v: Fraction(top) for v in enumerate_packed_words(5)})
+    calls = permutation_calls(monkeypatch)
+    product = assert_matches_oracle(f, g)
+    assert calls[0] == route
+    assert set(product.terms.values()) == {7 * top} and len(product.terms) == 541
+
+
+def test_a_packed_vector_has_one_64_bit_lane_per_entry():
+    v = [-(1 << 63), (1 << 63) - 1, 0, -1, 5, 1 << 40]
+    lanes = algebra._lanes(len(v))
+    assert lanes.layout.size == 8 * len(v)
+    packed = lanes.encode(v)
+    assert packed == sum(x << 64 * i for i, x in enumerate(v))
+    assert lanes.decode(packed) == tuple(v)
+
+
 def test_dense_coefficients_that_cancel(monkeypatch):
     # u and its reverse share their breadth, so against the constant word
     # 1^k both land on 1^n and cancel; against a full bucket the other words

@@ -18,6 +18,7 @@ from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle
 from wqsym.series import (
     Characteristic,
     TruncatedSeries,
+    _ascent_polynomial,
     adams,
     adams_terms,
     check_degree_cap,
@@ -169,6 +170,16 @@ def test_eulerian_idempotent_expansions():
     e3 = eulerian_idempotent(3, 3)
     assert e3.component(3) == elem({u: sixth for u in enumerate_packed_words(3)})
     assert eulerian_idempotent(0, 4) == TruncatedSeries.unit(4)
+
+
+def test_ascent_polynomial_is_the_binomial_in_k():
+    # C(k + a, d) as a polynomial in k, the source of every closed form
+    for d in range(9):
+        for a in range(d + 1):
+            poly = _ascent_polynomial(a, d)
+            assert len(poly) == d + 1 and all(type(c) is Fraction for c in poly)
+            for k in range(d + 2):
+                assert sum(c * k**i for i, c in enumerate(poly)) == math.comb(k + a, d), (k, a, d)
 
 
 def test_e1_closed_form_matches_log_route():
