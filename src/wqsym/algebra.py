@@ -107,23 +107,36 @@ def _by_length(terms: dict, measure=len) -> dict[int, tuple[list, list]]:
     return buckets
 
 
-def _composer(u: Word):
-    """The map ``v -> v o u`` on words ``v`` of length ``breadth(u)``."""
-    if len(u) > 1:
-        return itemgetter(*[x - 1 for x in u])
-    return lambda v: tuple(v[x - 1] for x in u)
+def _gather(indices):
+    """The map from a sequence to the tuple of its entries at ``indices``;
+    with ``indices`` the letters of a word ``u`` less one, the map ``v -> v
+    o u`` on words ``v`` of length ``breadth(u)``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)  # itemgetter needs two
 
 
-#: the costs of a length bucket of ``@`` by either route, in multiply-adds of
-#: ints done by ``map`` over a list (a gather costs about one): a pair-loop
-#: update (compose two words, hash, add, store) costs _PAIR, an update of the
-#: bucket route's scatter _SCATTER, and factoring a left word and starting its
-#: products _FACTOR.  Fitted to the times of both routes on 144 buckets of
-#: lengths 2 to 6, full and thinned on each side (Python 3.11, 2-vCPU host),
-#: when the route added its vectors entry by entry.  It now adds each as one
-#: packed int (:class:`_Lanes`), so the |W_k| per left word that the models
-#: charge overstate it, and the route is chosen conservatively.
+#: the costs of a length bucket of ``@`` or of the right action by either
+#: route (:func:`_bucket_pays`), in multiply-adds of ints done by ``map`` over
+#: a list (a gather costs about one): a pair-loop update (compose two words,
+#: hash, add, store) costs _PAIR, an update of the bucket route's scatter
+#: _SCATTER, and factoring an item and starting its products _FACTOR.  Fitted
+#: to the times of both routes of ``@`` on 144 buckets of lengths 2 to 6, full
+#: and thinned on each side (Python 3.11, 2-vCPU host), when the route added
+#: its vectors entry by entry.  It now adds each as one packed int
+#: (:class:`_Lanes`), so the vector size per item that the model charges
+#: overstates it, and the route is chosen conservatively.
 _PAIR, _SCATTER, _FACTOR = 7, 4, 48
+
+
+def _bucket_pays(size: int, items: int, pairs: int, table: int = 0, orders: int = 0, classes: int = 0) -> bool:
+    """Whether the bucket route, over vectors of ``size`` entries, costs
+    less than the pair loop's ``pairs`` updates.  The route pays for each of
+    ``items`` left words or keys a vector's multiply-add, ``table`` gathers
+    and a start, for each of ``orders`` permutations a vector's gather, and
+    for each of ``classes`` sums a vector's scatter."""
+    return (size + _FACTOR + table) * items + size * (orders + _SCATTER * classes) < _PAIR * pairs
+
 
 #: a lane of a packed vector holds one 64-bit entry; its sums must lie
 #: strictly between -_LANE and _LANE
@@ -195,18 +208,18 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     so when that is below 2^63 (:func:`_fits`) no lane overflows and the
     route is exact; any other bucket takes the pair loop.
 
-    The cost model charges |W_k| multiply-adds per ``u``, |W_k| gathers per
-    ``sigma`` and |W_k| scatter updates per ``c``, whatever ``vs`` holds,
-    where the pair loop pays one update per pair.  The multiply-adds are
-    weighed before any word is factored, so a bucket whose ``vs`` is sparse
-    in W_k leaves at once and builds no table.  Beyond the lengths of
+    The cost model (:func:`_bucket_pays`) charges |W_k| multiply-adds per
+    ``u``, |W_k| gathers per ``sigma`` and |W_k| scatter updates per ``c``,
+    whatever ``vs`` holds, where the pair loop pays one update per pair.
+    The multiply-adds are weighed before any word is factored, so a bucket
+    whose ``vs`` is sparse in W_k leaves at once and builds no table.  Beyond the lengths of
     ``FUBINI`` the tables would take a hundred MB or more, and the pair
     loop always runs.
     """
     if k >= len(FUBINI):
         return False
-    size, pair_cost = FUBINI[k], _PAIR * len(us) * len(vs)
-    if (size + _FACTOR) * len(us) >= pair_cost or not _fits(max(map(abs, cs)), cus):
+    size, pairs = FUBINI[k], len(us) * len(vs)
+    if not _bucket_pays(size, len(us), pairs) or not _fits(max(map(abs, cs)), cus):
         return False
     by_sigma: dict[Word, list] = {}
     for u, cu in zip(us, cus):
@@ -214,7 +227,7 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
         first = {x: i for i, x in enumerate(sigma, 1)}
         by_sigma.setdefault(sigma, []).append((tuple(map(first.__getitem__, u)), cu))
     n_c = len({c for group in by_sigma.values() for c, _ in group})
-    if (size + _FACTOR) * len(us) + size * (len(by_sigma) + _SCATTER * n_c) >= pair_cost:
+    if not _bucket_pays(size, len(us), pairs, orders=len(by_sigma), classes=n_c):
         return False
     ranks = packed_word_ranks(k)
     g = [0] * size
@@ -229,7 +242,7 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     get = out.get
     for c, total in h.items():
         sums = lanes.decode(total)
-        for w, n in zip(map(_composer(c), compress(ranks, sums)), filter(None, sums)):
+        for w, n in zip(map(_gather([x - 1 for x in c]), compress(ranks, sums)), filter(None, sums)):
             out[w] = get(w, 0) + n
     return True
 
@@ -347,7 +360,7 @@ class WQSymElement(Algebra):
             one = type(cu) is Fraction and cu == 1
             for v, cv in g.items():
                 if len(v) == k:
-                    compose = compose or _composer(u)
+                    compose = compose or _gather([x - 1 for x in u])
                     out[compose(v)] = cv if one else cu * cv
             return WQSymElement._raw(out)
         f, g, d = _numerators(f, g)
@@ -361,7 +374,7 @@ class WQSymElement(Algebra):
             if d is not None and _compose_bucket(out, us, cus, k, vs, cs):
                 continue
             for u, cu in zip(us, cus):
-                for w, cv in zip(map(_composer(u), vs), cs):
+                for w, cv in zip(map(_gather([x - 1 for x in u]), vs), cs):
                     out[w] = get(w, 0) + cu * cv
         return _collect(WQSymElement, out, d)
 

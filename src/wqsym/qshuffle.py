@@ -15,26 +15,26 @@ so images are tuples of small ints, each pair of letter numbers is merged
 once per action, and only the images with a nonzero sum are spelled back
 into letters.
 
-The keys of one length take one of two routes.  The pair loop is the
-reference: each operator word is one ``itemgetter`` over its blocks
-(:func:`_image`), applied to each key's block products
-(:class:`_BlockProducts`), one update per pair.  The bucket route
-(:class:`_Route`), for ``Fraction`` coefficients and operators dense in
-the packed words of that length (:func:`_route_pays`), is the one of
-``@`` (:func:`wqsym.algebra._compose_bucket`): a key's block products are
-laid out by its letters sorted, that table is the key's class, the
+The keys of one length take one of two routes, both over one table of a
+key's block products per key, filled by one loop (:func:`_fill`) from the
+key's lowest position up as planned once per set of block masks
+(:func:`_layers`).  The pair loop is the reference: each operator word is
+one gather of its blocks' entries of the table, one update per pair.  The
+bucket route (:class:`_Route`), for ``Fraction`` coefficients and
+operators dense in the packed words of that length (:func:`_route_pays`),
+is the one of ``@`` (:func:`wqsym.algebra._compose_bucket`): a key's table
+is laid out by its letters sorted, that layout is the key's class, the
 operator as one int vector over the packed words is permuted once per
 letter order by the same kernel as ``@`` (:func:`wqsym.algebra._permuted`)
 and packed into one int (:class:`wqsym.algebra._Lanes`), the keys of a class
 sum their packed vectors with one big-int multiply-add each, and each class
 is unpacked and scattered once.  A length takes the route only while no
-sum can leave its 64-bit lane (:func:`wqsym.algebra._fits`).  Both routes
-make every block product as the pair loop does, from a key's lowest
-position up, and a class holds only keys whose tables agree entry for
-entry, so the route is exact under any merge; keys
-that rearrange each other share a class when the merge is associative and
-commutative, as the keys of a quasi-shuffle product do.  What an operator
-needs for either route is kept on it (:class:`_Acting`).
+sum can leave its 64-bit lane (:func:`wqsym.algebra._fits`).  A class
+holds only keys whose tables agree entry for entry, so the route is exact
+under any merge; keys that rearrange each other share a class when the
+merge is associative and commutative, as the keys of a quasi-shuffle
+product do.  What an operator needs for either route is kept on it, one
+record per length of its words (:class:`_Length`).
 
 Here the base algebra A is spanned by the monomials of positive degree in a
 finite set of generators, as A has no unit; its product merges exponent
@@ -55,20 +55,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, groupby
+from functools import lru_cache
+from itertools import chain, compress, groupby
 from itertools import product as iproduct
 from operator import itemgetter
 
 from .algebra import (
-    _FACTOR,
-    _PAIR,
-    _SCATTER,
     Algebra,
     Tensor,
     WQSymElement,
     _add_multiple,
+    _bucket_pays,
     _by_length,
     _fits,
+    _gather,
     _lanes,
     _permuted,
 )
@@ -154,53 +154,49 @@ class _Letters(dict):
         return k
 
 
-class _BlockProducts(dict):
-    """The products of the letters of one key over sets of positions, indexed
-    by bitmask; each is computed with ``merge`` on first use, from the product
-    over all but the lowest position.  In :meth:`QuasiShuffle.act` the
-    letters are numbers and ``merge`` is :meth:`_Letters.product`."""
+@lru_cache(maxsize=1 << 12)
+def _layers(n: int, needed: frozenset) -> tuple[list, dict]:
+    """The plan of the block-product tables (:func:`_fill`) of the keys of
+    length ``n`` that hold the products over the masks of ``needed``.
 
-    __slots__ = ("merge",)
+    A table is a list: a key's letters, then the product over each mask
+    that the masks of ``needed`` reach by dropping their lowest positions
+    one by one, each from its lowest position and the rest, one layer per
+    number of positions.  ``layers`` holds each layer's entries of those
+    lowest positions and of those rests, and ``position`` maps each mask
+    to its entry."""
+    filled = set()
+    for mask in needed:
+        while mask & (mask - 1) and mask not in filled:
+            filled.add(mask)
+            mask &= mask - 1
+    filled = sorted(filled, key=lambda m: (m.bit_count(), m))
+    position = {m: i for i, m in enumerate([1 << i for i in range(n)] + filled)}
+    layers = [
+        ([position[m & -m] for m in layer], [position[m & (m - 1)] for m in layer])
+        for layer in (list(group) for _, group in groupby(filled, int.bit_count))
+    ]
+    return layers, position
 
-    def __init__(self, key, merge):
-        super().__init__((1 << i, letter) for i, letter in enumerate(key))
-        self.merge = merge
 
-    def __missing__(self, mask):
-        low = mask & -mask
-        value = self[mask] = self.merge(self[low], self[mask ^ low])
-        return value
-
-
-def _gather(indices):
-    """The map from a sequence to the tuple of its entries at ``indices``."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)  # itemgetter needs two
-
-
-def _image(u):
-    """The map from a key's :class:`_BlockProducts` to the image of the key
-    under the word ``u``: one product per letter of ``u``, over its block."""
-    return _gather(block_masks(u))
+def _fill(table: list, layers: list, product) -> list:
+    """``table``, a key's letters, extended by its block products as
+    :func:`_layers` plans them, each merged with ``product``."""
+    get = table.__getitem__
+    for lows, rests in layers:  # each reads the layers before it
+        table += map(product, map(get, lows), map(get, rests))
+    return table
 
 
 def _route_pays(n: int, words: int, keys: int) -> bool:
     """Whether the bucket route (:class:`_Route`) costs less than the pair
     loop for ``keys`` keys of length ``n`` against ``words`` operator words,
-    in the units of :func:`wqsym.algebra._compose_bucket`.  The model charges
-    |W_n| multiply-adds and a table of 2^n gathers per key, |W_n| gathers per
-    letter order, of which there are at most n! and at most one per key, and
-    at most one table's scatter of |W_n| updates per key, where the pair loop
-    pays one update per pair.  A key's multiply-add is one big-int operation
-    on its packed vector now, which the |W_n| overstate, so the route is
-    chosen conservatively."""
+    by the model of :func:`wqsym.algebra._bucket_pays`: per key, a table of
+    2^n gathers and one table to scatter, and one gather of the operator per
+    letter order, of which there are at most n! and at most one per key."""
     if not 2 <= n < len(FUBINI):
         return False
-    size = FUBINI[n]
-    orders = min(keys, math.factorial(n))
-    route = keys * (size * (1 + _SCATTER) + (1 << n) + _FACTOR) + orders * size
-    return route < _PAIR * keys * words
+    return _bucket_pays(FUBINI[n], keys, keys * words, 1 << n, min(keys, math.factorial(n)), keys)
 
 
 class _Route:
@@ -208,38 +204,21 @@ class _Route:
     length n: what :meth:`act` needs, built once.
 
     ``g`` is the operator's bucket as int numerators over the packed words
-    W_n, and ``top`` the largest of them in size.  A key's block products
-    fill a list, its letters first and then the masks of ``filled`` in
-    ``layers``: each mask the pair loop's :class:`_BlockProducts` fills for
-    the operator's words, from its lowest position and the rest, one layer
-    per number of positions.  ``index``
-    maps each of the 2^n masks to its entry, or to the sentinel entry past
-    them if none fills it.  ``groups`` holds, for each breadth k, the map
-    from a vector over W_n to its entries at the words of breadth k, and the
-    map from a table laid out by mask to those words' block products, k per
-    word."""
+    W_n, and ``top`` the largest of them in size.  ``layers`` plans a key's
+    block-product table (:func:`_layers`), and ``index`` maps each of the
+    2^n masks to its entry, or to the sentinel entry past them if none
+    fills it.  ``groups`` holds, for each breadth k, the map from a vector
+    over W_n to its entries at the words of breadth k, and the map from a
+    table laid out by mask to those words' block products, k per word."""
 
     __slots__ = ("n", "g", "top", "layers", "index", "groups")
 
-    def __init__(self, n: int, words: list, numerators: list):
+    def __init__(self, n: int, words: list, numerators: list, layers: list, position: dict):
         ranks = packed_word_ranks(n)
-        self.n, self.g = n, [0] * len(ranks)
-        needed = set()
+        self.n, self.g, self.layers = n, [0] * len(ranks), layers
         for u, c in zip(words, numerators):
             self.g[ranks[u]] = c
-            needed.update(block_masks(u))
         self.top = max(map(abs, numerators))
-        filled = set()
-        for mask in needed:
-            while mask & (mask - 1) and mask not in filled:
-                filled.add(mask)
-                mask &= mask - 1
-        filled = sorted(filled, key=lambda m: (m.bit_count(), m))
-        position = {m: i for i, m in enumerate([1 << i for i in range(n)] + filled)}
-        self.layers = [
-            ([position[m & -m] for m in layer], [position[m & (m - 1)] for m in layer])
-            for layer in (list(group) for _, group in groupby(filled, int.bit_count))
-        ]
         self.index = [position.get(m, len(position)) for m in range(1 << n)]
         by_breadth: dict[int, list] = {}
         for u, rank in ranks.items():
@@ -270,7 +249,7 @@ class _Route:
         merge; under an associative and commutative one, the table holds the
         products of the sorted letters over each S, and keys that rearrange
         each other share it."""
-        n, number, product = self.n, letters.__getitem__, letters.product
+        n, number, product, layers = self.n, letters.__getitem__, letters.product, self.layers
         by_sigma: dict[tuple, list] = {}
         for key, c in zip(keys, coeffs):
             key = list(map(number, key))
@@ -283,9 +262,7 @@ class _Route:
         ):
             layout, packed = itemgetter(*index), lanes.encode(g_sigma)
             for table, c in by_sigma[sigma]:
-                get = table.__getitem__
-                for lows, rests in self.layers:  # each reads the layers before it
-                    table += map(product, map(get, lows), map(get, rests))
+                table = _fill(table, layers, product)
                 table.append(-1)  # the sentinel: no letter is numbered -1
                 table = layout(table)
                 sums[table] = sums.get(table, 0) + c * packed
@@ -299,52 +276,73 @@ class _Route:
                     out[w] = get(w, 0) + c
 
 
-class _Acting:
-    """What the action of one operator needs, per length of its words, made
-    on first use and kept on the operator (``WQSymElement._acting``), which
-    never changes once built: its words and coefficients, the coefficients
-    as int numerators over one ``denominator`` when they are all
-    ``Fraction`` (else ``denominator`` is None), each word's image map for
-    the pair loop, and the bucket route (:class:`_Route`)."""
+class _Length:
+    """The words of one length ``n`` of an operator, and what their action
+    on the keys of that length needs: one record per length, made on the
+    operator's first action and kept on it (:func:`_acting`), which never
+    changes once built.
 
-    __slots__ = ("denominator", "buckets", "numerators", "images", "routes")
+    ``coeffs`` are the coefficients of ``words``, and ``numerators`` the
+    same as int numerators over the operator's one denominator, or None
+    unless every coefficient is a ``Fraction``.  ``layers`` and
+    ``position`` plan the block-product table of a key (:func:`_layers`),
+    one plan per distinct set of the words' block masks.  The plan, the
+    pair loop's map from a table to each word's image (``images``) and the
+    bucket route (:class:`_Route`) are made when a key of this length first
+    needs them, so a length that no key has costs nothing."""
 
-    def __init__(self, terms: dict):
-        self.buckets = _by_length(terms)
-        numerators, self.denominator = _numerators(terms)
-        self.numerators = None
-        if self.denominator is not None:
-            self.numerators = {n: list(map(numerators.__getitem__, us)) for n, (us, _) in self.buckets.items()}
-        self.images: dict[int, list] = {}
-        self.routes: dict[int, _Route] = {}
+    __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "route")
 
-    def pairs(self, n: int, exact: bool):
-        """The image maps of the words of length ``n`` and their
-        coefficients, as numerators if ``exact``."""
-        images = self.images.get(n)
-        if images is None:
-            images = self.images[n] = list(map(_image, self.buckets[n][0]))
-        return images, self.numerators[n] if exact else self.buckets[n][1]
+    def __init__(self, n: int, words: list, coeffs: list, numerators):
+        self.n, self.words, self.coeffs, self.numerators = n, words, coeffs, numerators
+        self.layers = self.position = self.images = self.route = None
 
-    def route(self, n: int, coeffs: list):
-        """The bucket route at length ``n`` if it pays for keys with the int
-        coefficients ``coeffs`` (:func:`_route_pays`) and their sums fit the
-        lanes of a packed vector (:func:`wqsym.algebra._fits`), else None."""
-        if not _route_pays(n, len(self.buckets[n][0]), len(coeffs)):
-            return None
-        route = self.routes.get(n)
-        if route is None:
-            route = self.routes[n] = _Route(n, self.buckets[n][0], self.numerators[n])
-        return route if _fits(route.top, coeffs) else None
+    def act(self, out: dict, keys: list, coeffs: list, letters: _Letters, exact: bool) -> None:
+        """Add ``c`` times the image of each key of ``keys`` under these
+        words, its coefficient ``c`` in ``coeffs``, into ``out``, keys and
+        images spelled in the numbers of ``letters``; if ``exact``, ``coeffs``
+        and ``numerators`` are int numerators.
+
+        Exact keys take the bucket route when its cost model says so
+        (:func:`_route_pays`) and their sums fit the lanes of a packed vector
+        (:func:`wqsym.algebra._fits`).  Else the pair loop fills each key's
+        table, reads each word's image from it with one gather of the
+        entries of its blocks, and adds one product of coefficients per
+        pair."""
+        if self.layers is None:
+            needed = frozenset(chain.from_iterable(map(block_masks, self.words)))
+            self.layers, self.position = _layers(self.n, needed)
+        if exact and _route_pays(self.n, len(self.words), len(keys)):
+            if self.route is None:
+                self.route = _Route(self.n, self.words, self.numerators, self.layers, self.position)
+            if _fits(self.route.top, coeffs):
+                self.route.act(out, keys, coeffs, letters)
+                return
+        if self.images is None:
+            position = self.position
+            self.images = [_gather([position[m] for m in block_masks(u)]) for u in self.words]
+        pairs = list(zip(self.images, self.numerators if exact else self.coeffs))
+        number, product, layers, get = letters.__getitem__, letters.product, self.layers, out.get
+        for key, c in zip(keys, coeffs):
+            table = _fill(list(map(number, key)), layers, product)
+            for image, cu in pairs:
+                w = image(table)
+                out[w] = get(w, 0) + c * cu
 
 
-def _acting(op: WQSymElement) -> _Acting:
-    """What ``op`` needs to act, prepared on its first action."""
+def _acting(op: WQSymElement) -> tuple:
+    """The denominator of ``op``'s coefficients as int numerators, None
+    unless every coefficient is a ``Fraction``, and the :class:`_Length` of
+    each length of its words: made on its first action and kept on it."""
     try:
         return op._acting
     except AttributeError:
-        acting = op._acting = _Acting(op.terms)
-        return acting
+        numerators, denominator = _numerators(op.terms)
+        op._acting = denominator, {
+            n: _Length(n, us, cs, None if denominator is None else list(map(numerators.__getitem__, us)))
+            for n, (us, cs) in _by_length(op.terms).items()
+        }
+        return op._acting
 
 
 class QuasiShuffle(Algebra):
@@ -372,20 +370,19 @@ class QuasiShuffle(Algebra):
         of two letter numbers is memoised for the whole call, as the keys of
         a product share their letters.
 
-        Each length has one of two routes.  The pair loop applies each
-        operator word, one ``itemgetter`` of its block masks, to each key's
-        :class:`_BlockProducts`, which fills each block product on first
-        use, and adds one product of coefficients per pair.  With
-        ``Fraction`` coefficients throughout, the sums accumulate as int
-        numerators over one common denominator, and a length whose cost
-        model (:func:`_route_pays`) says so takes the bucket route
-        (:class:`_Route`) instead: each key's block products are laid out
+        Each length of the operator has one record (:class:`_Length`),
+        prepared once and kept on it, which picks one of two routes.  Both
+        fill each key's table of block products (:func:`_fill`) as one plan
+        says, from the lowest position up, so the result is exact under any
+        merge.  The pair loop reads each operator word's image from the
+        table with one gather and adds one product of coefficients per
+        pair.  With ``Fraction`` coefficients throughout, the sums
+        accumulate as int numerators over one common denominator, and a
+        length whose cost model (:func:`_route_pays`) says so takes the
+        bucket route (:class:`_Route`) instead: each key's table is laid out
         by its letters sorted, keys whose tables agree share one, and the
         operator, as a vector over the packed words, is permuted once per
-        letter order and scattered once per table.  Both routes compute
-        every block product as the pair loop does, from the lowest position
-        up, so the result is exact under any merge.  What the operator needs
-        for either route is prepared once and kept on it (:class:`_Acting`).
+        letter order and scattered once per table.
         """
         if isinstance(op, TruncatedSeries):
             for key in self.terms:
@@ -394,29 +391,15 @@ class QuasiShuffle(Algebra):
             return self.act(op.element)
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
-        acting = _acting(op)
-        terms, d = _numerators(self.terms) if acting.denominator is not None else (self.terms, None)
-        exact = d is not None
-        letters = _Letters(self._merge)
-        number, product = letters.__getitem__, letters.product
-        out: dict = {}
-        get = out.get
+        denominator, lengths = _acting(op)
+        terms, d = _numerators(self.terms) if denominator is not None else (self.terms, None)
+        letters, out = _Letters(self._merge), {}
         for n, (keys, cs) in _by_length(terms).items():
-            if n not in acting.buckets:
-                continue
-            route = acting.route(n, cs) if exact else None
-            if route is not None:
-                route.act(out, keys, cs, letters)
-                continue
-            images, cus = acting.pairs(n, exact)
-            for key, c in zip(keys, cs):
-                products = _BlockProducts(map(number, key), product)
-                for image, cu in zip(images, cus):
-                    w = image(products)
-                    out[w] = get(w, 0) + c * cu
+            if n in lengths:
+                lengths[n].act(out, keys, cs, letters, d is not None)
         spell = letters.spelled.__getitem__
         spelled = {tuple(map(spell, w)): n for w, n in out.items() if n}
-        return _collect(type(self), spelled, d * acting.denominator if exact else None)
+        return _collect(type(self), spelled, None if d is None else d * denominator)
 
 
 class QSElement(QuasiShuffle):

@@ -88,12 +88,14 @@ def breadth(u: Word) -> int:
 
 
 def is_packed(word) -> bool:
+    """Whether ``word``'s letters are ints forming exactly 1..max(word); a
+    letter above the length cannot be, and is refused before any set of
+    letters is built."""
     word = tuple(word)
-    if not word:
-        return True
     if any(type(x) is not int or x < 1 for x in word):
         return False
-    return set(word) == set(range(1, max(word) + 1))
+    top = max(word, default=0)
+    return top <= len(word) and set(word) == set(range(1, top + 1))
 
 
 def check_packed(word) -> Word:

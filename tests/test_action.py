@@ -455,6 +455,8 @@ def _lopsided_image(word, u):
 
 
 def test_the_route_is_the_pair_loop_under_a_non_associative_merge(monkeypatch):
+    # the dense operator takes the route at both lengths; a one-word and a
+    # sparse operator take the pair loop, on the same block-product tables
     rng = random.Random(8)
     x = Lopsided._raw(
         {
@@ -464,15 +466,20 @@ def test_the_route_is_the_pair_loop_under_a_non_associative_merge(monkeypatch):
         }
     )
     op = every_word((4, 5), rng)
+    one_word = WQSymElement.monomial((2, 2, 1, 2, 2), Fraction(3, 2))  # a block of four
+    sparse = WQSymElement._raw({u: c for u, c in op.terms.items() if rng.random() < 0.1})
     assert Lopsided._merge(Lopsided._merge(1, 2), 3) != Lopsided._merge(1, Lopsided._merge(2, 3))
-    expected = {}
-    for key, c in x.terms.items():
-        for u, d in op.terms.items():
-            if len(u) == len(key):
-                _add_term(expected, _lopsided_image(key, u), c * d)
     calls = route_calls(monkeypatch)
+    for operator, routes in [(op, 2), (one_word, 0), (sparse, 0)]:
+        expected = {}
+        for key, c in x.terms.items():
+            for u, d in operator.terms.items():
+                if len(u) == len(key):
+                    _add_term(expected, _lopsided_image(key, u), c * d)
+        calls[0] = 0
+        assert x.act(operator) == Lopsided._raw(expected)
+        assert calls[0] == routes
     routed = x.act(op)
-    assert calls[0] == 2
-    assert routed == Lopsided._raw(expected)
     monkeypatch.setattr(qshuffle, "_route_pays", lambda *sizes: False)
-    assert x.act(op) == routed and calls[0] == 2
+    calls[0] = 0
+    assert x.act(op) == routed and calls[0] == 0

@@ -392,15 +392,15 @@ def test_a_sparse_length_seven_product_builds_no_table():
 def test_dense_idempotent_products_take_the_bucket_route(monkeypatch):
     # 633 calls, one per left word, on the pair loop alone; one per distinct
     # first-occurrence standardisation on the bucket route
-    real, calls = algebra._composer, [0]
+    real, calls = algebra._gather, [0]
 
-    def counted(u):
+    def counted(indices):
         calls[0] += 1
-        return real(u)
+        return real(indices)
 
     e1 = eulerian_idempotent(1, 5)
     assert len(e1.element.terms) == 633
-    monkeypatch.setattr(algebra, "_composer", counted)
+    monkeypatch.setattr(algebra, "_gather", counted)
     assert e1 @ e1 == e1
     assert calls[0] <= 101
 

@@ -133,6 +133,9 @@ BAD_INPUT = [
     ("verify", "hopf", "--cases", "0"),
     ("verify", "all", "--cases", "-5"),
     ("realize", "12", "-3"),
+    # a letter far above the length, refused before any set of letters is built
+    ("eval", "M[99999999999999999999]"),
+    ("realize", "1,99999999999999999999", "3"),
     # one below each suite's minimum number of base-algebra generators
     ("verify", "convolution", "--generators", "2"),
     ("verify", "all", "--generators", "2"),
@@ -517,5 +520,6 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback(argv, head):
     finally:
         reader.close()
         proc.kill()
+        proc.stderr.close()
     assert "Traceback" not in err and "Error" not in err, err
     assert code == CLOSED_PIPE_EXIT

@@ -1,6 +1,7 @@
 """Combinatorics kernel: packing, shuffles, enumeration, Lyndon tests."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from wqsym.words import (
     _ascent_batches,
     block_masks,
     breadth,
+    check_packed,
     compositions,
     descents,
     enumerate_packed_words,
@@ -39,6 +41,21 @@ def test_pack_examples():
 def test_pack_idempotent(w):
     assert pack(pack(w)) == pack(w)
     assert is_packed(pack(w))
+
+
+def test_a_letter_above_the_length_is_refused_before_any_set_is_built():
+    # a set of 1..max(word) would take gigabytes here
+    tracemalloc.start()
+    try:
+        assert not is_packed((1, 2 * 10**6))
+        assert not is_packed((1, 10**20))
+        with pytest.raises(ValueError, match="not a packed word"):
+            check_packed((10**20,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert is_packed((2, 1, 2)) and is_packed(()) and not is_packed((1, 3, 3))
 
 
 def test_pack_rejects_nonpositive():
