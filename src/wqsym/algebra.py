@@ -21,15 +21,17 @@ buckets.  The bucket route (:func:`_compose_bucket`) writes each ``u`` as a
 permutation of its letters after its first-occurrence standardisation (a
 surjection is a set partition and an order of its blocks; Reutenauer, *Free
 Lie Algebras*, 1993, ch. 9), permutes the bucket of ``other``, laid out as
-one int vector over the packed words of length k, once per permutation with
-the cached tables of :mod:`wqsym.words` (:func:`_permuted`, which the right
-action shares), packs each permuted vector into one int with a 64-bit lane
-per word (:class:`_Lanes`), so that adding a multiple of it is one big-int
-multiply-add, and unpacks and scatters one sum per standardisation.  A
-bucket of ``Fraction`` operands takes it when its estimated cost, from the
-bucket's sizes and its numbers of distinct permutations and
-standardisations, is below the pair loop's, and when no sum can leave its
-lane (:func:`_fits`), which keeps the route exact.
+one int vector over the packed words of length k, once per permutation
+(:func:`_permuted`, which the right action shares), packs each permuted
+vector into one int with a 64-bit lane per word, so that adding a multiple
+of it is one big-int multiply-add, and unpacks and scatters one sum per
+standardisation.  What both bucket routes know of the packed words of one
+length, their order, swap tables and lane packing, is one record per
+length, made once (:func:`_space`).  A bucket of ``Fraction`` operands
+takes the route when its estimated cost, from the bucket's sizes and its
+numbers of distinct permutations and standardisations, is below the pair
+loop's, and when no sum can leave its lane (:func:`_fits`), which keeps
+the route exact.
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from itertools import product as iproduct
 from operator import eq, ge, itemgetter, le
@@ -75,8 +77,6 @@ from .words import (
     breadth,
     descents,
     enumerate_packed_words,
-    packed_word_ranks,
-    position_swap_table,
     quasi_shuffle_words,
     reverse,
     shifted_concat,
@@ -124,7 +124,7 @@ def _gather(indices):
 #: to the times of both routes of ``@`` on 144 buckets of lengths 2 to 6, full
 #: and thinned on each side (Python 3.11, 2-vCPU host), when the route added
 #: its vectors entry by entry.  It now adds each as one packed int
-#: (:class:`_Lanes`), so the vector size per item that the model charges
+#: (:meth:`_Space.encode`), so the vector size per item that the model charges
 #: overstates it, and the route is chosen conservatively.
 _PAIR, _SCATTER, _FACTOR = 7, 4, 48
 
@@ -143,48 +143,102 @@ def _bucket_pays(size: int, items: int, pairs: int, table: int = 0, orders: int 
 _LANE = 1 << 63
 
 
-class _Lanes:
-    """Int vectors of one length packed into one int each: entry i, in
-    [-2^63, 2^63), is the 64-bit lane i, and the int is the sum of
-    ``vector[i] << 64 * i``.  ``layout`` holds the entries as little-endian
-    64-bit ints, ``bias`` 2^63 in each lane.
+class _Space:
+    """Int vectors over the packed words W_n of one length n, as both bucket
+    routes lay them out: ``@``'s (:func:`_compose_bucket`) and the right
+    action's (:meth:`wqsym.qshuffle._Length.route`).  One record per n
+    (:func:`_space`); its swap tables and ``groups`` are made on first use.
 
-    A sum of int multiples of packed vectors is then the packing of the same
-    sum of the vectors, one big-int multiply-add per vector instead of one
-    per entry, and :meth:`decode` reads it back exactly while every entry of
-    that sum lies strictly between -2^63 and 2^63: biased by 2^63, each lane
-    lies in [0, 2^64), so none borrows from or carries into the next, and
-    flipping its top bit leaves the entry in two's complement.  Such are the
-    sums of ``c`` times vectors with entries of at most ``top`` in size when
-    ``top`` times the sum of every ``abs(c)`` is below 2^63 (:func:`_fits`)."""
+    ``ranks`` maps each word of W_n to its entry, its keys in the order of
+    :func:`~wqsym.words.enumerate_packed_words`, and :meth:`vector` lays a
+    combination out by it.  :meth:`position_swap` and :meth:`mask_swap` are
+    the two kinds of swap table of :func:`_permuted`.  ``groups`` holds, for
+    each breadth k, the map from a vector to its entries at the words of
+    breadth k, and the map from a key's table laid out by mask to those
+    words' block products, k per word.
 
-    __slots__ = ("layout", "bias")
+    A vector packs into one int (:meth:`encode`): entry i, in [-2^63, 2^63),
+    is the 64-bit lane i, and the int is the sum of ``vector[i] << 64 * i``.
+    ``lanes`` holds the entries as little-endian 64-bit ints, ``bias`` 2^63
+    in each lane.  A sum of int multiples of packed vectors is then the
+    packing of the same sum of the vectors, one big-int multiply-add per
+    vector instead of one per entry, and :meth:`decode` reads it back
+    exactly while every entry of that sum lies strictly between -2^63 and
+    2^63: biased by 2^63, each lane lies in [0, 2^64), so none borrows from
+    or carries into the next, and flipping its top bit leaves the entry in
+    two's complement.  Such are the sums of ``c`` times vectors with entries
+    of at most ``top`` in size when ``top`` times the sum of every ``abs(c)``
+    is below 2^63 (:func:`_fits`)."""
 
-    def __init__(self, size: int):
-        self.layout = struct.Struct(f"<{size}q")
-        self.bias = int.from_bytes((bytes(7) + b"\x80") * size, "little")
+    def __init__(self, n: int):
+        self.n = n
+        self.ranks = {w: i for i, w in enumerate(words._packed_words(n))}
+        self.lanes = struct.Struct(f"<{len(self.ranks)}q")
+        self.bias = int.from_bytes((bytes(7) + b"\x80") * len(self.ranks), "little")
+        self.position_swaps: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.mask_swaps: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def vector(self, keys, coeffs) -> list:
+        """The vector over W_n holding each coefficient of ``coeffs`` at
+        its word of ``keys``, and 0 elsewhere."""
+        g = [0] * len(self.ranks)
+        for w, c in zip(keys, coeffs):
+            g[self.ranks[w]] = c
+        return g
+
+    def position_swap(self, a: int, b: int) -> tuple[int, ...]:
+        """For each word of W_n, in order, the entry of the word with its
+        letters at positions ``a < b`` (from 0) exchanged: gathering a vector
+        ``x`` through it, ``[x[i] for i in table]``, gives each word the
+        entry of its swapped word."""
+        table = self.position_swaps.get((a, b))
+        if table is None:
+            order = list(range(self.n))
+            order[a], order[b] = b, a
+            table = self.position_swaps[a, b] = tuple(map(self.ranks.__getitem__, map(itemgetter(*order), self.ranks)))
+        return table
+
+    def mask_swap(self, a: int, b: int) -> tuple[int, ...]:
+        """For each set of positions 0..n-1 as a bitmask, in order, the mask
+        with positions ``a < b`` exchanged: the tables of
+        :meth:`position_swap` for the sets of positions of a word."""
+        table = self.mask_swaps.get((a, b))
+        if table is None:
+            bits = (1 << a) | (1 << b)
+            table = self.mask_swaps[a, b] = tuple(m ^ bits if (m >> a ^ m >> b) & 1 else m for m in range(1 << self.n))
+        return table
+
+    @cached_property
+    def groups(self) -> list:
+        by_breadth: dict[int, list] = {}
+        for u, rank in self.ranks.items():
+            by_breadth.setdefault(breadth(u), []).append((rank, words.block_masks(u)))
+        return [
+            (k, _gather([rank for rank, _ in group]), _gather([m for _, masks in group for m in masks]))
+            for k, group in sorted(by_breadth.items())
+        ]
 
     def encode(self, vector) -> int:
         """The packed int of ``vector``."""
-        buffer = bytearray(self.layout.size)
-        self.layout.pack_into(buffer, 0, *vector)
+        buffer = bytearray(self.lanes.size)
+        self.lanes.pack_into(buffer, 0, *vector)
         return (int.from_bytes(buffer, "little") ^ self.bias) - self.bias
 
     def decode(self, total: int) -> tuple:
         """The vector whose packed int is ``total``."""
-        return self.layout.unpack(((total + self.bias) ^ self.bias).to_bytes(self.layout.size, "little"))
+        return self.lanes.unpack(((total + self.bias) ^ self.bias).to_bytes(self.lanes.size, "little"))
 
 
 @cache
-def _lanes(size: int) -> _Lanes:
-    """The packing of int vectors of length ``size``."""
-    return _Lanes(size)
+def _space(n: int) -> _Space:
+    """The record of the packed words of length ``n`` (:class:`_Space`)."""
+    return _Space(n)
 
 
 def _fits(top: int, coeffs: list) -> bool:
     """Whether every sum of ``c`` times vectors with entries of at most
     ``top`` in size, over the ``c`` of ``coeffs``, stays inside the lanes
-    of a packed vector (:class:`_Lanes`)."""
+    of a packed vector (:meth:`_Space.encode`)."""
     return top * sum(map(abs, coeffs)) < _LANE
 
 
@@ -201,7 +255,7 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     standardisation (a surjection is a set partition and an order of its
     blocks), so ``v o u = (v o sigma) o c``.  ``g``, the right operand laid
     out over W_k, is permuted once per distinct ``sigma`` (:func:`_permuted`)
-    and packed into one int (:class:`_Lanes`); ``h_c``, the sum of ``cu`` times
+    and packed into one int (:meth:`_Space.encode`); ``h_c``, the sum of ``cu`` times
     those ints over the ``u`` with one ``c``, takes one big-int multiply-add
     per ``u``, and is unpacked and scattered through ``c`` once.  Every
     entry of ``h_c`` is at most max|cv| times the sum of every |cu| in size,
@@ -229,34 +283,31 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     n_c = len({c for group in by_sigma.values() for c, _ in group})
     if not _bucket_pays(size, len(us), pairs, orders=len(by_sigma), classes=n_c):
         return False
-    ranks = packed_word_ranks(k)
-    g = [0] * size
-    for v, cv in zip(vs, cs):
-        g[ranks[v]] = cv
-    lanes = _lanes(size)
+    space = _space(k)
     h: dict[Word, int] = {}
-    for sigma, g_sigma in _permuted(g, k, sorted(by_sigma)):
-        packed = lanes.encode(g_sigma)
+    for sigma, g_sigma in _permuted(space.vector(vs, cs), k, sorted(by_sigma), space.position_swap):
+        packed = space.encode(g_sigma)
         for c, cu in by_sigma[sigma]:
             h[c] = h.get(c, 0) + cu * packed
     get = out.get
     for c, total in h.items():
-        sums = lanes.decode(total)
-        for w, n in zip(map(_gather([x - 1 for x in c]), compress(ranks, sums)), filter(None, sums)):
+        sums = space.decode(total)
+        for w, n in zip(map(_gather([x - 1 for x in c]), compress(space.ranks, sums)), filter(None, sums)):
             out[w] = get(w, 0) + n
     return True
 
 
-def _permuted(g: list, k: int, sigmas, swaps=position_swap_table):
+def _permuted(g: list, k: int, sigmas, swaps):
     """``(sigma, g_sigma)`` for each permutation ``sigma`` of 1..k in the
-    sorted ``sigmas``, where ``g`` is a vector over the packed words of length
-    ``k`` and ``g_sigma`` holds at ``v o sigma`` what ``g`` holds at ``v``.
-    With ``swaps`` :func:`~wqsym.words.mask_swap_table`, ``g`` is a vector
-    over the sets of positions 0..k-1 as bitmasks instead, and ``g_sigma``
-    holds at a set ``S`` what ``g`` holds at ``{sigma[j] - 1 : j in S}``.
+    sorted ``sigmas``.  With ``swaps`` the :meth:`_Space.position_swap` of
+    length ``k``, ``g`` is a vector over the packed words of length ``k``
+    and ``g_sigma`` holds at ``v o sigma`` what ``g`` holds at ``v``.  With
+    its :meth:`_Space.mask_swap`, ``g`` is a vector over the sets of
+    positions 0..k-1 as bitmasks instead, and ``g_sigma`` holds at a set
+    ``S`` what ``g`` holds at ``{sigma[j] - 1 : j in S}``.
 
     ``sigma`` is reached from the identity by at most k - 1 gathers through
-    the tables ``swaps(k, j, p)``, the j-th bringing ``sigma[j]`` to position
+    the tables ``swaps(j, p)``, the j-th bringing ``sigma[j]`` to position
     j; the first j steps depend only on ``sigma[:j]``, so a stack keeps each
     step's arrangement and vector for the next ``sigma`` sharing that prefix,
     at most ``k`` vectors at a time."""
@@ -275,7 +326,7 @@ def _permuted(g: list, k: int, sigmas, swaps=position_swap_table):
             if p != j:
                 arrangement = arrangement.copy()
                 arrangement[j], arrangement[p] = arrangement[p], arrangement[j]
-                vector = list(map(vector.__getitem__, swaps(k, j, p)))
+                vector = list(map(vector.__getitem__, swaps(j, p)))
             stack.append((arrangement, vector))
         previous = sigma
         yield sigma, vector

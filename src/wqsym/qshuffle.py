@@ -20,21 +20,23 @@ key's block products per key, filled by one loop (:func:`_fill`) from the
 key's lowest position up as planned once per set of block masks
 (:func:`_layers`).  The pair loop is the reference: each operator word is
 one gather of its blocks' entries of the table, one update per pair.  The
-bucket route (:class:`_Route`), for ``Fraction`` coefficients and
+bucket route (:meth:`_Length.route`), for ``Fraction`` coefficients and
 operators dense in the packed words of that length (:func:`_route_pays`),
 is the one of ``@`` (:func:`wqsym.algebra._compose_bucket`): a key's table
 is laid out by its letters sorted, that layout is the key's class, the
 operator as one int vector over the packed words is permuted once per
 letter order by the same kernel as ``@`` (:func:`wqsym.algebra._permuted`)
-and packed into one int (:class:`wqsym.algebra._Lanes`), the keys of a class
-sum their packed vectors with one big-int multiply-add each, and each class
-is unpacked and scattered once.  A length takes the route only while no
-sum can leave its 64-bit lane (:func:`wqsym.algebra._fits`).  A class
-holds only keys whose tables agree entry for entry, so the route is exact
-under any merge; keys that rearrange each other share a class when the
-merge is associative and commutative, as the keys of a quasi-shuffle
-product do.  What an operator needs for either route is kept on it, one
-record per length of its words (:class:`_Length`).
+and packed into one int, the keys of a class sum their packed vectors with
+one big-int multiply-add each, and each class is unpacked and scattered
+once.  A length takes the route only while no sum can leave its 64-bit
+lane (:func:`wqsym.algebra._fits`).  A class holds only keys whose tables
+agree entry for entry, so the route is exact under any merge; keys that
+rearrange each other share a class when the merge is associative and
+commutative, as the keys of a quasi-shuffle product do.  What an operator
+needs for either route is kept on it, one record per length of its words
+(:class:`_Length`); what depends on the length alone, the layout of the
+packed words, their swap tables, lanes and breadth groups, is the record
+of that length that ``@`` shares (:func:`wqsym.algebra._space`).
 
 Here the base algebra A is spanned by the monomials of positive degree in a
 finite set of generators, as A has no unit; its product merges exponent
@@ -69,8 +71,8 @@ from .algebra import (
     _by_length,
     _fits,
     _gather,
-    _lanes,
     _permuted,
+    _space,
 )
 from .errors import CapExceeded
 from .params import (
@@ -85,7 +87,7 @@ from .params import (
     monomial as canonical_monomial,
 )
 from .series import TruncatedSeries, adams, eulerian_idempotent
-from .words import FUBINI, block_masks, breadth, mask_swap_table, packed_word_ranks, quasi_shuffle
+from .words import FUBINI, block_masks, quasi_shuffle
 
 TensorWord = tuple[Monomial, ...]  # over nonempty monomials
 
@@ -189,91 +191,15 @@ def _fill(table: list, layers: list, product) -> list:
 
 
 def _route_pays(n: int, words: int, keys: int) -> bool:
-    """Whether the bucket route (:class:`_Route`) costs less than the pair
-    loop for ``keys`` keys of length ``n`` against ``words`` operator words,
-    by the model of :func:`wqsym.algebra._bucket_pays`: per key, a table of
-    2^n gathers and one table to scatter, and one gather of the operator per
-    letter order, of which there are at most n! and at most one per key."""
+    """Whether the bucket route (:meth:`_Length.route`) costs less than the
+    pair loop for ``keys`` keys of length ``n`` against ``words`` operator
+    words, by the model of :func:`wqsym.algebra._bucket_pays`: per key, a
+    table of 2^n gathers and one table to scatter, and one gather of the
+    operator per letter order, of which there are at most n! and at most one
+    per key."""
     if not 2 <= n < len(FUBINI):
         return False
     return _bucket_pays(FUBINI[n], keys, keys * words, 1 << n, min(keys, math.factorial(n)), keys)
-
-
-class _Route:
-    """The bucket route of the action of one operator on the keys of one
-    length n: what :meth:`act` needs, built once.
-
-    ``g`` is the operator's bucket as int numerators over the packed words
-    W_n, and ``top`` the largest of them in size.  ``layers`` plans a key's
-    block-product table (:func:`_layers`), and ``index`` maps each of the
-    2^n masks to its entry, or to the sentinel entry past them if none
-    fills it.  ``groups`` holds, for each breadth k, the map from a vector
-    over W_n to its entries at the words of breadth k, and the map from a
-    table laid out by mask to those words' block products, k per word."""
-
-    __slots__ = ("n", "g", "top", "layers", "index", "groups")
-
-    def __init__(self, n: int, words: list, numerators: list, layers: list, position: dict):
-        ranks = packed_word_ranks(n)
-        self.n, self.g, self.layers = n, [0] * len(ranks), layers
-        for u, c in zip(words, numerators):
-            self.g[ranks[u]] = c
-        self.top = max(map(abs, numerators))
-        self.index = [position.get(m, len(position)) for m in range(1 << n)]
-        by_breadth: dict[int, list] = {}
-        for u, rank in ranks.items():
-            by_breadth.setdefault(breadth(u), []).append((rank, block_masks(u)))
-        self.groups = [
-            (k, _gather([rank for rank, _ in group]), _gather([m for _, masks in group for m in masks]))
-            for k, group in sorted(by_breadth.items())
-        ]
-
-    def act(self, out: dict, keys: list, coeffs: list, letters: "_Letters") -> None:
-        """Add ``c`` times the image of each key of ``keys``, its int
-        coefficient ``c`` in ``coeffs``, into ``out``, keys and images spelled
-        in the numbers of ``letters``.
-
-        Let ``sigma`` be the permutation that sorts a key ``x``, so that
-        ``x o sigma`` is its letters sorted.  Its table holds at each set
-        ``S`` of positions the block product of ``x`` over ``{sigma[j] - 1 :
-        j in S}``, as the pair loop makes it.  The image of ``x`` under ``u``
-        is that of ``u o sigma`` on the table, so the image of ``x`` under
-        the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`) on it.
-        Keys whose tables agree, entry for entry and in which masks are
-        filled, share the sum of ``c * g_sigma`` over them, one big-int
-        multiply-add per key on ``g_sigma`` packed into one int
-        (:class:`wqsym.algebra._Lanes`), and each such sum is unpacked and
-        scattered once.  The caller has checked that ``top`` times the sum
-        of every ``abs(c)`` is below 2^63 (:func:`wqsym.algebra._fits`), so
-        no entry of a sum leaves its lane, and the result is exact under any
-        merge; under an associative and commutative one, the table holds the
-        products of the sorted letters over each S, and keys that rearrange
-        each other share it."""
-        n, number, product, layers = self.n, letters.__getitem__, letters.product, self.layers
-        by_sigma: dict[tuple, list] = {}
-        for key, c in zip(keys, coeffs):
-            key = list(map(number, key))
-            sigma = tuple(i + 1 for i in sorted(range(n), key=key.__getitem__))
-            by_sigma.setdefault(sigma, []).append((key, c))
-        sigmas, lanes = sorted(by_sigma), _lanes(len(self.g))
-        sums: dict[tuple, int] = {}
-        for (sigma, g_sigma), (_, index) in zip(
-            _permuted(self.g, n, sigmas), _permuted(self.index, n, sigmas, mask_swap_table)
-        ):
-            layout, packed = itemgetter(*index), lanes.encode(g_sigma)
-            for table, c in by_sigma[sigma]:
-                table = _fill(table, layers, product)
-                table.append(-1)  # the sentinel: no letter is numbered -1
-                table = layout(table)
-                sums[table] = sums.get(table, 0) + c * packed
-        get = out.get
-        for table, total in sums.items():
-            total = lanes.decode(total)
-            for k, select, blocks in self.groups:
-                part = select(total)
-                images = zip(*[iter(blocks(table))] * k)
-                for w, c in zip(compress(images, part), filter(None, part)):
-                    out[w] = get(w, 0) + c
 
 
 class _Length:
@@ -286,16 +212,20 @@ class _Length:
     same as int numerators over the operator's one denominator, or None
     unless every coefficient is a ``Fraction``.  ``layers`` and
     ``position`` plan the block-product table of a key (:func:`_layers`),
-    one plan per distinct set of the words' block masks.  The plan, the
-    pair loop's map from a table to each word's image (``images``) and the
-    bucket route (:class:`_Route`) are made when a key of this length first
-    needs them, so a length that no key has costs nothing."""
+    one plan per distinct set of the words' block masks.  The plan and the
+    pair loop's map from a table to each word's image (``images``) are made
+    when a key of this length first needs them, so a length that no key has
+    costs nothing.  So are the bucket route's fields (:meth:`route`): ``g``,
+    the numerators laid out over the packed words W_n
+    (:meth:`wqsym.algebra._Space.vector`), ``top``, the largest of them in
+    size, and ``index``, which maps each of the 2^n masks to its entry of
+    the table, or to the sentinel entry past them if none fills it."""
 
-    __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "route")
+    __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "g", "top", "index")
 
     def __init__(self, n: int, words: list, coeffs: list, numerators):
         self.n, self.words, self.coeffs, self.numerators = n, words, coeffs, numerators
-        self.layers = self.position = self.images = self.route = None
+        self.layers = self.position = self.images = self.g = self.top = self.index = None
 
     def act(self, out: dict, keys: list, coeffs: list, letters: _Letters, exact: bool) -> None:
         """Add ``c`` times the image of each key of ``keys`` under these
@@ -303,20 +233,22 @@ class _Length:
         images spelled in the numbers of ``letters``; if ``exact``, ``coeffs``
         and ``numerators`` are int numerators.
 
-        Exact keys take the bucket route when its cost model says so
-        (:func:`_route_pays`) and their sums fit the lanes of a packed vector
-        (:func:`wqsym.algebra._fits`).  Else the pair loop fills each key's
-        table, reads each word's image from it with one gather of the
-        entries of its blocks, and adds one product of coefficients per
-        pair."""
+        Exact keys take the bucket route (:meth:`route`) when its cost model
+        says so (:func:`_route_pays`) and their sums fit the lanes of a
+        packed vector (:func:`wqsym.algebra._fits`).  Else the pair loop
+        fills each key's table, reads each word's image from it with one
+        gather of the entries of its blocks, and adds one product of
+        coefficients per pair."""
         if self.layers is None:
             needed = frozenset(chain.from_iterable(map(block_masks, self.words)))
             self.layers, self.position = _layers(self.n, needed)
         if exact and _route_pays(self.n, len(self.words), len(keys)):
-            if self.route is None:
-                self.route = _Route(self.n, self.words, self.numerators, self.layers, self.position)
-            if _fits(self.route.top, coeffs):
-                self.route.act(out, keys, coeffs, letters)
+            if self.g is None:
+                self.g = _space(self.n).vector(self.words, self.numerators)
+                self.top = max(map(abs, self.numerators))
+                self.index = [self.position.get(m, len(self.position)) for m in range(1 << self.n)]
+            if _fits(self.top, coeffs):
+                self.route(out, keys, coeffs, letters)
                 return
         if self.images is None:
             position = self.position
@@ -328,6 +260,52 @@ class _Length:
             for image, cu in pairs:
                 w = image(table)
                 out[w] = get(w, 0) + c * cu
+
+    def route(self, out: dict, keys: list, coeffs: list, letters: _Letters) -> None:
+        """The bucket route of :meth:`act`, its int coefficients in
+        ``coeffs``.
+
+        Let ``sigma`` be the permutation that sorts a key ``x``, so that
+        ``x o sigma`` is its letters sorted.  Its table holds at each set
+        ``S`` of positions the block product of ``x`` over ``{sigma[j] - 1 :
+        j in S}``, as the pair loop makes it.  The image of ``x`` under ``u``
+        is that of ``u o sigma`` on the table, so the image of ``x`` under
+        the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`) on it.
+        Keys whose tables agree, entry for entry and in which masks are
+        filled, share the sum of ``c * g_sigma`` over them, one big-int
+        multiply-add per key on ``g_sigma`` packed into one int
+        (:meth:`wqsym.algebra._Space.encode`), and each such sum is unpacked
+        and scattered once.  The caller has checked that ``top`` times the
+        sum of every ``abs(c)`` is below 2^63 (:func:`wqsym.algebra._fits`),
+        so no entry of a sum leaves its lane, and the result is exact under
+        any merge; under an associative and commutative one, the table holds
+        the products of the sorted letters over each S, and keys that
+        rearrange each other share it."""
+        n, number, product, layers = self.n, letters.__getitem__, letters.product, self.layers
+        by_sigma: dict[tuple, list] = {}
+        for key, c in zip(keys, coeffs):
+            key = list(map(number, key))
+            sigma = tuple(i + 1 for i in sorted(range(n), key=key.__getitem__))
+            by_sigma.setdefault(sigma, []).append((key, c))
+        sigmas, space = sorted(by_sigma), _space(n)
+        sums: dict[tuple, int] = {}
+        for (sigma, g_sigma), (_, index) in zip(
+            _permuted(self.g, n, sigmas, space.position_swap), _permuted(self.index, n, sigmas, space.mask_swap)
+        ):
+            layout, packed = itemgetter(*index), space.encode(g_sigma)
+            for table, c in by_sigma[sigma]:
+                table = _fill(table, layers, product)
+                table.append(-1)  # the sentinel: no letter is numbered -1
+                table = layout(table)
+                sums[table] = sums.get(table, 0) + c * packed
+        get = out.get
+        for table, total in sums.items():
+            total = space.decode(total)
+            for k, select, blocks in space.groups:
+                part = select(total)
+                images = zip(*[iter(blocks(table))] * k)
+                for w, c in zip(compress(images, part), filter(None, part)):
+                    out[w] = get(w, 0) + c
 
 
 def _acting(op: WQSymElement) -> tuple:
@@ -379,10 +357,10 @@ class QuasiShuffle(Algebra):
         pair.  With ``Fraction`` coefficients throughout, the sums
         accumulate as int numerators over one common denominator, and a
         length whose cost model (:func:`_route_pays`) says so takes the
-        bucket route (:class:`_Route`) instead: each key's table is laid out
-        by its letters sorted, keys whose tables agree share one, and the
-        operator, as a vector over the packed words, is permuted once per
-        letter order and scattered once per table.
+        bucket route (:meth:`_Length.route`) instead: each key's table is
+        laid out by its letters sorted, keys whose tables agree share one,
+        and the operator, as a vector over the packed words, is permuted
+        once per letter order and scattered once per table.
         """
         if isinstance(op, TruncatedSeries):
             for key in self.terms:

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from .algebra import WQSymElement, _add_multiple, letters_str
 from .params import SCALAR_TYPES, _linear
 from .qshuffle import QuasiShuffle
-from .series import TruncatedSeries, _check_index, adams as adams_series, eulerian_idempotent
+from .series import TruncatedSeries, _check_cutoff, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (
     Composition,
     check_composition,
@@ -94,6 +94,7 @@ def sigma_hat_series(t, cutoff: int) -> TruncatedSeries:
     """
     if not isinstance(t, SCALAR_TYPES):
         raise TypeError("parameter must be exact: Fraction or ParamPoly")
+    check_degree_cap(_check_cutoff(cutoff))
     return TruncatedSeries(
         cutoff, {d: WQSymElement.monomial(tuple(range(1, d + 1)), t**d) for d in range(cutoff + 1)}
     )

@@ -19,12 +19,11 @@ checks it on every call.
 
 Everything in this module is a pure function on tuples, so results can be
 shared freely; :func:`enumerate_packed_words` and the product kernels keep
-memo tables whose observable behaviour is identical to recomputation, and so
-do the rank and position-swap tables over the packed words of one length
-with which the internal product and the right action permute whole vectors
-(:func:`packed_word_ranks`, :func:`position_swap_table`), and the same swaps
-on sets of positions (:func:`mask_swap_table`).  The one
-enumeration kernel, :func:`_ascent_batches`, streams the packed words of a
+memo tables whose observable behaviour is identical to recomputation.  The
+tables with which the internal product and the right action permute whole
+vectors over the packed words of one length live in one record per length,
+:func:`wqsym.algebra._space`.  The one enumeration kernel,
+:func:`_ascent_batches`, streams the packed words of a
 length with their ascent counts in batches that share their last letters,
 and keeps none of them but the few lists of those shared last letters;
 :func:`packed_words_with_ascents` flattens it, and the memoised tuples are
@@ -36,7 +35,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import CapExceeded, ExpressionError
 
@@ -218,34 +216,6 @@ def enumerate_packed_words(n: int) -> tuple[Word, ...]:
 @lru_cache(maxsize=None)
 def _packed_words(n: int) -> tuple[Word, ...]:
     return tuple(w for w, _ in packed_words_with_ascents(n, n))
-
-
-@lru_cache(maxsize=None)
-def packed_word_ranks(n: int) -> dict[Word, int]:
-    """The index of each packed word of length ``n`` in the order of
-    :func:`enumerate_packed_words`, its keys in that order.  Shared: do not
-    mutate it."""
-    return {w: i for i, w in enumerate(_packed_words(n))}
-
-
-@lru_cache(maxsize=None)
-def position_swap_table(n: int, a: int, b: int) -> tuple[int, ...]:
-    """For each packed word of length ``n``, in order, the index of the word
-    with its letters at positions ``a < b`` (from 0) exchanged: gathering a
-    vector ``x`` over those words through it, ``[x[i] for i in table]``, gives
-    each word the entry of its swapped word."""
-    order = list(range(n))
-    order[a], order[b] = b, a
-    return tuple(map(packed_word_ranks(n).__getitem__, map(itemgetter(*order), _packed_words(n))))
-
-
-@lru_cache(maxsize=None)
-def mask_swap_table(n: int, a: int, b: int) -> tuple[int, ...]:
-    """For each set of positions 0..n-1 as a bitmask, in order, the mask with
-    positions ``a < b`` exchanged: the tables of :func:`position_swap_table`
-    for the sets of positions of a word, gathered the same way."""
-    bits = (1 << a) | (1 << b)
-    return tuple(m ^ bits if (m >> a ^ m >> b) & 1 else m for m in range(1 << n))
 
 
 def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Word, int]]:

@@ -11,12 +11,14 @@ time, and shares nothing with ``QuasiShuffle.act`` but the element types.
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym import qshuffle
+from wqsym import algebra, qshuffle
 from wqsym.algebra import WQSymElement, _add_term
 from wqsym.errors import CapExceeded
 from wqsym.params import ParamPoly
@@ -335,13 +337,13 @@ def test_qsym_product_is_the_tensor_product_over_one_generator():
 
 def route_calls(monkeypatch):
     """A counter of the runs of the bucket route, one per length it takes."""
-    real, calls = qshuffle._Route.act, [0]
+    real, calls = qshuffle._Length.route, [0]
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(qshuffle._Route, "act", counted)
+    monkeypatch.setattr(qshuffle._Length, "route", counted)
     return calls
 
 
@@ -413,6 +415,39 @@ def test_the_lane_bound_of_the_route(monkeypatch, sign, excess, route):
     assert calls[0] == route
     assert got == oracle_act(F, op)
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_the_product_and_the_action_share_one_record_per_length(monkeypatch):
+    # a dense @ bucket of length 5, then e_1 and Psi^5 on keys of length 5,
+    # all through the bucket routes: one record of length 5 serves them all
+    algebra._space.cache_clear()
+    permutation_calls, real = [0], algebra._permuted
+
+    def counted(*args):
+        permutation_calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_permuted", counted)
+    f = WQSymElement({u: Fraction(1) for u in permutations(range(1, 6))})
+    g = WQSymElement({v: Fraction(i % 7 + 1) for i, v in enumerate(enumerate_packed_words(5))})
+    f @ g
+    assert permutation_calls[0] == 1
+    F = QSymElement._raw({I: Fraction(1) for I in iproduct((1, 2, 3), repeat=5)})
+    calls = route_calls(monkeypatch)
+    for op in (eulerian_idempotent(1, 5), adams(5, 5)):
+        assert F.act(op) == oracle_act(F, op)
+    assert calls[0] == 2
+    info = algebra._space.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert "groups" in vars(algebra._space(5))  # made by the action on that record
+
+
+def test_a_one_word_operator_on_length_seven_keys_builds_no_record():
+    algebra._space.cache_clear()
+    F = QSymElement._raw({I: Fraction(1) for I in iproduct((1, 2), repeat=7)})
+    op = WQSymElement.monomial((1, 2, 1, 3, 2, 4, 1))
+    assert F.act(op) == oracle_act(F, op)
+    assert algebra._space.cache_info().currsize == 0
 
 
 def test_one_word_and_param_operators_keep_the_pair_loop(monkeypatch):

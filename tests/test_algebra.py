@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym import algebra, words
+from wqsym import algebra
 from wqsym.algebra import (
     TensorSquare,
     WQSymElement,
@@ -346,12 +346,13 @@ def test_the_lane_bound_of_the_bucket_route(monkeypatch, sign, excess, route):
 
 
 def test_a_packed_vector_has_one_64_bit_lane_per_entry():
-    v = [-(1 << 63), (1 << 63) - 1, 0, -1, 5, 1 << 40]
-    lanes = algebra._lanes(len(v))
-    assert lanes.layout.size == 8 * len(v)
-    packed = lanes.encode(v)
+    # the 13 packed words of length 3, with the edges of a lane among them
+    v = [-(1 << 63), (1 << 63) - 1, 0, -1, 5, 1 << 40, 0, 0, -(1 << 62), 3, 0, 1, (1 << 63) - 1]
+    space = algebra._space(3)
+    assert space.lanes.size == 8 * len(v)
+    packed = space.encode(v)
     assert packed == sum(x << 64 * i for i, x in enumerate(v))
-    assert lanes.decode(packed) == tuple(v)
+    assert space.decode(packed) == tuple(v)
 
 
 def test_dense_coefficients_that_cancel(monkeypatch):
@@ -382,11 +383,9 @@ def test_a_dense_param_operand_stays_on_the_pair_loop(monkeypatch):
 
 def test_a_sparse_length_seven_product_builds_no_table():
     f = E((1, 2, 3, 4, 5, 6, 7)) + E((7, 6, 5, 4, 3, 2, 1))
-    tables = (words.packed_word_ranks, words.position_swap_table)
-    for table in tables:
-        table.cache_clear()
+    algebra._space.cache_clear()
     assert f @ E((2, 1, 3, 4, 5, 6, 7)) == E((2, 1, 3, 4, 5, 6, 7)) + E((7, 6, 5, 4, 3, 1, 2))
-    assert [table.cache_info().currsize for table in tables] == [0, 0]
+    assert algebra._space.cache_info().currsize == 0
 
 
 def test_dense_idempotent_products_take_the_bucket_route(monkeypatch):

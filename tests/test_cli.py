@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from wqsym import series, suites, words
+from wqsym import algebra, series, suites, words
 from wqsym.cli import CLOSED_PIPE_EXIT, main
 from wqsym.serialization import series_to_obj
 from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
@@ -398,11 +398,11 @@ def test_streamed_expand_of_a_sparse_table_equals_the_built_series(name, index, 
 
 
 def test_expand_builds_no_series_and_fills_no_cache():
-    cached = (series.adams, series.eulerian_idempotent, words._packed_words)
+    cached = (series.adams, series.eulerian_idempotent, words._packed_words, algebra._space)
     for cache in cached:
         cache.cache_clear()
     assert run(("expand", "e", "1", "--degree", "6"))[0] == 0
-    assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0, 0]
 
 
 def test_eval_of_coordinates_builds_no_series_and_fills_no_cache(monkeypatch):
@@ -410,14 +410,14 @@ def test_eval_of_coordinates_builds_no_series_and_fills_no_cache(monkeypatch):
     # expand does: no series is built, and no word is kept
     built = []
     monkeypatch.setattr(series, "_ascent_series", lambda *args: built.append(args))
-    cached = (series.adams, series.eulerian_idempotent, words._packed_words)
+    cached = (series.adams, series.eulerian_idempotent, words._packed_words, algebra._space)
     for cache in cached:
         cache.cache_clear()
     for expression in ("e(1)", "2*Psi(2) - e(1) @ I + 1/2"):
         for fmt in ("text", "json"):
             assert run(("eval", expression, "--degree", "6", "--format", fmt))[0] == 0
     assert built == []
-    assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in cached] == [0, 0, 0, 0]
     assert run(("eval", "e(1)", "--degree", "6")) == run(("expand", "e", "1", "--degree", "6"))
 
 

@@ -14,7 +14,7 @@ from wqsym.algebra import WQSymElement
 from wqsym.errors import CapExceeded, NotInvertible
 from wqsym.params import ParamPoly
 from wqsym.qshuffle import QSElement
-from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle
+from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle, sigma_hat_series
 from wqsym.series import (
     Characteristic,
     TruncatedSeries,
@@ -327,6 +327,7 @@ def test_every_constructor_checks_the_cutoff():
         lambda n: eulerian_idempotent(1, n),
         log_identity,
         eulerian_e1_closed_form,
+        lambda n: sigma_hat_series(Fraction(1), n),
     )
     # an untyped memo would answer 2.0 and True from the entries of 2 and 1
     refused = ((2.5, TypeError), (2.0, TypeError), ("3", TypeError), (True, TypeError), (-3, ValueError))
@@ -335,6 +336,9 @@ def test_every_constructor_checks_the_cutoff():
             with pytest.raises(error):
                 build(cutoff)
         assert build(2).cutoff == 2
+    # a series built above the cap would make every product on it unbounded
+    with pytest.raises(CapExceeded):
+        sigma_hat_series(Fraction(1), 9)
 
 
 def test_every_builder_checks_the_index():
