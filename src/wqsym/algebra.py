@@ -20,14 +20,15 @@ and it takes one-term operands, ``ParamPoly`` coefficients and sparse
 buckets.  The bucket route (:func:`_compose_bucket`) writes each ``u`` as a
 permutation of its letters after its first-occurrence standardisation (a
 surjection is a set partition and an order of its blocks; Reutenauer, *Free
-Lie Algebras*, 1993, ch. 9), permutes the bucket of ``other``, laid out as
-one int vector over the packed words of length k, once per permutation
-(:func:`_permuted`, which the right action shares), packs each permuted
-vector into one int with a 64-bit lane per word, so that adding a multiple
-of it is one big-int multiply-add, and unpacks and scatters one sum per
-standardisation.  What both bucket routes know of the packed words of one
-length, their order, swap tables and lane packing, is one record per
-length, made once (:func:`_space`).  A bucket of ``Fraction`` operands
+Lie Algebras*, 1993, ch. 9), lays the bucket of ``other`` out once as one
+int vector over the packed words of length k, held as its bytes, a 64-bit
+lane per word, permutes those bytes once per permutation (:func:`_permuted`,
+which the right action shares), a few runs of lanes per swap rather than
+word by word, reads each permuted vector as one int, so that adding a
+multiple of it is one big-int multiply-add, and unpacks and scatters one sum
+per standardisation.  What both bucket routes know of the packed words of
+one length, their order, swap plans and lanes, is one record per length,
+made once (:func:`_space`).  A bucket of ``Fraction`` operands
 takes the route when its estimated cost, from the bucket's sizes and its
 numbers of distinct permutations and standardisations, is below the pair
 loop's, and when no sum can leave its lane (:func:`_fits`), which keeps
@@ -57,7 +58,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
 from itertools import product as iproduct
-from operator import eq, ge, itemgetter, le
+from operator import eq, ge, itemgetter, le, ne
 
 from . import words
 from .params import (
@@ -123,9 +124,13 @@ def _gather(indices):
 #: _SCATTER, and factoring an item and starting its products _FACTOR.  Fitted
 #: to the times of both routes of ``@`` on 144 buckets of lengths 2 to 6, full
 #: and thinned on each side (Python 3.11, 2-vCPU host), when the route added
-#: its vectors entry by entry.  It now adds each as one packed int
-#: (:meth:`_Space.encode`), so the vector size per item that the model charges
-#: overstates it, and the route is chosen conservatively.
+#: its vectors entry by entry and permuted them word by word.  It now adds
+#: each as one packed int (:meth:`_Space.packed`), and a permutation moves
+#: runs of lanes (:meth:`_Space.lane_swap`), over all of them about 100 runs
+#: at length 5 and 300 at length 6 against the 541 and 4 683 gathers the
+#: model charges.  So the model overstates the route, which is chosen
+#: conservatively; the constants are deliberately not refit, and every
+#: bucket takes the route it took before.
 _PAIR, _SCATTER, _FACTOR = 7, 4, 48
 
 
@@ -147,66 +152,102 @@ class _Space:
     """Int vectors over the packed words W_n of one length n, as both bucket
     routes lay them out: ``@``'s (:func:`_compose_bucket`) and the right
     action's (:meth:`wqsym.qshuffle._Length.route`).  One record per n
-    (:func:`_space`); its swap tables and ``groups`` are made on first use.
+    (:func:`_space`); its swap plans and ``groups`` are made on first use.
 
     ``ranks`` maps each word of W_n to its entry, its keys in the order of
-    :func:`~wqsym.words.enumerate_packed_words`, and :meth:`vector` lays a
-    combination out by it.  :meth:`position_swap` and :meth:`mask_swap` are
-    the two kinds of swap table of :func:`_permuted`.  ``groups`` holds, for
-    each breadth k, the map from a vector to its entries at the words of
-    breadth k, and the map from a key's table laid out by mask to those
-    words' block products, k per word.
+    :func:`~wqsym.words.enumerate_packed_words`, and :meth:`lay_out` lays a
+    combination out by it.  :meth:`lane_swap` and :meth:`mask_swap` are the
+    two kinds of swap of :func:`_permuted`.  ``groups`` holds, for each
+    breadth k, the map from a vector to its entries at the words of breadth
+    k, and the map from a key's table laid out by mask to those words' block
+    products, k per word.
 
-    A vector packs into one int (:meth:`encode`): entry i, in [-2^63, 2^63),
-    is the 64-bit lane i, and the int is the sum of ``vector[i] << 64 * i``.
-    ``lanes`` holds the entries as little-endian 64-bit ints, ``bias`` 2^63
-    in each lane.  A sum of int multiples of packed vectors is then the
-    packing of the same sum of the vectors, one big-int multiply-add per
-    vector instead of one per entry, and :meth:`decode` reads it back
-    exactly while every entry of that sum lies strictly between -2^63 and
-    2^63: biased by 2^63, each lane lies in [0, 2^64), so none borrows from
-    or carries into the next, and flipping its top bit leaves the entry in
-    two's complement.  Such are the sums of ``c`` times vectors with entries
-    of at most ``top`` in size when ``top`` times the sum of every ``abs(c)``
-    is below 2^63 (:func:`_fits`)."""
+    A vector is held as its lanes (:meth:`lay_out`): 8 little-endian bytes
+    per entry, lane i holding entry i, in [-2^63, 2^63), plus 2^63.  Read
+    as one int, less ``bias`` (2^63 in each lane), they give the vector's
+    packed int, the sum of ``vector[i] << 64 * i`` (:meth:`packed`).  A sum
+    of int multiples of packed vectors is then the packing of the same sum
+    of the vectors, one big-int multiply-add per vector instead of one per
+    entry, and :meth:`decode` reads it back exactly while every entry of
+    that sum lies strictly between -2^63 and 2^63: biased by 2^63, each lane
+    lies in [0, 2^64), so none borrows from or carries into the next, and
+    flipping its top bit leaves the entry in two's complement, as ``lanes``
+    reads it.  Such are the sums of ``c`` times vectors with entries of at
+    most ``top`` in size when ``top`` times the sum of every ``abs(c)`` is
+    below 2^63 (:func:`_fits`)."""
 
     def __init__(self, n: int):
         self.n = n
         self.ranks = {w: i for i, w in enumerate(words._packed_words(n))}
         self.lanes = struct.Struct(f"<{len(self.ranks)}q")
         self.bias = int.from_bytes((bytes(7) + b"\x80") * len(self.ranks), "little")
-        self.position_swaps: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.mask_swaps: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.lane_swaps: dict[tuple[int, int], object] = {}
+        self.mask_swaps: dict[tuple[int, int], object] = {}
 
-    def vector(self, keys, coeffs) -> list:
-        """The vector over W_n holding each coefficient of ``coeffs`` at
-        its word of ``keys``, and 0 elsewhere."""
+    def lay_out(self, keys, coeffs) -> bytes:
+        """The lanes of the vector over W_n holding each coefficient of
+        ``coeffs``, each in [-2^63, 2^63), at its word of ``keys``, and 0
+        elsewhere."""
         g = [0] * len(self.ranks)
         for w, c in zip(keys, coeffs):
             g[self.ranks[w]] = c
-        return g
+        buffer = bytearray(self.lanes.size)
+        self.lanes.pack_into(buffer, 0, *g)
+        return (int.from_bytes(buffer, "little") ^ self.bias).to_bytes(self.lanes.size, "little")
 
-    def position_swap(self, a: int, b: int) -> tuple[int, ...]:
-        """For each word of W_n, in order, the entry of the word with its
-        letters at positions ``a < b`` (from 0) exchanged: gathering a vector
-        ``x`` through it, ``[x[i] for i in table]``, gives each word the
-        entry of its swapped word."""
-        table = self.position_swaps.get((a, b))
-        if table is None:
+    def packed(self, lanes: bytes) -> int:
+        """The packed int of the vector whose lanes are ``lanes``."""
+        return int.from_bytes(lanes, "little") - self.bias
+
+    def decode(self, total: int) -> tuple:
+        """The vector whose packed int is ``total``."""
+        return self.lanes.unpack(((total + self.bias) ^ self.bias).to_bytes(self.lanes.size, "little"))
+
+    @cached_property
+    def single(self) -> tuple:
+        """The byte slice of each lane, shared by every plan of
+        :meth:`lane_swap`."""
+        bounds = list(range(0, self.lanes.size + 1, 8))
+        return tuple(map(slice, bounds, bounds[1:]))
+
+    def lane_swap(self, a: int, b: int):
+        """The map from the lanes of a vector ``x`` to those of the vector
+        holding at each word of W_n the entry of ``x`` at that word with its
+        letters at positions ``a < b`` (from 0) exchanged.
+
+        Its plan is the lanes it reads, in order, cut into runs: a run is a
+        stretch of words that the swap sends to consecutive words, read as
+        one byte slice, so applying the plan is one gather of slices and one
+        join.  The words are in lexicographic order, so a swap of early
+        positions moves few long runs: swapping positions 0 and 1 takes 24
+        runs at n = 5 and 35 at n = 6, where swapping n - 2 and n - 1 takes
+        419 and 3 469.  A run of one lane reads its slice of ``single``."""
+        plan = self.lane_swaps.get((a, b))
+        if plan is None:
             order = list(range(self.n))
             order[a], order[b] = b, a
-            table = self.position_swaps[a, b] = tuple(map(self.ranks.__getitem__, map(itemgetter(*order), self.ranks)))
-        return table
+            table = list(map(self.ranks.__getitem__, map(itemgetter(*order), self.ranks)))
+            # the entries where a run starts, and the end of the last
+            starts = [0, *compress(range(1, len(table)), map(ne, table[1:], map((1).__add__, table))), len(table)]
+            single = self.single
+            slices = [
+                single[table[i]] if j - i == 1 else slice(single[table[i]].start, single[table[j - 1]].stop)
+                for i, j in zip(starts, starts[1:])
+            ]
+            gather, join = itemgetter(*slices), b"".join  # a swap moves two runs or more
+            plan = self.lane_swaps[a, b] = lambda lanes: join(gather(lanes))
+        return plan
 
-    def mask_swap(self, a: int, b: int) -> tuple[int, ...]:
-        """For each set of positions 0..n-1 as a bitmask, in order, the mask
-        with positions ``a < b`` exchanged: the tables of
-        :meth:`position_swap` for the sets of positions of a word."""
-        table = self.mask_swaps.get((a, b))
-        if table is None:
+    def mask_swap(self, a: int, b: int):
+        """The map from a vector over the sets of positions 0..n-1, as
+        bitmasks in order, to the vector holding at each set the entry of
+        the set with positions ``a < b`` exchanged: the swap of
+        :meth:`lane_swap` on the sets of positions of a word."""
+        plan = self.mask_swaps.get((a, b))
+        if plan is None:
             bits = (1 << a) | (1 << b)
-            table = self.mask_swaps[a, b] = tuple(m ^ bits if (m >> a ^ m >> b) & 1 else m for m in range(1 << self.n))
-        return table
+            plan = self.mask_swaps[a, b] = itemgetter(*(m ^ bits if (m >> a ^ m >> b) & 1 else m for m in range(1 << self.n)))
+        return plan
 
     @cached_property
     def groups(self) -> list:
@@ -218,16 +259,6 @@ class _Space:
             for k, group in sorted(by_breadth.items())
         ]
 
-    def encode(self, vector) -> int:
-        """The packed int of ``vector``."""
-        buffer = bytearray(self.lanes.size)
-        self.lanes.pack_into(buffer, 0, *vector)
-        return (int.from_bytes(buffer, "little") ^ self.bias) - self.bias
-
-    def decode(self, total: int) -> tuple:
-        """The vector whose packed int is ``total``."""
-        return self.lanes.unpack(((total + self.bias) ^ self.bias).to_bytes(self.lanes.size, "little"))
-
 
 @cache
 def _space(n: int) -> _Space:
@@ -238,7 +269,7 @@ def _space(n: int) -> _Space:
 def _fits(top: int, coeffs: list) -> bool:
     """Whether every sum of ``c`` times vectors with entries of at most
     ``top`` in size, over the ``c`` of ``coeffs``, stays inside the lanes
-    of a packed vector (:meth:`_Space.encode`)."""
+    of a packed vector (:meth:`_Space.packed`)."""
     return top * sum(map(abs, coeffs)) < _LANE
 
 
@@ -254,21 +285,25 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     in order of first appearance and ``c`` its first-occurrence
     standardisation (a surjection is a set partition and an order of its
     blocks), so ``v o u = (v o sigma) o c``.  ``g``, the right operand laid
-    out over W_k, is permuted once per distinct ``sigma`` (:func:`_permuted`)
-    and packed into one int (:meth:`_Space.encode`); ``h_c``, the sum of ``cu`` times
-    those ints over the ``u`` with one ``c``, takes one big-int multiply-add
-    per ``u``, and is unpacked and scattered through ``c`` once.  Every
-    entry of ``h_c`` is at most max|cv| times the sum of every |cu| in size,
-    so when that is below 2^63 (:func:`_fits`) no lane overflows and the
-    route is exact; any other bucket takes the pair loop.
+    out over W_k, is put in lanes (:meth:`_Space.lay_out`) once the bucket
+    is known to fit them; its lanes are permuted once per distinct
+    ``sigma`` (:func:`_permuted`), a few runs of lanes per swap, and each
+    permuted vector is read as one int (:meth:`_Space.packed`), never as a
+    list.
+    ``h_c``, the sum of ``cu`` times those ints over the ``u`` with one
+    ``c``, takes one big-int multiply-add per ``u``, and is unpacked and
+    scattered through ``c`` once.  Every entry of ``h_c`` is at most max|cv|
+    times the sum of every |cu| in size, so when that is below 2^63
+    (:func:`_fits`) no lane overflows and the route is exact; any other
+    bucket takes the pair loop.
 
     The cost model (:func:`_bucket_pays`) charges |W_k| multiply-adds per
     ``u``, |W_k| gathers per ``sigma`` and |W_k| scatter updates per ``c``,
     whatever ``vs`` holds, where the pair loop pays one update per pair.
     The multiply-adds are weighed before any word is factored, so a bucket
-    whose ``vs`` is sparse in W_k leaves at once and builds no table.  Beyond the lengths of
-    ``FUBINI`` the tables would take a hundred MB or more, and the pair
-    loop always runs.
+    whose ``vs`` is sparse in W_k leaves at once and builds no record.
+    Beyond the lengths of ``FUBINI`` the swap plans would take a hundred MB
+    or more, and the pair loop always runs.
     """
     if k >= len(FUBINI):
         return False
@@ -285,8 +320,8 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
         return False
     space = _space(k)
     h: dict[Word, int] = {}
-    for sigma, g_sigma in _permuted(space.vector(vs, cs), k, sorted(by_sigma), space.position_swap):
-        packed = space.encode(g_sigma)
+    for sigma, lanes in _permuted(space.lay_out(vs, cs), k, by_sigma, space.lane_swap):
+        packed = space.packed(lanes)
         for c, cu in by_sigma[sigma]:
             h[c] = h.get(c, 0) + cu * packed
     get = out.get
@@ -297,36 +332,41 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     return True
 
 
-def _permuted(g: list, k: int, sigmas, swaps):
-    """``(sigma, g_sigma)`` for each permutation ``sigma`` of 1..k in the
-    sorted ``sigmas``.  With ``swaps`` the :meth:`_Space.position_swap` of
-    length ``k``, ``g`` is a vector over the packed words of length ``k``
-    and ``g_sigma`` holds at ``v o sigma`` what ``g`` holds at ``v``.  With
-    its :meth:`_Space.mask_swap`, ``g`` is a vector over the sets of
-    positions 0..k-1 as bitmasks instead, and ``g_sigma`` holds at a set
-    ``S`` what ``g`` holds at ``{sigma[j] - 1 : j in S}``.
+def _permuted(g, k: int, sigmas, swaps):
+    """``(sigma, g_sigma)`` for each permutation ``sigma`` of 1..k in
+    ``sigmas``, in the order of their reversed tuples.  With ``swaps`` the
+    :meth:`_Space.lane_swap` of length ``k``, ``g`` is the lanes of a vector
+    over the packed words of length ``k``, and ``g_sigma`` those of the
+    vector holding at ``v o sigma`` what ``g`` holds at ``v``.  With its
+    :meth:`_Space.mask_swap`, ``g`` is a vector over the sets of positions
+    0..k-1 as bitmasks instead, and ``g_sigma`` holds at a set ``S`` what
+    ``g`` holds at ``{sigma[j] - 1 : j in S}``.  Either way the order of
+    ``sigmas`` depends on them alone, so two calls on the same ``sigmas``
+    yield them in the same order.
 
-    ``sigma`` is reached from the identity by at most k - 1 gathers through
-    the tables ``swaps(j, p)``, the j-th bringing ``sigma[j]`` to position
-    j; the first j steps depend only on ``sigma[:j]``, so a stack keeps each
-    step's arrangement and vector for the next ``sigma`` sharing that prefix,
-    at most ``k`` vectors at a time."""
+    ``sigma`` is reached from the identity by at most k - 1 swaps
+    ``swaps(p, j)``, fixing positions j = k - 1 down to 1, the one for j
+    bringing ``sigma[j]`` from position p to j; the steps down to j depend
+    only on ``sigma[j:]``, so a stack keeps each step's arrangement and
+    vector for the next ``sigma`` sharing that suffix, at most ``k`` vectors
+    at a time.  The most frequent step is then the last, a swap of positions
+    0 and 1, the one with the fewest runs (:meth:`_Space.lane_swap`)."""
     stack = [(list(range(1, k + 1)), g)]
     previous: Word = ()
-    for sigma in sigmas:
+    for sigma in sorted(sigmas, key=reverse):
         depth = 0
-        for a, b in zip(sigma, previous):
+        for a, b in zip(reversed(sigma), reversed(previous)):
             if a != b:
                 break
             depth += 1
         del stack[depth + 1 :]
         arrangement, vector = stack[-1]
-        for j in range(depth, k - 1):
-            p = arrangement.index(sigma[j], j)
+        for j in range(k - 1 - depth, 0, -1):
+            p = arrangement.index(sigma[j])
             if p != j:
                 arrangement = arrangement.copy()
                 arrangement[j], arrangement[p] = arrangement[p], arrangement[j]
-                vector = list(map(vector.__getitem__, swaps(j, p)))
+                vector = swaps(p, j)(vector)
             stack.append((arrangement, vector))
         previous = sigma
         yield sigma, vector

@@ -24,18 +24,18 @@ bucket route (:meth:`_Length.route`), for ``Fraction`` coefficients and
 operators dense in the packed words of that length (:func:`_route_pays`),
 is the one of ``@`` (:func:`wqsym.algebra._compose_bucket`): a key's table
 is laid out by its letters sorted, that layout is the key's class, the
-operator as one int vector over the packed words is permuted once per
-letter order by the same kernel as ``@`` (:func:`wqsym.algebra._permuted`)
-and packed into one int, the keys of a class sum their packed vectors with
-one big-int multiply-add each, and each class is unpacked and scattered
-once.  A length takes the route only while no sum can leave its 64-bit
-lane (:func:`wqsym.algebra._fits`).  A class holds only keys whose tables
-agree entry for entry, so the route is exact under any merge; keys that
-rearrange each other share a class when the merge is associative and
-commutative, as the keys of a quasi-shuffle product do.  What an operator
+operator, laid out once as the lanes of one int vector over the packed
+words, is permuted once per letter order by the same kernel as ``@``
+(:func:`wqsym.algebra._permuted`) and read as one int, the keys of a class
+sum their packed vectors with one big-int multiply-add each, and each class
+is unpacked and scattered once.  A length takes the route only while no sum
+can leave its 64-bit lane (:func:`wqsym.algebra._fits`).  A class holds
+only keys whose tables agree entry for entry, so the route is exact under
+any merge; keys that rearrange each other share a class when the merge is
+associative and commutative, as the keys of a quasi-shuffle product do.  What an operator
 needs for either route is kept on it, one record per length of its words
 (:class:`_Length`); what depends on the length alone, the layout of the
-packed words, their swap tables, lanes and breadth groups, is the record
+packed words, their swap plans, lanes and breadth groups, is the record
 of that length that ``@`` shares (:func:`wqsym.algebra._space`).
 
 Here the base algebra A is spanned by the monomials of positive degree in a
@@ -215,11 +215,13 @@ class _Length:
     one plan per distinct set of the words' block masks.  The plan and the
     pair loop's map from a table to each word's image (``images``) are made
     when a key of this length first needs them, so a length that no key has
-    costs nothing.  So are the bucket route's fields (:meth:`route`): ``g``,
-    the numerators laid out over the packed words W_n
-    (:meth:`wqsym.algebra._Space.vector`), ``top``, the largest of them in
-    size, and ``index``, which maps each of the 2^n masks to its entry of
-    the table, or to the sentinel entry past them if none fills it."""
+    costs nothing.  So are the bucket route's fields (:meth:`route`):
+    ``top``, the largest numerator in size, ``index``, which maps each of
+    the 2^n masks to its entry of the table, or to the sentinel entry past
+    them if none fills it, and ``g``, the lanes of the numerators laid out
+    over the packed words W_n (:meth:`wqsym.algebra._Space.lay_out`), made
+    only once some keys fit the lanes (:func:`wqsym.algebra._fits`), as
+    every numerator then does."""
 
     __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "g", "top", "index")
 
@@ -243,11 +245,12 @@ class _Length:
             needed = frozenset(chain.from_iterable(map(block_masks, self.words)))
             self.layers, self.position = _layers(self.n, needed)
         if exact and _route_pays(self.n, len(self.words), len(keys)):
-            if self.g is None:
-                self.g = _space(self.n).vector(self.words, self.numerators)
+            if self.top is None:
                 self.top = max(map(abs, self.numerators))
                 self.index = [self.position.get(m, len(self.position)) for m in range(1 << self.n)]
             if _fits(self.top, coeffs):
+                if self.g is None:  # every numerator fits a lane now
+                    self.g = _space(self.n).lay_out(self.words, self.numerators)
                 self.route(out, keys, coeffs, letters)
                 return
         if self.images is None:
@@ -273,8 +276,8 @@ class _Length:
         the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`) on it.
         Keys whose tables agree, entry for entry and in which masks are
         filled, share the sum of ``c * g_sigma`` over them, one big-int
-        multiply-add per key on ``g_sigma`` packed into one int
-        (:meth:`wqsym.algebra._Space.encode`), and each such sum is unpacked
+        multiply-add per key on ``g_sigma`` read as one int
+        (:meth:`wqsym.algebra._Space.packed`), and each such sum is unpacked
         and scattered once.  The caller has checked that ``top`` times the
         sum of every ``abs(c)`` is below 2^63 (:func:`wqsym.algebra._fits`),
         so no entry of a sum leaves its lane, and the result is exact under
@@ -287,12 +290,12 @@ class _Length:
             key = list(map(number, key))
             sigma = tuple(i + 1 for i in sorted(range(n), key=key.__getitem__))
             by_sigma.setdefault(sigma, []).append((key, c))
-        sigmas, space = sorted(by_sigma), _space(n)
+        space = _space(n)
         sums: dict[tuple, int] = {}
-        for (sigma, g_sigma), (_, index) in zip(
-            _permuted(self.g, n, sigmas, space.position_swap), _permuted(self.index, n, sigmas, space.mask_swap)
+        for (sigma, lanes), (_, index) in zip(
+            _permuted(self.g, n, by_sigma, space.lane_swap), _permuted(self.index, n, by_sigma, space.mask_swap)
         ):
-            layout, packed = itemgetter(*index), space.encode(g_sigma)
+            layout, packed = itemgetter(*index), space.packed(lanes)
             for table, c in by_sigma[sigma]:
                 table = _fill(table, layers, product)
                 table.append(-1)  # the sentinel: no letter is numbered -1

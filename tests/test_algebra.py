@@ -1,6 +1,7 @@
 """Element layer: the three products, the coproduct, and the two embeddings."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -349,10 +350,77 @@ def test_a_packed_vector_has_one_64_bit_lane_per_entry():
     # the 13 packed words of length 3, with the edges of a lane among them
     v = [-(1 << 63), (1 << 63) - 1, 0, -1, 5, 1 << 40, 0, 0, -(1 << 62), 3, 0, 1, (1 << 63) - 1]
     space = algebra._space(3)
-    assert space.lanes.size == 8 * len(v)
-    packed = space.encode(v)
+    lanes = space.lay_out(space.ranks, v)
+    assert space.lanes.size == len(lanes) == 8 * len(v)
+    packed = space.packed(lanes)
     assert packed == sum(x << 64 * i for i, x in enumerate(v))
     assert space.decode(packed) == tuple(v)
+
+
+#: the edges of a lane, and 0
+LANE_EDGES = (-(1 << 63), -((1 << 63) - 1), (1 << 63) - 1, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_lane_swap_gathers_the_entries_of_the_swapped_words(n):
+    rng = random.Random(n)
+    space = algebra._space(n)
+    ws = list(space.ranks)
+    x = [*LANE_EDGES, *(rng.randrange(-(1 << 63), 1 << 63) for _ in ws)][: len(ws)]
+    rng.shuffle(x)
+    lanes = space.lay_out(ws, x)
+    for a in range(n):
+        for b in range(a + 1, n):
+            order = list(range(n))
+            order[a], order[b] = b, a
+            gathered = tuple(x[space.ranks[tuple(w[i] for i in order)]] for w in ws)
+            assert space.decode(space.packed(space.lane_swap(a, b)(lanes))) == gathered
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_permuted_yields_each_order_once_and_in_step_on_lanes_and_masks(k):
+    rng = random.Random(k)
+    space = algebra._space(k)
+    ws = list(space.ranks)
+    g = [rng.randint(-99, 99) for _ in ws]
+    by_mask = [rng.randint(-99, 99) for _ in range(1 << k)]
+    sigmas = list(permutations(range(1, k + 1)))
+    rng.shuffle(sigmas)
+    lanes = list(algebra._permuted(space.lay_out(ws, g), k, sigmas, space.lane_swap))
+    masks = list(algebra._permuted(by_mask, k, sigmas, space.mask_swap))
+    assert [sigma for sigma, _ in lanes] == [sigma for sigma, _ in masks]
+    assert sorted(sigma for sigma, _ in lanes) == sorted(sigmas)
+    for sigma, permuted in lanes:
+        g_sigma = space.decode(space.packed(permuted))
+        assert all(g_sigma[space.ranks[tuple(v[s - 1] for s in sigma)]] == x for v, x in zip(ws, g))
+    for sigma, g_sigma in masks:
+        images = (sum(1 << (sigma[j] - 1) for j in range(k) if m >> j & 1) for m in range(1 << k))
+        assert list(g_sigma) == list(map(by_mask.__getitem__, images))
+
+
+def lane_swap_plans_size(n):
+    """The bytes that all swap plans of length ``n`` take, on a record of
+    their own (the shared one may hold some already)."""
+    space = algebra._Space(n)
+    tracemalloc.start()
+    try:
+        for a in range(n):
+            for b in range(a + 1, n):
+                space.lane_swap(a, b)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_swap_plans_of_length_six_take_under_two_megabytes():
+    # each run of one lane reads the record's shared slice; about 1.1 MB
+    assert lane_swap_plans_size(6) < 2 << 20
+
+
+@pytest.mark.slow
+def test_the_swap_plans_of_length_seven_take_under_24_megabytes():
+    # about 12 MB, with runs of one lane sharing the record's slices
+    assert lane_swap_plans_size(7) < 24 << 20
 
 
 def test_dense_coefficients_that_cancel(monkeypatch):

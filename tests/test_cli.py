@@ -96,13 +96,17 @@ GOLDEN = [
     (('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5'), 0, '08b952b4ae75981af3a6616ebc2d134c777ae69b86ea4841e046426f8ed486b3'),
     (('verify', 'e1-kernel', '--degree', '7', '--seed', '0'), 0, '28143da577a8d496d6dc483d670314781a0527fcf30b841f3477260bc555fe66'),
     (('verify', 'all', '--degree', '7', '--seed', '0'), 0, '58ead0d9e85b7a542b66d44f3ed8fe35ce11e97deb2fb746cb608b6cb701803c'),
+    # the bucket route of @ for all 720 letter orders of length 6
+    (('eval', '(M[1]*e(1) + e(2)*M[1]) @ e(2)', '--degree', '6'), 0, '69a820c3677cfc8e4d180f513194c2f1c6234a631df1563e18678c1899f30a82'),
 ]
 #: the rows that take seconds, run only with ``-m slow``: the benchmark's
-#: battery, and the battery at degree 7, where keys of length 6 act
+#: battery, the battery at degree 7, where keys of length 6 act, and a dense
+#: ``@`` at length 6
 SLOW = {
     ('verify', 'all', '--seed', '0', '--cases', '100', '--degree', '5'),
     ('verify', 'e1-kernel', '--degree', '7', '--seed', '0'),
     ('verify', 'all', '--degree', '7', '--seed', '0'),
+    ('eval', '(M[1]*e(1) + e(2)*M[1]) @ e(2)', '--degree', '6'),
 }
 
 
