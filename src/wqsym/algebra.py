@@ -22,14 +22,15 @@ permutation of its letters after its first-occurrence standardisation (a
 surjection is a set partition and an order of its blocks; Reutenauer, *Free
 Lie Algebras*, 1993, ch. 9), lays the bucket of ``other`` out once as one
 int vector over the packed words of length k, held as its bytes, a 64-bit
-lane per word, permutes those bytes once per permutation (:func:`_permuted`,
-which the right action shares), a few runs of lanes per swap rather than
-word by word, reads each permuted vector as one int, so that adding a
-multiple of it is one big-int multiply-add, and unpacks and scatters one sum
-per standardisation.  What both bucket routes know of the packed words of
-one length, their order, swap plans and lanes, is one record per length,
-made once (:func:`_space`).  A bucket of ``Fraction`` operands
-takes the route when its estimated cost, from the bucket's sizes and its
+lane per word, permutes those bytes once per permutation (:func:`_permuted`),
+a few runs of lanes per swap rather than word by word, reads each permuted
+vector as one int, so that adding a multiple of it is one big-int
+multiply-add, unpacks one sum per standardisation, and scatters it.  The
+right action's bucket route is the same computation with its own classes
+and scatter: both call one accumulator (:meth:`_Space.sums`) on the one
+record of the packed words of each length, their order, swap plans and
+lanes, made once (:func:`_space`).  A bucket of ``Fraction`` operands takes
+the route when its estimated cost, from the bucket's sizes and its
 numbers of distinct permutations and standardisations, is below the pair
 loop's, and when no sum can leave its lane (:func:`_fits`), which keeps
 the route exact.
@@ -156,11 +157,11 @@ class _Space:
 
     ``ranks`` maps each word of W_n to its entry, its keys in the order of
     :func:`~wqsym.words.enumerate_packed_words`, and :meth:`lay_out` lays a
-    combination out by it.  :meth:`lane_swap` and :meth:`mask_swap` are the
-    two kinds of swap of :func:`_permuted`.  ``groups`` holds, for each
-    breadth k, the map from a vector to its entries at the words of breadth
-    k, and the map from a key's table laid out by mask to those words' block
-    products, k per word.
+    combination out by it.  :meth:`lane_swap` is the swap of
+    :func:`_permuted`, and :meth:`sums` the one accumulator of both routes.
+    ``groups`` holds, for each breadth k, the map from a vector to its
+    entries at the words of breadth k, and the map from a key's table laid
+    out by mask to those words' block products, k per word.
 
     A vector is held as its lanes (:meth:`lay_out`): 8 little-endian bytes
     per entry, lane i holding entry i, in [-2^63, 2^63), plus 2^63.  Read
@@ -182,7 +183,6 @@ class _Space:
         self.lanes = struct.Struct(f"<{len(self.ranks)}q")
         self.bias = int.from_bytes((bytes(7) + b"\x80") * len(self.ranks), "little")
         self.lane_swaps: dict[tuple[int, int], object] = {}
-        self.mask_swaps: dict[tuple[int, int], object] = {}
 
     def lay_out(self, keys, coeffs) -> bytes:
         """The lanes of the vector over W_n holding each coefficient of
@@ -238,16 +238,19 @@ class _Space:
             plan = self.lane_swaps[a, b] = lambda lanes: join(gather(lanes))
         return plan
 
-    def mask_swap(self, a: int, b: int):
-        """The map from a vector over the sets of positions 0..n-1, as
-        bitmasks in order, to the vector holding at each set the entry of
-        the set with positions ``a < b`` exchanged: the swap of
-        :meth:`lane_swap` on the sets of positions of a word."""
-        plan = self.mask_swaps.get((a, b))
-        if plan is None:
-            bits = (1 << a) | (1 << b)
-            plan = self.mask_swaps[a, b] = itemgetter(*(m ^ bits if (m >> a ^ m >> b) & 1 else m for m in range(1 << self.n)))
-        return plan
+    def sums(self, g: bytes, by_sigma: dict):
+        """``(cls, vector)`` for each class ``cls`` of ``by_sigma``, which
+        maps permutations ``sigma`` of 1..n to their items ``(cls, c)``: the
+        sum of ``c * g_sigma`` over the items of ``cls``, each ``g_sigma``
+        (:func:`_permuted`) read as one int, decoded.  The caller has checked
+        that no such sum leaves its lanes (:func:`_fits`)."""
+        sums: dict = {}
+        get = sums.get
+        for sigma, lanes in _permuted(self, g, by_sigma):
+            packed = self.packed(lanes)
+            for cls, c in by_sigma[sigma]:
+                sums[cls] = get(cls, 0) + c * packed
+        return zip(sums, map(self.decode, sums.values()))
 
     @cached_property
     def groups(self) -> list:
@@ -286,16 +289,13 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     standardisation (a surjection is a set partition and an order of its
     blocks), so ``v o u = (v o sigma) o c``.  ``g``, the right operand laid
     out over W_k, is put in lanes (:meth:`_Space.lay_out`) once the bucket
-    is known to fit them; its lanes are permuted once per distinct
-    ``sigma`` (:func:`_permuted`), a few runs of lanes per swap, and each
-    permuted vector is read as one int (:meth:`_Space.packed`), never as a
-    list.
-    ``h_c``, the sum of ``cu`` times those ints over the ``u`` with one
-    ``c``, takes one big-int multiply-add per ``u``, and is unpacked and
-    scattered through ``c`` once.  Every entry of ``h_c`` is at most max|cv|
-    times the sum of every |cu| in size, so when that is below 2^63
-    (:func:`_fits`) no lane overflows and the route is exact; any other
-    bucket takes the pair loop.
+    is known to fit them.  ``h_c``, the sum of ``cu * g_sigma`` over the
+    ``u`` with one ``c``, is one big-int multiply-add per ``u`` and is
+    unpacked once (:meth:`_Space.sums`, the accumulator that the right
+    action shares), then scattered through ``c``.  Every entry of ``h_c``
+    is at most max|cv| times the sum of every |cu| in size, so when that is
+    below 2^63 (:func:`_fits`) no lane overflows and the route is exact;
+    any other bucket takes the pair loop.
 
     The cost model (:func:`_bucket_pays`) charges |W_k| multiply-adds per
     ``u``, |W_k| gathers per ``sigma`` and |W_k| scatter updates per ``c``,
@@ -318,39 +318,28 @@ def _compose_bucket(out: dict, us: list, cus: list, k: int, vs: list, cs: list) 
     n_c = len({c for group in by_sigma.values() for c, _ in group})
     if not _bucket_pays(size, len(us), pairs, orders=len(by_sigma), classes=n_c):
         return False
-    space = _space(k)
-    h: dict[Word, int] = {}
-    for sigma, lanes in _permuted(space.lay_out(vs, cs), k, by_sigma, space.lane_swap):
-        packed = space.packed(lanes)
-        for c, cu in by_sigma[sigma]:
-            h[c] = h.get(c, 0) + cu * packed
-    get = out.get
-    for c, total in h.items():
-        sums = space.decode(total)
+    space, get = _space(k), out.get
+    for c, sums in space.sums(space.lay_out(vs, cs), by_sigma):
         for w, n in zip(map(_gather([x - 1 for x in c]), compress(space.ranks, sums)), filter(None, sums)):
             out[w] = get(w, 0) + n
     return True
 
 
-def _permuted(g, k: int, sigmas, swaps):
+def _permuted(space: _Space, g: bytes, sigmas):
     """``(sigma, g_sigma)`` for each permutation ``sigma`` of 1..k in
-    ``sigmas``, in the order of their reversed tuples.  With ``swaps`` the
-    :meth:`_Space.lane_swap` of length ``k``, ``g`` is the lanes of a vector
-    over the packed words of length ``k``, and ``g_sigma`` those of the
-    vector holding at ``v o sigma`` what ``g`` holds at ``v``.  With its
-    :meth:`_Space.mask_swap`, ``g`` is a vector over the sets of positions
-    0..k-1 as bitmasks instead, and ``g_sigma`` holds at a set ``S`` what
-    ``g`` holds at ``{sigma[j] - 1 : j in S}``.  Either way the order of
-    ``sigmas`` depends on them alone, so two calls on the same ``sigmas``
-    yield them in the same order.
+    ``sigmas``, in the order of their reversed tuples, where ``g`` is the
+    lanes of a vector over the packed words of length k, ``space`` their
+    record (:func:`_space`), and ``g_sigma`` the lanes of the vector holding
+    at ``v o sigma`` what ``g`` holds at ``v``.
 
-    ``sigma`` is reached from the identity by at most k - 1 swaps
-    ``swaps(p, j)``, fixing positions j = k - 1 down to 1, the one for j
-    bringing ``sigma[j]`` from position p to j; the steps down to j depend
-    only on ``sigma[j:]``, so a stack keeps each step's arrangement and
-    vector for the next ``sigma`` sharing that suffix, at most ``k`` vectors
-    at a time.  The most frequent step is then the last, a swap of positions
-    0 and 1, the one with the fewest runs (:meth:`_Space.lane_swap`)."""
+    ``sigma`` is reached from the identity by at most k - 1 lane swaps
+    (:meth:`_Space.lane_swap`) of positions p and j, fixing positions
+    j = k - 1 down to 1, the one for j bringing ``sigma[j]`` from p to j;
+    the steps down to j depend only on ``sigma[j:]``, so a stack keeps each
+    step's arrangement and vector for the next ``sigma`` sharing that suffix,
+    at most k vectors at a time.  The most frequent step is then the last, a
+    swap of positions 0 and 1, the one with the fewest runs."""
+    k, swap = space.n, space.lane_swap
     stack = [(list(range(1, k + 1)), g)]
     previous: Word = ()
     for sigma in sorted(sigmas, key=reverse):
@@ -366,7 +355,7 @@ def _permuted(g, k: int, sigmas, swaps):
             if p != j:
                 arrangement = arrangement.copy()
                 arrangement[j], arrangement[p] = arrangement[p], arrangement[j]
-                vector = swaps(p, j)(vector)
+                vector = swap(p, j)(vector)
             stack.append((arrangement, vector))
         previous = sigma
         yield sigma, vector

@@ -22,17 +22,19 @@ key's lowest position up as planned once per set of block masks
 one gather of its blocks' entries of the table, one update per pair.  The
 bucket route (:meth:`_Length.route`), for ``Fraction`` coefficients and
 operators dense in the packed words of that length (:func:`_route_pays`),
-is the one of ``@`` (:func:`wqsym.algebra._compose_bucket`): a key's table
-is laid out by its letters sorted, that layout is the key's class, the
-operator, laid out once as the lanes of one int vector over the packed
-words, is permuted once per letter order by the same kernel as ``@``
-(:func:`wqsym.algebra._permuted`) and read as one int, the keys of a class
-sum their packed vectors with one big-int multiply-add each, and each class
-is unpacked and scattered once.  A length takes the route only while no sum
-can leave its 64-bit lane (:func:`wqsym.algebra._fits`).  A class holds
-only keys whose tables agree entry for entry, so the route is exact under
-any merge; keys that rearrange each other share a class when the merge is
-associative and commutative, as the keys of a quasi-shuffle product do.  What an operator
+is the one of ``@`` (:func:`wqsym.algebra._compose_bucket`) with its own
+classes and scatter: a key's table is laid out by its letters sorted, with
+one gather per letter order (:func:`_layout_masks`), and that layout is the
+key's class; the operator, laid out once as the lanes of one int vector
+over the packed words, is permuted once per letter order, the keys of a
+class sum it with one big-int multiply-add each, and each class is
+unpacked once, all by the accumulator of ``@``
+(:meth:`wqsym.algebra._Space.sums`), and scattered once.  A length takes
+the route only while no sum can leave its 64-bit lane
+(:func:`wqsym.algebra._fits`).  A class holds only keys whose tables agree
+entry for entry, so the route is exact under any merge; keys that
+rearrange each other share a class when the merge is associative and
+commutative, as the keys of a quasi-shuffle product do.  What an operator
 needs for either route is kept on it, one record per length of its words
 (:class:`_Length`); what depends on the length alone, the layout of the
 packed words, their swap plans, lanes and breadth groups, is the record
@@ -71,7 +73,6 @@ from .algebra import (
     _by_length,
     _fits,
     _gather,
-    _permuted,
     _space,
 )
 from .errors import CapExceeded
@@ -190,6 +191,16 @@ def _fill(table: list, layers: list, product) -> list:
     return table
 
 
+def _layout_masks(sigma) -> list:
+    """The set ``{sigma[j] - 1 : j in S}`` for each set ``S`` of positions
+    0..n-1 of a permutation ``sigma`` of 1..n, both as bitmasks, in the
+    order of ``S``: made by doubling, letter by letter."""
+    masks = [0]
+    for s in sigma:
+        masks += [m | 1 << s - 1 for m in masks]
+    return masks
+
+
 def _route_pays(n: int, words: int, keys: int) -> bool:
     """Whether the bucket route (:meth:`_Length.route`) costs less than the
     pair loop for ``keys`` keys of length ``n`` against ``words`` operator
@@ -216,18 +227,16 @@ class _Length:
     pair loop's map from a table to each word's image (``images``) are made
     when a key of this length first needs them, so a length that no key has
     costs nothing.  So are the bucket route's fields (:meth:`route`):
-    ``top``, the largest numerator in size, ``index``, which maps each of
-    the 2^n masks to its entry of the table, or to the sentinel entry past
-    them if none fills it, and ``g``, the lanes of the numerators laid out
-    over the packed words W_n (:meth:`wqsym.algebra._Space.lay_out`), made
-    only once some keys fit the lanes (:func:`wqsym.algebra._fits`), as
-    every numerator then does."""
+    ``top``, the largest numerator in size, and ``g``, the lanes of the
+    numerators laid out over the packed words W_n
+    (:meth:`wqsym.algebra._Space.lay_out`), made only once some keys fit
+    the lanes (:func:`wqsym.algebra._fits`), as every numerator then does."""
 
-    __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "g", "top", "index")
+    __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "g", "top")
 
     def __init__(self, n: int, words: list, coeffs: list, numerators):
         self.n, self.words, self.coeffs, self.numerators = n, words, coeffs, numerators
-        self.layers = self.position = self.images = self.g = self.top = self.index = None
+        self.layers = self.position = self.images = self.g = self.top = None
 
     def act(self, out: dict, keys: list, coeffs: list, letters: _Letters, exact: bool) -> None:
         """Add ``c`` times the image of each key of ``keys`` under these
@@ -247,7 +256,6 @@ class _Length:
         if exact and _route_pays(self.n, len(self.words), len(keys)):
             if self.top is None:
                 self.top = max(map(abs, self.numerators))
-                self.index = [self.position.get(m, len(self.position)) for m in range(1 << self.n)]
             if _fits(self.top, coeffs):
                 if self.g is None:  # every numerator fits a lane now
                     self.g = _space(self.n).lay_out(self.words, self.numerators)
@@ -271,39 +279,33 @@ class _Length:
         Let ``sigma`` be the permutation that sorts a key ``x``, so that
         ``x o sigma`` is its letters sorted.  Its table holds at each set
         ``S`` of positions the block product of ``x`` over ``{sigma[j] - 1 :
-        j in S}``, as the pair loop makes it.  The image of ``x`` under ``u``
-        is that of ``u o sigma`` on the table, so the image of ``x`` under
-        the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`) on it.
-        Keys whose tables agree, entry for entry and in which masks are
-        filled, share the sum of ``c * g_sigma`` over them, one big-int
-        multiply-add per key on ``g_sigma`` read as one int
-        (:meth:`wqsym.algebra._Space.packed`), and each such sum is unpacked
-        and scattered once.  The caller has checked that ``top`` times the
-        sum of every ``abs(c)`` is below 2^63 (:func:`wqsym.algebra._fits`),
-        so no entry of a sum leaves its lane, and the result is exact under
-        any merge; under an associative and commutative one, the table holds
-        the products of the sorted letters over each S, and keys that
-        rearrange each other share it."""
+        j in S}`` (:func:`_layout_masks`), as the pair loop makes it, or the
+        sentinel -1 where the plan fills none.  The image of ``x`` under
+        ``u`` is that of ``u o sigma`` on the table, so the image of ``x``
+        under the operator is ``g_sigma`` (:func:`wqsym.algebra._permuted`)
+        on it.  Keys whose tables agree, entry for entry, share the sum of
+        ``c * g_sigma`` over them (:meth:`wqsym.algebra._Space.sums`), which
+        is unpacked and scattered once.  The caller has checked that ``top``
+        times the sum of every ``abs(c)`` is below 2^63
+        (:func:`wqsym.algebra._fits`), so no entry of a sum leaves its lane,
+        and the result is exact under any merge; under an associative and
+        commutative one, the table holds the products of the sorted letters
+        over each S, and keys that rearrange each other share it."""
         n, number, product, layers = self.n, letters.__getitem__, letters.product, self.layers
         by_sigma: dict[tuple, list] = {}
         for key, c in zip(keys, coeffs):
             key = list(map(number, key))
             sigma = tuple(i + 1 for i in sorted(range(n), key=key.__getitem__))
             by_sigma.setdefault(sigma, []).append((key, c))
-        space = _space(n)
-        sums: dict[tuple, int] = {}
-        for (sigma, lanes), (_, index) in zip(
-            _permuted(self.g, n, by_sigma, space.lane_swap), _permuted(self.index, n, by_sigma, space.mask_swap)
-        ):
-            layout, packed = itemgetter(*index), space.packed(lanes)
-            for table, c in by_sigma[sigma]:
+        position, sentinel = self.position.get, len(self.position)
+        for sigma, group in by_sigma.items():
+            layout = itemgetter(*[position(m, sentinel) for m in _layout_masks(sigma)])
+            for i, (table, c) in enumerate(group):
                 table = _fill(table, layers, product)
                 table.append(-1)  # the sentinel: no letter is numbered -1
-                table = layout(table)
-                sums[table] = sums.get(table, 0) + c * packed
-        get = out.get
-        for table, total in sums.items():
-            total = space.decode(total)
+                group[i] = layout(table), c
+        space, get = _space(n), out.get
+        for table, total in space.sums(self.g, by_sigma):
             for k, select, blocks in space.groups:
                 part = select(total)
                 images = zip(*[iter(blocks(table))] * k)

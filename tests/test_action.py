@@ -490,22 +490,22 @@ def _lopsided_image(word, u):
 
 
 def test_the_route_is_the_pair_loop_under_a_non_associative_merge(monkeypatch):
-    # the dense operator takes the route at both lengths; a one-word and a
+    # the dense operator takes the route at all three lengths; a one-word and a
     # sparse operator take the pair loop, on the same block-product tables
     rng = random.Random(8)
     x = Lopsided._raw(
         {
             tuple(rng.randint(1, 3) for _ in range(n)): Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))
-            for n in (4, 5, 5, 5)
+            for n in (4, 5, 5, 5, 6, 6)
             for _ in range(12)
         }
     )
-    op = every_word((4, 5), rng)
+    op = every_word((4, 5, 6), rng)
     one_word = WQSymElement.monomial((2, 2, 1, 2, 2), Fraction(3, 2))  # a block of four
     sparse = WQSymElement._raw({u: c for u, c in op.terms.items() if rng.random() < 0.1})
     assert Lopsided._merge(Lopsided._merge(1, 2), 3) != Lopsided._merge(1, Lopsided._merge(2, 3))
     calls = route_calls(monkeypatch)
-    for operator, routes in [(op, 2), (one_word, 0), (sparse, 0)]:
+    for operator, routes in [(op, 3), (one_word, 0), (sparse, 0)]:
         expected = {}
         for key, c in x.terms.items():
             for u, d in operator.terms.items():

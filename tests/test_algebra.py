@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym import algebra
+from wqsym import algebra, qshuffle
 from wqsym.algebra import (
     TensorSquare,
     WQSymElement,
@@ -378,7 +378,9 @@ def test_a_lane_swap_gathers_the_entries_of_the_swapped_words(n):
 
 
 @pytest.mark.parametrize("k", range(6))
-def test_permuted_yields_each_order_once_and_in_step_on_lanes_and_masks(k):
+def test_permuted_yields_each_order_once_and_the_action_lays_out_masks_by_it(k):
+    # the lanes of g permuted by each sigma, and the action's layout by each
+    # sigma of a table over the sets of positions
     rng = random.Random(k)
     space = algebra._space(k)
     ws = list(space.ranks)
@@ -386,16 +388,16 @@ def test_permuted_yields_each_order_once_and_in_step_on_lanes_and_masks(k):
     by_mask = [rng.randint(-99, 99) for _ in range(1 << k)]
     sigmas = list(permutations(range(1, k + 1)))
     rng.shuffle(sigmas)
-    lanes = list(algebra._permuted(space.lay_out(ws, g), k, sigmas, space.lane_swap))
-    masks = list(algebra._permuted(by_mask, k, sigmas, space.mask_swap))
-    assert [sigma for sigma, _ in lanes] == [sigma for sigma, _ in masks]
+    lanes = list(algebra._permuted(space, space.lay_out(ws, g), sigmas))
+    assert [sigma for sigma, _ in lanes] == sorted(sigmas, key=reverse)
     assert sorted(sigma for sigma, _ in lanes) == sorted(sigmas)
     for sigma, permuted in lanes:
         g_sigma = space.decode(space.packed(permuted))
         assert all(g_sigma[space.ranks[tuple(v[s - 1] for s in sigma)]] == x for v, x in zip(ws, g))
-    for sigma, g_sigma in masks:
+    for sigma in sigmas:
+        laid_out = map(by_mask.__getitem__, qshuffle._layout_masks(sigma))
         images = (sum(1 << (sigma[j] - 1) for j in range(k) if m >> j & 1) for m in range(1 << k))
-        assert list(g_sigma) == list(map(by_mask.__getitem__, images))
+        assert list(laid_out) == list(map(by_mask.__getitem__, images))
 
 
 def lane_swap_plans_size(n):

@@ -5,10 +5,12 @@ package or the benchmark.
 
 Read with the standard library's ``ast`` only.  An import counts as used when
 its name appears as a ``Name`` anywhere in the module, annotations included.
-A definition counts as used when its name appears, as a variable, an attribute
-or an identifier string, outside its own body and outside every unused
-definition; re-exports from ``__init__.py`` and the tests do not count.  The
-few definitions that only the tests reach are listed with their reason.
+A definition counts as used when its name appears outside its own body and
+outside every unused definition: as a variable, an identifier string or an
+attribute of a package or benchmark module (``words.pack``), and, for a
+method, as any attribute; re-exports from ``__init__.py`` and the tests do not
+count.  The few definitions that only the tests reach are listed with their
+reason.
 """
 
 import ast
@@ -22,6 +24,8 @@ PACKAGE = ROOT / "src" / "wqsym"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 #: the code a definition may be reached from: the package and the benchmark
 REACHING = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+#: the modules, as spelled in code, whose attributes reach module-level definitions
+MODULE_NAMES = {"wqsym"} | {path.stem for path in REACHING} | {f"wqsym.{path.stem}" for path in MODULES}
 
 #: definitions that only tests reach, and why each stays
 TEST_ONLY = {
@@ -96,10 +100,22 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
+def dotted(node) -> str:
+    """The dotted name that ``node`` spells, such as ``wqsym.words``, or ""."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        prefix = dotted(node.value)
+        return prefix and f"{prefix}.{node.attr}"
+    return ""
+
+
 def references(node, skip) -> Counter:
-    """Names used under ``node`` outside the subtrees in ``skip``: variables,
-    attributes, and strings that are identifiers (attributes patched or looked
-    up by name)."""
+    """Names used under ``node`` outside the subtrees in ``skip``, keyed by
+    name: variables, strings that are identifiers (attributes patched or
+    looked up by name) and attributes of the modules of ``MODULE_NAMES``;
+    every other attribute is keyed by its name after a dot, as it may reach
+    only a method."""
     found = Counter()
     stack = [node]
     while stack:
@@ -109,11 +125,17 @@ def references(node, skip) -> Counter:
         if isinstance(n, ast.Name):
             found[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            found[n.attr] += 1
+            found[n.attr if dotted(n.value) in MODULE_NAMES else "." + n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
             found[n.value] += 1
         stack.extend(ast.iter_child_nodes(n))
     return found
+
+
+def uses(found: Counter, qualified: str) -> int:
+    """The uses in ``found`` that may reach the definition ``qualified``."""
+    name = qualified.rpartition(".")[2]
+    return found[name] + found["." + name] if "." in qualified else found[name]
 
 
 def unreached(sources) -> list[str]:
@@ -125,7 +147,9 @@ def unreached(sources) -> list[str]:
     while True:
         total = sum((references(tree, dead) for tree in trees), Counter())
         newly = {
-            node for _, node in defs if node not in dead and total[node.name] == references(node, dead)[node.name]
+            node
+            for qualified, node in defs
+            if node not in dead and uses(total, qualified) == uses(references(node, dead), qualified)
         }
         if not newly:
             return [qualified for qualified, node in defs if node in dead]
@@ -138,8 +162,10 @@ def test_unreached_definitions_are_found():
     library += "def only_from_dead(): pass\ndef dead(): return only_from_dead()\n"
     library += "class C:\n    def m(self): return C()\n    def __len__(self): return 0\n"
     library += "class D:\n    def attr(self): pass\n    def patched(self): pass\n    def unused(self): pass\n"
-    caller = "used()\nD.attr()\npatch(D, 'patched')\n"
-    assert unreached([library, caller]) == ["recursive", "only_from_dead", "dead", "C", "C.m", "D.unused"]
+    library += "def by_module(): pass\ndef helper_of_obj(): pass\n"
+    caller = "used()\nD.attr()\npatch(D, 'patched')\nwords.by_module()\nobj.helper_of_obj()\n"
+    expected = ["recursive", "only_from_dead", "dead", "C", "C.m", "D.unused", "helper_of_obj"]
+    assert unreached([library, caller]) == expected
 
 
 def test_every_definition_is_reached_outside_the_tests():
