@@ -16,17 +16,18 @@ exit code and two renderings of its result, its JSON as compact text and its
 text; a rendering is a callable that returns an iterable of text chunks, and
 ``main`` writes the chunks of the one that ``--format`` asks for as they
 come, joined into blocks of about ``WRITE_SIZE`` characters.  Every check,
-the degree cap included, runs before the first byte is written.  ``expand
-psi`` and ``expand e`` build nothing: their renderings write the terms
-straight from the packed-word enumeration, one batch of words at a time,
-degree by degree, so memory stays flat at any degree, and so does ``eval``
-of a value held as Eulerian coordinates (I, Psi(k), e(i), scalars and their
-sums and products, :class:`wqsym.series.Characteristic`).  A batch is a prefix
-and a list of last letters that every prefix in the same state shares; the
-text of each such list is made once per degree and ascent shift, and each
-batch puts only its prefix's letters into it.  Output on stdout is
-byte-identical for identical (command, flags, seed); wall-clock timings go
-to stderr only.
+the degree cap included, runs before the first byte is written.  Every
+series, built or held as Eulerian coordinates, is written one way, from its
+cutoff and its graded terms as they come.  ``expand psi`` and ``expand e``
+build nothing: they hold :class:`wqsym.series.Characteristic` coordinates,
+whose terms come straight from the packed-word enumeration, one batch of
+words at a time, degree by degree, so memory stays flat at any degree, and so
+does ``eval`` of a value held as coordinates (I, Psi(k), e(i), scalars and
+their sums and products).  A batch is a prefix and a list of last letters
+that every prefix in the same state shares; the text of each such list is
+made once per degree and ascent shift, and each batch puts only its prefix's
+letters into it.  Output on stdout is byte-identical for identical
+(command, flags, seed); wall-clock timings go to stderr only.
 
 A ``verify`` failure prints the command that reproduces it: the suite's own
 name with the same degree, seed and generators, and ``--cases i+1`` for a
@@ -44,12 +45,13 @@ from dataclasses import asdict
 from itertools import chain, combinations
 
 from . import suites
+from .algebra import WQSymElement
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report, sigma_hat_series
 from .params import ParamPoly
-from .series import Characteristic, TruncatedSeries, adams_terms, eulerian_terms, format_graded
-from .serialization import element_to_obj, series_json, series_to_obj
+from .series import Characteristic, format_graded
+from .serialization import element_to_obj, series_json
 from .words import check_degree_cap, is_packed
 
 REALIZE_ALPHABET_CAP = 8
@@ -99,26 +101,20 @@ def _compact(obj) -> str:
 
 
 def _outputs(value):
-    """The outputs of a computed element or series."""
-    to_obj = series_to_obj if isinstance(value, TruncatedSeries) else element_to_obj
-    return 0, lambda: (to_obj(value), "\n"), lambda: (str(value), "\n")
-
-
-def _graded_outputs(cutoff: int, graded):
-    """The outputs of a series given by its graded terms, written as they
-    come (:func:`wqsym.series._ascent_terms`)."""
+    """The outputs of a computed element, or of a series, built or held as
+    Eulerian coordinates: a series is written from its cutoff and its graded
+    terms as they come."""
+    if isinstance(value, WQSymElement):
+        return 0, lambda: (element_to_obj(value), "\n"), lambda: (str(value), "\n")
     return (
         0,
-        lambda: chain(series_json(cutoff, graded), ("\n",)),
-        lambda: chain(format_graded(cutoff, graded), ("\n",)),
+        lambda: chain(series_json(value.cutoff, value.graded_terms()), ("\n",)),
+        lambda: chain(format_graded(value.cutoff, value.graded_terms()), ("\n",)),
     )
 
 
 def cmd_eval(args):
-    value = evaluate(args.expression, cutoff=args.degree, coordinates=True)
-    if isinstance(value, Characteristic):
-        return _graded_outputs(value.cutoff, value.terms())
-    return _outputs(value)
+    return _outputs(evaluate(args.expression, cutoff=args.degree, coordinates=True))
 
 
 def cmd_expand(args):
@@ -128,8 +124,8 @@ def cmd_expand(args):
         return _outputs(sigma_hat_series(ParamPoly.var("t"), args.degree))
     if args.index is None:
         raise ExpressionError(f"expand {args.object} needs an index")
-    graded = {"psi": adams_terms, "e": eulerian_terms}[args.object](args.index, args.degree)
-    return _graded_outputs(args.degree, graded)
+    build = {"psi": Characteristic.adams, "e": Characteristic.eulerian}[args.object]
+    return _outputs(build(args.index, args.degree))
 
 
 def _reproducer(r, failure) -> str:
@@ -211,25 +207,21 @@ def cmd_generators(args):
     return code, lambda: (_compact([asdict(r) for r in reports]), "\n"), as_text
 
 
-def _operand_or_option(parser, arg_string):
-    """How ``parser`` reads the command-line word ``arg_string``: as argparse
-    does, except that a word opening with a single '-' that is none of its
-    options is an operand, such as the negated expression ``-M[1]+M[2,1]``
-    or a negative number, where argparse would read an unknown option unless
-    the word held a space.  No subcommand has a single-dash option but
-    ``-h``; a word opening with '--' that is no option stays an unknown
-    option."""
-    single = arg_string.startswith("-") and not arg_string.startswith("--")
-    if single and arg_string not in parser._option_string_actions:
-        return None
-    return argparse.ArgumentParser._parse_optional(parser, arg_string)
-
-
 class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser, which reads its words with
-    :func:`_operand_or_option`."""
+    """A subcommand's parser."""
 
-    _parse_optional = _operand_or_option
+    def _parse_optional(self, arg_string):
+        """How the parser reads the command-line word ``arg_string``: as
+        argparse does, except that a word opening with a single '-' that is
+        none of its options is an operand, such as the negated expression
+        ``-M[1]+M[2,1]`` or a negative number, where argparse would read an
+        unknown option unless the word held a space.  No subcommand has a
+        single-dash option but ``-h``; a word opening with '--' that is no
+        option stays an unknown option."""
+        single = arg_string.startswith("-") and not arg_string.startswith("--")
+        if single and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def build_parser() -> argparse.ArgumentParser:

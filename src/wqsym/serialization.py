@@ -47,7 +47,7 @@ def _terms_json(table, batches):
 
 def series_json(cutoff: int, graded):
     """The series object, in chunks of text, from its cutoff and its graded
-    terms as :func:`wqsym.series._ascent_terms` or
+    terms as :meth:`wqsym.series.Characteristic.graded_terms` or
     :meth:`TruncatedSeries.graded_terms` yields them."""
     yield '{"cutoff":' + str(cutoff) + ',"components":{'
     sep = ""

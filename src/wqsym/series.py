@@ -30,12 +30,13 @@ vector.  Since e_i @ e_j = delta_ij e_i and e_i * e_j = C(i + j, i) e_{i+j},
 sums and both products of such series are computed on the coordinates alone,
 which is how ``wqsym eval`` combines I, Psi(k) and e(i).  A word of length d
 with a ascents has the coefficient sum_i c_i [k^i] C(k + a, d), the one
-coefficient rule: :meth:`Characteristic.terms`, and so :func:`adams_terms`
-and :func:`eulerian_terms`, yield these coefficients degree by degree
-straight from the packed-word enumeration, as one table per degree and the
-enumeration's batches of words, and the closed forms are built from them;
-``wqsym expand`` renders them without building anything, through the one
-batch writer :func:`batch_chunks`, which also writes every built series.
+coefficient rule: :meth:`Characteristic.graded_terms` yields these
+coefficients degree by degree straight from the packed-word enumeration, as
+one table per degree and the enumeration's batches of words, and
+:meth:`Characteristic.series` builds the closed forms from them; ``wqsym
+expand`` renders them without building anything, through the one batch
+writer :func:`batch_chunks`, which also writes every built series from
+:meth:`TruncatedSeries.graded_terms`, the same stream.
 :meth:`TruncatedSeries.unit` is Psi^0 but is built directly, as the one
 series that no degree cap bounds.
 """
@@ -227,9 +228,10 @@ class TruncatedSeries:
         return self._power_sum([Fraction(1, math.factorial(j)) for j in range(self.cutoff + 1)])
 
     def graded_terms(self):
-        """The graded terms of the series, as :func:`_ascent_terms` yields
-        them: for each nonzero degree, its words in canonical order as one
-        batch (:func:`indexed_batch`).  One sort, no scan per degree."""
+        """The graded terms of the series, as
+        :meth:`Characteristic.graded_terms` yields them: for each nonzero
+        degree, its words in canonical order as one batch
+        (:func:`indexed_batch`).  One sort, no scan per degree."""
         terms = self.element.terms
         for d, words in groupby(self.element.sorted_keys(), key=len):
             yield d, *indexed_batch(words, terms)
@@ -267,8 +269,8 @@ _HEAD = "\0"
 
 def batch_chunks(batches, key_open: str, texts):
     """The text of the terms of one degree, one chunk per batch, from
-    ``batches`` as :func:`_ascent_terms` yields them and the texts of each
-    coefficient index: ``texts[i]`` is ``(first, later, close)``, or None
+    ``batches`` as a series' ``graded_terms`` yields them and the texts of
+    each coefficient index: ``texts[i]`` is ``(first, later, close)``, or None
     for a zero coefficient, whose terms are left out.  A term is ``later +
     key_open + letters + close`` with its word's letters joined by commas,
     and the degree's first term starts with ``first`` instead.
@@ -310,9 +312,9 @@ def _batch_text(pairs, shift, texts, head):
 
 def format_graded(cutoff: int, graded):
     """The text of a series, in chunks, from its cutoff and its graded terms
-    as :func:`_ascent_terms` or :meth:`TruncatedSeries.graded_terms` yields
-    them: one line ``d: <terms>`` per nonzero degree, or ``0 (cutoff n)``
-    for none."""
+    as :meth:`Characteristic.graded_terms` or
+    :meth:`TruncatedSeries.graded_terms` yields them: one line ``d: <terms>``
+    per nonzero degree, or ``0 (cutoff n)`` for none."""
     sep = ""
     for d, table, batches in graded:
         yield f"{sep}{d}: "
@@ -334,39 +336,6 @@ def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
         poly = [(a - j) * x + y for x, y in zip(poly + [0], [0] + poly)]
     denominator = math.factorial(d)
     return [Fraction(c, denominator) for c in poly]
-
-
-def _ascent_terms(cutoff: int, entry):
-    """The graded terms of a series, straight from the enumeration, with
-    nothing built or stored: ``(d, table, batches)`` for each degree d <=
-    cutoff with a nonzero term, in increasing order.  ``table[a]`` is
-    ``entry(_ascent_polynomial(a, d))``, the coefficient of the words of
-    length d with a ascents, and ``batches`` holds those words in canonical
-    order as :func:`wqsym.words._ascent_batches` factors them: the word
-    ``prefix + s`` has coefficient ``table[a + shift]`` for each ``(s, a)``
-    of a batch ``(prefix, pairs, shift)``, and a zero entry puts no term on
-    its words.  As with ``groupby``, each degree's batches are read before
-    the next degree is drawn.
-
-    The enumeration never visits a word with fewer ascents than the smallest
-    a with a nonzero entry, and the words of one ascent count share one
-    coefficient object."""
-    for d in range(cutoff + 1):
-        table = [entry(_ascent_polynomial(a, d)) for a in range(max(d, 1))]
-        nonzero = list(map(bool, table))
-        if True not in nonzero:
-            continue
-        yield d, table, _ascent_batches(d, len(table) - 1 - nonzero.index(True))
-
-
-def _ascent_series(cutoff: int, graded) -> TruncatedSeries:
-    """The series of the graded terms of :func:`_ascent_terms`."""
-    terms: dict = {}
-    for _, table, batches in graded:
-        nonzero = list(map(bool, table))
-        for prefix, pairs, shift in batches:
-            terms.update([(prefix + s, table[a + shift]) for s, a in pairs if nonzero[a + shift]])
-    return TruncatedSeries._raw(cutoff, WQSymElement._raw(terms))
 
 
 def _coordinate_rules(rule, op):
@@ -419,7 +388,7 @@ class Characteristic:
 
     @classmethod
     def adams(cls, k: int, cutoff: int) -> "Characteristic":
-        """Psi^k; ``k`` and the cap are checked as :func:`adams` checks them."""
+        """Psi^k; ``k`` and the cap are checked at the call."""
         _check_index(k)
         check_degree_cap(_check_cutoff(cutoff))
         return cls(cutoff, [k**i for i in range(cutoff + 1)])
@@ -427,21 +396,42 @@ class Characteristic:
     @classmethod
     def eulerian(cls, i: int, cutoff: int) -> "Characteristic":
         """e_i, zero when i is above the cutoff; ``i`` and the cap are checked
-        as :func:`eulerian_idempotent` checks them."""
+        at the call."""
         _check_index(i)
         check_degree_cap(_check_cutoff(cutoff))
         return cls(cutoff, [int(j == i) for j in range(cutoff + 1)])
 
-    def terms(self):
-        """The graded terms of the series, as :func:`_ascent_terms` yields
-        them: a word of length d with a ascents has coefficient ``sum_i
-        coords[i] * poly[i]``, with ``poly`` the coefficients in k of C(k +
-        a, d)."""
-        coords = self.coords
-        return _ascent_terms(self.cutoff, lambda poly: sum(map(operator.mul, coords, poly)))
+    def graded_terms(self):
+        """The graded terms of the series, straight from the enumeration, with
+        nothing built or stored: ``(d, table, batches)`` for each degree d <=
+        cutoff with a nonzero term, in increasing order.  ``table[a]`` is the
+        coefficient of the words of length d with a ascents, ``sum_i coords[i]
+        * poly[i]`` with ``poly`` the coefficients in k of C(k + a, d), and
+        ``batches`` holds those words in canonical order as
+        :func:`wqsym.words._ascent_batches` factors them: the word ``prefix +
+        s`` has coefficient ``table[a + shift]`` for each ``(s, a)`` of a batch
+        ``(prefix, pairs, shift)``, and a zero entry puts no term on its words.
+        As with ``groupby``, each degree's batches are read before the next
+        degree is drawn.
+
+        The enumeration never visits a word with fewer ascents than the
+        smallest a with a nonzero entry, and the words of one ascent count
+        share one coefficient object."""
+        for d in range(self.cutoff + 1):
+            table = [sum(map(operator.mul, self.coords, _ascent_polynomial(a, d))) for a in range(max(d, 1))]
+            nonzero = list(map(bool, table))
+            if True not in nonzero:
+                continue
+            yield d, table, _ascent_batches(d, len(table) - 1 - nonzero.index(True))
 
     def series(self) -> TruncatedSeries:
-        return _ascent_series(self.cutoff, self.terms())
+        """The series of :meth:`graded_terms`, built."""
+        terms: dict = {}
+        for _, table, batches in self.graded_terms():
+            nonzero = list(map(bool, table))
+            for prefix, pairs, shift in batches:
+                terms.update([(prefix + s, table[a + shift]) for s, a in pairs if nonzero[a + shift]])
+        return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(terms))
 
     def __neg__(self):
         return Characteristic(self.cutoff, map(operator.neg, self.coords))
@@ -453,20 +443,12 @@ class Characteristic:
     __and__ = __rand__ = TruncatedSeries.__and__
 
 
-def adams_terms(k: int, cutoff: int):
-    """The graded terms of the k-th Adams operation up to ``cutoff``, as
-    :func:`_ascent_terms` yields them: the coordinates (1, k, ..., k^n) of
-    :meth:`Characteristic.adams`, so C(k + a, d) evaluated at k.  ``k`` and
-    the cap are checked at the call."""
-    return Characteristic.adams(k, cutoff).terms()
-
-
 @lru_cache(maxsize=None, typed=True)
 def adams(k: int, cutoff: int) -> TruncatedSeries:
     """k-th Adams operation I^(*k): coefficient C(a + k, d) on a word of
     length d with a ascents (the convolution power is the definition and the
     oracle)."""
-    return _ascent_series(cutoff, adams_terms(k, cutoff))
+    return Characteristic.adams(k, cutoff).series()
 
 
 def identity_series(cutoff: int) -> TruncatedSeries:
@@ -480,21 +462,13 @@ def log_identity(cutoff: int) -> TruncatedSeries:
     return eulerian_idempotent(1, cutoff)
 
 
-def eulerian_terms(i: int, cutoff: int):
-    """The graded terms of the i-th quasi-Eulerian idempotent up to
-    ``cutoff``, as :func:`_ascent_terms` yields them: the i-th unit vector of
-    :meth:`Characteristic.eulerian`, so the k^i coefficient of C(k + a, d).
-    ``i`` and the cap are checked at the call."""
-    return Characteristic.eulerian(i, cutoff).terms()
-
-
 @lru_cache(maxsize=None, typed=True)
 def eulerian_idempotent(i: int, cutoff: int) -> TruncatedSeries:
     """i-th quasi-Eulerian idempotent log(I)^(*i) / i!.  Since Psi^k =
     sum_i k^i e_i, its coefficient on a word of length d with a ascents is
     the k^i coefficient of the polynomial C(k + a, d) (the convolution route
     is the definition and the oracle)."""
-    return _ascent_series(cutoff, eulerian_terms(i, cutoff))
+    return Characteristic.eulerian(i, cutoff).series()
 
 
 def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:

@@ -413,7 +413,7 @@ def test_eval_of_coordinates_builds_no_series_and_fills_no_cache(monkeypatch):
     # I, Psi(k), e(i) and their sums and products stream their terms as
     # expand does: no series is built, and no word is kept
     built = []
-    monkeypatch.setattr(series, "_ascent_series", lambda *args: built.append(args))
+    monkeypatch.setattr(series.Characteristic, "series", lambda *args: built.append(args))
     cached = (series.adams, series.eulerian_idempotent, words._packed_words, algebra._space)
     for cache in cached:
         cache.cache_clear()

@@ -3,17 +3,22 @@ it (``__init__.py``, which re-exports, is exempt), no function of the package
 imports, and every function, class and method of the package is used by the
 package or the benchmark.
 
-Read with the standard library's ``ast`` only.  An import counts as used when
-its name appears as a ``Name`` anywhere in the module, annotations included.
-A definition counts as used when its name appears outside its own body and
-outside every unused definition: as a variable, an identifier string or an
-attribute of a package or benchmark module (``words.pack``), and, for a
-method, as any attribute; re-exports from ``__init__.py`` and the tests do not
-count.  The few definitions that only the tests reach are listed with their
-reason.
+Read with the standard library's ``ast``; nothing of the package is imported.
+An import counts as used when its name appears as a ``Name`` anywhere in the
+module, annotations included.  A definition counts as used when its name
+appears outside its own body and outside every unused definition: as a
+variable, an identifier string or an attribute of a package or benchmark
+module (``words.pack``), and, for a method, as any attribute; re-exports from
+``__init__.py`` and the tests do not count.  A method of a used class also
+counts as used when it overrides an attribute of a base class from outside
+the package, which that library calls by name (an argparse hook such as
+``_parse_optional``); the base is found by importing the module it is spelled
+from (``argparse.ArgumentParser``).  The few definitions that only the tests
+reach are listed with their reason.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -138,18 +143,41 @@ def uses(found: Counter, qualified: str) -> int:
     return found[name] + found["." + name] if "." in qualified else found[name]
 
 
+def foreign_overrides(tree):
+    """The methods of the module-level classes of ``tree`` named as an
+    attribute of one of their bases from outside the package, a base spelled
+    as an attribute of a module (``argparse.ArgumentParser``) and found by
+    importing that module."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        bases = []
+        for base in cls.bases:
+            module, _, name = dotted(base).rpartition(".")
+            if module and module not in MODULE_NAMES:
+                bases.append(getattr(importlib.import_module(module), name))
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and any(hasattr(base, item.name) for base in bases):
+                yield item
+
+
 def unreached(sources) -> list[str]:
     """Definitions whose name is used only in their own body or in other
-    unreached definitions (a method of an unreached class is unreached)."""
+    unreached definitions (a method of an unreached class is unreached, and
+    one that overrides a foreign base's attribute is reached with its
+    class)."""
     trees = [ast.parse(source) for source in sources]
     defs = [d for tree in trees for d in definitions(tree)]
+    overrides = {node for tree in trees for node in foreign_overrides(tree)}
     dead = set()
     while True:
         total = sum((references(tree, dead) for tree in trees), Counter())
         newly = {
             node
             for qualified, node in defs
-            if node not in dead and uses(total, qualified) == uses(references(node, dead), qualified)
+            if node not in dead
+            and node not in overrides
+            and uses(total, qualified) == uses(references(node, dead), qualified)
         }
         if not newly:
             return [qualified for qualified, node in defs if node in dead]
@@ -163,8 +191,12 @@ def test_unreached_definitions_are_found():
     library += "class C:\n    def m(self): return C()\n    def __len__(self): return 0\n"
     library += "class D:\n    def attr(self): pass\n    def patched(self): pass\n    def unused(self): pass\n"
     library += "def by_module(): pass\ndef helper_of_obj(): pass\n"
-    caller = "used()\nD.attr()\npatch(D, 'patched')\nwords.by_module()\nobj.helper_of_obj()\n"
-    expected = ["recursive", "only_from_dead", "dead", "C", "C.m", "D.unused", "helper_of_obj"]
+    # argparse calls _parse_optional by name; nothing calls other
+    library += "class P(argparse.ArgumentParser):\n"
+    library += "    def _parse_optional(self, arg): return super()._parse_optional(arg)\n"
+    library += "    def other(self): pass\n"
+    caller = "used()\nD.attr()\npatch(D, 'patched')\nwords.by_module()\nobj.helper_of_obj()\nP()\n"
+    expected = ["recursive", "only_from_dead", "dead", "C", "C.m", "D.unused", "helper_of_obj", "P.other"]
     assert unreached([library, caller]) == expected
 
 

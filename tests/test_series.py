@@ -20,11 +20,10 @@ from wqsym.series import (
     TruncatedSeries,
     _ascent_polynomial,
     adams,
-    adams_terms,
     check_degree_cap,
     eulerian_e1_closed_form,
     eulerian_idempotent,
-    eulerian_terms,
+    format_graded,
     identity_series,
     log_identity,
     unipotence_check,
@@ -254,6 +253,24 @@ def test_eulerian_coordinates_follow_the_dense_operators():
         assert Characteristic(n, [(-1) ** i for i in range(n + 1)]).series() == identity_series(n).inverse(), n
 
 
+def test_sparse_coordinates_match_the_convolution_route(staircase):
+    # sum_i c_i log(I)^(*i) / i! with most c_i zero, I built word by word:
+    # the built series and the text streamed from the coordinates
+    rng = random.Random(11)
+    for n in range(6):
+        log = staircase(n).log()
+        for _ in range(4):
+            draws = (rng.random() < 2 / 3 for _ in range(n + 1))
+            c = [0 if zero else Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for zero in draws]
+            expected, power = TruncatedSeries.zero(n), TruncatedSeries.unit(n)
+            for i in range(n + 1):
+                expected = expected + power * (Fraction(c[i]) / math.factorial(i))
+                power = power * log
+            x = Characteristic(n, c)
+            assert x.series() == expected, (n, c)
+            assert "".join(format_graded(n, x.graded_terms())) == str(expected), (n, c)
+
+
 def test_idempotents_sum_to_identity():
     total = TruncatedSeries.zero(4)
     for i in range(5):
@@ -345,9 +362,9 @@ def test_every_builder_checks_the_index():
     F = QSymElement.monomial((1, 2))
     builders = (
         lambda k: adams(k, 2),
-        lambda k: adams_terms(k, 2),
+        lambda k: Characteristic.adams(k, 2).graded_terms(),
         lambda k: eulerian_idempotent(k, 3),
-        lambda k: eulerian_terms(k, 3),
+        lambda k: Characteristic.eulerian(k, 3).graded_terms(),
         lambda k: qsym_adams(k, F, 3),
         lambda k: qsym_adams_oracle(k, F),
     )
