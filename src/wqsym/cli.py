@@ -20,12 +20,12 @@ the degree cap included, runs before the first byte is written.  Every
 series, built or held as Eulerian coordinates, is written one way, from its
 cutoff and its graded terms as they come.  ``expand psi`` and ``expand e``
 build nothing: they hold :class:`wqsym.series.Characteristic` coordinates,
-whose terms come straight from the packed-word enumeration, one batch of
-words at a time, degree by degree, so memory stays flat at any degree, and so
-does ``eval`` of a value held as coordinates (I, Psi(k), e(i), scalars and
-their sums and products).  A batch is a prefix and a list of last letters
-that every prefix in the same state shares; the text of each such list is
-made once per degree and ascent shift, and each batch puts only its prefix's
+whose terms are written straight from the packed-word enumeration, one
+prefix of a word at a time, degree by degree, so memory stays flat at any
+degree, and so does ``eval`` of a value held as coordinates (I, Psi(k),
+e(i), scalars and their sums and products).  The terms of a word's last few
+letters depend on its prefix only through the prefix's state; the text of
+each state is made once per degree, and each prefix puts only its own
 letters into it.  Output on stdout is byte-identical for identical
 (command, flags, seed); wall-clock timings go to stderr only.
 
@@ -62,7 +62,7 @@ CLOSED_PIPE_EXIT = 141
 #: characters of a rendering joined into one write, once that many have
 #: come: a few large writes cost less time than one per chunk, and less memory
 #: when stdout is a ``StringIO``; a size bounds the block where a count of
-#: chunks would not, since a chunk can hold a whole batch of terms
+#: chunks would not, since a chunk can hold all the terms after one prefix
 WRITE_SIZE = 32768
 
 

@@ -100,7 +100,11 @@ def _add_term(data: dict, key, coeff) -> None:
 def _over_lcm(terms: dict):
     """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
     numerators over ``d``, the lcm of their denominators, under the same
-    keys; None if one is not a ``Fraction``."""
+    keys; None if one is not a ``Fraction``.  Most kernel operands hold one
+    term, which is read directly."""
+    if len(terms) == 1:
+        [(key, c)] = terms.items()
+        return ({key: c.numerator}, c.denominator) if type(c) is Fraction else None
     if not all(type(c) is Fraction for c in terms.values()):
         return None
     d = math.lcm(*[c.denominator for c in terms.values()])

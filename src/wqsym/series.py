@@ -30,13 +30,15 @@ vector.  Since e_i @ e_j = delta_ij e_i and e_i * e_j = C(i + j, i) e_{i+j},
 sums and both products of such series are computed on the coordinates alone,
 which is how ``wqsym eval`` combines I, Psi(k) and e(i).  A word of length d
 with a ascents has the coefficient sum_i c_i [k^i] C(k + a, d), the one
-coefficient rule: :meth:`Characteristic.graded_terms` yields these
-coefficients degree by degree straight from the packed-word enumeration, as
-one table per degree and the enumeration's batches of words, and
-:meth:`Characteristic.series` builds the closed forms from them; ``wqsym
-expand`` renders them without building anything, through the one batch
-writer :func:`batch_chunks`, which also writes every built series from
-:meth:`TruncatedSeries.graded_terms`, the same stream.
+coefficient rule, with one table of these coefficients per degree.
+:meth:`Characteristic.series` builds the closed forms from the tables and
+the packed-word enumeration's batches of words.
+:meth:`Characteristic.graded_terms` hands each table to a writer,
+:func:`_ascent_chunks`, which makes the text of the terms of each state of
+a word's last letters once per degree, straight from the state and the
+coefficient texts, so that ``wqsym expand`` renders a series without
+building it or any word.  :meth:`TruncatedSeries.graded_terms` yields the
+same stream for a built series, with the writer :func:`_indexed_chunks`.
 :meth:`TruncatedSeries.unit` is Psi^0 but is built directly, as the one
 series that no degree cap bounds.
 """
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import groupby
@@ -59,7 +62,7 @@ from .algebra import (
 )
 from .errors import BasisMismatch, NotInvertible
 from .params import SCALAR_TYPES
-from .words import _ascent_batches, check_degree_cap, compositions
+from .words import _ascent_batches, _tail_values, check_degree_cap, compositions
 
 
 def _binary(op, scalars=False):
@@ -230,11 +233,11 @@ class TruncatedSeries:
     def graded_terms(self):
         """The graded terms of the series, as
         :meth:`Characteristic.graded_terms` yields them: for each nonzero
-        degree, its words in canonical order as one batch
-        (:func:`indexed_batch`).  One sort, no scan per degree."""
+        degree, its words in canonical order, written as one chunk
+        (:func:`indexed_terms`).  One sort, no scan per degree."""
         terms = self.element.terms
         for d, words in groupby(self.element.sorted_keys(), key=len):
-            yield d, *indexed_batch(words, terms)
+            yield d, *indexed_terms(words, terms)
 
     def __str__(self) -> str:
         return "".join(format_graded(self.cutoff, self.graded_terms()))
@@ -243,12 +246,13 @@ class TruncatedSeries:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
 
 
-def indexed_batch(words, coefficients) -> tuple[list, tuple]:
-    """``(table, batches)`` of the terms of ``words``, in their order, with
+def indexed_terms(words, coefficients) -> tuple[list, Callable]:
+    """``(table, chunks)`` of the terms of ``words``, in their order, with
     their coefficients in the dict ``coefficients``: ``table`` lists each
-    distinct coefficient object once, and the one batch ``((), pairs, 0)``
-    pairs each word with the index of its coefficient in ``table``.  The
-    table holds the objects, so no id is reused while it is built."""
+    distinct coefficient object once, and ``chunks`` writes the terms as
+    :func:`_indexed_chunks` does, each word with the index of its coefficient
+    in ``table``.  The table holds the objects, so no id is reused while it
+    is built."""
     table: list = []
     index: dict = {}
     pairs = []
@@ -259,55 +263,59 @@ def indexed_batch(words, coefficients) -> tuple[list, tuple]:
             i = index[id(c)] = len(table)
             table.append(c)
         pairs.append((w, i))
-    return table, (((), pairs, 0),)
+    return table, partial(_indexed_chunks, pairs)
 
 
-#: marks where a term's key opens in the memoised text of a shared tail;
-#: no text of a ``Fraction`` or a letter contains it
+def _indexed_chunks(pairs, key_open: str, texts):
+    """The text of the terms ``(w, i)`` of ``pairs`` as one chunk, from the
+    texts of each coefficient index: ``texts[i]`` is ``(first, later,
+    close)``, or None for a zero coefficient, whose terms are left out.  A
+    term is ``later + key_open + letters + close`` with its word's letters
+    joined by commas, and the first term starts with ``first`` instead."""
+    terms = [(texts[i], letters_str(w)) for w, i in pairs if texts[i]]
+    if terms:
+        (first, letters), rest = terms[0], terms[1:]
+        yield "".join([first[0], key_open, letters, first[2], *[t[1] + key_open + w + t[2] for t, w in rest]])
+
+
+#: marks where a term's key opens in the text of a tail state, before the
+#: letters that follow it; no text of a coefficient or a letter contains it
 _HEAD = "\0"
 
 
-def batch_chunks(batches, key_open: str, texts):
-    """The text of the terms of one degree, one chunk per batch, from
-    ``batches`` as a series' ``graded_terms`` yields them and the texts of
-    each coefficient index: ``texts[i]`` is ``(first, later, close)``, or None
-    for a zero coefficient, whose terms are left out.  A term is ``later +
-    key_open + letters + close`` with its word's letters joined by commas,
-    and the degree's first term starts with ``first`` instead.
+def _ascent_chunks(d: int, budget: int, key_open: str, texts):
+    """The text of the terms of the packed words of length ``d`` with at most
+    ``budget`` non-ascents, a word with a ascents having the coefficient of
+    index a, in chunks; ``texts`` is as for :func:`_indexed_chunks`, one entry
+    per ascent count.
 
-    The terms of a shared tail after one prefix differ from those after
-    another only in the prefix's letters, so each tail list is rendered once
-    per shift, with _HEAD where each key opens, and each batch of it is that
-    text with the key's opening and the prefix's letters put in.  ``memo``
-    holds each tail list, so no id is reused while the chunks are made; it
-    lives for one call."""
-    memo: dict = {}
-    lead = 0  # the index of ``first`` in an entry of ``texts``, then of ``later``
-    for prefix, pairs, shift in batches:
-        if prefix:
-            entry = memo.get((id(pairs), shift))
-            if entry is None:
-                entry = memo[id(pairs), shift] = (*_batch_text(pairs, shift, texts, _HEAD), pairs)
-            start, text, _ = entry
-            if text:
-                text = text.replace(_HEAD, key_open + letters_str(prefix) + ",")
-        else:
-            start, text = _batch_text(pairs, 0, texts, key_open)
+    A state with at most ``_TAIL`` letters to come
+    (:func:`wqsym.words._tail_values`) has one text per call, each term's key
+    opened by _HEAD: a whole word's is the term of its ascent count, and any
+    other state's joins its children's texts in letter order, each child's
+    letter put after every _HEAD.  Each prefix that reaches the state writes
+    that text as one chunk, its key openings and letters put in by one
+    replace.  The first word, 1^(budget+1) 2 3 ..., has the fewest ascents of
+    any word written, so its entry is nonzero and the degree's text opens
+    with its ``first``."""
+    top = len(texts) - 1  # the ascents of a word with no non-ascent
+
+    def leaf(state):
+        entry = texts[top - state[5]]  # state[5]: the word's non-ascents
+        return entry[1] + _HEAD + entry[2] if entry else ""
+
+    def join(state, parts):
+        comma = "," if state[4] > 1 else ""  # state[4]: the letters to come
+        return "".join([text.replace(_HEAD, _HEAD + str(letter) + comma) for letter, text in parts if text])
+
+    first, later, _ = texts[top - budget]
+    opened = False
+    for prefix, text in _tail_values(d, budget, leaf, join):
         if text:
-            yield start[lead] + text
-            lead = 1
-
-
-def _batch_text(pairs, shift, texts, head):
-    """The terms ``(s, a)`` of ``pairs`` with coefficient index ``a +
-    shift``, each key opened by ``head`` and holding the letters of ``s``,
-    as the ``texts`` entry of the first term and the text that follows its
-    ``first`` or ``later``; ``(None, "")`` when every coefficient is zero."""
-    terms = [(texts[a + shift], letters_str(s)) for s, a in pairs if texts[a + shift]]
-    if not terms:
-        return None, ""
-    (first, letters), rest = terms[0], terms[1:]
-    return first, "".join([head, letters, first[2], *[t[1] + head + w + t[2] for t, w in rest]])
+            text = text.replace(_HEAD, key_open + letters_str(prefix) + "," if prefix else key_open)
+            if not opened:
+                text, opened = first + text[len(later):], True
+            yield text
 
 
 def format_graded(cutoff: int, graded):
@@ -316,9 +324,9 @@ def format_graded(cutoff: int, graded):
     :meth:`TruncatedSeries.graded_terms` yields them: one line ``d: <terms>``
     per nonzero degree, or ``0 (cutoff n)`` for none."""
     sep = ""
-    for d, table, batches in graded:
+    for d, table, chunks in graded:
         yield f"{sep}{d}: "
-        yield from batch_chunks(batches, "M[", [(*_term_prefixes(c), "]") if c else None for c in table])
+        yield from chunks("M[", [(*_term_prefixes(c), "]") if c else None for c in table])
         sep = "\n"
     if not sep:
         yield f"0 (cutoff {cutoff})"
@@ -327,15 +335,14 @@ def format_graded(cutoff: int, graded):
 # -- the characteristic family ------------------------------------------------
 
 
-def _ascent_polynomial(a: int, d: int) -> list[Fraction]:
-    """Coefficients in k, from k^0 up, of C(k + a, d) = (k+a)(k+a-1)...(k+a-d+1) / d!:
-    the int coefficients of the product, each then divided by d! once."""
+def _ascent_polynomial(a: int, d: int) -> list[int]:
+    """Coefficients in k, from k^0 up, of d! * C(k + a, d) = (k+a)(k+a-1)...(k+a-d+1):
+    ints, so a table entry sums int products and is divided by d! once."""
     poly = [1]
     for j in range(d):
         # multiply by (k + a - j)
         poly = [(a - j) * x + y for x, y in zip(poly + [0], [0] + poly)]
-    denominator = math.factorial(d)
-    return [Fraction(c, denominator) for c in poly]
+    return poly
 
 
 def _coordinate_rules(rule, op):
@@ -401,36 +408,41 @@ class Characteristic:
         check_degree_cap(_check_cutoff(cutoff))
         return cls(cutoff, [int(j == i) for j in range(cutoff + 1)])
 
+    def _tables(self):
+        """``(d, table, budget)`` for each degree d <= cutoff with a nonzero
+        term, in increasing order.  ``table[a]`` is the coefficient of the
+        words of length d with a ascents, ``sum_i coords[i] * poly[i] / d!``
+        with ``poly`` the int coefficients in k of d! * C(k + a, d), one
+        ``Fraction`` object per entry.  No word with fewer ascents than the
+        smallest a with a nonzero entry has a term, so its words take at most
+        ``budget`` non-ascents."""
+        for d in range(self.cutoff + 1):
+            scale = math.factorial(d)
+            table = [Fraction(sum(map(operator.mul, self.coords, _ascent_polynomial(a, d))), scale)
+                     for a in range(max(d, 1))]
+            nonzero = list(map(bool, table))
+            if True in nonzero:
+                yield d, table, len(table) - 1 - nonzero.index(True)
+
     def graded_terms(self):
         """The graded terms of the series, straight from the enumeration, with
-        nothing built or stored: ``(d, table, batches)`` for each degree d <=
-        cutoff with a nonzero term, in increasing order.  ``table[a]`` is the
-        coefficient of the words of length d with a ascents, ``sum_i coords[i]
-        * poly[i]`` with ``poly`` the coefficients in k of C(k + a, d), and
-        ``batches`` holds those words in canonical order as
-        :func:`wqsym.words._ascent_batches` factors them: the word ``prefix +
-        s`` has coefficient ``table[a + shift]`` for each ``(s, a)`` of a batch
-        ``(prefix, pairs, shift)``, and a zero entry puts no term on its words.
-        As with ``groupby``, each degree's batches are read before the next
-        degree is drawn.
-
-        The enumeration never visits a word with fewer ascents than the
-        smallest a with a nonzero entry, and the words of one ascent count
-        share one coefficient object."""
-        for d in range(self.cutoff + 1):
-            table = [sum(map(operator.mul, self.coords, _ascent_polynomial(a, d))) for a in range(max(d, 1))]
-            nonzero = list(map(bool, table))
-            if True not in nonzero:
-                continue
-            yield d, table, _ascent_batches(d, len(table) - 1 - nonzero.index(True))
+        nothing built or stored: ``(d, table, chunks)`` for each degree d <=
+        cutoff with a nonzero term, in increasing order, with ``table[a]`` the
+        coefficient of the words of length d with a ascents; ``chunks(key_open,
+        texts)`` writes the degree's terms in canonical order from the texts
+        of each entry (:func:`_ascent_chunks`), a zero entry putting no term
+        on its words."""
+        for d, table, budget in self._tables():
+            yield d, table, partial(_ascent_chunks, d, budget)
 
     def series(self) -> TruncatedSeries:
-        """The series of :meth:`graded_terms`, built."""
+        """The series of :meth:`graded_terms`, built from the enumeration's
+        batches (:func:`wqsym.words._ascent_batches`)."""
         terms: dict = {}
-        for _, table, batches in self.graded_terms():
+        for d, table, budget in self._tables():
             nonzero = list(map(bool, table))
-            for prefix, pairs, shift in batches:
-                terms.update([(prefix + s, table[a + shift]) for s, a in pairs if nonzero[a + shift]])
+            for prefix, pairs in _ascent_batches(d, budget):
+                terms.update([(prefix + s, table[a]) for s, a in pairs if nonzero[a]])
         return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(terms))
 
     def __neg__(self):

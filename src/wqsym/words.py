@@ -22,18 +22,24 @@ shared freely; :func:`enumerate_packed_words` and the product kernels keep
 memo tables whose observable behaviour is identical to recomputation.  The
 tables with which the internal product and the right action permute whole
 vectors over the packed words of one length live in one record per length,
-:func:`wqsym.algebra._space`.  The one enumeration kernel,
-:func:`_ascent_batches`, streams the packed words of a
-length with their ascent counts in batches that share their last letters,
-and keeps none of them but the few lists of those shared last letters;
+:func:`wqsym.algebra._space`.
+
+Every packed word is enumerated by one rule, :func:`_children`, which steps
+from the state of a prefix to the states one letter longer.
+:func:`_tail_values` walks it depth first and makes one value per state of a
+word's last ``_TAIL`` letters, shared by every prefix that reaches the state.
+:func:`_ascent_batches` takes as values the lists of completions with their
+ascent counts, so it streams the packed words of a length in batches that
+share their last letters and keeps none of them but those lists;
 :func:`packed_words_with_ascents` flattens it, and the memoised tuples are
-collected from that.
+collected from that.  The series writer :func:`wqsym.series._ascent_chunks`
+takes as values the text of the terms of those completions.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import CapExceeded, ExpressionError
@@ -227,91 +233,102 @@ def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Wo
     the degree cap is checked at the call, like :func:`enumerate_packed_words`.
     """
     _check_length(n)
-    return (
-        (prefix + s, a + shift)
-        for prefix, pairs, shift in _ascent_batches(n, max_non_ascents)
-        for s, a in pairs
-    )
+    return ((prefix + s, a) for prefix, pairs in _ascent_batches(n, max_non_ascents) for s, a in pairs)
 
 
-#: the number of last letters of a word that :func:`_ascent_batches` lists
-#: once per prefix state.  At lengths 6 to 9, 3 letters were about the
-#: fastest, and their table stays at a few MB where 4 letters take up to 30 MB.
+def _ascent_batches(n: int, budget: int) -> Iterator[tuple[Word, list[tuple[Word, int]]]]:
+    """The words of :func:`packed_words_with_ascents`, factored in batches
+    ``(prefix, pairs)``: the words ``prefix + s`` with ascent count ``a`` for
+    each ``(s, a)`` in ``pairs``, in order; a prefix with no completion has no
+    batch.  Every prefix in one tail state (:func:`_tail_values`) gets the same
+    list object.  The degree cap is not checked here."""
+    top = max(n - 1, 0)
+    # one object per distinct (s, a) pair, however many lists hold it
+    shared: dict = {}
+
+    def join(state, parts):
+        pairs = [((letter,) + s, a) for letter, completions in parts for s, a in completions]
+        return [shared.setdefault(pair, pair) for pair in pairs]
+
+    for prefix, pairs in _tail_values(n, budget, lambda state: [((), top - state[5])], join):
+        if pairs:
+            yield prefix, pairs
+
+
+#: the number of last letters of a word whose values :func:`_tail_values`
+#: makes once per state.  ``wqsym expand`` at degree 7 takes about as long
+#: with 3 letters as with 4, and 1.6 times as long with 2, whose prefixes
+#: are each written on their own; at degree 8, 4 letters are a fifth faster
+#: but hold two to four times the text (5-9 MB against 2-3 MB).
 _TAIL = 3
 
 
-def _ascent_batches(n: int, budget: int) -> Iterator[tuple[Word, Sequence[tuple[Word, int]], int]]:
-    """The words of :func:`packed_words_with_ascents`, factored in batches
-    ``(prefix, pairs, shift)``: the words ``prefix + s`` with ascent count
-    ``a + shift`` for each ``(s, a)`` in ``pairs``, in order.  The degree cap
-    is not checked here.
+def _children(state, budget: int):
+    """The states one letter on from ``state``, in ascending order of that
+    letter: the one rule by which every packed word is enumerated.
+
+    A state ``(last, mx, missing, gaps, remaining, non_asc)`` is what the
+    completions of a prefix depend on: its last letter (0 for none), its
+    maximum, the bits of the ``gaps`` letters below the maximum that have not
+    appeared yet, the number of letters still to come and the prefix's
+    non-ascents.  A prefix can be completed iff its missing letters still fit
+    in the remaining positions.  Non-ascents only accumulate, so a prefix that
+    has spent ``budget`` continues with ascents only."""
+    last, mx, missing, gaps, remaining, non_asc = state
+    remaining -= 1
+    for letter in range(last + 1 if non_asc == budget else 1, mx + remaining - gaps + 2):
+        if letter > mx:
+            yield letter, letter, missing | ((1 << letter) - (2 << mx)), gaps + letter - mx - 1, remaining, non_asc
+        elif missing >> letter & 1:
+            yield letter, mx, missing ^ (1 << letter), gaps - 1, remaining, non_asc + (letter <= last)
+        elif gaps <= remaining:
+            yield letter, mx, missing, gaps, remaining, non_asc + (letter <= last)
+
+
+def _tail_values(n: int, budget: int, leaf, join):
+    """For each prefix of the packed words of length ``n`` with at most
+    ``budget`` non-ascents that leaves ``min(n, _TAIL)`` letters to come, in
+    lexicographic order, ``(prefix, value)`` with the value of the prefix's
+    state (:func:`_children`): ``leaf(state)`` for a whole word, else
+    ``join(state, parts)`` with ``parts`` the pairs ``(letter, value)`` of the
+    state's children in letter order.
 
     A depth-first search over letters in ascending order, which gives
-    lexicographic output.  A prefix can be completed iff the ``gaps`` letters
-    below its maximum that have not appeared yet (the bits of ``missing``)
-    still fit in the remaining positions.  Non-ascents only accumulate, so a
-    prefix that has spent the budget continues with ascents only.  The last
-    letter of each word is chosen in one list, a batch ``((), pairs, 0)`` of
-    whole words.
-
-    The last _TAIL letters of a word depend on its prefix only through the
-    prefix's last letter, maximum, missing letters and spare non-ascents.
-    Prefixes at least as long as the tail share these few states, so
-    ``tails`` lists the completions of each state once, and every prefix in
-    a state gets that same list object as its batch, none if it is empty: a
-    consumer may key what it derives from a tail list on the list's identity
-    while it holds the list.  Shorter prefixes are too few to repay the
-    table."""
+    lexicographic output.  The value of each state with at most ``_TAIL``
+    letters to come is made once per call, however many prefixes reach it,
+    and no other state is kept."""
     if budget < 0:
         return
-    if n == 0:
-        yield (), (((), 0),), 0
-        return
-    top = n - 1
-    tails: dict = {}
-    # one object per distinct (s, a) pair, however many tails hold it
-    shared: dict = {}
+    memo: dict = {}
 
-    def rec(prefix: Word, last: int, mx: int, missing: int, gaps: int, remaining: int, non_asc: int):
-        if remaining == _TAIL and len(prefix) >= _TAIL:
-            # a tail has at most _TAIL non-ascents, so every prefix with as
-            # many spare shares the one listed at budget - spare non-ascents;
-            # ``shift`` moves its ascent counts to this prefix's
-            spare = min(budget - non_asc, _TAIL)
-            key = (last, mx, missing, spare)
-            tail = tails.get(key)
-            if tail is None:
-                listed = rec((), last, mx, missing, gaps, _TAIL, budget - spare)
-                tail = tails[key] = [shared.setdefault(pair, pair) for _, pairs, _ in listed for pair in pairs]
-            if tail:
-                yield prefix, tail, budget - spare - non_asc
-            return
-        remaining -= 1
-        low = last + 1 if non_asc == budget else 1
-        if not remaining:
-            # the last letter: the one missing letter, or with no gap any
-            # letter up to a new maximum
-            ascents = top - non_asc
-            if not gaps:
-                yield (), [(prefix + (letter,), ascents - (letter <= last)) for letter in range(low, mx + 2)], 0
+    def value(state):
+        v = memo.get(state)
+        if v is None:
+            if state[4]:
+                v = join(state, [(child[0], value(child)) for child in _children(state, budget)])
             else:
-                letter = missing.bit_length() - 1
-                if letter >= low:
-                    yield (), ((prefix + (letter,), ascents - (letter <= last)),), 0
-            return
-        for letter in range(low, mx + remaining - gaps + 2):
-            if letter > mx:
-                new_missing = missing | ((1 << letter) - (2 << mx))
-                yield from rec(prefix + (letter,), letter, letter, new_missing, gaps + letter - mx - 1, remaining,
-                               non_asc)
-            elif missing >> letter & 1:
-                yield from rec(prefix + (letter,), letter, mx, missing ^ (1 << letter), gaps - 1, remaining,
-                               non_asc + (letter <= last))
-            elif gaps <= remaining:
-                yield from rec(prefix + (letter,), letter, mx, missing, gaps, remaining,
-                               non_asc + (letter <= last))
+                v = leaf(state)
+            memo[state] = v
+        return v
 
-    yield from rec((), 0, 0, 0, 0, n, 0)
+    def walk(prefix: Word, state):
+        for child in _children(state, budget):
+            if child[4] > _TAIL:
+                yield from walk(prefix + (child[0],), child)
+            else:
+                yield prefix + (child[0],), value(child)
+
+    root = (0, 0, 0, 0, n, 0)
+    try:
+        if n <= _TAIL:
+            yield (), value(root)
+        else:
+            yield from walk((), root)
+    finally:
+        # value and walk refer to themselves: dropping them frees the memo
+        # now, where the cycle would wait for the collector and the next
+        # call's memo would join it
+        del value, walk
 
 
 @lru_cache(maxsize=None)

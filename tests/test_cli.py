@@ -13,8 +13,10 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +24,8 @@ import pytest
 
 from wqsym import algebra, series, suites, words
 from wqsym.cli import CLOSED_PIPE_EXIT, main
-from wqsym.serialization import series_to_obj
-from wqsym.series import TruncatedSeries, adams, eulerian_idempotent
+from wqsym.serialization import series_json, series_to_obj
+from wqsym.series import Characteristic, TruncatedSeries, adams, eulerian_idempotent, format_graded
 
 # (argv, exit code, sha256 of stdout)
 GOLDEN = [
@@ -393,12 +395,25 @@ def test_streamed_expand_equals_the_built_series(name, index, build):
     [("e", i, eulerian_idempotent) for i in (5, 6, 7)] + [("psi", k, adams) for k in (0, 7)],
 )
 def test_streamed_expand_of_a_sparse_table_equals_the_built_series(name, index, build):
-    # tables with zero entries: at degree 7 every word comes from a shared
-    # tail, and a degree's first term can follow words whose entry is zero
+    # tables with zero entries: at degree 7 every word comes from the text of
+    # a tail state, which leaves out the words whose entry is zero
     argv = ("expand", name, str(index), "--degree", "7")
     built = build(index, 7)
     assert run(argv) == (0, f"{built}\n", "")
     assert run((*argv, "--format", "json")) == (0, f"{series_to_obj(built)}\n", "")
+
+
+def test_streamed_sparse_coordinates_equal_the_built_series():
+    # seeded coordinates at degree 7, most of them zero: the text streamed
+    # from the coordinates and the series built from them, printed by the
+    # writer of built series, agree in both formats
+    rng = random.Random(36)
+    for _ in range(6):
+        draws = [rng.random() < 2 / 3 for _ in range(8)]
+        x = Characteristic(7, [0 if zero else Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for zero in draws])
+        built = x.series()
+        assert "".join(format_graded(7, x.graded_terms())) == str(built), x.coords
+        assert "".join(series_json(7, x.graded_terms())) == series_to_obj(built), x.coords
 
 
 def test_expand_builds_no_series_and_fills_no_cache():
@@ -480,6 +495,22 @@ def test_expand_at_degree_8_under_a_raised_cap(monkeypatch, fmt, digest):
     with contextlib.redirect_stdout(sink):
         assert main(["expand", "e", "1", "--degree", "8", *fmt]) == 0
     assert sink.sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=("text", "json"))
+def test_expand_streams_in_flat_memory(fmt):
+    # what expand holds at once is the text of the tail states of one degree
+    # and one block of output, not the degree's terms: the 47 293 words of
+    # degree 7 take 1.3 MB as text and 2.2 MB as JSON
+    sink = _DigestSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["expand", "e", "1", "--degree", "7", *fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.slow

@@ -19,7 +19,7 @@ from wqsym.params import ParamPoly
 from wqsym.qshuffle import AElement, QSElement
 from wqsym.qsym import QSymElement, sigma_hat_series
 from wqsym.serialization import coeff_to_str, element_to_obj, series_json, series_to_obj
-from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, format_graded
+from wqsym.series import Characteristic, TruncatedSeries, adams, eulerian_idempotent, format_graded
 from wqsym.words import pack
 
 E = WQSymElement.monomial
@@ -201,11 +201,11 @@ def test_built_series_equal_the_oracles():
 
 
 def test_a_degree_opens_with_its_first_nonzero_term():
-    # graded terms as the enumeration factors them: 11 and 12 share the tail
-    # list after the prefix 1, 21 has a batch of its own; the entry of words
-    # with no ascent is zero, so the first written term sits inside a batch
-    tail = [((1,), 0), ((2,), 1)]
-    graded = [(2, [0, Fraction(-1, 2)], [((1,), tail, 0), ((2,), [((1,), 0)], 0)])]
+    # e_1 - e_2 / 2 held as coordinates: in degree 2 the entry of words with
+    # no ascent is zero, so 11 and 21 have no term, and the degree opens with
+    # the first form of -1/2*M[1,2], not with its later form " - 1/2*M[1,2]"
+    x = Characteristic(2, (0, Fraction(-1, 2), Fraction(-1, 2)))
+    graded = [g for g in x.graded_terms() if g[0] == 2]
     assert "".join(format_graded(2, graded)) == "2: -1/2*M[1,2]"
     obj = {"cutoff": 2, "components": {"2": {"basis": "WQSym-M", "terms": [{"word": [1, 2], "coeff": "-1/2"}]}}}
     assert "".join(series_json(2, graded)) == json.dumps(obj, separators=(",", ":"))

@@ -172,13 +172,14 @@ def test_eulerian_idempotent_expansions():
 
 
 def test_ascent_polynomial_is_the_binomial_in_k():
-    # C(k + a, d) as a polynomial in k, the source of every closed form
+    # d! * C(k + a, d) as a polynomial in k with int coefficients, the source
+    # of every closed form
     for d in range(9):
         for a in range(d + 1):
             poly = _ascent_polynomial(a, d)
-            assert len(poly) == d + 1 and all(type(c) is Fraction for c in poly)
+            assert len(poly) == d + 1 and all(type(c) is int for c in poly)
             for k in range(d + 2):
-                assert sum(c * k**i for i, c in enumerate(poly)) == math.comb(k + a, d), (k, a, d)
+                assert sum(c * k**i for i, c in enumerate(poly)) == math.factorial(d) * math.comb(k + a, d), (k, a, d)
 
 
 def test_e1_closed_form_matches_log_route():

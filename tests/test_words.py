@@ -1,5 +1,6 @@
 """Combinatorics kernel: packing, shuffles, enumeration, Lyndon tests."""
 
+import gc
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqsym.errors import CapExceeded
+from wqsym.series import Characteristic, format_graded
 from wqsym.words import (
     FUBINI,
     _ascent_batches,
@@ -137,25 +139,41 @@ def test_pruned_enumeration_matches_an_ascent_filter():
 
 
 def test_batches_flatten_to_the_enumeration_and_share_each_tail():
-    # a tail batch's list depends on its prefix only through the prefix's
-    # last letter, maximum, missing letters and spare non-ascents (at most 3),
-    # and every prefix in one state must get the same list object
+    # a batch's list depends on its prefix only through the prefix's last
+    # letter, maximum, missing letters and non-ascents, every prefix in one
+    # state must get the same list object, and each prefix leaves 3 letters
     for n in range(8):
         every = enumerate_packed_words(n)
         non_ascents = [sum(x >= y for x, y in zip(w, w[1:])) for w in every]
         for budget in range(-1, n + 1):
-            flat, lists = [], {}
-            for prefix, pairs, shift in _ascent_batches(n, budget):
-                assert pairs, (n, budget, prefix)
-                flat += [(prefix + s, a + shift) for s, a in pairs]
+            flat, lists, batches = [], {}, 0
+            for prefix, pairs in _ascent_batches(n, budget):
+                assert pairs and len(prefix) == max(n - 3, 0), (n, budget, prefix)
+                flat += [(prefix + s, a) for s, a in pairs]
+                batches += 1
                 if prefix:
                     spent = sum(x >= y for x, y in zip(prefix, prefix[1:]))
-                    state = (prefix[-1], max(prefix), frozenset(range(1, max(prefix))) - set(prefix),
-                             min(budget - spent, 3))
+                    state = (prefix[-1], max(prefix), frozenset(range(1, max(prefix))) - set(prefix), spent)
                     assert lists.setdefault(state, pairs) is pairs, (n, budget, prefix)
             assert [w for w, _ in flat] == [w for w, b in zip(every, non_ascents) if b <= budget], (n, budget)
             assert all(a == sum(x < y for x, y in zip(w, w[1:])) for w, a in flat), (n, budget)
-            assert bool(lists) == (n >= 6 and budget >= 0), (n, budget)
+            assert bool(lists) == (n > 3 and budget >= 0), (n, budget)
+            assert len(lists) < batches or n < 6 or budget < 1, (n, budget)
+
+
+def test_the_tail_memo_waits_for_no_cycle_collector():
+    # each call frees its memo of tail states when it ends, so the memos of
+    # successive degrees and commands never pile up until a collection
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in _ascent_batches(7, 7):
+            pass
+        text = "".join(format_graded(7, Characteristic.eulerian(1, 7).graded_terms()))
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert text and found == 0, found
 
 
 def test_enumeration_checks_the_degree_cap_on_every_call(monkeypatch):
