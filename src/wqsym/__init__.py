@@ -5,9 +5,11 @@ The monomial basis of the packed-word algebra carries three products (outer
 completion provide Adams operations and quasi-Eulerian idempotents; tensor
 spaces over a free commutative algebra without unit, and quasi-symmetric
 functions over compositions, carry the right action that ties everything
-together.  All coefficients are exact rationals (or exact polynomials in
-formal parameters), so every identity check in the test battery is an exact
-equality.
+together.  All coefficients are exact rationals, ``int`` or ``Fraction``, so
+every identity check in the test battery is an exact equality.
+:class:`ParamPoly`, a polynomial in named parameters, is exported as the
+value type of the coefficients that ``wqsym expand sigma_t`` prints; no
+element takes one as a coefficient.
 """
 
 from .algebra import (

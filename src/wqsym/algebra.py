@@ -15,25 +15,23 @@ series) and the right action (:meth:`wqsym.qshuffle.QuasiShuffle.act`).
 
 ``@`` has two routes per length bucket, the words ``u`` of ``self`` of one
 breadth k against the words ``v`` of ``other`` of length k.  The pair loop
-composes each pair and adds its product into a dict; it is the reference,
-and it takes one-term operands, ``ParamPoly`` coefficients and sparse
-buckets.  The bucket route (:func:`_compose_bucket`) writes each ``u`` as a
-permutation of its letters after its first-occurrence standardisation (a
-surjection is a set partition and an order of its blocks; Reutenauer, *Free
-Lie Algebras*, 1993, ch. 9), lays the bucket of ``other`` out once as one
-int vector over the packed words of length k, held as its bytes, a 64-bit
-lane per word, permutes those bytes once per permutation (:func:`_permuted`),
-a few runs of lanes per swap rather than word by word, reads each permuted
-vector as one int, so that adding a multiple of it is one big-int
-multiply-add, unpacks one sum per standardisation, and scatters it.  The
-right action's bucket route is the same computation with its own classes
-and scatter: both call one accumulator (:meth:`_Space.sums`) on the one
-record of the packed words of each length, their order, swap plans and
-lanes, made once (:func:`_space`).  A bucket of ``Fraction`` operands takes
-the route when its estimated cost, from the bucket's sizes and its
-numbers of distinct permutations and standardisations, is below the pair
-loop's, and when no sum can leave its lane (:func:`_fits`), which keeps
-the route exact.
+composes each pair and adds its product into a dict; it is the reference, and
+it takes one-term operands and sparse buckets.  The bucket route
+(:func:`_compose_bucket`) writes each ``u`` as a permutation of its letters
+after its first-occurrence standardisation (a surjection is a set partition
+and an order of its blocks; Reutenauer, *Free Lie Algebras*, 1993, ch. 9),
+lays the bucket of ``other`` out once as one int vector over the packed words
+of length k, held as its bytes, a 64-bit lane per word, permutes those bytes
+once per permutation (:func:`_permuted`), a few runs of lanes per swap rather
+than word by word, reads each permuted vector as one int, so that adding a
+multiple of it is one big-int multiply-add, unpacks one sum per
+standardisation, and scatters it.  The right action's bucket route is the same
+computation with its own classes and scatter: both call one accumulator
+(:meth:`_Space.sums`) on the one record of the packed words of each length,
+their order, swap plans and lanes, made once (:func:`_space`).  A bucket takes
+the route when its estimated cost, from the bucket's sizes and its numbers of
+distinct permutations and standardisations, is below the pair loop's, and when
+no sum can leave its lane (:func:`_fits`), which keeps the route exact.
 
 The three products of packed words carry distinct operators so expressions
 read like the algebra they compute in:
@@ -43,9 +41,8 @@ read like the algebra they compute in:
              mismatch)
     f & g    bullet product (shifted concatenation of basis words)
 
-Coefficients are exact: ``Fraction`` everywhere, or :class:`ParamPoly` for
-the parameter-deformed operators.  When both operands have only ``Fraction``
-coefficients, the kernels and the three bucketed loops accumulate integer
+Coefficients are exact, each an ``int`` or ``Fraction`` held as a
+``Fraction``.  The kernels and the three bucketed loops accumulate integer
 numerators over a common denominator and make one ``Fraction`` per output
 key, by the one rule of :mod:`wqsym.params`.  Zero coefficients are pruned
 after every operation, so ``==`` is literal term-by-term equality.  Elements
@@ -417,15 +414,13 @@ class WQSymElement(Algebra):
         Word ``v`` of ``other`` composes with word ``u`` of ``self`` only if
         ``len(v) == breadth(u)``, so ``other`` is bucketed by length once,
         and the pairs do not go through :func:`_bilinear`, which would visit
-        every pair.  With ``Fraction`` coefficients throughout, the products
-        accumulate as int numerators over one common denominator, divided out
-        at the end, and ``self`` is bucketed by breadth too: each pair of
-        buckets goes through :func:`_compose_bucket` when its cost model says
-        that whole permuted vectors are cheaper than the pair loop, which
-        takes every other bucket.  A one-term ``self`` whose coefficient is
-        the ``Fraction`` 1 passes each coefficient of ``other`` through
-        unmultiplied; a ``ParamPoly`` 1 still multiplies, so the product stays
-        a ``ParamPoly``.
+        every pair.  The products accumulate as int numerators over one
+        common denominator, divided out at the end, and ``self`` is bucketed
+        by breadth too: each pair of buckets goes through
+        :func:`_compose_bucket` when its cost model says that whole permuted
+        vectors are cheaper than the pair loop, which takes every other
+        bucket.  A one-term ``self`` whose coefficient is 1 passes each
+        coefficient of ``other`` through unmultiplied.
         """
         if not isinstance(other, WQSymElement):
             return NotImplemented
@@ -437,7 +432,7 @@ class WQSymElement(Algebra):
             # composer is built on the first match: many calls match nothing.
             ((u, cu),) = f.items()
             k, compose = breadth(u), None
-            one = type(cu) is Fraction and cu == 1
+            one = cu == 1
             for v, cv in g.items():
                 if len(v) == k:
                     compose = compose or _gather([x - 1 for x in u])
@@ -451,7 +446,7 @@ class WQSymElement(Algebra):
             if bucket is None:
                 continue
             vs, cs = bucket
-            if d is not None and _compose_bucket(out, us, cus, k, vs, cs):
+            if _compose_bucket(out, us, cus, k, vs, cs):
                 continue
             for u, cu in zip(us, cus):
                 for w, cv in zip(map(_gather([x - 1 for x in u]), vs), cs):
@@ -490,7 +485,7 @@ def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
     Every word of the product of ``u`` and ``v`` has length ``len(u) +
     len(v)``, so only the pairs with ``len(u) + len(v) <= n`` are multiplied;
     ``g`` is bucketed by length to find them instead of visiting every pair
-    through :func:`_bilinear`, and ``Fraction`` coefficients accumulate as int
+    through :func:`_bilinear`, and the coefficients accumulate as int
     numerators.
     """
     f, g, d = _numerators(f.terms, g.terms)

@@ -48,9 +48,9 @@ from . import suites
 from .algebra import WQSymElement
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
-from .qsym import lyndon_generator_report, sigma_hat_series
+from .qsym import lyndon_generator_report
 from .params import ParamPoly
-from .series import Characteristic, format_graded
+from .series import Characteristic, TruncatedSeries, format_graded
 from .serialization import element_to_obj, series_json
 from .words import check_degree_cap, is_packed
 
@@ -121,7 +121,10 @@ def cmd_expand(args):
     if args.object == "sigma_t":
         if args.index is not None:
             raise ExpressionError("expand sigma_t takes no index")
-        return _outputs(sigma_hat_series(ParamPoly.var("t"), args.degree))
+        # t^d M[1..d]: the powers of t are printed, never multiplied
+        t = ParamPoly.var("t")
+        staircase = {tuple(range(1, d + 1)): t**d for d in range(args.degree + 1)}
+        return _outputs(TruncatedSeries._raw(args.degree, WQSymElement._raw(staircase)))
     if args.index is None:
         raise ExpressionError(f"expand {args.object} needs an index")
     build = {"psi": Characteristic.adams, "e": Characteristic.eulerian}[args.object]

@@ -1,5 +1,5 @@
 """Sparse exact linear combinations, the monomials of the package, and the
-ring of polynomials in named parameters built on them.
+polynomials in named parameters built on them.
 
 :class:`SparseCombination` is the one base class of every sparse element type
 in the package (packed words in :mod:`wqsym.algebra`, tensor words and
@@ -10,11 +10,12 @@ sorted rendering written once.  Each subclass supplies its key check, its sort
 key and its products.  Every product and coproduct is the extension of a map
 on basis keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
 
-It owns the one exact-coefficient rule: with ``Fraction`` coefficients
-throughout, the kernels, ``@``, the product of series and the right action
-add int numerators over one common denominator (:func:`_numerators`) and make
-one ``Fraction`` per output key (:func:`_collect`), a small integer being one
-shared object (:data:`_INTEGERS`); ``ParamPoly`` coefficients add in their ring.
+It owns the one exact-coefficient rule: every coefficient is an ``int`` or a
+``Fraction`` (:data:`SCALAR_TYPES`), held as a ``Fraction``, and the kernels,
+``@``, the product of series and the right action add int numerators over one
+common denominator (:func:`_numerators`) and make one ``Fraction`` per output
+key (:func:`_collect`), a small integer being one shared object
+(:data:`_INTEGERS`).
 
 :class:`Unital` is the base of the combinations whose unit is the empty key
 (packed words, tensor words, compositions and parameter polynomials).  It
@@ -25,9 +26,9 @@ This module owns monomials in named generators: :func:`monomial` is their one
 canonical form and :func:`mono_mul` their product.  :class:`Monomials` holds
 the key check, order, product and powers of their combinations: the base
 algebra A of :mod:`wqsym.qshuffle` (monomials of positive degree) and
-:class:`ParamPoly`, the coefficient ring of the deformed operators, with
-parameters (x, y, t).  Coefficients elsewhere are ``Fraction`` or
-``ParamPoly`` (:data:`SCALAR_TYPES`, with ``int``).
+:class:`ParamPoly`, polynomials in named parameters.  A ``ParamPoly`` is
+no coefficient of any other element: ``wqsym expand sigma_t`` prints its
+values, t^d, beside the words, and nothing multiplies them.
 """
 
 from __future__ import annotations
@@ -64,15 +65,8 @@ def mono_str(m: Monomial) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
 
 
-def _rational(c) -> Fraction:
-    """``c`` as a ``Fraction``; raises ``TypeError`` unless it is an exact
-    rational."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
-
+#: the scalars that multiply, divide and promote to every element
+SCALAR_TYPES = (int, Fraction)
 
 #: one shared ``Fraction`` per small int: the integral coefficients that
 #: construction and the kernels make are then the same objects, and dict
@@ -80,12 +74,14 @@ def _rational(c) -> Fraction:
 _INTEGERS = {i: Fraction(i) for i in range(-64, 65)}
 
 
-def _coerce_coeff(c):
+def _coerce_coeff(c) -> Fraction:
+    """``c`` as a ``Fraction``; raises ``TypeError`` unless it is an ``int``
+    or a ``Fraction``."""
     if isinstance(c, int):
         return _INTEGERS[c] if c in _INTEGERS else Fraction(c)
-    if isinstance(c, (Fraction, ParamPoly)):
+    if isinstance(c, Fraction):
         return c
-    raise TypeError(f"coefficients must be exact (int/Fraction/ParamPoly), got {c!r}")
+    raise TypeError(f"coefficients must be exact (int/Fraction), got {c!r}")
 
 
 def _add_term(data: dict, key, coeff) -> None:
@@ -100,34 +96,25 @@ def _add_term(data: dict, key, coeff) -> None:
 def _over_lcm(terms: dict):
     """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
     numerators over ``d``, the lcm of their denominators, under the same
-    keys; None if one is not a ``Fraction``.  Most kernel operands hold one
-    term, which is read directly."""
+    keys.  Most kernel operands hold one term, which is read directly."""
     if len(terms) == 1:
         [(key, c)] = terms.items()
-        return ({key: c.numerator}, c.denominator) if type(c) is Fraction else None
-    if not all(type(c) is Fraction for c in terms.values()):
-        return None
+        return {key: c.numerator}, c.denominator
     d = math.lcm(*[c.denominator for c in terms.values()])
     return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
 
 
 def _numerators(*operands):
-    """``(*operands, d)``: with only ``Fraction`` coefficients, each operand
-    over the lcm of its denominators (:func:`_over_lcm`) and ``d`` the product
-    of those lcms, so a sum of products of one numerator from each operand,
-    over ``d``, is exact; otherwise the operands and ``d = None``."""
-    scaled = list(map(_over_lcm, operands))
-    if None in scaled:
-        return (*operands, None)
-    numerators, lcms = zip(*scaled)
+    """``(*operands, d)``: each operand over the lcm of its denominators
+    (:func:`_over_lcm`) and ``d`` the product of those lcms, so a sum of
+    products of one numerator from each operand, over ``d``, is exact."""
+    numerators, lcms = zip(*map(_over_lcm, operands))
     return (*numerators, math.prod(lcms))
 
 
 def _collect(cls, out: dict, d):
-    """The ``cls`` element of the nonzero sums in ``out``, over ``d`` if not
-    None; over 1, each small sum is its shared ``Fraction``."""
-    if d is None:
-        return cls._raw({w: c for w, c in out.items() if c})
+    """The ``cls`` element of the nonzero int sums in ``out``, over ``d``;
+    over 1, each small sum is its shared ``Fraction``."""
     if d == 1:
         shared = _INTEGERS
         return cls._raw({w: shared[n] if n in shared else Fraction(n) for w, n in out.items() if n})
@@ -136,9 +123,8 @@ def _collect(cls, out: dict, d):
 
 def _bilinear(cls, f: dict, g: dict, keys):
     """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
-    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``:
-    as int numerators (:func:`_numerators`) when every coefficient is a
-    ``Fraction``, else in the coefficient ring."""
+    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``,
+    as int numerators (:func:`_numerators`)."""
     f, g, d = _numerators(f, g)
     out: dict = {}
     get = out.get
@@ -341,8 +327,6 @@ class ParamPoly(Unital, Monomials):
 
     __slots__ = ()
 
-    _coefficient = staticmethod(_rational)
-
     @classmethod
     def var(cls, name: str) -> "ParamPoly":
         return cls({((name, 1),): Fraction(1)})
@@ -358,7 +342,7 @@ class ParamPoly(Unital, Monomials):
             factor = ParamPoly.const(coeff)
             for name, e in mono:
                 if name in values:
-                    factor = factor * (_rational(values[name]) ** e)
+                    factor = factor * (_coerce_coeff(values[name]) ** e)
                 else:
                     factor = factor * (ParamPoly.var(name) ** e)
             out = out + factor
@@ -386,5 +370,3 @@ class ParamPoly(Unital, Monomials):
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
 
-
-SCALAR_TYPES = (int, Fraction, ParamPoly)

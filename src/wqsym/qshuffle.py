@@ -20,17 +20,16 @@ key's block products per key, filled by one loop (:func:`_fill`) from the
 key's lowest position up as planned once per set of block masks
 (:func:`_layers`).  The pair loop is the reference: each operator word is
 one gather of its blocks' entries of the table, one update per pair.  The
-bucket route (:meth:`_Length.route`), for ``Fraction`` coefficients and
-operators dense in the packed words of that length (:func:`_route_pays`),
-is the one of ``@`` (:func:`wqsym.algebra._compose_bucket`) with its own
-classes and scatter: a key's table is laid out by its letters sorted, with
-one gather per letter order (:func:`_layout_masks`), and that layout is the
-key's class; the operator, laid out once as the lanes of one int vector
-over the packed words, is permuted once per letter order, the keys of a
-class sum it with one big-int multiply-add each, and each class is
-unpacked once, all by the accumulator of ``@``
-(:meth:`wqsym.algebra._Space.sums`), and scattered once.  A length takes
-the route only while no sum can leave its 64-bit lane
+bucket route (:meth:`_Length.route`), for operators dense in the packed
+words of that length (:func:`_route_pays`), is the one of ``@``
+(:func:`wqsym.algebra._compose_bucket`) with its own classes and scatter: a
+key's table is laid out by its letters sorted, with one gather per letter
+order (:func:`_layout_masks`), and that layout is the key's class; the
+operator, laid out once as the lanes of one int vector over the packed
+words, is permuted once per letter order, the keys of a class sum it with
+one big-int multiply-add each, and each class is unpacked once, all by the
+accumulator of ``@`` (:meth:`wqsym.algebra._Space.sums`), and scattered
+once.  A length takes the route only while no sum can leave its 64-bit lane
 (:func:`wqsym.algebra._fits`).  A class holds only keys whose tables agree
 entry for entry, so the route is exact under any merge; keys that
 rearrange each other share a class when the merge is associative and
@@ -219,9 +218,8 @@ class _Length:
     operator's first action and kept on it (:func:`_acting`), which never
     changes once built.
 
-    ``coeffs`` are the coefficients of ``words``, and ``numerators`` the
-    same as int numerators over the operator's one denominator, or None
-    unless every coefficient is a ``Fraction``.  ``layers`` and
+    ``numerators`` are the coefficients of ``words`` as int numerators over
+    the operator's one denominator.  ``layers`` and
     ``position`` plan the block-product table of a key (:func:`_layers`),
     one plan per distinct set of the words' block masks.  The plan and the
     pair loop's map from a table to each word's image (``images``) are made
@@ -232,19 +230,18 @@ class _Length:
     (:meth:`wqsym.algebra._Space.lay_out`), made only once some keys fit
     the lanes (:func:`wqsym.algebra._fits`), as every numerator then does."""
 
-    __slots__ = ("n", "words", "coeffs", "numerators", "layers", "position", "images", "g", "top")
+    __slots__ = ("n", "words", "numerators", "layers", "position", "images", "g", "top")
 
-    def __init__(self, n: int, words: list, coeffs: list, numerators):
-        self.n, self.words, self.coeffs, self.numerators = n, words, coeffs, numerators
+    def __init__(self, n: int, words: list, numerators: list):
+        self.n, self.words, self.numerators = n, words, numerators
         self.layers = self.position = self.images = self.g = self.top = None
 
-    def act(self, out: dict, keys: list, coeffs: list, letters: _Letters, exact: bool) -> None:
+    def act(self, out: dict, keys: list, coeffs: list, letters: _Letters) -> None:
         """Add ``c`` times the image of each key of ``keys`` under these
-        words, its coefficient ``c`` in ``coeffs``, into ``out``, keys and
-        images spelled in the numbers of ``letters``; if ``exact``, ``coeffs``
-        and ``numerators`` are int numerators.
+        words, its int numerator ``c`` in ``coeffs``, into ``out``, keys and
+        images spelled in the numbers of ``letters``.
 
-        Exact keys take the bucket route (:meth:`route`) when its cost model
+        The keys take the bucket route (:meth:`route`) when its cost model
         says so (:func:`_route_pays`) and their sums fit the lanes of a
         packed vector (:func:`wqsym.algebra._fits`).  Else the pair loop
         fills each key's table, reads each word's image from it with one
@@ -253,7 +250,7 @@ class _Length:
         if self.layers is None:
             needed = frozenset(chain.from_iterable(map(block_masks, self.words)))
             self.layers, self.position = _layers(self.n, needed)
-        if exact and _route_pays(self.n, len(self.words), len(keys)):
+        if _route_pays(self.n, len(self.words), len(keys)):
             if self.top is None:
                 self.top = max(map(abs, self.numerators))
             if _fits(self.top, coeffs):
@@ -264,7 +261,7 @@ class _Length:
         if self.images is None:
             position = self.position
             self.images = [_gather([position[m] for m in block_masks(u)]) for u in self.words]
-        pairs = list(zip(self.images, self.numerators if exact else self.coeffs))
+        pairs = list(zip(self.images, self.numerators))
         number, product, layers, get = letters.__getitem__, letters.product, self.layers, out.get
         for key, c in zip(keys, coeffs):
             table = _fill(list(map(number, key)), layers, product)
@@ -314,17 +311,14 @@ class _Length:
 
 
 def _acting(op: WQSymElement) -> tuple:
-    """The denominator of ``op``'s coefficients as int numerators, None
-    unless every coefficient is a ``Fraction``, and the :class:`_Length` of
-    each length of its words: made on its first action and kept on it."""
+    """The denominator of ``op``'s coefficients as int numerators, and the
+    :class:`_Length` of each length of its words: made on its first action
+    and kept on it."""
     try:
         return op._acting
     except AttributeError:
         numerators, denominator = _numerators(op.terms)
-        op._acting = denominator, {
-            n: _Length(n, us, cs, None if denominator is None else list(map(numerators.__getitem__, us)))
-            for n, (us, cs) in _by_length(op.terms).items()
-        }
+        op._acting = denominator, {n: _Length(n, *bucket) for n, bucket in _by_length(numerators).items()}
         return op._acting
 
 
@@ -359,13 +353,13 @@ class QuasiShuffle(Algebra):
         says, from the lowest position up, so the result is exact under any
         merge.  The pair loop reads each operator word's image from the
         table with one gather and adds one product of coefficients per
-        pair.  With ``Fraction`` coefficients throughout, the sums
-        accumulate as int numerators over one common denominator, and a
-        length whose cost model (:func:`_route_pays`) says so takes the
-        bucket route (:meth:`_Length.route`) instead: each key's table is
-        laid out by its letters sorted, keys whose tables agree share one,
-        and the operator, as a vector over the packed words, is permuted
-        once per letter order and scattered once per table.
+        pair.  The sums accumulate as int numerators over one common
+        denominator, and a length whose cost model (:func:`_route_pays`)
+        says so takes the bucket route (:meth:`_Length.route`) instead: each
+        key's table is laid out by its letters sorted, keys whose tables
+        agree share one, and the operator, as a vector over the packed
+        words, is permuted once per letter order and scattered once per
+        table.
         """
         if isinstance(op, TruncatedSeries):
             for key in self.terms:
@@ -375,14 +369,14 @@ class QuasiShuffle(Algebra):
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
         denominator, lengths = _acting(op)
-        terms, d = _numerators(self.terms) if denominator is not None else (self.terms, None)
+        terms, d = _numerators(self.terms)
         letters, out = _Letters(self._merge), {}
         for n, (keys, cs) in _by_length(terms).items():
             if n in lengths:
-                lengths[n].act(out, keys, cs, letters, d is not None)
+                lengths[n].act(out, keys, cs, letters)
         spell = letters.spelled.__getitem__
         spelled = {tuple(map(spell, w)): n for w, n in out.items() if n}
-        return _collect(type(self), spelled, None if d is None else d * denominator)
+        return _collect(type(self), spelled, d * denominator)
 
 
 class QSElement(QuasiShuffle):

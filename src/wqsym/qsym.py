@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebra import WQSymElement, _add_multiple, letters_str
-from .params import SCALAR_TYPES, _linear
+from .params import _linear
 from .qshuffle import QuasiShuffle
 from .series import TruncatedSeries, _check_cutoff, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (
@@ -36,7 +36,7 @@ from .words import (
 
 
 class QSymElement(QuasiShuffle):
-    """Rational (or parameter-polynomial) combination of compositions."""
+    """Rational combination of compositions."""
 
     __slots__ = ()
 
@@ -89,11 +89,9 @@ def commutative_image(f: WQSymElement) -> QSymElement:
 def sigma_hat_series(t, cutoff: int) -> TruncatedSeries:
     """Deformed diagonal series: t^d times the staircase word in degree d.
 
-    ``t`` may be an exact scalar (specialization) or a :class:`ParamPoly`
-    variable, in which case the coefficients live in the parameter ring.
+    ``t`` is an exact scalar, an ``int`` or ``Fraction``; anything else raises
+    ``TypeError``, as every inexact coefficient does.
     """
-    if not isinstance(t, SCALAR_TYPES):
-        raise TypeError("parameter must be exact: Fraction or ParamPoly")
     check_degree_cap(_check_cutoff(cutoff))
     return TruncatedSeries(
         cutoff, {d: WQSymElement.monomial(tuple(range(1, d + 1)), t**d) for d in range(cutoff + 1)}

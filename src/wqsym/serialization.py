@@ -12,8 +12,8 @@ names because the benchmark's tracer patches them by name.  An element is
 ``{"basis": "WQSym-M", "terms": [{"word": [...], "coeff": "p/q"}, ...]}``
 and a series is ``{"cutoff": n, "components": {"d": element, ...}}`` over
 its nonzero degrees.
-Coefficients are strings in lowest terms ("p/q"); parameter-polynomial
-coefficients print their canonical string form.  All term lists are emitted
+Coefficients are strings in lowest terms ("p/q"); the powers of t that
+``expand sigma_t`` prints are strings in their canonical form ("t^2").  All term lists are emitted
 in canonical order so identical values produce identical bytes.  Nothing
 reads this JSON back.
 """

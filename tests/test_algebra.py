@@ -21,7 +21,9 @@ from wqsym.algebra import (
     ribbon_standard,
 )
 from wqsym.params import ParamPoly
-from wqsym.series import eulerian_idempotent
+from wqsym.qshuffle import AElement, QSElement, QSTensor
+from wqsym.qsym import QSymElement, sigma_hat_series
+from wqsym.series import eulerian_idempotent, identity_series
 from wqsym.words import compositions, enumerate_packed_words, pack, reverse
 
 E = WQSymElement.monomial
@@ -218,25 +220,18 @@ def matmul_oracle(f, g):
 
 packed_words = st.lists(st.integers(1, 4), max_size=4).map(pack)
 rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12))
-polys = st.dictionaries(
-    st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 2))]),
-    rationals,
-    min_size=1,
-    max_size=3,
-).map(ParamPoly)
-COEFFS = {"fraction": rationals, "param": polys, "mixed": st.one_of(rationals, polys)}
+COEFFS = {"fraction": rationals}
 
 
 def elements(coeffs, words=packed_words, min_size=0, max_size=6):
     return st.dictionaries(words, coeffs, min_size=min_size, max_size=max_size).map(WQSymElement)
 
 
-def assert_matches_oracle(f, g, kind="fraction"):
+def assert_matches_oracle(f, g):
     product = f @ g
     assert product == matmul_oracle(f, g)
-    if kind == "fraction":
-        # an int coefficient would compare equal; exactness means Fraction
-        assert all(type(c) is Fraction for c in product.terms.values())
+    # an int coefficient would compare equal; exactness means Fraction
+    assert all(type(c) is Fraction for c in product.terms.values())
     return product
 
 
@@ -247,7 +242,7 @@ def test_internal_product_matches_pairwise_oracle(kind, data):
     one_term = elements(coeffs, min_size=1, max_size=1)
     f = data.draw(st.one_of(elements(coeffs), one_term), label="f")
     g = data.draw(elements(coeffs), label="g")
-    assert_matches_oracle(f, g, kind)
+    assert_matches_oracle(f, g)
 
 
 @given(elements(rationals), elements(rationals, st.lists(st.integers(1, 2), min_size=5, max_size=6).map(pack)))
@@ -267,9 +262,9 @@ def test_internal_product_that_cancels_to_zero(kind, data):
         f = f + c * (E(u) - E(reverse(u)))
     ones = data.draw(st.dictionaries(st.integers(0, 4), coeffs), label="ones")
     g = WQSymElement({(1,) * k: c for k, c in ones.items()})
-    assert not assert_matches_oracle(f, g, kind)
-    assert not assert_matches_oracle(WQSymElement.zero(), g, kind)
-    assert not assert_matches_oracle(f, WQSymElement.zero(), kind)
+    assert not assert_matches_oracle(f, g)
+    assert not assert_matches_oracle(WQSymElement.zero(), g)
+    assert not assert_matches_oracle(f, WQSymElement.zero())
 
 
 @given(data=st.data())
@@ -286,12 +281,16 @@ def test_bucket_route_matches_pairwise_oracle_on_every_draw(data):
 # -- dense operands: the bucket route of @, checked against the pair loop ----
 
 
-def dense(rng, lengths, keep=1.0, coeff=None):
+def dense(rng, lengths, keep=1.0):
     """Every packed word of the given lengths, each kept with probability
-    ``keep``, with a random nonzero ``Fraction`` (or ``coeff(rng)``)."""
-    coeff = coeff or (lambda rng: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)))
+    ``keep``, with a random nonzero ``Fraction``."""
     return WQSymElement(
-        {w: coeff(rng) for n in lengths for w in enumerate_packed_words(n) if rng.random() < keep}
+        {
+            w: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+            for n in lengths
+            for w in enumerate_packed_words(n)
+            if rng.random() < keep
+        }
     )
 
 
@@ -441,16 +440,6 @@ def test_dense_coefficients_that_cancel(monkeypatch):
     assert product and not any(len(set(w)) == 1 for w in product.terms)
 
 
-def test_a_dense_param_operand_stays_on_the_pair_loop(monkeypatch):
-    rng = random.Random(5)
-    f = dense(rng, range(5), coeff=lambda rng: ParamPoly({(): rng.randint(1, 3), (("x", 1),): rng.randint(-2, 2)}))
-    g = dense(rng, range(5))
-    calls = permutation_calls(monkeypatch)
-    assert assert_matches_oracle(f, g, "param")
-    assert assert_matches_oracle(g, f, "param")
-    assert calls[0] == 0
-
-
 def test_a_sparse_length_seven_product_builds_no_table():
     f = E((1, 2, 3, 4, 5, 6, 7)) + E((7, 6, 5, 4, 3, 2, 1))
     algebra._space.cache_clear()
@@ -474,25 +463,12 @@ def test_dense_idempotent_products_take_the_bucket_route(monkeypatch):
     assert calls[0] <= 101
 
 
-T = ParamPoly.var("t")
-
-
+@pytest.mark.parametrize("cu", [Fraction(1), Fraction(-1), Fraction(2, 3)], ids=["one", "minus-one", "two-thirds"])
 @pytest.mark.parametrize(
-    "cu",
-    [Fraction(1), Fraction(-1), Fraction(2, 3), ParamPoly({(): 1}), T],
-    ids=["one", "minus-one", "two-thirds", "param-one", "t"],
-)
-@pytest.mark.parametrize(
-    "g",
-    [
-        WQSymElement({(2, 1): 3, (1, 2): Fraction(-1, 2), (1, 1): 1, (1, 1, 1): 5}),
-        WQSymElement({(2, 1): ParamPoly({(): 3}), (1, 2): T + 1, (1, 1): ParamPoly({(): 1}), (1,): T}),
-    ],
-    ids=["fraction", "param"],
+    "g", [WQSymElement({(2, 1): 3, (1, 2): Fraction(-1, 2), (1, 1): 1, (1, 1, 1): 5})], ids=["fraction"]
 )
 def test_one_term_internal_product_keeps_each_coefficient(cu, g):
-    # a Fraction 1 may pass g's coefficients through; a ParamPoly 1 must
-    # still multiply, or 3*M[2,1,2] would print instead of (3)*M[2,1,2]
+    # a 1 passes g's coefficients through: each must still be the oracle's
     f = WQSymElement({(1, 2, 1): cu})
     product, oracle = f @ g, matmul_oracle(f, g)
     assert product == oracle
@@ -659,11 +635,34 @@ def test_zero_pruning_and_equality():
     assert (g / 3) * 3 == g
 
 
-def test_validation():
+#: a valid key of each element class
+VALID_KEYS = {
+    WQSymElement: (1, 2, 1),
+    TensorSquare: ((1,), (1, 1)),
+    QSElement: ((("a", 1),),),
+    QSTensor: (((("a", 1),),), ()),
+    QSymElement: (2, 1),
+    AElement: (("a", 1),),
+}
+
+
+@pytest.mark.parametrize("coeff", [0.5, ParamPoly.var("t")], ids=["half", "t"])
+@pytest.mark.parametrize("cls", list(VALID_KEYS), ids=lambda cls: cls.__name__)
+def test_validation(cls, coeff):
     with pytest.raises(ValueError):
         WQSymElement.monomial((1, 3))  # not packed
+    # only an int or a Fraction is an exact coefficient: not a float, nor a
+    # polynomial in a parameter
+    x = cls({VALID_KEYS[cls]: 1})
+    for refused in (lambda: cls({VALID_KEYS[cls]: coeff}), lambda: x * coeff, lambda: coeff * x):
+        with pytest.raises(TypeError):
+            refused()
+    M1 = WQSymElement.monomial((1,))
+    for refused in (lambda: M1 * coeff, lambda: coeff * M1, lambda: identity_series(2) * coeff):
+        with pytest.raises(TypeError):
+            refused()
     with pytest.raises(TypeError):
-        WQSymElement.monomial((1,), 0.5)  # floats are not exact
+        sigma_hat_series(coeff, 3)
 
 
 def test_component_access():

@@ -136,7 +136,5 @@ def test_malformed_keys_raise(cls, key):
 def test_scalars_multiply_from_either_side(cls, data):
     keys, _ = KEYS[cls]
     x = cls({data.draw(keys): data.draw(st.integers(-3, 3)), data.draw(keys): Fraction(1, 2)})
-    for c in (3, Fraction(-2, 5), ParamPoly.var("t") + 1):
-        assert x * c == c * x
-        if cls is not ParamPoly or not isinstance(c, ParamPoly):  # else the ring product
-            assert x * c == cls._raw({key: c * a for key, a in x.terms.items()})
+    for c in (3, Fraction(-2, 5)):
+        assert x * c == c * x == cls._raw({key: c * a for key, a in x.terms.items()})

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from wqsym.algebra import TensorSquare, WQSymElement, format_terms
 from wqsym.params import ParamPoly
 from wqsym.qshuffle import AElement, QSElement
-from wqsym.qsym import QSymElement, sigma_hat_series
+from wqsym.qsym import QSymElement
 from wqsym.serialization import coeff_to_str, element_to_obj, series_json, series_to_obj
 from wqsym.series import Characteristic, TruncatedSeries, adams, eulerian_idempotent, format_graded
 from wqsym.words import pack
@@ -194,8 +194,7 @@ def test_quasi_shuffle_text():
 
 
 def test_built_series_equal_the_oracles():
-    t = ParamPoly.var("t")
-    for s in (adams(3, 5), eulerian_idempotent(2, 5), sigma_hat_series(t, 4), TruncatedSeries.zero(0)):
+    for s in (adams(3, 5), eulerian_idempotent(2, 5), TruncatedSeries.zero(0)):
         assert str(s) == series_text_oracle(s)
         assert series_to_obj(s) == series_json_oracle(s)
 
@@ -231,8 +230,10 @@ def test_series_round_trip():
 
 
 def test_param_coefficients_serialize_as_strings():
+    # no element takes a ParamPoly coefficient; expand sigma_t builds its
+    # values t^d raw, only to print them
     t = ParamPoly.var("t")
-    f = E((1, 2), t * t)
+    f = WQSymElement._raw({(1, 2): t * t})
     obj = json.loads(element_to_obj(f))
     assert obj["terms"][0]["coeff"] == "t^2"
 

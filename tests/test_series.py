@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wqsym.algebra import WQSymElement
 from wqsym.errors import CapExceeded, NotInvertible
-from wqsym.params import ParamPoly
 from wqsym.qshuffle import QSElement
 from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle, sigma_hat_series
 from wqsym.series import (
@@ -463,13 +462,7 @@ def outcome(fn, *args):
 
 
 rationals = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12))
-polys = st.dictionaries(
-    st.sampled_from([(), (("x", 1),), (("y", 1),), (("x", 1), ("y", 2))]),
-    rationals,
-    min_size=1,
-    max_size=3,
-).map(ParamPoly)
-COEFFS = {"fraction": rationals, "param": polys, "mixed": st.one_of(rationals, polys)}
+COEFFS = {"fraction": rationals}
 
 
 @st.composite
