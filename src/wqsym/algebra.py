@@ -41,12 +41,12 @@ read like the algebra they compute in:
              mismatch)
     f & g    bullet product (shifted concatenation of basis words)
 
-Coefficients are exact, each an ``int`` or ``Fraction`` held as a
-``Fraction``.  The kernels and the three bucketed loops accumulate integer
-numerators over a common denominator and make one ``Fraction`` per output
-key, by the one rule of :mod:`wqsym.params`.  Zero coefficients are pruned
-after every operation, so ``==`` is literal term-by-term equality.  Elements
-are immutable by convention; nothing here mutates a constructed value.
+Coefficients are exact: an element holds int numerators over one reduced
+denominator, by the one rule of :mod:`wqsym.params`.  The kernels and the
+three bucketed loops add the operands' numerators and reduce once.  Zero
+coefficients are pruned after every operation, so ``==`` is literal
+term-by-term equality.  Elements are immutable by convention; nothing here
+mutates a constructed value.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ from .params import (
     ParamPoly,
     SparseCombination,
     Unital,
-    _add_term,
     _bilinear,
+    _coerce_coeff,
     _collect,
     _linear,
-    _numerators,
+    _reduced,
 )
 from .words import (
     FUBINI,
@@ -81,12 +81,6 @@ from .words import (
     shifted_concat,
     word_sort_key,
 )
-
-
-def _add_multiple(data: dict, terms: dict, scalar) -> None:
-    """Add ``scalar`` times the combination ``terms`` into ``data`` in place."""
-    for key, c in terms.items():
-        _add_term(data, key, scalar * c)
 
 
 def _by_length(terms: dict, measure=len) -> dict[int, tuple[list, list]]:
@@ -366,7 +360,9 @@ class Algebra(Unital):
 
     @classmethod
     def monomial(cls, word, coeff=1):
-        return cls({tuple(word): coeff})
+        key = cls._check_key(tuple(word))
+        c = _coerce_coeff(coeff)
+        return cls._raw({key: c.numerator} if c else {}, c.denominator)
 
     def degrees(self) -> list[int]:
         return sorted({len(w) for w in self.terms})
@@ -374,13 +370,13 @@ class Algebra(Unital):
     def __mul__(self, other):
         """The product of the algebra, or a scalar multiple."""
         if isinstance(other, type(self)):
-            return _bilinear(type(self), self.terms, other.terms, self._product)
+            return _bilinear(type(self), self, other, self._product)
         if isinstance(other, SCALAR_TYPES):
             return self._scaled(other)
         return NotImplemented
 
     def __str__(self) -> str:
-        return "".join(format_terms(self.sorted_terms(), self._key_str))
+        return "".join(format_terms(self, self._key_str))
 
 
 class WQSymElement(Algebra):
@@ -419,13 +415,13 @@ class WQSymElement(Algebra):
         by breadth too: each pair of buckets goes through
         :func:`_compose_bucket` when its cost model says that whole permuted
         vectors are cheaper than the pair loop, which takes every other
-        bucket.  A one-term ``self`` whose coefficient is 1 passes each
-        coefficient of ``other`` through unmultiplied.
+        bucket.  A one-term ``self`` whose numerator is 1 passes each
+        numerator of ``other`` through unmultiplied.
         """
         if not isinstance(other, WQSymElement):
             return NotImplemented
-        f, g = self.terms, other.terms
-        out: dict[Word, object] = {}
+        f, g, d = self.terms, other.terms, self.den * other.den
+        out: dict[Word, int] = {}
         if len(f) == 1:
             # v -> v o u is injective for a single surjection u, so no two
             # products land on the same word and nothing can cancel.  The
@@ -437,8 +433,7 @@ class WQSymElement(Algebra):
                 if len(v) == k:
                     compose = compose or _gather([x - 1 for x in u])
                     out[compose(v)] = cv if one else cu * cv
-            return WQSymElement._raw(out)
-        f, g, d = _numerators(f, g)
+            return _reduced(WQSymElement, out, d)
         buckets = _by_length(g)
         get = out.get
         for k, (us, cus) in _by_length(f, breadth).items():
@@ -457,7 +452,7 @@ class WQSymElement(Algebra):
         """Bullet product: shifted concatenation of basis words."""
         if not isinstance(other, WQSymElement):
             return NotImplemented
-        return _bilinear(WQSymElement, self.terms, other.terms, lambda u, v: (shifted_concat(u, v),))
+        return _bilinear(WQSymElement, self, other, lambda u, v: (shifted_concat(u, v),))
 
     # -- coalgebra ----------------------------------------------------------
 
@@ -471,12 +466,12 @@ class WQSymElement(Algebra):
             for i in range(breadth(u) + 1):
                 yield tuple(x for x in u if x <= i), tuple(x - i for x in u if x > i)
 
-        return _linear(TensorSquare, self.terms, splits)
+        return _linear(TensorSquare, self, splits)
 
     # -- inspection ---------------------------------------------------------
 
     def component(self, d: int) -> "WQSymElement":
-        return WQSymElement._raw({w: c for w, c in self.terms.items() if len(w) == d})
+        return self._select(lambda w: len(w) == d)
 
 
 def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
@@ -485,14 +480,13 @@ def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
     Every word of the product of ``u`` and ``v`` has length ``len(u) +
     len(v)``, so only the pairs with ``len(u) + len(v) <= n`` are multiplied;
     ``g`` is bucketed by length to find them instead of visiting every pair
-    through :func:`_bilinear`, and the coefficients accumulate as int
-    numerators.
+    through :func:`_bilinear`, and the numerators accumulate as ints.
     """
-    f, g, d = _numerators(f.terms, g.terms)
-    buckets = _by_length(g)
-    out: dict[Word, object] = {}
+    d = f.den * g.den
+    buckets = _by_length(g.terms)
+    out: dict[Word, int] = {}
     get = out.get
-    for u, cu in f.items():
+    for u, cu in f.terms.items():
         room = n - len(u)
         for k, (vs, cs) in buckets.items():
             if k > room:
@@ -521,27 +515,26 @@ def _term_prefixes(coeff) -> tuple[str, str]:
     return first, " + " + first
 
 
-def format_terms(sorted_terms, key_fmt):
+def format_terms(x, key_fmt):
     """The shared pretty-printer for sparse elements, '2*M[1,2] - M[1,1]', as
-    one chunk of text per term ('0' for no term).
+    one chunk of text per term of ``x`` in canonical order ('0' for no term).
 
-    Terms of large series share few coefficient objects, so each distinct
-    object is formatted once: ``memo`` maps its id to the prefix of a later
-    term and holds the object itself, so no id is reused while the chunks
-    are made."""
-    terms = iter(sorted_terms)
-    first = next(terms, None)
-    if first is None:
+    Terms of large series share few coefficients, so each distinct
+    numerator's prefix is made once."""
+    numerators, den = x.terms, x.den
+    keys = iter(x.sorted_keys())
+    key = next(keys, None)
+    if key is None:
         yield "0"
         return
-    key, coeff = first
-    yield _term_prefixes(coeff)[0] + key_fmt(key)
+    yield _term_prefixes(Fraction(numerators[key], den))[0] + key_fmt(key)
     memo: dict = {}
-    for key, coeff in terms:
-        entry = memo.get(id(coeff))
-        if entry is None:
-            entry = memo[id(coeff)] = (_term_prefixes(coeff)[1], coeff)
-        yield entry[0] + key_fmt(key)
+    for key in keys:
+        n = numerators[key]
+        prefix = memo.get(n)
+        if prefix is None:
+            prefix = memo[n] = _term_prefixes(Fraction(n, den))[1]
+        yield prefix + key_fmt(key)
 
 
 class _LetterStrings(dict):
@@ -622,7 +615,7 @@ def _descent_class(I, relation, hat=False) -> WQSymElement:
     I = tuple(I)
     target = _reversed_complement(I) if hat else _partial_sums(I)
     chosen = (u for u in enumerate_packed_words(sum(I)) if relation(descents(u), target))
-    return WQSymElement._raw({reverse(u) if hat else u: Fraction(1) for u in chosen})
+    return WQSymElement._raw({reverse(u) if hat else u: 1 for u in chosen})
 
 
 def embed_sym_standard(I) -> WQSymElement:

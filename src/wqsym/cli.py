@@ -42,7 +42,9 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 from . import suites
 from .algebra import WQSymElement
@@ -50,7 +52,7 @@ from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report
 from .params import ParamPoly
-from .series import Characteristic, TruncatedSeries, format_graded
+from .series import Characteristic, _indexed_chunks, format_graded
 from .serialization import element_to_obj, series_json
 from .words import check_degree_cap, is_packed
 
@@ -121,10 +123,11 @@ def cmd_expand(args):
     if args.object == "sigma_t":
         if args.index is not None:
             raise ExpressionError("expand sigma_t takes no index")
-        # t^d M[1..d]: the powers of t are printed, never multiplied
+        # t^d M[1..d] as graded terms: the powers of t are printed, never
+        # multiplied, and no element holds them
         t = ParamPoly.var("t")
-        staircase = {tuple(range(1, d + 1)): t**d for d in range(args.degree + 1)}
-        return _outputs(TruncatedSeries._raw(args.degree, WQSymElement._raw(staircase)))
+        graded = [(d, [t**d], partial(_indexed_chunks, [(tuple(range(1, d + 1)), 0)])) for d in range(args.degree + 1)]
+        return _outputs(SimpleNamespace(cutoff=args.degree, graded_terms=lambda: iter(graded)))
     if args.index is None:
         raise ExpressionError(f"expand {args.object} needs an index")
     build = {"psi": Characteristic.adams, "e": Characteristic.eulerian}[args.object]

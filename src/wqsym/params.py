@@ -4,18 +4,21 @@ polynomials in named parameters built on them.
 :class:`SparseCombination` is the one base class of every sparse element type
 in the package (packed words in :mod:`wqsym.algebra`, tensor words and
 base-algebra monomials in :mod:`wqsym.qshuffle`, compositions in
-:mod:`wqsym.qsym`, and parameter monomials here): a dict from canonical basis
-keys to nonzero exact coefficients, with the linear structure, equality and
-sorted rendering written once.  Each subclass supplies its key check, its sort
-key and its products.  Every product and coproduct is the extension of a map
-on basis keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
+:mod:`wqsym.qsym`, and parameter monomials here): canonical basis keys with
+nonzero exact coefficients, with the linear structure, equality and sorted
+keys written once.  Each subclass supplies its key check, its sort key and
+its products.  Every product and coproduct is the extension of a map on basis
+keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
 
 It owns the one exact-coefficient rule: every coefficient is an ``int`` or a
-``Fraction`` (:data:`SCALAR_TYPES`), held as a ``Fraction``, and the kernels,
-``@``, the product of series and the right action add int numerators over one
-common denominator (:func:`_numerators`) and make one ``Fraction`` per output
-key (:func:`_collect`), a small integer being one shared object
-(:data:`_INTEGERS`).
+``Fraction`` (:data:`SCALAR_TYPES`), and an element holds its coefficients as
+int numerators (``terms``) over one positive denominator (``den``), reduced,
+so ``==`` compares the two literally.  The kernels, ``+``, ``-``, scaling,
+``@``, the product of series and the right action add int numerators over
+the operands' denominators and end with one gcd reduction (:func:`_collect`,
+:func:`_reduced`); :func:`_add_multiple` adds a multiple of an element into
+such a sum.  A ``Fraction`` is made only to print a coefficient or to hand
+one out (:meth:`SparseCombination.coefficients`).
 
 :class:`Unital` is the base of the combinations whose unit is the empty key
 (packed words, tensor words, compositions and parameter polynomials).  It
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 Monomial = tuple[tuple[str, int], ...]  # ((name, exponent), ...) sorted by name
 
@@ -68,109 +72,114 @@ def mono_str(m: Monomial) -> str:
 #: the scalars that multiply, divide and promote to every element
 SCALAR_TYPES = (int, Fraction)
 
-#: one shared ``Fraction`` per small int: the integral coefficients that
-#: construction and the kernels make are then the same objects, and dict
-#: ``==`` finds two equal by identity, without calling ``Fraction.__eq__``
-_INTEGERS = {i: Fraction(i) for i in range(-64, 65)}
 
-
-def _coerce_coeff(c) -> Fraction:
-    """``c`` as a ``Fraction``; raises ``TypeError`` unless it is an ``int``
-    or a ``Fraction``."""
-    if isinstance(c, int):
-        return _INTEGERS[c] if c in _INTEGERS else Fraction(c)
-    if isinstance(c, Fraction):
+def _coerce_coeff(c):
+    """``c``, an ``int`` or a ``Fraction``; raises ``TypeError`` otherwise."""
+    if isinstance(c, SCALAR_TYPES):
         return c
     raise TypeError(f"coefficients must be exact (int/Fraction), got {c!r}")
 
 
-def _add_term(data: dict, key, coeff) -> None:
-    c = data.get(key)
-    c = coeff if c is None else c + coeff
-    if c:
-        data[key] = c
-    else:
-        data.pop(key, None)
+def _reduced(cls, out: dict, d: int):
+    """The ``cls`` element of the nonzero int sums in ``out`` over ``d >=
+    1``, with ``d`` and the sums divided by their gcd.  The last sums are
+    read first: in a series they are the longest words', whose numerators
+    usually settle the gcd at once."""
+    if d != 1:
+        g = math.gcd(d, *islice(reversed(out.values()), 32))
+        if g != 1:
+            g = math.gcd(g, *out.values())
+            if g != 1:
+                out = {w: n // g for w, n in out.items()}
+                d //= g
+    return cls._raw(out, d)
 
 
-def _over_lcm(terms: dict):
-    """``(numerators, d)``: the ``Fraction`` coefficients of ``terms`` as int
-    numerators over ``d``, the lcm of their denominators, under the same
-    keys.  Most kernel operands hold one term, which is read directly."""
-    if len(terms) == 1:
-        [(key, c)] = terms.items()
-        return {key: c.numerator}, c.denominator
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}, d
+def _collect(cls, out: dict, d: int):
+    """:func:`_reduced` of the int sums in ``out``, its zero sums first
+    dropped in place."""
+    if 0 in out.values():
+        for w in [w for w, n in out.items() if not n]:
+            del out[w]
+    return _reduced(cls, out, d)
 
 
-def _numerators(*operands):
-    """``(*operands, d)``: each operand over the lcm of its denominators
-    (:func:`_over_lcm`) and ``d`` the product of those lcms, so a sum of
-    products of one numerator from each operand, over ``d``, is exact."""
-    numerators, lcms = zip(*map(_over_lcm, operands))
-    return (*numerators, math.prod(lcms))
+def _add_multiple(data: dict, d: int, x, scalar=1) -> int:
+    """Add ``scalar``, nonzero, times the element ``x`` into ``data``, the
+    nonzero int sums over ``d``, in place, and return their denominator
+    after: ``data`` is first brought over the lcm of ``d`` and the
+    denominator of ``scalar / x.den`` when that is larger.  A sum that
+    cancels is dropped, so :func:`_reduced` finishes."""
+    q = scalar.denominator * x.den
+    m = math.lcm(d, q)
+    if m != d:
+        k = m // d
+        for key, n in data.items():
+            data[key] = n * k
+    p = scalar.numerator * (m // q)
+    get = data.get
+    for key, n in x.terms.items():
+        s = get(key, 0) + p * n
+        if s:
+            data[key] = s
+        else:
+            del data[key]
+    return m
 
 
-def _collect(cls, out: dict, d):
-    """The ``cls`` element of the nonzero int sums in ``out``, over ``d``;
-    over 1, each small sum is its shared ``Fraction``."""
-    if d == 1:
-        shared = _INTEGERS
-        return cls._raw({w: shared[n] if n in shared else Fraction(n) for w, n in out.items() if n})
-    return cls._raw({w: Fraction(n, d) for w, n in out.items() if n})
-
-
-def _bilinear(cls, f: dict, g: dict, keys):
+def _bilinear(cls, f, g, keys):
     """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
-    v)``, repeats counted, for each key ``u`` of ``f`` and ``v`` of ``g``,
-    as int numerators (:func:`_numerators`)."""
-    f, g, d = _numerators(f, g)
+    v)``, repeats counted, for each key ``u`` of the element ``f`` and ``v``
+    of ``g``, as int numerators over ``f.den * g.den``."""
     out: dict = {}
     get = out.get
-    for u, cu in f.items():
-        for v, cv in g.items():
+    pairs = g.terms.items()
+    for u, cu in f.terms.items():
+        for v, cv in pairs:
             c = cu * cv
             for w in keys(u, v):
                 o = get(w)
                 out[w] = c if o is None else o + c
-    return _collect(cls, out, d)
+    return _collect(cls, out, f.den * g.den)
 
 
-def _linear(cls, f: dict, keys):
+def _linear(cls, f, keys):
     """The ``cls`` element summing ``c`` over every key of ``keys(u)``,
-    repeats counted, for each key ``u`` of ``f``, as :func:`_bilinear` adds."""
-    f, d = _numerators(f)
+    repeats counted, for each key ``u`` of the element ``f``, as
+    :func:`_bilinear` adds."""
     out: dict = {}
     get = out.get
-    for u, c in f.items():
+    for u, c in f.terms.items():
         for w in keys(u):
             o = get(w)
             out[w] = c if o is None else o + c
-    return _collect(cls, out, d)
+    return _collect(cls, out, f.den)
 
 
 class SparseCombination:
-    """A finite exact linear combination of basis keys, stored as a dict from
-    canonical key to nonzero coefficient.
+    """A finite exact linear combination of basis keys: ``terms`` maps each
+    canonical key to its nonzero int numerator and ``den`` is their one
+    denominator, reduced: ``den >= 1`` and ``gcd(den, *terms.values()) ==
+    1``, so the zero element is ``{}`` over 1 and two equal elements hold
+    equal ``terms`` and ``den``.  :meth:`coefficients` hands out the
+    coefficients as ``Fraction`` values.
 
     Binary operations accept only operands of the same class (anything else
     gets ``NotImplemented``); scalars multiply from either side and divide.
     """
 
-    __slots__ = ("terms",)
-
-    #: the canonical form of a coefficient; raises ``TypeError`` if inexact
-    _coefficient = staticmethod(_coerce_coeff)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
         data: dict = {}
         for key, c in (terms or {}).items():
             key = self._check_key(key)
-            c = self._coefficient(c)
-            if c:
-                _add_term(data, key, c)
-        self.terms = data
+            data[key] = data.get(key, 0) + _coerce_coeff(c)
+        # over the lcm of reduced denominators, the numerators share no
+        # factor with it
+        d = math.lcm(*[c.denominator for c in data.values()])
+        self.terms = {key: c.numerator * (d // c.denominator) for key, c in data.items() if c}
+        self.den = d
 
     @staticmethod
     def _check_key(key):
@@ -183,21 +192,32 @@ class SparseCombination:
         return key
 
     @classmethod
-    def _raw(cls, data: dict):
+    def _raw(cls, data: dict, den: int = 1):
+        """The element of the reduced int numerators ``data`` over ``den``."""
         el = object.__new__(cls)
         el.terms = data
+        el.den = den
         return el
 
     @classmethod
     def zero(cls):
         return cls._raw({})
 
+    def _select(self, keep):
+        """The element of the terms whose keys satisfy ``keep``."""
+        return _reduced(type(self), {key: n for key, n in self.terms.items() if keep(key)}, self.den)
+
+    def coefficients(self) -> dict:
+        """Each key's coefficient, as a ``Fraction``."""
+        d = self.den
+        return {key: Fraction(n, d) for key, n in self.terms.items()}
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, type(self)):
-            return self.terms == other.terms
+            return self.den == other.den and self.terms == other.terms
         return NotImplemented
 
     __hash__ = None
@@ -206,23 +226,23 @@ class SparseCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         data = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(data, key, c)
-        return self._raw(data)
+        return _reduced(type(self), data, _add_multiple(data, self.den, other))
 
     def __neg__(self):
-        return self._raw({key: -c for key, c in self.terms.items()})
+        return self._raw({key: -n for key, n in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        data = dict(self.terms)
+        return _reduced(type(self), data, _add_multiple(data, self.den, other, -1))
 
     def _scaled(self, scalar):
-        scalar = self._coefficient(scalar)
+        scalar = _coerce_coeff(scalar)
         if not scalar:
             return self.zero()
-        return self._raw({key: scalar * c for key, c in self.terms.items()})
+        p = scalar.numerator
+        return _reduced(type(self), {key: p * n for key, n in self.terms.items()}, self.den * scalar.denominator)
 
     def __rmul__(self, other):
         if isinstance(other, SCALAR_TYPES):
@@ -230,22 +250,15 @@ class SparseCombination:
         return NotImplemented
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
-        if isinstance(scalar, Fraction):
-            return self._scaled(1 / scalar)
+        if isinstance(scalar, SCALAR_TYPES):
+            return self._scaled(1 / Fraction(scalar))
         return NotImplemented
 
     def sorted_keys(self) -> list:
         return sorted(self.terms, key=self._sort_key)
 
-    def sorted_terms(self) -> list:
-        """``(key, coefficient)`` pairs in canonical key order."""
-        keys = self.sorted_keys()
-        return list(zip(keys, map(self.terms.__getitem__, keys)))
-
-    def counit(self):
-        return self.terms.get((), _INTEGERS[0])
+    def counit(self) -> Fraction:
+        return Fraction(self.terms.get((), 0), self.den)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
@@ -260,13 +273,13 @@ class Unital(SparseCombination):
 
     @classmethod
     def unit(cls):
-        return cls._raw({(): _INTEGERS[1]})
+        return cls._raw({(): 1})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, type(self)):
-            return self.terms == other.terms
+            return self.den == other.den and self.terms == other.terms
         if isinstance(other, SCALAR_TYPES):
-            return self.terms == self.unit()._scaled(other).terms
+            return self == self.unit()._scaled(other)
         return NotImplemented
 
     __hash__ = None
@@ -303,7 +316,7 @@ class Monomials(SparseCombination):
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
-            return _bilinear(type(self), self.terms, other.terms, lambda a, b: (mono_mul(a, b),))
+            return _bilinear(type(self), self, other, lambda a, b: (mono_mul(a, b),))
         if isinstance(other, SCALAR_TYPES):
             return self._scaled(other)
         return NotImplemented
@@ -329,7 +342,7 @@ class ParamPoly(Unital, Monomials):
 
     @classmethod
     def var(cls, name: str) -> "ParamPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def const(cls, value) -> "ParamPoly":
@@ -338,7 +351,7 @@ class ParamPoly(Unital, Monomials):
     def substitute(self, values: dict) -> "ParamPoly":
         """Replace parameters by exact scalars (partial substitution allowed)."""
         out = ParamPoly.zero()
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.coefficients().items():
             factor = ParamPoly.const(coeff)
             for name, e in mono:
                 if name in values:
@@ -352,7 +365,9 @@ class ParamPoly(Unital, Monomials):
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
+        coefficients = self.coefficients()
+        for mono in self.sorted_keys():
+            coeff = coefficients[mono]
             if not mono:
                 body = str(coeff)
             elif coeff == 1:

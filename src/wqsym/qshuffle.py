@@ -51,13 +51,17 @@ deconcatenation coproduct, from :class:`~wqsym.algebra.Tensor` with
 
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
-is exact.
+is exact.  Coefficients are exact too: an element holds int numerators over
+one reduced denominator (:mod:`wqsym.params`).  Both routes of the action add
+products of a key's numerator and an operator word's, as ints, and the sums
+are reduced once over the product of the two denominators; the convolution
+and the substitution of generators add their multiples the same way
+(:func:`wqsym.params._add_multiple`).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, groupby
 from itertools import product as iproduct
@@ -67,7 +71,6 @@ from .algebra import (
     Algebra,
     Tensor,
     WQSymElement,
-    _add_multiple,
     _bucket_pays,
     _by_length,
     _fits,
@@ -78,10 +81,10 @@ from .errors import CapExceeded
 from .params import (
     Monomial,
     Monomials,
+    _add_multiple,
     _bilinear,
-    _collect,
     _linear,
-    _numerators,
+    _reduced,
     mono_mul,
     mono_str,
     monomial as canonical_monomial,
@@ -125,7 +128,7 @@ class AElement(Monomials):
 
     @classmethod
     def generator(cls, name: str) -> "AElement":
-        return cls._raw({((str(name), 1),): Fraction(1)})
+        return cls._raw({((str(name), 1),): 1})
 
 
 class _Letters(dict):
@@ -218,8 +221,8 @@ class _Length:
     operator's first action and kept on it (:func:`_acting`), which never
     changes once built.
 
-    ``numerators`` are the coefficients of ``words`` as int numerators over
-    the operator's one denominator.  ``layers`` and
+    ``coeffs`` are the int numerators of ``words``, over the operator's
+    denominator.  ``layers`` and
     ``position`` plan the block-product table of a key (:func:`_layers`),
     one plan per distinct set of the words' block masks.  The plan and the
     pair loop's map from a table to each word's image (``images``) are made
@@ -230,10 +233,10 @@ class _Length:
     (:meth:`wqsym.algebra._Space.lay_out`), made only once some keys fit
     the lanes (:func:`wqsym.algebra._fits`), as every numerator then does."""
 
-    __slots__ = ("n", "words", "numerators", "layers", "position", "images", "g", "top")
+    __slots__ = ("n", "words", "coeffs", "layers", "position", "images", "g", "top")
 
-    def __init__(self, n: int, words: list, numerators: list):
-        self.n, self.words, self.numerators = n, words, numerators
+    def __init__(self, n: int, words: list, coeffs: list):
+        self.n, self.words, self.coeffs = n, words, coeffs
         self.layers = self.position = self.images = self.g = self.top = None
 
     def act(self, out: dict, keys: list, coeffs: list, letters: _Letters) -> None:
@@ -252,16 +255,16 @@ class _Length:
             self.layers, self.position = _layers(self.n, needed)
         if _route_pays(self.n, len(self.words), len(keys)):
             if self.top is None:
-                self.top = max(map(abs, self.numerators))
+                self.top = max(map(abs, self.coeffs))
             if _fits(self.top, coeffs):
                 if self.g is None:  # every numerator fits a lane now
-                    self.g = _space(self.n).lay_out(self.words, self.numerators)
+                    self.g = _space(self.n).lay_out(self.words, self.coeffs)
                 self.route(out, keys, coeffs, letters)
                 return
         if self.images is None:
             position = self.position
             self.images = [_gather([position[m] for m in block_masks(u)]) for u in self.words]
-        pairs = list(zip(self.images, self.numerators))
+        pairs = list(zip(self.images, self.coeffs))
         number, product, layers, get = letters.__getitem__, letters.product, self.layers, out.get
         for key, c in zip(keys, coeffs):
             table = _fill(list(map(number, key)), layers, product)
@@ -310,15 +313,13 @@ class _Length:
                     out[w] = get(w, 0) + c
 
 
-def _acting(op: WQSymElement) -> tuple:
-    """The denominator of ``op``'s coefficients as int numerators, and the
-    :class:`_Length` of each length of its words: made on its first action
-    and kept on it."""
+def _acting(op: WQSymElement) -> dict:
+    """The :class:`_Length` of each length of ``op``'s words: made on its
+    first action and kept on it."""
     try:
         return op._acting
     except AttributeError:
-        numerators, denominator = _numerators(op.terms)
-        op._acting = denominator, {n: _Length(n, *bucket) for n, bucket in _by_length(numerators).items()}
+        op._acting = {n: _Length(n, *bucket) for n, bucket in _by_length(op.terms).items()}
         return op._acting
 
 
@@ -353,8 +354,8 @@ class QuasiShuffle(Algebra):
         says, from the lowest position up, so the result is exact under any
         merge.  The pair loop reads each operator word's image from the
         table with one gather and adds one product of coefficients per
-        pair.  The sums accumulate as int numerators over one common
-        denominator, and a length whose cost model (:func:`_route_pays`)
+        pair.  The sums accumulate as int numerators over the product of the
+        two denominators, and a length whose cost model (:func:`_route_pays`)
         says so takes the bucket route (:meth:`_Length.route`) instead: each
         key's table is laid out by its letters sorted, keys whose tables
         agree share one, and the operator, as a vector over the packed
@@ -368,15 +369,14 @@ class QuasiShuffle(Algebra):
             return self.act(op.element)
         if not isinstance(op, WQSymElement):
             raise TypeError("operators are WQSymElement or TruncatedSeries values")
-        denominator, lengths = _acting(op)
-        terms, d = _numerators(self.terms)
+        lengths = _acting(op)
         letters, out = _Letters(self._merge), {}
-        for n, (keys, cs) in _by_length(terms).items():
+        for n, (keys, cs) in _by_length(self.terms).items():
             if n in lengths:
                 lengths[n].act(out, keys, cs, letters)
         spell = letters.spelled.__getitem__
         spelled = {tuple(map(spell, w)): n for w, n in out.items() if n}
-        return _collect(type(self), spelled, d * denominator)
+        return _reduced(type(self), spelled, self.den * op.den)
 
 
 class QSElement(QuasiShuffle):
@@ -401,12 +401,12 @@ class QSElement(QuasiShuffle):
     @classmethod
     def generator(cls, name: str) -> "QSElement":
         """Degree-1 tensor word on a single generator."""
-        return cls._raw({(((str(name), 1),),): Fraction(1)})
+        return cls._raw({(((str(name), 1),),): 1})
 
     # -- coalgebra -----------------------------------------------------------
 
     def deconcatenate(self) -> "QSTensor":
-        return _linear(QSTensor, self.terms, _cuts(0))
+        return _linear(QSTensor, self, _cuts(0))
 
     def reduced_deconcatenate(self) -> "QSTensor":
         """Deconcatenation with the two unit-sided terms removed, that is at
@@ -414,20 +414,20 @@ class QSElement(QuasiShuffle):
         constant term."""
         if self.counit():
             raise ValueError("reduced coproduct needs zero constant term")
-        return _linear(QSTensor, self.terms, _cuts(1))
+        return _linear(QSTensor, self, _cuts(1))
 
 
 def tensor(*factors: AElement) -> QSElement:
     """Multilinear expansion of a tensor of base-algebra elements."""
     out = QSElement.unit()
     for f in factors:
-        out = concat(out, QSElement._raw({(m,): c for m, c in f.terms.items()}))
+        out = concat(out, QSElement._raw({(m,): c for m, c in f.terms.items()}, f.den))
     return out
 
 
 def concat(x: QSElement, y: QSElement) -> QSElement:
     """Bilinear concatenation of tensor words (not the algebra product)."""
-    return _bilinear(QSElement, x.terms, y.terms, lambda a, b: (a + b,))
+    return _bilinear(QSElement, x, y, lambda a, b: (a + b,))
 
 
 class QSTensor(Tensor):
@@ -441,32 +441,33 @@ class QSTensor(Tensor):
 
     def multiply_legs(self) -> QSElement:
         """Quasi-shuffle the two legs together (the product-of-coproduct map)."""
-        return _linear(QSElement, self.terms, lambda legs: QSElement._product(*legs))
+        return _linear(QSElement, self, lambda legs: QSElement._product(*legs))
 
 
 # -- the identity battery ------------------------------------------------------
 
 
-def _convolve(pairs, left, right) -> QSElement:
-    """The sum of ``c * left(a) * right(b)`` over the ``((a, b), c)`` of
-    ``pairs``; ``right`` is not applied where ``left`` gives zero."""
-    out: dict[TensorWord, object] = {}
-    for (a, b), c in pairs:
+def _convolve(delta, left, right) -> QSElement:
+    """The sum of ``c * left(a) * right(b)`` over the terms ``c (a, b)`` of
+    ``delta``; ``right`` is not applied where ``left`` gives zero."""
+    out: dict[TensorWord, int] = {}
+    d = 1
+    for (a, b), c in delta.terms.items():
         lhs = left(a)
         if not lhs:
             continue
         rhs = right(b)
         if rhs:
-            _add_multiple(out, (lhs * rhs).terms, c)
-    return QSElement._raw(out)
+            d = _add_multiple(out, d, lhs * rhs, c)
+    return _reduced(QSElement, out, d * delta.den)
 
 
 def convolution_of_operators(f, g, x: QSElement) -> QSElement:
     """Deconcatenate, act componentwise, quasi-shuffle back together."""
     return _convolve(
-        x.deconcatenate().terms.items(),
-        lambda a: QSElement._raw({a: Fraction(1)}).act(f),
-        lambda b: QSElement._raw({b: Fraction(1)}).act(g),
+        x.deconcatenate(),
+        lambda a: QSElement._raw({a: 1}).act(f),
+        lambda b: QSElement._raw({b: 1}).act(g),
     )
 
 
@@ -480,7 +481,8 @@ def apply_generator_map(f_spec: dict, x: QSElement) -> QSElement:
     for v in images.values():
         if not isinstance(v, AElement):
             raise ValueError("generator images must be AElement values")
-    out: dict[TensorWord, object] = {}
+    out: dict[TensorWord, int] = {}
+    d = 1
     for word, c in x.terms.items():
         factors = []
         for mono in word:
@@ -491,8 +493,8 @@ def apply_generator_map(f_spec: dict, x: QSElement) -> QSElement:
                 piece = images[name] ** e
                 acc = piece if acc is None else acc * piece
             factors.append(acc)
-        _add_multiple(out, tensor(*factors).terms, c)
-    return QSElement._raw(out)
+        d = _add_multiple(out, d, tensor(*factors), c)
+    return _reduced(QSElement, out, d * x.den)
 
 
 def naturality_check(f_spec: dict, u, x: QSElement) -> bool:
@@ -514,11 +516,10 @@ def car_coproduct_compatibility_check(
     lhs = (x * y).act(sigma)
     xdeg, ydeg = set(x.degrees()), set(y.degrees())
     lengths = {a + b for a in xdeg for b in ydeg}
-    met = WQSymElement._raw({w: c for w, c in sigma.element.terms.items() if len(w) in lengths})
-    pairs = met.coproduct().terms.items()
-    pairs = (((a, b), c) for (a, b), c in pairs if len(a) in xdeg and len(b) in ydeg)
+    met = sigma.element._select(lambda w: len(w) in lengths)
+    delta = met.coproduct()._select(lambda legs: len(legs[0]) in xdeg and len(legs[1]) in ydeg)
     M = WQSymElement.monomial
-    return lhs == _convolve(pairs, lambda a: x.act(M(a)), lambda b: y.act(M(b)))
+    return lhs == _convolve(delta, lambda a: x.act(M(a)), lambda b: y.act(M(b)))
 
 
 def e1_kills_products_check(x: QSElement, y: QSElement, cutoff: int) -> bool:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import WQSymElement, _add_multiple, letters_str
-from .params import _linear
+from .algebra import WQSymElement, letters_str
+from .params import _add_multiple, _linear, _reduced
 from .qshuffle import QuasiShuffle
 from .series import TruncatedSeries, _check_cutoff, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (
@@ -68,22 +68,23 @@ def qsym_adams_oracle(k: int, F: QSymElement) -> QSymElement:
     empty) segments and multiply the segments back together, entirely inside
     the composition algebra."""
     if _check_index(k) == 0:
-        return QSymElement._raw({(): F.counit()} if F.counit() else {})
-    out: dict[Composition, object] = {}
+        return F._select(lambda I: not I)
+    out: dict[Composition, int] = {}
+    d = 1
     for I, c in F.terms.items():
         l = len(I)
         for cuts in combinations_with_replacement(range(l + 1), k - 1):
             bounds = (0,) + cuts + (l,)
             prod = QSymElement.unit()
             for a, b in zip(bounds, bounds[1:]):
-                prod = prod * QSymElement._raw({I[a:b]: Fraction(1)})
-            _add_multiple(out, prod.terms, c)
-    return QSymElement._raw(out)
+                prod = prod * QSymElement._raw({I[a:b]: 1})
+            d = _add_multiple(out, d, prod, c)
+    return _reduced(QSymElement, out, d * F.den)
 
 
 def commutative_image(f: WQSymElement) -> QSymElement:
     """Abelianize: each packed word goes to its evaluation composition."""
-    return _linear(QSymElement, f.terms, lambda u: (evaluation(u),))
+    return _linear(QSymElement, f, lambda u: (evaluation(u),))
 
 
 def sigma_hat_series(t, cutoff: int) -> TruncatedSeries:
@@ -112,7 +113,9 @@ class WeightReport:
 
 def rank_of_elements(elements, basis) -> int:
     """Exact rank of a family of QSym elements on a fixed composition basis,
-    by Gaussian elimination over the rationals."""
+    by Gaussian elimination over the rationals, each element's row its
+    numerators (its coefficients times its denominator, which keeps the
+    rank)."""
     known = set(basis)
     rows = []
     for el in elements:
@@ -127,7 +130,7 @@ def rank_of_elements(elements, basis) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
         for r in range(rank + 1, len(rows)):
-            f = rows[r][col] / top[col]
+            f = Fraction(rows[r][col], top[col])
             if f:
                 rows[r] = [a - f * b if b else a for a, b in zip(rows[r], top)]
         rank += 1

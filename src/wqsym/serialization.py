@@ -60,7 +60,7 @@ def series_json(cutoff: int, graded):
 
 
 def element_to_obj(f: WQSymElement) -> str:
-    return "".join(_terms_json(*indexed_terms(f.sorted_keys(), f.terms)))
+    return "".join(_terms_json(*indexed_terms(f.sorted_keys(), f)))
 
 
 def series_to_obj(s: TruncatedSeries) -> str:

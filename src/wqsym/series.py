@@ -52,16 +52,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import groupby
 
-from .algebra import (
-    WQSymElement,
-    _add_multiple,
-    _term_prefixes,
-    letters_str,
-    ribbon_hat,
-    truncated_product,
-)
+from .algebra import WQSymElement, _term_prefixes, letters_str, ribbon_hat, truncated_product
 from .errors import BasisMismatch, NotInvertible
-from .params import SCALAR_TYPES
+from .params import SCALAR_TYPES, _add_multiple, _reduced
 from .words import _ascent_batches, _tail_values, check_degree_cap, compositions
 
 
@@ -113,6 +106,7 @@ class TruncatedSeries:
         degree ``d <= cutoff``; absent degrees are zero."""
         self.cutoff = _check_cutoff(cutoff, *(components or ()))
         terms: dict = {}
+        den = 1
         for d, el in (components or {}).items():
             if not isinstance(el, WQSymElement):
                 raise TypeError("components must be WQSymElement values")
@@ -120,8 +114,8 @@ class TruncatedSeries:
                 raise ValueError(f"component degree {d} above cutoff {self.cutoff}")
             if el and el.degrees() != [d]:
                 raise ValueError(f"component at degree {d} is not homogeneous")
-            terms.update(el.terms)
-        self.element = WQSymElement._raw(terms)
+            den = _add_multiple(terms, den, el)
+        self.element = _reduced(WQSymElement, terms, den)
 
     @classmethod
     def _raw(cls, cutoff: int, element: WQSymElement) -> "TruncatedSeries":
@@ -142,7 +136,7 @@ class TruncatedSeries:
     def from_element(cls, el: WQSymElement, cutoff: int) -> "TruncatedSeries":
         """View a finite element as a series, truncating above the cutoff."""
         cutoff = _check_cutoff(cutoff)
-        return cls._raw(cutoff, WQSymElement._raw({w: c for w, c in el.terms.items() if len(w) <= cutoff}))
+        return cls._raw(cutoff, el._select(lambda w: len(w) <= cutoff))
 
     def component(self, d: int) -> WQSymElement:
         if d > self.cutoff:
@@ -201,13 +195,14 @@ class TruncatedSeries:
         """``sum_j coeffs[j] * self^j`` (convolution powers), accumulated in
         one dict; a zero coefficient adds nothing."""
         out: dict = {}
+        d = 1
         p = TruncatedSeries.unit(self.cutoff)
         for j, a in enumerate(coeffs):
             if j:
                 p = p * self
             if a:
-                _add_multiple(out, p.element.terms, a)
-        return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(out))
+                d = _add_multiple(out, d, p.element, a)
+        return TruncatedSeries._raw(self.cutoff, _reduced(WQSymElement, out, d))
 
     def inverse(self) -> "TruncatedSeries":
         """Convolution inverse, defined when the constant term is nonzero."""
@@ -235,9 +230,8 @@ class TruncatedSeries:
         :meth:`Characteristic.graded_terms` yields them: for each nonzero
         degree, its words in canonical order, written as one chunk
         (:func:`indexed_terms`).  One sort, no scan per degree."""
-        terms = self.element.terms
         for d, words in groupby(self.element.sorted_keys(), key=len):
-            yield d, *indexed_terms(words, terms)
+            yield d, *indexed_terms(words, self.element)
 
     def __str__(self) -> str:
         return "".join(format_graded(self.cutoff, self.graded_terms()))
@@ -246,22 +240,23 @@ class TruncatedSeries:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
 
 
-def indexed_terms(words, coefficients) -> tuple[list, Callable]:
+def indexed_terms(words, x) -> tuple[list, Callable]:
     """``(table, chunks)`` of the terms of ``words``, in their order, with
-    their coefficients in the dict ``coefficients``: ``table`` lists each
-    distinct coefficient object once, and ``chunks`` writes the terms as
+    their coefficients in the element ``x``: ``table`` lists each distinct
+    coefficient once, as a ``Fraction``, and ``chunks`` writes the terms as
     :func:`_indexed_chunks` does, each word with the index of its coefficient
-    in ``table``.  The table holds the objects, so no id is reused while it
-    is built."""
+    in ``table``.  The table is keyed on the numerators, which tell the
+    coefficients of ``x`` apart."""
+    numerators, den = x.terms, x.den
     table: list = []
     index: dict = {}
     pairs = []
     for w in words:
-        c = coefficients[w]
-        i = index.get(id(c))
+        n = numerators[w]
+        i = index.get(n)
         if i is None:
-            i = index[id(c)] = len(table)
-            table.append(c)
+            i = index[n] = len(table)
+            table.append(Fraction(n, den))
         pairs.append((w, i))
     return table, partial(_indexed_chunks, pairs)
 
@@ -437,13 +432,18 @@ class Characteristic:
 
     def series(self) -> TruncatedSeries:
         """The series of :meth:`graded_terms`, built from the enumeration's
-        batches (:func:`wqsym.words._ascent_batches`)."""
+        batches (:func:`wqsym.words._ascent_batches`) as int numerators over
+        the lcm of the tables' denominators.  Every nonzero entry of a table
+        is the coefficient of some word, so the numerators share no factor
+        with that lcm."""
+        tables = list(self._tables())
+        den = math.lcm(*[c.denominator for _, table, _ in tables for c in table])
         terms: dict = {}
-        for d, table, budget in self._tables():
-            nonzero = list(map(bool, table))
+        for d, table, budget in tables:
+            table = [c.numerator * (den // c.denominator) for c in table]
             for prefix, pairs in _ascent_batches(d, budget):
-                terms.update([(prefix + s, table[a]) for s, a in pairs if nonzero[a]])
-        return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(terms))
+                terms.update([(prefix + s, table[a]) for s, a in pairs if table[a]])
+        return TruncatedSeries._raw(self.cutoff, WQSymElement._raw(terms, den))
 
     def __neg__(self):
         return Characteristic(self.cutoff, map(operator.neg, self.coords))
@@ -489,12 +489,13 @@ def eulerian_e1_closed_form(cutoff: int) -> TruncatedSeries:
     times the hat-embedded ribbon of I."""
     check_degree_cap(_check_cutoff(cutoff))
     out: dict = {}
+    d = 1
     for n in range(1, cutoff + 1):
         for I in compositions(n):
             l = len(I)
             coeff = Fraction((-1) ** (l - 1), math.comb(n - 1, l - 1) * n)
-            _add_multiple(out, ribbon_hat(I).terms, coeff)
-    return TruncatedSeries._raw(cutoff, WQSymElement._raw(out))
+            d = _add_multiple(out, d, ribbon_hat(I), coeff)
+    return TruncatedSeries._raw(cutoff, _reduced(WQSymElement, out, d))
 
 
 def unipotence_check(n: int) -> bool:

@@ -2,7 +2,10 @@
 a test that needs another cap sets ``WQSYM_MAX_DEGREE`` itself.
 
 The ``staircase`` fixture builds the identity series I word by word, so that
-the tests of the closed forms that I is one of do not take I from them."""
+the tests of the closed forms that I is one of do not take I from them.  The
+``reduced`` fixture checks the form every element is held in."""
+
+import math
 
 import pytest
 
@@ -23,3 +26,20 @@ def staircase():
         return TruncatedSeries(n, {d: WQSymElement.monomial(tuple(range(1, d + 1))) for d in range(n + 1)})
 
     return build
+
+
+@pytest.fixture(scope="session")
+def reduced():
+    """``reduced(x)``: whether the element ``x`` holds nonzero int numerators
+    over a positive int denominator that shares no factor with them all."""
+
+    def check(x):
+        numerators = list(x.terms.values())
+        return (
+            type(x.den) is int
+            and x.den >= 1
+            and all(type(n) is int and n for n in numerators)
+            and math.gcd(x.den, *numerators) == 1
+        )
+
+    return check

@@ -1,5 +1,6 @@
 """Element layer: the three products, the coproduct, and the two embeddings."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -45,22 +46,23 @@ def random_packed(rng, length):
     return tuple(word)
 
 
-# -- shared integral coefficients --------------------------------------------
+# -- integral coefficients ----------------------------------------------------
 
 
-def test_integral_coefficients_are_shared_objects():
-    # dict == compares values by identity first, so equal shared coefficients
-    # never reach Fraction.__eq__
-    one = E((1, 2)).terms[(1, 2)]
-    assert E((2, 1, 1)).terms[(2, 1, 1)] is one
-    assert WQSymElement.unit().terms[()] is one
+def test_integral_coefficients_are_int_numerators_over_one():
+    # == compares int numerators and denominators, never a Fraction
+    assert (E((1, 2)).terms, E((1, 2)).den) == ({(1, 2): 1}, 1)
+    assert (E((2, 1, 1)).terms[(2, 1, 1)], WQSymElement.unit().terms[()]) == (1, 1)
     square = E((1,)) * E((1,))
     assert square == elem((1, 1), (1, 2), (2, 1))
-    assert all(c is one for c in square.terms.values())
-    assert WQSymElement.zero().counit() is E((1,), 0).counit() == 0
-    # a kernel's integral sum is shared, whatever its operand's coefficient is
-    twice = E((1,)) + E((1,))
-    assert twice.coproduct().terms[(), (1,)] is E((1,), 2).terms[(1,)]
+    assert square.den == 1 and all(type(n) is int and n == 1 for n in square.terms.values())
+    assert WQSymElement.zero().counit() == E((1,), 0).counit() == 0
+    assert (WQSymElement.zero().terms, E((1,), 0).den) == ({}, 1)
+    # a kernel's integral sum is an int over 1, whatever its operand's
+    # coefficient is
+    twice = E((1,), Fraction(1, 2)) + E((1,), Fraction(3, 2))
+    assert twice.coproduct().terms[(), (1,)] == E((1,), 2).terms[(1,)] == 2
+    assert twice.coproduct().den == 1
 
 
 def test_coefficients_outside_the_shared_ones_still_compare_equal():
@@ -136,11 +138,11 @@ def test_coproduct_examples():
 def coassociative(el):
     delta = el.coproduct()
     left, right = {}, {}
-    for (a, b), c in delta.terms.items():
-        for (a1, a2), c2 in E(a).coproduct().terms.items():
+    for (a, b), c in delta.coefficients().items():
+        for (a1, a2), c2 in E(a).coproduct().coefficients().items():
             key = (a1, a2, b)
             left[key] = left.get(key, 0) + c * c2
-        for (b1, b2), c2 in E(b).coproduct().terms.items():
+        for (b1, b2), c2 in E(b).coproduct().coefficients().items():
             key = (a, b1, b2)
             right[key] = right.get(key, 0) + c * c2
     return {k: v for k, v in left.items() if v} == {k: v for k, v in right.items() if v}
@@ -205,9 +207,9 @@ def matmul_oracle(f, g):
     """Internal product by the pairwise loop: every pair of terms, composed
     when the arity matches, each product added to the running sum in turn."""
     out = {}
-    for u, cu in f.terms.items():
+    for u, cu in f.coefficients().items():
         k = max(u, default=0)
-        for v, cv in g.terms.items():
+        for v, cv in g.coefficients().items():
             if len(v) == k:
                 w = tuple(v[x - 1] for x in u)
                 c = out[w] + cu * cv if w in out else cu * cv
@@ -215,7 +217,7 @@ def matmul_oracle(f, g):
                     out[w] = c
                 else:
                     del out[w]
-    return WQSymElement._raw(out)
+    return WQSymElement(out)
 
 
 packed_words = st.lists(st.integers(1, 4), max_size=4).map(pack)
@@ -230,8 +232,10 @@ def elements(coeffs, words=packed_words, min_size=0, max_size=6):
 def assert_matches_oracle(f, g):
     product = f @ g
     assert product == matmul_oracle(f, g)
-    # an int coefficient would compare equal; exactness means Fraction
-    assert all(type(c) is Fraction for c in product.terms.values())
+    # == is literal: nonzero int numerators over a denominator that shares no
+    # factor with them all
+    assert all(type(n) is int and n for n in product.terms.values())
+    assert product.den >= 1 and math.gcd(product.den, *product.terms.values()) == 1
     return product
 
 
@@ -468,12 +472,11 @@ def test_dense_idempotent_products_take_the_bucket_route(monkeypatch):
     "g", [WQSymElement({(2, 1): 3, (1, 2): Fraction(-1, 2), (1, 1): 1, (1, 1, 1): 5})], ids=["fraction"]
 )
 def test_one_term_internal_product_keeps_each_coefficient(cu, g):
-    # a 1 passes g's coefficients through: each must still be the oracle's
+    # a 1 passes g's numerators through: each must still be the oracle's
     f = WQSymElement({(1, 2, 1): cu})
     product, oracle = f @ g, matmul_oracle(f, g)
-    assert product == oracle
-    types = [(w, type(c)) for w, c in product.sorted_terms()]
-    assert types == [(w, type(c)) for w, c in oracle.sorted_terms()]
+    assert (product.terms, product.den) == (oracle.terms, oracle.den)
+    assert all(type(n) is int for n in product.terms.values())
     assert str(product) == str(oracle)
 
 

@@ -100,6 +100,11 @@ GOLDEN = [
     (('verify', 'all', '--degree', '7', '--seed', '0'), 0, '58ead0d9e85b7a542b66d44f3ed8fe35ce11e97deb2fb746cb608b6cb701803c'),
     # the bucket route of @ for all 720 letter orders of length 6
     (('eval', '(M[1]*e(1) + e(2)*M[1]) @ e(2)', '--degree', '6'), 0, '69a820c3677cfc8e4d180f513194c2f1c6234a631df1563e18678c1899f30a82'),
+    # mixed denominators, recorded while every coefficient was held as a
+    # Fraction (115 839 bytes): on the coordinates, and built, so that @
+    # takes its bucket route at lengths 4 to 6
+    (('eval', '((1/3)*e(1) + (1/2)*e(2)) @ e(2) + (3/4)*Psi(2)', '--degree', '6'), 0, 'c4d27e991cb0215eb8177add2caf608fc99243eebf1aecb7e28945d01a07009b'),
+    (('eval', '((1/3)*e(1) + (1/2)*e(2) + M[1] - M[1]) @ e(2) + (3/4)*Psi(2)', '--degree', '6'), 0, 'c4d27e991cb0215eb8177add2caf608fc99243eebf1aecb7e28945d01a07009b'),
 ]
 #: the rows that take seconds, run only with ``-m slow``: the benchmark's
 #: battery, the battery at degree 7, where keys of length 6 act, and a dense

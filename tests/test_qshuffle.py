@@ -244,7 +244,7 @@ def unrestricted_car_check(sigma, x, y) -> bool:
     """The car identity summed over every pair of sigma's coproduct: the
     oracle of the check's filter on degrees and word lengths."""
     rhs = QSElement.zero()
-    for (u, v), coeff in sigma.element.coproduct().terms.items():
+    for (u, v), coeff in sigma.element.coproduct().coefficients().items():
         rhs = rhs + coeff * (x.act(E(u)) * y.act(E(v)))
     return (x * y).act(sigma) == rhs
 

@@ -207,7 +207,7 @@ def _oracle_rank(elements, basis) -> int:
     of its denominators."""
     rows = []
     for el in elements:
-        row = [el.terms.get(I, Fraction(0)) for I in basis]
+        row = [el.coefficients().get(I, Fraction(0)) for I in basis]
         denom = math.lcm(*(f.denominator for f in row))
         rows.append([int(f * denom) for f in row])
     return _bareiss_rank(rows)

@@ -404,9 +404,9 @@ def test_from_element_truncates():
 def components(el):
     """Degree -> nonzero homogeneous component of an element."""
     comps = {}
-    for w, c in el.terms.items():
+    for w, c in el.coefficients().items():
         comps.setdefault(len(w), {})[w] = c
-    return {d: WQSymElement._raw(terms) for d, terms in comps.items()}
+    return {d: WQSymElement(terms) for d, terms in comps.items()}
 
 
 def linear_oracle(f, g, sign):
@@ -442,14 +442,14 @@ def internal_oracle(f, g):
 
 def action_oracle(x, sigma):
     by_degree = {}
-    for key, c in x.terms.items():
+    for key, c in x.coefficients().items():
         by_degree.setdefault(len(key), {})[key] = c
     comps = components(sigma.element)
     out = x.zero()
     for d, terms in by_degree.items():
         if d > sigma.cutoff:
             raise CapExceeded(f"series cutoff {sigma.cutoff} cannot act on degree {d}")
-        out = out + x._raw(terms).act(comps.get(d, WQSymElement.zero()))
+        out = out + type(x)(terms).act(comps.get(d, WQSymElement.zero()))
     return out
 
 
