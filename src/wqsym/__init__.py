@@ -7,9 +7,6 @@ spaces over a free commutative algebra without unit, and quasi-symmetric
 functions over compositions, carry the right action that ties everything
 together.  All coefficients are exact rationals, ``int`` or ``Fraction``, so
 every identity check in the test battery is an exact equality.
-:class:`ParamPoly`, a polynomial in named parameters, is exported as the
-value type of the coefficients that ``wqsym expand sigma_t`` prints; no
-element takes one as a coefficient.
 """
 
 from .algebra import (
@@ -23,7 +20,6 @@ from .algebra import (
     ribbon_standard,
 )
 from .errors import BasisMismatch, CapExceeded, ExpressionError, NotInvertible
-from .params import ParamPoly
 from .qshuffle import (
     AElement,
     QSElement,

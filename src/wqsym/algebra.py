@@ -1,11 +1,13 @@
 """The packed-word algebra on sparse exact linear combinations.
 
-:class:`Algebra` holds the product and the text of every algebra of words
-(packed words here, tensor words and compositions in :mod:`wqsym.qshuffle`
-and :mod:`wqsym.qsym`), and :class:`Tensor` those of their tensor squares,
-read from the leg algebra.  Both derive from the sparse-combination base of
-:mod:`wqsym.params`, which also holds the kernels :func:`_bilinear` and
-:func:`_linear` and the rule that promotes scalars.  Every product and
+:class:`Algebra` holds the product, the text and the unit of every algebra
+of words (packed words here, tensor words and compositions in
+:mod:`wqsym.qshuffle` and :mod:`wqsym.qsym`), with the one rule that
+promotes scalars: a scalar operand of ``+``, ``-`` or ``==`` is that
+multiple of the unit, the empty word.  :class:`Tensor` holds the product and
+text of their tensor squares, read from the leg algebra.  Both derive from
+the sparse-combination base of :mod:`wqsym.params`, which also holds the
+kernels :func:`_bilinear` and :func:`_linear`.  Every product and
 coproduct is the extension of a map on basis keys by a kernel; the
 quasi-shuffle products merge letters by their semigroup product (Hoffman,
 "Quasi-shuffle products", J. Algebraic Combin. 11, 2000).  Three loops pair
@@ -61,9 +63,7 @@ from operator import eq, ge, itemgetter, le, ne
 from . import words
 from .params import (
     SCALAR_TYPES,
-    ParamPoly,
     SparseCombination,
-    Unital,
     _bilinear,
     _coerce_coeff,
     _collect,
@@ -352,11 +352,39 @@ def _permuted(space: _Space, g: bytes, sigmas):
         yield sigma, vector
 
 
-class Algebra(Unital):
+class Algebra(SparseCombination):
     """A combination of words whose product extends bilinearly ``_product``,
-    a product of basis words, and whose text joins ``_key_str`` term by term."""
+    a product of basis words, and whose text joins ``_key_str`` term by term.
+    Its unit is the empty word: a scalar operand of ``+``, ``-`` or ``==`` is
+    that multiple of the unit."""
 
     __slots__ = ()
+
+    @classmethod
+    def unit(cls):
+        return cls._raw({(): 1})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.den == other.den and self.terms == other.terms
+        if isinstance(other, SCALAR_TYPES):
+            return self == self.unit()._scaled(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)) and isinstance(other, SCALAR_TYPES):
+            other = self.unit()._scaled(other)
+        return SparseCombination.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)) and isinstance(other, SCALAR_TYPES):
+            other = self.unit()._scaled(other)
+        return SparseCombination.__sub__(self, other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     @classmethod
     def monomial(cls, word, coeff=1):
@@ -501,8 +529,9 @@ def truncated_product(f: WQSymElement, g: WQSymElement, n: int) -> WQSymElement:
 def _term_prefixes(coeff) -> tuple[str, str]:
     """What precedes a key in the text of a term with coefficient ``coeff``,
     as the first term and as a later one: ``""``/``" + "``, ``"-"``/``" - "``,
-    ``"2*"``/``" + 2*"``, ``"(t^2)*"``/``" + (t^2)*"``."""
-    if isinstance(coeff, ParamPoly):
+    ``"2*"``/``" + 2*"``; a text such as ``"t^2"`` gives
+    ``"(t^2)*"``/``" + (t^2)*"``."""
+    if isinstance(coeff, str):
         first = f"({coeff})*"
     elif coeff == 1:
         first = ""

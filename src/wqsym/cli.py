@@ -51,7 +51,6 @@ from .algebra import WQSymElement
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report
-from .params import ParamPoly
 from .series import Characteristic, _indexed_chunks, format_graded
 from .serialization import element_to_obj, series_json
 from .words import check_degree_cap, is_packed
@@ -116,7 +115,7 @@ def _outputs(value):
 
 
 def cmd_eval(args):
-    return _outputs(evaluate(args.expression, cutoff=args.degree, coordinates=True))
+    return _outputs(evaluate(args.expression, cutoff=args.degree))
 
 
 def cmd_expand(args):
@@ -124,9 +123,11 @@ def cmd_expand(args):
         if args.index is not None:
             raise ExpressionError("expand sigma_t takes no index")
         # t^d M[1..d] as graded terms: the powers of t are printed, never
-        # multiplied, and no element holds them
-        t = ParamPoly.var("t")
-        graded = [(d, [t**d], partial(_indexed_chunks, [(tuple(range(1, d + 1)), 0)])) for d in range(args.degree + 1)]
+        # multiplied, so each degree's coefficient table holds their text
+        powers = ["1", "t"] + [f"t^{d}" for d in range(2, args.degree + 1)]
+        graded = [
+            (d, [powers[d]], partial(_indexed_chunks, [(tuple(range(1, d + 1)), 0)])) for d in range(args.degree + 1)
+        ]
         return _outputs(SimpleNamespace(cutoff=args.degree, graded_terms=lambda: iter(graded)))
     if args.index is None:
         raise ExpressionError(f"expand {args.object} needs an index")

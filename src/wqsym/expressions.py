@@ -20,9 +20,8 @@ element or a series that meets them makes them build their series, and
 finite elements are promoted to that cutoff when they meet a series.  The
 bullet product is only defined on finite elements.  The evaluator only
 parses and dispatches: the value types promote their operands, and
-:func:`evaluate` builds a result still held as coordinates, unless asked
-for the coordinates themselves, which ``wqsym eval`` renders straight from
-the packed-word enumeration.
+:func:`evaluate` returns a result still held as coordinates as it is,
+which ``wqsym eval`` renders straight from the packed-word enumeration.
 """
 
 from __future__ import annotations
@@ -226,15 +225,12 @@ def _run(node, cutoff):
     return _OPERATORS[kind](left, right)
 
 
-def evaluate(text: str, cutoff: int, coordinates: bool = False):
-    """Parse and evaluate; returns a WQSymElement or TruncatedSeries.  A
-    value still held as Eulerian coordinates is built as its series here,
-    once, or with ``coordinates`` returned as its :class:`Characteristic`."""
+def evaluate(text: str, cutoff: int):
+    """Parse and evaluate; returns a WQSymElement, a TruncatedSeries, or a
+    :class:`Characteristic` for a value still held as Eulerian coordinates,
+    whose :meth:`~Characteristic.series` builds it."""
     node = parse(text)
     try:
-        value = _run(node, cutoff)
+        return _run(node, cutoff)
     except RecursionError:
         raise ExpressionError("expression nested too deeply") from None
-    if coordinates or not isinstance(value, Characteristic):
-        return value
-    return value.series()

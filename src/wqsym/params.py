@@ -1,14 +1,13 @@
-"""Sparse exact linear combinations, the monomials of the package, and the
-polynomials in named parameters built on them.
+"""Sparse exact linear combinations, and the monomials of the package.
 
 :class:`SparseCombination` is the one base class of every sparse element type
 in the package (packed words in :mod:`wqsym.algebra`, tensor words and
 base-algebra monomials in :mod:`wqsym.qshuffle`, compositions in
-:mod:`wqsym.qsym`, and parameter monomials here): canonical basis keys with
-nonzero exact coefficients, with the linear structure, equality and sorted
-keys written once.  Each subclass supplies its key check, its sort key and
-its products.  Every product and coproduct is the extension of a map on basis
-keys by one of two kernels, :func:`_bilinear` and :func:`_linear`.
+:mod:`wqsym.qsym`): canonical basis keys with nonzero exact coefficients,
+with the linear structure, equality and sorted keys written once.  Each
+subclass supplies its key check, its sort key and its products.  Every
+product and coproduct is the extension of a map on basis keys by one of two
+kernels, :func:`_bilinear` and :func:`_linear`.
 
 It owns the one exact-coefficient rule: every coefficient is an ``int`` or a
 ``Fraction`` (:data:`SCALAR_TYPES`), and an element holds its coefficients as
@@ -20,18 +19,10 @@ the operands' denominators and end with one gcd reduction (:func:`_collect`,
 such a sum.  A ``Fraction`` is made only to print a coefficient or to hand
 one out (:meth:`SparseCombination.coefficients`).
 
-:class:`Unital` is the base of the combinations whose unit is the empty key
-(packed words, tensor words, compositions and parameter polynomials).  It
-holds the one rule that promotes scalars: a scalar operand of ``+``, ``-`` or
-``==`` is that multiple of the unit.
-
-This module owns monomials in named generators: :func:`monomial` is their one
-canonical form and :func:`mono_mul` their product.  :class:`Monomials` holds
-the key check, order, product and powers of their combinations: the base
-algebra A of :mod:`wqsym.qshuffle` (monomials of positive degree) and
-:class:`ParamPoly`, polynomials in named parameters.  A ``ParamPoly`` is
-no coefficient of any other element: ``wqsym expand sigma_t`` prints its
-values, t^d, beside the words, and nothing multiplies them.
+This module also owns monomials in named generators: :func:`monomial` is
+their one canonical form, :func:`mono_mul` their product and :func:`mono_str`
+their text.  The base algebra A of :mod:`wqsym.qshuffle` combines those of
+positive degree.
 """
 
 from __future__ import annotations
@@ -262,126 +253,3 @@ class SparseCombination:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
-
-
-class Unital(SparseCombination):
-    """A combination whose unit is the empty key.  A scalar operand of ``+``,
-    ``-`` or ``==`` is that multiple of the unit; two elements of the class
-    compare in one frame."""
-
-    __slots__ = ()
-
-    @classmethod
-    def unit(cls):
-        return cls._raw({(): 1})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, type(self)):
-            return self.den == other.den and self.terms == other.terms
-        if isinstance(other, SCALAR_TYPES):
-            return self == self.unit()._scaled(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)) and isinstance(other, SCALAR_TYPES):
-            other = self.unit()._scaled(other)
-        return SparseCombination.__add__(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)) and isinstance(other, SCALAR_TYPES):
-            other = self.unit()._scaled(other)
-        return SparseCombination.__sub__(self, other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-
-class Monomials(SparseCombination):
-    """A combination of monomials, ordered by degree, with the bilinear
-    extension of :func:`mono_mul` as product; a scalar factor scales."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_key(m):
-        return monomial(*m)
-
-    @staticmethod
-    def _sort_key(m):
-        return (sum(e for _, e in m), m)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return _bilinear(type(self), self, other, lambda a, b: (mono_mul(a, b),))
-        if isinstance(other, SCALAR_TYPES):
-            return self._scaled(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        """The product of ``exponent`` factors ``self``; the unit if none."""
-        if exponent == 0 and isinstance(self, Unital):
-            return self.unit()
-        if exponent < 1:
-            raise ValueError(f"no power {exponent} in {type(self).__name__}")
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
-
-
-class ParamPoly(Unital, Monomials):
-    """Polynomial in named parameters with exact rational coefficients; a
-    coefficient or substituted value that is not an ``int`` or ``Fraction``
-    raises ``TypeError``."""
-
-    __slots__ = ()
-
-    @classmethod
-    def var(cls, name: str) -> "ParamPoly":
-        return cls({((name, 1),): 1})
-
-    @classmethod
-    def const(cls, value) -> "ParamPoly":
-        return cls({(): value})
-
-    def substitute(self, values: dict) -> "ParamPoly":
-        """Replace parameters by exact scalars (partial substitution allowed)."""
-        out = ParamPoly.zero()
-        for mono, coeff in self.coefficients().items():
-            factor = ParamPoly.const(coeff)
-            for name, e in mono:
-                if name in values:
-                    factor = factor * (_coerce_coeff(values[name]) ** e)
-                else:
-                    factor = factor * (ParamPoly.var(name) ** e)
-            out = out + factor
-        return out
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        coefficients = self.coefficients()
-        for mono in self.sorted_keys():
-            coeff = coefficients[mono]
-            if not mono:
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono_str(mono)
-            elif coeff == -1:
-                body = f"-{mono_str(mono)}"
-            else:
-                body = f"{coeff}*{mono_str(mono)}"
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ParamPoly({self})"
-

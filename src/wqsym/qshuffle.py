@@ -43,11 +43,10 @@ Here the base algebra A is spanned by the monomials of positive degree in a
 finite set of generators, as A has no unit; its product merges exponent
 vectors, so these monomials form a commutative semigroup.
 :mod:`wqsym.params` owns monomials and their product; :class:`AElement`
-derives from its :class:`~wqsym.params.Monomials`, :class:`QSElement`, the
-tensor space over A with the monomial product as merge, from
-:class:`QuasiShuffle`, and :class:`QSTensor`, which carries the
-deconcatenation coproduct, from :class:`~wqsym.algebra.Tensor` with
-:class:`QSElement` on each leg.
+combines them with that product; :class:`QSElement`, the tensor space over A
+with the monomial product as merge, derives from :class:`QuasiShuffle`, and
+:class:`QSTensor`, which carries the deconcatenation coproduct, from
+:class:`~wqsym.algebra.Tensor` with :class:`QSElement` on each leg.
 
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
@@ -80,7 +79,7 @@ from .algebra import (
 from .errors import CapExceeded
 from .params import (
     Monomial,
-    Monomials,
+    SparseCombination,
     _add_multiple,
     _bilinear,
     _linear,
@@ -114,21 +113,43 @@ def _cuts(lo: int):
     return lambda word: [(word[:i], word[i:]) for i in range(lo, len(word) + 1 - lo)]
 
 
-class AElement(Monomials):
-    """Element of the base algebra: rational combination of nonempty monomials."""
+class AElement(SparseCombination):
+    """Element of the base algebra: rational combination of nonempty
+    monomials, ordered by degree.  It has no unit, so it binds ``*`` and
+    ``str`` from :class:`~wqsym.algebra.Algebra`, as
+    :class:`~wqsym.algebra.Tensor` does; the product of two keys is the one
+    key :func:`~wqsym.params.mono_mul` makes."""
 
     __slots__ = ()
 
     _key_str = staticmethod(mono_str)
+    __mul__ = Algebra.__mul__
     __str__ = Algebra.__str__
 
     @staticmethod
     def _check_key(m):
         return monomial(*m)
 
+    @staticmethod
+    def _sort_key(m):
+        return (sum(e for _, e in m), m)
+
+    @staticmethod
+    def _product(a, b):
+        return (mono_mul(a, b),)
+
     @classmethod
     def generator(cls, name: str) -> "AElement":
         return cls._raw({((str(name), 1),): 1})
+
+    def __pow__(self, exponent: int):
+        """The product of ``exponent`` factors ``self``, at least one."""
+        if exponent < 1:
+            raise ValueError(f"no power {exponent} in AElement")
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
+        return out
 
 
 class _Letters(dict):

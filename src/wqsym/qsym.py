@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebra import WQSymElement, letters_str
-from .params import _add_multiple, _linear, _reduced
+from .params import _add_multiple, _coerce_coeff, _linear, _reduced
 from .qshuffle import QuasiShuffle
 from .series import TruncatedSeries, _check_cutoff, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (
@@ -94,6 +94,7 @@ def sigma_hat_series(t, cutoff: int) -> TruncatedSeries:
     ``TypeError``, as every inexact coefficient does.
     """
     check_degree_cap(_check_cutoff(cutoff))
+    t = _coerce_coeff(t)
     return TruncatedSeries(
         cutoff, {d: WQSymElement.monomial(tuple(range(1, d + 1)), t**d) for d in range(cutoff + 1)}
     )

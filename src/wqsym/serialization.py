@@ -12,10 +12,10 @@ names because the benchmark's tracer patches them by name.  An element is
 ``{"basis": "WQSym-M", "terms": [{"word": [...], "coeff": "p/q"}, ...]}``
 and a series is ``{"cutoff": n, "components": {"d": element, ...}}`` over
 its nonzero degrees.
-Coefficients are strings in lowest terms ("p/q"); the powers of t that
-``expand sigma_t`` prints are strings in their canonical form ("t^2").  All term lists are emitted
-in canonical order so identical values produce identical bytes.  Nothing
-reads this JSON back.
+Coefficients are strings in lowest terms ("p/q"); a coefficient given as
+text, such as a power of t that ``expand sigma_t`` prints ("t^2"), is that
+text.  All term lists are emitted in canonical order so identical values
+produce identical bytes.  Nothing reads this JSON back.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import json
 from fractions import Fraction
 
 from .algebra import WQSymElement
-from .params import ParamPoly
 from .series import TruncatedSeries, indexed_terms
 
 
 def coeff_to_str(c) -> str:
-    if isinstance(c, ParamPoly):
-        return str(c)
+    if isinstance(c, str):
+        return c
     if type(c) is not Fraction:
         c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"

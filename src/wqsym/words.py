@@ -14,8 +14,10 @@ merge of two letters.  Packed words use it with union of blocks, tensor words
 with the product of monomials, compositions with the sum of parts.
 
 This module also owns the degree cap: :func:`check_degree_cap` refuses
-degrees above ``WQSYM_MAX_DEGREE`` (default 7), and packed-word enumeration
-checks it on every call.
+degrees above ``WQSYM_MAX_DEGREE`` (default 7), and
+:func:`enumerate_packed_words` checks it on every call.  The bucket routes of
+``@`` and of the right action read the words of a length through
+:func:`_packed_words`, which does not: their operands are already built.
 
 Everything in this module is a pure function on tuples, so results can be
 shared freely; :func:`enumerate_packed_words` and the product kernels keep
@@ -30,10 +32,10 @@ from the state of a prefix to the states one letter longer.
 word's last ``_TAIL`` letters, shared by every prefix that reaches the state.
 :func:`_ascent_batches` takes as values the lists of completions with their
 ascent counts, so it streams the packed words of a length in batches that
-share their last letters and keeps none of them but those lists;
-:func:`packed_words_with_ascents` flattens it, and the memoised tuples are
-collected from that.  The series writer :func:`wqsym.series._ascent_chunks`
-takes as values the text of the terms of those completions.
+share their last letters and keeps none of them but those lists; the
+memoised tuples are collected from it.  The series writer
+:func:`wqsym.series._ascent_chunks` takes as values the text of the terms of
+those completions.
 """
 
 from __future__ import annotations
@@ -203,41 +205,30 @@ def quasi_shuffle_words(u: Word, v: Word) -> tuple[Word, ...]:
     return tuple(sorted([tuple(map(label.__getitem__, letters)) for label in labels]))
 
 
-def _check_length(n: int) -> None:
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    check_degree_cap(n)
-
-
 def enumerate_packed_words(n: int) -> tuple[Word, ...]:
     """All packed words of length ``n`` in lexicographic order.
 
     Counts grow like the ordered Bell numbers, so lengths above the degree
     cap raise :class:`CapExceeded` instead of silently eating memory.
     """
-    _check_length(n)
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    check_degree_cap(n)
     return _packed_words(n)
 
 
 @lru_cache(maxsize=None)
 def _packed_words(n: int) -> tuple[Word, ...]:
-    return tuple(w for w, _ in packed_words_with_ascents(n, n))
-
-
-def packed_words_with_ascents(n: int, max_non_ascents: int) -> Iterator[tuple[Word, int]]:
-    """An iterator over the packed words of length ``n`` with at most
-    ``max_non_ascents`` non-ascents (positions j with w(j) >= w(j+1)), in
-    lexicographic order, each paired with its ascent count (positions with
-    w(j) < w(j+1)): the batches of :func:`_ascent_batches` flattened.  No
-    word is kept once it is passed on, so memory stays flat at any length;
-    the degree cap is checked at the call, like :func:`enumerate_packed_words`.
-    """
-    _check_length(n)
-    return ((prefix + s, a) for prefix, pairs in _ascent_batches(n, max_non_ascents) for s, a in pairs)
+    """The packed words of length ``n``, whatever the degree cap: the
+    callers that reach here with a larger ``n`` hold operands already built
+    at that length."""
+    return tuple(prefix + s for prefix, pairs in _ascent_batches(n, n) for s, _ in pairs)
 
 
 def _ascent_batches(n: int, budget: int) -> Iterator[tuple[Word, list[tuple[Word, int]]]]:
-    """The words of :func:`packed_words_with_ascents`, factored in batches
+    """The packed words of length ``n`` with at most ``budget`` non-ascents
+    (positions j with w(j) >= w(j+1)), in lexicographic order, each with its
+    ascent count (positions with w(j) < w(j+1)), factored in batches
     ``(prefix, pairs)``: the words ``prefix + s`` with ascent count ``a`` for
     each ``(s, a)`` in ``pairs``, in order; a prefix with no completion has no
     batch.  Every prefix in one tail state (:func:`_tail_values`) gets the same

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym import algebra, qshuffle
+from wqsym import algebra, qshuffle, words
 from wqsym.algebra import WQSymElement
 from wqsym.errors import CapExceeded
 from wqsym.qshuffle import QSElement, QuasiShuffle, mono_mul, monomial
@@ -430,6 +430,33 @@ def test_the_product_and_the_action_share_one_record_per_length(monkeypatch):
     info = algebra._space.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert "groups" in vars(algebra._space(5))  # made by the action on that record
+
+
+def test_a_lowered_cap_leaves_both_bucket_routes_to_built_operands(monkeypatch):
+    # operands of length 5 built at the default cap; under a cap of 3 the
+    # bucket routes of @ and of the action still lay them out over the
+    # packed words of length 5, made anew, and agree with the pair loops
+    rng = random.Random(8)
+    x, y = every_word((5,), rng), every_word((5,), rng)
+    F = QSymElement._raw({I: rng.randint(1, 9) for I in iproduct((1, 2, 3), repeat=5)})
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra, "_compose_bucket", lambda *args: False)
+        product = x @ y
+    words._packed_words.cache_clear()
+    algebra._space.cache_clear()
+    monkeypatch.setenv("WQSYM_MAX_DEGREE", "3")
+    permutation_calls, real = [0], algebra._permuted
+
+    def counted(*args):
+        permutation_calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "_permuted", counted)
+    assert x @ y == product and len(product.terms) == 541
+    assert permutation_calls[0] == 1
+    calls = route_calls(monkeypatch)
+    assert F.act(y) == oracle_act(F, y)
+    assert calls[0] == 1
 
 
 def test_a_one_word_operator_on_length_seven_keys_builds_no_record():

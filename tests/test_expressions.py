@@ -7,13 +7,15 @@ import pytest
 from wqsym.algebra import WQSymElement, embed_sym_hat, embed_sym_standard, ribbon_standard
 from wqsym.errors import BasisMismatch, CapExceeded, ExpressionError
 from wqsym.expressions import evaluate, parse
-from wqsym.series import TruncatedSeries, adams, eulerian_idempotent, identity_series
+from wqsym.series import Characteristic, TruncatedSeries, adams, eulerian_idempotent, identity_series
 
 E = WQSymElement.monomial
 
 
 def ev(text, cutoff=5):
-    return evaluate(text, cutoff=cutoff)
+    """``evaluate``, with a value held as coordinates built as its series."""
+    value = evaluate(text, cutoff=cutoff)
+    return value.series() if isinstance(value, Characteristic) else value
 
 
 def test_product_examples():

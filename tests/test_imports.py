@@ -38,8 +38,7 @@ TEST_ONLY = {
     "elements_act_equally": "the check that the action is faithful",
     "commutative_image": "the check that the commutative image is a morphism",
     "evaluation": "the check that the commutative image is a morphism",
-    "ParamPoly.const": "public API of the exported value type",
-    "ParamPoly.substitute": "public API of the exported value type",
+    "SparseCombination.coefficients": "public API: each coefficient as a Fraction",
     "sigma_hat_series": "public API: the deformed diagonal series at an exact t",
     "pack": "public API, and the oracle of WQSymElement.coproduct",
 }

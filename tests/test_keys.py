@@ -1,6 +1,6 @@
 """Every sparse-combination class keeps one canonical key per basis element.
 
-For each of the seven classes: the key check is idempotent, every spelling
+For each of the six classes: the key check is idempotent, every spelling
 of a basis element builds the element of its canonical key, a malformed key
 raises ``ValueError``, and a scalar multiplies from either side.  A monomial
 is spelled with repeated names, zero exponents and permuted pairs, and must
@@ -17,16 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqsym.algebra import Algebra, Tensor, TensorSquare, WQSymElement
-from wqsym.params import Monomials, ParamPoly, SparseCombination, Unital
+from wqsym.params import SparseCombination
 from wqsym.qshuffle import AElement, QSElement, QSTensor, QuasiShuffle
 from wqsym.qsym import QSymElement
 from wqsym.words import compositions, enumerate_packed_words
 
 names = st.sampled_from("xyz")
-monomials = st.dictionaries(names, st.integers(1, 3), max_size=3).map(lambda d: tuple(sorted(d.items())))
-a_monomials = monomials.filter(bool)
+monomials = st.dictionaries(names, st.integers(1, 3), min_size=1, max_size=3).map(lambda d: tuple(sorted(d.items())))
 packed_words = st.integers(0, 4).flatmap(lambda n: st.sampled_from(enumerate_packed_words(n)))
-tensor_words = st.lists(a_monomials, max_size=3).map(tuple)
+tensor_words = st.lists(monomials, max_size=3).map(tuple)
 
 
 def respell_monomial(data, mono):
@@ -49,8 +48,7 @@ def same(data, key):
 
 #: per class: a strategy of canonical keys, and a respelling of a key
 KEYS = {
-    ParamPoly: (monomials, respell_monomial),
-    AElement: (a_monomials, respell_monomial),
+    AElement: (monomials, respell_monomial),
     WQSymElement: (packed_words, same),
     TensorSquare: (st.tuples(packed_words, packed_words), same),
     QSymElement: (st.integers(0, 5).flatmap(lambda n: st.sampled_from(compositions(n))), same),
@@ -63,8 +61,17 @@ KEYS = {
 
 #: per class: malformed keys, each to be refused with ValueError
 MALFORMED = {
-    ParamPoly: [(("x", -1),), (("x", 1.5),), (("x", 2.0),), (("x", Fraction(1)),), (("x", "1"),), (("x", True),)],
-    AElement: [(), (("x", 0),), (("x", -1),), (("x", 1.5),), (("x", 1), ("y", 2.0))],
+    AElement: [
+        (),
+        (("x", 0),),
+        (("x", -1),),
+        (("x", 1.5),),
+        (("x", 2.0),),
+        (("x", Fraction(1)),),
+        (("x", "1"),),
+        (("x", True),),
+        (("x", 1), ("y", 2.0)),
+    ],
     WQSymElement: [(2,), (0,), (1, 2.0), ("1",), (True,)],
     TensorSquare: [((1.0,), ()), ((), (1, 3))],
     QSymElement: [(0,), (2, -1), (1.7, 2), ("1", 2.9), (2.0,), (2, True)],
@@ -78,7 +85,7 @@ CLASSES = list(KEYS)
 def concrete_subclasses(cls):
     """The concrete subclasses that the package defines (tests define their own)."""
     for sub in cls.__subclasses__():
-        if sub not in (Unital, Monomials, Algebra, Tensor, QuasiShuffle) and sub.__module__.startswith("wqsym."):
+        if sub not in (Algebra, Tensor, QuasiShuffle) and sub.__module__.startswith("wqsym."):
             yield sub
         yield from concrete_subclasses(sub)
 
@@ -107,16 +114,13 @@ def test_spellings_build_one_element(cls, data, coeff):
     assert cls({spelling: coeff}) == cls({key: coeff}) == cls._raw({key: coeff})
 
 
-@pytest.mark.parametrize(
-    "cls, generator", [(ParamPoly, ParamPoly.var), (AElement, AElement.generator)], ids=["ParamPoly", "AElement"]
-)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_monomial_spelling_is_the_product_of_its_generator_powers(cls, generator, data):
-    spelling = respell_monomial(data, data.draw(a_monomials))
+def test_monomial_spelling_is_the_product_of_its_generator_powers(data):
+    spelling = respell_monomial(data, data.draw(monomials))
     # A has no unit, so its zeroth powers are left out
-    powers = [generator(name) ** e for name, e in spelling if e or cls is ParamPoly]
-    assert cls({spelling: 1}) == reduce(mul, powers)
+    powers = [AElement.generator(name) ** e for name, e in spelling if e]
+    assert AElement({spelling: 1}) == reduce(mul, powers)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ import pytest
 from wqsym import suites
 from wqsym.algebra import TensorSquare, WQSymElement, truncated_product
 from wqsym.expressions import evaluate
-from wqsym.params import ParamPoly, mono_mul
+from wqsym.params import mono_mul
 from wqsym.qshuffle import AElement, QSElement, QSTensor, convolution_of_operators
 from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle
 from wqsym.series import (
@@ -58,7 +58,6 @@ KEYS = {
     QSElement: lambda rng, n: tuple(monomial(rng) for _ in range(rng.randint(0, n))),
     QSTensor: lambda rng, n: tuple(tuple(monomial(rng) for _ in range(rng.randint(0, 2))) for _ in "lr"),
     QSymElement: lambda rng, n: tuple(rng.randint(1, 3) for _ in range(rng.randint(0, n))),
-    ParamPoly: lambda rng, n: tuple(sorted({rng.choice("xy"): rng.randint(0, 2) for _ in range(2)}.items())),
 }
 
 
@@ -279,8 +278,6 @@ def test_equal_elements_hold_identical_numerators():
     for n in range(5):
         assert same(log_identity(n).exp().element, identity_series(n).element)
         assert same(eulerian_e1_closed_form(n).element, identity_series(n).log().element)
-    t = ParamPoly.var("t")
-    assert same((t + Fraction(1, 2)) * 2 - 1, t * 2)
     q = QSymElement({(1,): Fraction(1, 6), (2,): Fraction(1, 3)}) + QSymElement({(2,): Fraction(1, 6)})
     assert same(q, QSymElement({(1,): 1, (2,): 3}) / 6)
     assert q.den == 6 and q.terms == {(1,): 1, (2,): 3}

@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wqsym.algebra import TensorSquare, WQSymElement, format_terms
-from wqsym.params import ParamPoly
 from wqsym.qshuffle import AElement, QSElement
 from wqsym.qsym import QSymElement
 from wqsym.serialization import coeff_to_str, element_to_obj, series_json, series_to_obj
@@ -32,9 +31,7 @@ E = WQSymElement.monomial
 def format_terms_oracle(sorted_terms, key_fmt) -> str:
     chunks = []
     for key, coeff in sorted_terms:
-        if isinstance(coeff, ParamPoly):
-            body = f"({coeff})*{key_fmt(key)}"
-        elif coeff == 1:
+        if coeff == 1:
             body = key_fmt(key)
         elif coeff == -1:
             body = f"-{key_fmt(key)}"
@@ -222,11 +219,10 @@ def test_series_round_trip():
 
 
 def test_param_coefficients_serialize_as_strings():
-    # no element takes a ParamPoly coefficient; expand sigma_t hands its
-    # values t^d to the writers as a degree's coefficient table, only to
-    # print them
-    t = ParamPoly.var("t")
-    graded = [(2, [t * t], partial(_indexed_chunks, [((1, 2), 0)]))]
+    # no element takes a power of t as a coefficient; expand sigma_t hands
+    # the text of t^d to the writers as a degree's coefficient table, only
+    # to print it
+    graded = [(2, ["t^2"], partial(_indexed_chunks, [((1, 2), 0)]))]
     obj = json.loads("".join(series_json(2, graded)))
     assert obj["components"]["2"]["terms"][0]["coeff"] == "t^2"
     assert "".join(format_graded(2, graded)) == "2: (t^2)*M[1,2]"

@@ -24,7 +24,6 @@ from wqsym.words import (
     is_packed,
     lyndon_compositions,
     pack,
-    packed_words_with_ascents,
     quasi_shuffle_words,
     reverse,
     shifted_concat,
@@ -124,18 +123,6 @@ def test_enumeration_is_lexicographic_and_capped():
         assert list(ws) == sorted(ws)
     with pytest.raises(CapExceeded):
         enumerate_packed_words(8)
-
-
-def test_pruned_enumeration_matches_an_ascent_filter():
-    for n in range(8):
-        every = enumerate_packed_words(n)
-        non_ascents = [sum(x >= y for x, y in zip(w, w[1:])) for w in every]
-        for budget in range(-1, n + 1):
-            pairs = list(packed_words_with_ascents(n, budget))
-            assert [w for w, _ in pairs] == [w for w, b in zip(every, non_ascents) if b <= budget], (n, budget)
-            assert all(a == sum(x < y for x, y in zip(w, w[1:])) for w, a in pairs), (n, budget)
-    with pytest.raises(CapExceeded):
-        packed_words_with_ascents(8, 0)
 
 
 def test_batches_flatten_to_the_enumeration_and_share_each_tail():
