@@ -1,19 +1,26 @@
-"""The packed-word algebra on sparse exact linear combinations.
+"""Sparse exact linear combinations, and the packed-word algebra on them.
 
-:class:`Algebra` holds the product, the text and the unit of every algebra
-of words (packed words here, tensor words and compositions in
-:mod:`wqsym.qshuffle` and :mod:`wqsym.qsym`), with the one rule that
-promotes scalars: a scalar operand of ``+``, ``-`` or ``==`` is that
-multiple of the unit, the empty word.  :class:`Tensor` holds the product and
-text of their tensor squares, read from the leg algebra.  Both derive from
-the sparse-combination base of :mod:`wqsym.params`, which also holds the
-kernels :func:`_bilinear` and :func:`_linear`.  Every product and
-coproduct is the extension of a map on basis keys by a kernel; the
-quasi-shuffle products merge letters by their semigroup product (Hoffman,
-"Quasi-shuffle products", J. Algebraic Combin. 11, 2000).  Three loops pair
-only keys of matching lengths and stay outside the kernels, which would call
-the key map once per pair: ``@``, :func:`truncated_product` (the product of
-series) and the right action (:meth:`wqsym.qshuffle.QuasiShuffle.act`).
+:class:`SparseCombination` is the one base class of every element type
+(packed words here, tensor words and base-algebra monomials in
+:mod:`wqsym.qshuffle`, compositions in :mod:`wqsym.qsym`), with the one
+numerator rule: every coefficient is an ``int`` or a ``Fraction``
+(:data:`SCALAR_TYPES`), and an element holds int numerators over one
+reduced denominator, so ``==`` compares them literally.  Every sum adds int
+numerators and reduces once (:func:`_collect`, :func:`_reduced`,
+:func:`_add_multiple`); a ``Fraction`` is made only to print or hand out a
+coefficient.  :class:`Algebra` holds the product, the text and the unit of
+every algebra of words, with the one rule that promotes scalars: a scalar
+operand of ``+``, ``-`` or ``==`` is that multiple of the unit, the empty
+word.  :class:`Tensor` holds the product and text of their tensor squares,
+read from the leg algebra.  Every text is written by :func:`indexed_terms`
+and :func:`_indexed_chunks`, each distinct coefficient's once.  Every
+product and coproduct is the extension of a map on basis keys by one of two
+kernels, :func:`_bilinear` and :func:`_linear`; the quasi-shuffle products
+merge letters by their semigroup product (Hoffman, "Quasi-shuffle
+products", J. Algebraic Combin. 11, 2000).  Three loops pair only keys of
+matching lengths and stay outside the kernels, which would call the key map
+once per pair: ``@``, :func:`truncated_product` (the product of series) and
+the right action (:meth:`wqsym.qshuffle.QuasiShuffle.act`).
 
 ``@`` has two routes per length bucket, the words ``u`` of ``self`` of one
 breadth k against the words ``v`` of ``other`` of length k.  The pair loop
@@ -43,33 +50,23 @@ read like the algebra they compute in:
              mismatch)
     f & g    bullet product (shifted concatenation of basis words)
 
-Coefficients are exact: an element holds int numerators over one reduced
-denominator, by the one rule of :mod:`wqsym.params`.  The kernels and the
-three bucketed loops add the operands' numerators and reduce once.  Zero
-coefficients are pruned after every operation, so ``==`` is literal
+Zero coefficients are pruned after every operation, so ``==`` is literal
 term-by-term equality.  Elements are immutable by convention; nothing here
 mutates a constructed value.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from collections.abc import Callable
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import compress
+from functools import cache, cached_property, partial
+from itertools import compress, islice
 from itertools import product as iproduct
 from operator import eq, ge, itemgetter, le, ne
 
 from . import words
-from .params import (
-    SCALAR_TYPES,
-    SparseCombination,
-    _bilinear,
-    _coerce_coeff,
-    _collect,
-    _linear,
-    _reduced,
-)
 from .words import (
     FUBINI,
     Word,
@@ -81,6 +78,201 @@ from .words import (
     shifted_concat,
     word_sort_key,
 )
+
+
+#: the scalars that multiply, divide and promote to every element
+SCALAR_TYPES = (int, Fraction)
+
+
+def _coerce_coeff(c):
+    """``c``, an ``int`` or a ``Fraction``; raises ``TypeError`` otherwise."""
+    if isinstance(c, SCALAR_TYPES):
+        return c
+    raise TypeError(f"coefficients must be exact (int/Fraction), got {c!r}")
+
+
+def _reduced(cls, out: dict, d: int):
+    """The ``cls`` element of the nonzero int sums in ``out`` over ``d >=
+    1``, with ``d`` and the sums divided by their gcd.  The last sums are
+    read first: in a series they are the longest words', whose numerators
+    usually settle the gcd at once."""
+    if d != 1:
+        g = math.gcd(d, *islice(reversed(out.values()), 32))
+        if g != 1:
+            g = math.gcd(g, *out.values())
+            if g != 1:
+                out = {w: n // g for w, n in out.items()}
+                d //= g
+    return cls._raw(out, d)
+
+
+def _collect(cls, out: dict, d: int):
+    """:func:`_reduced` of the int sums in ``out``, its zero sums first
+    dropped in place."""
+    if 0 in out.values():
+        for w in [w for w, n in out.items() if not n]:
+            del out[w]
+    return _reduced(cls, out, d)
+
+
+def _add_multiple(data: dict, d: int, x, scalar=1) -> int:
+    """Add ``scalar``, nonzero, times the element ``x`` into ``data``, the
+    nonzero int sums over ``d``, in place, and return their denominator
+    after: ``data`` is first brought over the lcm of ``d`` and the
+    denominator of ``scalar / x.den`` when that is larger.  A sum that
+    cancels is dropped, so :func:`_reduced` finishes."""
+    q = scalar.denominator * x.den
+    m = math.lcm(d, q)
+    if m != d:
+        k = m // d
+        for key, n in data.items():
+            data[key] = n * k
+    p = scalar.numerator * (m // q)
+    get = data.get
+    for key, n in x.terms.items():
+        s = get(key, 0) + p * n
+        if s:
+            data[key] = s
+        else:
+            del data[key]
+    return m
+
+
+def _bilinear(cls, f, g, keys):
+    """The ``cls`` element summing ``cf * cg`` over every key of ``keys(u,
+    v)``, repeats counted, for each key ``u`` of the element ``f`` and ``v``
+    of ``g``, as int numerators over ``f.den * g.den``."""
+    out: dict = {}
+    get = out.get
+    pairs = g.terms.items()
+    for u, cu in f.terms.items():
+        for v, cv in pairs:
+            c = cu * cv
+            for w in keys(u, v):
+                o = get(w)
+                out[w] = c if o is None else o + c
+    return _collect(cls, out, f.den * g.den)
+
+
+def _linear(cls, f, keys):
+    """The ``cls`` element summing ``c`` over every key of ``keys(u)``,
+    repeats counted, for each key ``u`` of the element ``f``, as
+    :func:`_bilinear` adds."""
+    out: dict = {}
+    get = out.get
+    for u, c in f.terms.items():
+        for w in keys(u):
+            o = get(w)
+            out[w] = c if o is None else o + c
+    return _collect(cls, out, f.den)
+
+
+class SparseCombination:
+    """A finite exact linear combination of basis keys: ``terms`` maps each
+    canonical key to its nonzero int numerator and ``den`` is their one
+    denominator, reduced: ``den >= 1`` and ``gcd(den, *terms.values()) ==
+    1``, so the zero element is ``{}`` over 1 and two equal elements hold
+    equal ``terms`` and ``den``.  :meth:`coefficients` hands out the
+    coefficients as ``Fraction`` values.
+
+    Binary operations accept only operands of the same class (anything else
+    gets ``NotImplemented``); scalars multiply from either side and divide.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms=None):
+        data: dict = {}
+        for key, c in (terms or {}).items():
+            key = self._check_key(key)
+            data[key] = data.get(key, 0) + _coerce_coeff(c)
+        # over the lcm of reduced denominators, the numerators share no
+        # factor with it
+        d = math.lcm(*[c.denominator for c in data.values()])
+        self.terms = {key: c.numerator * (d // c.denominator) for key, c in data.items() if c}
+        self.den = d
+
+    @staticmethod
+    def _check_key(key):
+        """The canonical form of a basis key; raises ``ValueError`` if invalid."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _sort_key(key):
+        """Ordering key of basis keys in :meth:`sorted_keys`."""
+        return key
+
+    @classmethod
+    def _raw(cls, data: dict, den: int = 1):
+        """The element of the reduced int numerators ``data`` over ``den``."""
+        el = object.__new__(cls)
+        el.terms = data
+        el.den = den
+        return el
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def _select(self, keep):
+        """The element of the terms whose keys satisfy ``keep``."""
+        return _reduced(type(self), {key: n for key, n in self.terms.items() if keep(key)}, self.den)
+
+    def coefficients(self) -> dict:
+        """Each key's coefficient, as a ``Fraction``."""
+        d = self.den
+        return {key: Fraction(n, d) for key, n in self.terms.items()}
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self.den == other.den and self.terms == other.terms
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        data = dict(self.terms)
+        return _reduced(type(self), data, _add_multiple(data, self.den, other))
+
+    def __neg__(self):
+        return self._raw({key: -n for key, n in self.terms.items()}, self.den)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        data = dict(self.terms)
+        return _reduced(type(self), data, _add_multiple(data, self.den, other, -1))
+
+    def _scaled(self, scalar):
+        scalar = _coerce_coeff(scalar)
+        if not scalar:
+            return self.zero()
+        p = scalar.numerator
+        return _reduced(type(self), {key: p * n for key, n in self.terms.items()}, self.den * scalar.denominator)
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALAR_TYPES):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __truediv__(self, scalar):
+        if isinstance(scalar, SCALAR_TYPES):
+            return self._scaled(1 / Fraction(scalar))
+        return NotImplemented
+
+    def sorted_keys(self) -> list:
+        return sorted(self.terms, key=self._sort_key)
+
+    def counit(self) -> Fraction:
+        return Fraction(self.terms.get((), 0), self.den)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
 
 
 def _by_length(terms: dict, measure=len) -> dict[int, tuple[list, list]]:
@@ -404,7 +596,9 @@ class Algebra(SparseCombination):
         return NotImplemented
 
     def __str__(self) -> str:
-        return "".join(format_terms(self, self._key_str))
+        """The terms in canonical order, '2*M[1,2] - M[1,1]', or '0'."""
+        table, chunks = indexed_terms(self.sorted_keys(), self, self._key_str)
+        return "".join(chunks("", [(*_term_prefixes(c), "") for c in table])) or "0"
 
 
 class WQSymElement(Algebra):
@@ -544,28 +738,6 @@ def _term_prefixes(coeff) -> tuple[str, str]:
     return first, " + " + first
 
 
-def format_terms(x, key_fmt):
-    """The shared pretty-printer for sparse elements, '2*M[1,2] - M[1,1]', as
-    one chunk of text per term of ``x`` in canonical order ('0' for no term).
-
-    Terms of large series share few coefficients, so each distinct
-    numerator's prefix is made once."""
-    numerators, den = x.terms, x.den
-    keys = iter(x.sorted_keys())
-    key = next(keys, None)
-    if key is None:
-        yield "0"
-        return
-    yield _term_prefixes(Fraction(numerators[key], den))[0] + key_fmt(key)
-    memo: dict = {}
-    for key in keys:
-        n = numerators[key]
-        prefix = memo.get(n)
-        if prefix is None:
-            prefix = memo[n] = _term_prefixes(Fraction(n, den))[1]
-        yield prefix + key_fmt(key)
-
-
 class _LetterStrings(dict):
     """The decimal string of each letter, made on first use."""
 
@@ -580,6 +752,42 @@ _LETTER_STRINGS = _LetterStrings()
 def letters_str(w) -> str:
     """The letters of a word or composition joined by commas: '1,2,1'."""
     return ",".join(map(_LETTER_STRINGS.__getitem__, w))
+
+
+def indexed_terms(keys, x, key_str) -> tuple[list, Callable]:
+    """``(table, chunks)`` of the terms of ``keys``, in their order, with
+    their coefficients in the element ``x``: ``table`` lists each distinct
+    coefficient once, as a ``Fraction``, and ``chunks`` writes the terms as
+    :func:`_indexed_chunks` does, each key's text ``key_str(key)`` with the
+    index of its coefficient in ``table``.  The table is keyed on the
+    numerators, which tell the coefficients of ``x`` apart."""
+    numerators, den = x.terms, x.den
+    table: list = []
+    index: dict = {}
+    pairs = []
+    for key in keys:
+        n = numerators[key]
+        i = index.get(n)
+        if i is None:
+            i = index[n] = len(table)
+            table.append(Fraction(n, den))
+        pairs.append((key_str(key), i))
+    return table, partial(_indexed_chunks, pairs)
+
+
+def _indexed_chunks(pairs, key_open: str, texts):
+    """The text of the terms ``(key, i)`` of ``pairs`` as one chunk, from the
+    texts of each coefficient index: ``texts[i]`` is ``(first, later,
+    close)``, or None for a zero coefficient, whose terms are left out.  A
+    term is ``later + key_open + key + close`` with ``key`` the text of its
+    key, and the first term starts with ``first`` instead."""
+    opens = [t and t[1] + key_open for t in texts]
+    closes = [t and t[2] for t in texts]
+    terms = [opens[i] + key + closes[i] for key, i in pairs if texts[i]]
+    if terms:
+        key, i = next(pair for pair in pairs if texts[pair[1]])
+        terms[0] = texts[i][0] + key_open + key + closes[i]
+        yield "".join(terms)
 
 
 class Tensor(SparseCombination):

@@ -47,11 +47,11 @@ from itertools import chain, combinations
 from types import SimpleNamespace
 
 from . import suites
-from .algebra import WQSymElement
+from .algebra import WQSymElement, _indexed_chunks, letters_str
 from .errors import BasisMismatch, CapExceeded, ExpressionError
 from .expressions import evaluate
 from .qsym import lyndon_generator_report
-from .series import Characteristic, _indexed_chunks, format_graded
+from .series import Characteristic, format_graded
 from .serialization import element_to_obj, series_json
 from .words import check_degree_cap, is_packed
 
@@ -126,7 +126,8 @@ def cmd_expand(args):
         # multiplied, so each degree's coefficient table holds their text
         powers = ["1", "t"] + [f"t^{d}" for d in range(2, args.degree + 1)]
         graded = [
-            (d, [powers[d]], partial(_indexed_chunks, [(tuple(range(1, d + 1)), 0)])) for d in range(args.degree + 1)
+            (d, [powers[d]], partial(_indexed_chunks, [(letters_str(range(1, d + 1)), 0)]))
+            for d in range(args.degree + 1)
         ]
         return _outputs(SimpleNamespace(cutoff=args.degree, graded_terms=lambda: iter(graded)))
     if args.index is None:

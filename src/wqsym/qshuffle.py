@@ -41,9 +41,11 @@ of that length that ``@`` shares (:func:`wqsym.algebra._space`).
 
 Here the base algebra A is spanned by the monomials of positive degree in a
 finite set of generators, as A has no unit; its product merges exponent
-vectors, so these monomials form a commutative semigroup.
-:mod:`wqsym.params` owns monomials and their product; :class:`AElement`
-combines them with that product; :class:`QSElement`, the tensor space over A
+vectors, so these monomials form a commutative semigroup.  A monomial is
+the sorted tuple of its (generator, exponent) pairs: :func:`monomial` is its
+one canonical form, which refuses degree 0, :func:`mono_mul` the product and
+:func:`mono_str` the text.  :class:`AElement` combines monomials with that
+product; :class:`QSElement`, the tensor space over A
 with the monomial product as merge, derives from :class:`QuasiShuffle`, and
 :class:`QSTensor`, which carries the deconcatenation coproduct, from
 :class:`~wqsym.algebra.Tensor` with :class:`QSElement` on each leg.
@@ -51,11 +53,11 @@ with the monomial product as merge, derives from :class:`QuasiShuffle`, and
 Tensor words are stored over monomials only: general tensor factors are
 expanded multilinearly at construction, so keys stay canonical and equality
 is exact.  Coefficients are exact too: an element holds int numerators over
-one reduced denominator (:mod:`wqsym.params`).  Both routes of the action add
-products of a key's numerator and an operator word's, as ints, and the sums
-are reduced once over the product of the two denominators; the convolution
-and the substitution of generators add their multiples the same way
-(:func:`wqsym.params._add_multiple`).
+one reduced denominator (:mod:`wqsym.algebra`).  Both routes of the action
+add products of a key's numerator and an operator word's, as ints, and the
+sums are reduced once over the product of the two denominators; the
+convolution and the substitution of generators add their multiples the same
+way (:func:`wqsym.algebra._add_multiple`).
 """
 
 from __future__ import annotations
@@ -68,39 +70,53 @@ from operator import itemgetter
 
 from .algebra import (
     Algebra,
+    SparseCombination,
     Tensor,
     WQSymElement,
+    _add_multiple,
+    _bilinear,
     _bucket_pays,
     _by_length,
     _fits,
     _gather,
+    _linear,
+    _reduced,
     _space,
 )
 from .errors import CapExceeded
-from .params import (
-    Monomial,
-    SparseCombination,
-    _add_multiple,
-    _bilinear,
-    _linear,
-    _reduced,
-    mono_mul,
-    mono_str,
-    monomial as canonical_monomial,
-)
 from .series import TruncatedSeries, adams, eulerian_idempotent
 from .words import FUBINI, block_masks, quasi_shuffle
 
+Monomial = tuple[tuple[str, int], ...]  # ((name, exponent), ...) sorted by name
 TensorWord = tuple[Monomial, ...]  # over nonempty monomials
 
 
 def monomial(*pairs) -> Monomial:
-    """The canonical monomial of (generator, exponent) pairs
-    (:func:`wqsym.params.monomial`), which must have positive degree."""
-    mono = canonical_monomial(*pairs)
-    if not mono:
+    """The canonical monomial of (generator, exponent) pairs: the exponents
+    of a repeated generator add, zero exponents drop and the generators sort.
+    Raises ``ValueError`` on an exponent that is negative or not an ``int``
+    (a ``bool`` is not), and on degree 0: A has no unit."""
+    exps: dict[str, int] = {}
+    for name, e in pairs:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be nonnegative ints, got {e!r}")
+        if e:
+            exps[str(name)] = exps.get(str(name), 0) + e
+    if not exps:
         raise ValueError("monomials must have positive total degree (A has no unit)")
-    return mono
+    return tuple(sorted(exps.items()))
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials: exponents of each name add."""
+    exps = dict(a)
+    for name, e in b:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def mono_str(m: Monomial) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
 
 
 def _tensor_word(word) -> TensorWord:
@@ -118,7 +134,7 @@ class AElement(SparseCombination):
     monomials, ordered by degree.  It has no unit, so it binds ``*`` and
     ``str`` from :class:`~wqsym.algebra.Algebra`, as
     :class:`~wqsym.algebra.Tensor` does; the product of two keys is the one
-    key :func:`~wqsym.params.mono_mul` makes."""
+    key :func:`mono_mul` makes."""
 
     __slots__ = ()
 

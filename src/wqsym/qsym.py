@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import WQSymElement, letters_str
-from .params import _add_multiple, _coerce_coeff, _linear, _reduced
+from .algebra import WQSymElement, _add_multiple, _coerce_coeff, _linear, _reduced, letters_str
 from .qshuffle import QuasiShuffle
 from .series import TruncatedSeries, _check_cutoff, _check_index, adams as adams_series, eulerian_idempotent
 from .words import (

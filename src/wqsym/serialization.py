@@ -3,11 +3,13 @@
 The JSON is written as compact text (``json.dumps`` with
 ``separators=(",", ":")`` of the objects described below), in chunks of
 terms in canonical order, by the writer that comes with each degree's
-coefficient table: :func:`series_json` renders a series from its graded
-terms, so ``wqsym expand`` streams a named series from the packed-word
-enumeration without building it, one chunk per prefix of a word, and a
-built element or series is one chunk per degree.  :func:`element_to_obj`
-and :func:`series_to_obj` join the chunks of a built value; they keep their
+coefficient table, the one that writes the text too: this module supplies
+the JSON around each word's letters.  :func:`series_json` renders a series
+from its graded terms, so ``wqsym expand`` streams a named series from the
+packed-word enumeration without building it, one chunk per prefix of a word,
+and a built element or series is one chunk per degree
+(:func:`wqsym.algebra.indexed_terms`).  :func:`element_to_obj` and
+:func:`series_to_obj` join the chunks of a built value; they keep their
 names because the benchmark's tracer patches them by name.  An element is
 ``{"basis": "WQSym-M", "terms": [{"word": [...], "coeff": "p/q"}, ...]}``
 and a series is ``{"cutoff": n, "components": {"d": element, ...}}`` over
@@ -23,8 +25,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import WQSymElement
-from .series import TruncatedSeries, indexed_terms
+from .algebra import WQSymElement, indexed_terms, letters_str
+from .series import TruncatedSeries
 
 
 def coeff_to_str(c) -> str:
@@ -59,7 +61,7 @@ def series_json(cutoff: int, graded):
 
 
 def element_to_obj(f: WQSymElement) -> str:
-    return "".join(_terms_json(*indexed_terms(f.sorted_keys(), f)))
+    return "".join(_terms_json(*indexed_terms(f.sorted_keys(), f, letters_str)))
 
 
 def series_to_obj(s: TruncatedSeries) -> str:

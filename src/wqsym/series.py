@@ -35,10 +35,11 @@ coefficient rule, with one table of these coefficients per degree.
 the packed-word enumeration's batches of words.
 :meth:`Characteristic.graded_terms` hands each table to a writer,
 :func:`_ascent_chunks`, which makes the text of the terms of each state of
-a word's last letters once per degree, straight from the state and the
-coefficient texts, so that ``wqsym expand`` renders a series without
+a word's last letters once per degree, straight from the enumeration and
+the coefficient texts, so that ``wqsym expand`` renders a series without
 building it or any word.  :meth:`TruncatedSeries.graded_terms` yields the
-same stream for a built series, with the writer :func:`_indexed_chunks`.
+same stream for a built series, with the writer of every element's text,
+:func:`wqsym.algebra._indexed_chunks`.
 :meth:`TruncatedSeries.unit` is Psi^0 but is built directly, as the one
 series that no degree cap bounds.
 """
@@ -47,14 +48,22 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import groupby
 
-from .algebra import WQSymElement, _term_prefixes, letters_str, ribbon_hat, truncated_product
+from .algebra import (
+    SCALAR_TYPES,
+    WQSymElement,
+    _add_multiple,
+    _reduced,
+    _term_prefixes,
+    indexed_terms,
+    letters_str,
+    ribbon_hat,
+    truncated_product,
+)
 from .errors import BasisMismatch, NotInvertible
-from .params import SCALAR_TYPES, _add_multiple, _reduced
 from .words import _ascent_batches, _tail_values, check_degree_cap, compositions
 
 
@@ -229,48 +238,15 @@ class TruncatedSeries:
         """The graded terms of the series, as
         :meth:`Characteristic.graded_terms` yields them: for each nonzero
         degree, its words in canonical order, written as one chunk
-        (:func:`indexed_terms`).  One sort, no scan per degree."""
+        (:func:`~wqsym.algebra.indexed_terms`).  One sort, no scan per degree."""
         for d, words in groupby(self.element.sorted_keys(), key=len):
-            yield d, *indexed_terms(words, self.element)
+            yield d, *indexed_terms(words, self.element, letters_str)
 
     def __str__(self) -> str:
         return "".join(format_graded(self.cutoff, self.graded_terms()))
 
     def __repr__(self) -> str:
         return f"<TruncatedSeries cutoff={self.cutoff} degrees={self.degrees()}>"
-
-
-def indexed_terms(words, x) -> tuple[list, Callable]:
-    """``(table, chunks)`` of the terms of ``words``, in their order, with
-    their coefficients in the element ``x``: ``table`` lists each distinct
-    coefficient once, as a ``Fraction``, and ``chunks`` writes the terms as
-    :func:`_indexed_chunks` does, each word with the index of its coefficient
-    in ``table``.  The table is keyed on the numerators, which tell the
-    coefficients of ``x`` apart."""
-    numerators, den = x.terms, x.den
-    table: list = []
-    index: dict = {}
-    pairs = []
-    for w in words:
-        n = numerators[w]
-        i = index.get(n)
-        if i is None:
-            i = index[n] = len(table)
-            table.append(Fraction(n, den))
-        pairs.append((w, i))
-    return table, partial(_indexed_chunks, pairs)
-
-
-def _indexed_chunks(pairs, key_open: str, texts):
-    """The text of the terms ``(w, i)`` of ``pairs`` as one chunk, from the
-    texts of each coefficient index: ``texts[i]`` is ``(first, later,
-    close)``, or None for a zero coefficient, whose terms are left out.  A
-    term is ``later + key_open + letters + close`` with its word's letters
-    joined by commas, and the first term starts with ``first`` instead."""
-    terms = [(texts[i], letters_str(w)) for w, i in pairs if texts[i]]
-    if terms:
-        (first, letters), rest = terms[0], terms[1:]
-        yield "".join([first[0], key_open, letters, first[2], *[t[1] + key_open + w + t[2] for t, w in rest]])
 
 
 #: marks where a term's key opens in the text of a tail state, before the
@@ -281,8 +257,8 @@ _HEAD = "\0"
 def _ascent_chunks(d: int, budget: int, key_open: str, texts):
     """The text of the terms of the packed words of length ``d`` with at most
     ``budget`` non-ascents, a word with a ascents having the coefficient of
-    index a, in chunks; ``texts`` is as for :func:`_indexed_chunks`, one entry
-    per ascent count.
+    index a, in chunks; ``texts`` is as for
+    :func:`wqsym.algebra._indexed_chunks`, one entry per ascent count.
 
     A state with at most ``_TAIL`` letters to come
     (:func:`wqsym.words._tail_values`) has one text per call, each term's key
@@ -295,12 +271,12 @@ def _ascent_chunks(d: int, budget: int, key_open: str, texts):
     with its ``first``."""
     top = len(texts) - 1  # the ascents of a word with no non-ascent
 
-    def leaf(state):
-        entry = texts[top - state[5]]  # state[5]: the word's non-ascents
+    def leaf(non_ascents):
+        entry = texts[top - non_ascents]
         return entry[1] + _HEAD + entry[2] if entry else ""
 
-    def join(state, parts):
-        comma = "," if state[4] > 1 else ""  # state[4]: the letters to come
+    def join(remaining, parts):
+        comma = "," if remaining > 1 else ""
         return "".join([text.replace(_HEAD, _HEAD + str(letter) + comma) for letter, text in parts if text])
 
     first, later, _ = texts[top - budget]

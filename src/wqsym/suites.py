@@ -206,35 +206,30 @@ def suite_internal(run: SuiteReport):
                 return p, x
         return p, None
 
-    def associative(u, v, w):
-        # @ depends on its operands' terms alone, so where u @ v is mono[x]
-        # (or v @ w is mono[y]) the outer product is read from the memo;
-        # any other value, such as zero, is multiplied
+    def associative(u, v, ws):
+        # u @ v is read once for every w of ws.  @ depends on its operands'
+        # terms alone, so where u @ v is mono[x] (or v @ w is mono[y]) the
+        # outer product is read from the memo; any other value, such as
+        # zero, is multiplied
         uv, x = products(u, v)
-        vw, y = products(v, w)
-        lhs = uv @ mono[w] if x is None else products(x, w)[0]
-        rhs = mono[u] @ vw if y is None else products(u, y)[0]
-        run.check(lhs == rhs, "associativity at {},{},{}", u, v, w)
+        mu = mono[u]
+        for w in ws:
+            vw, y = products(v, w)
+            lhs = uv @ mono[w] if x is None else products(x, w)[0]
+            rhs = mu @ vw if y is None else products(u, y)[0]
+            run.check(lhs == rhs, "associativity at {},{},{}", u, v, w)
 
     for n, words_ in words_by_len.items():
         for u in words_:
             mu = mono[u]
             run.check(staircase[n] @ mu == mu, "left identity at {}", u)
             run.check(mu @ staircase[max(u, default=0)] == mu, "right identity at {}", u)
-    # the exhaustive triples, with u @ v read once per pair and each triple
-    # checked inline, as associative() checks it
     for u in mono:
-        mu = mono[u]
         for v in words_by_len[max(u, default=0)]:
-            uv, x = products(u, v)
-            for w in words_by_len[max(v, default=0)]:
-                vw, y = products(v, w)
-                lhs = uv @ mono[w] if x is None else products(x, w)[0]
-                rhs = mu @ vw if y is None else products(u, y)[0]
-                run.check(lhs == rhs, "associativity at {},{},{}", u, v, w)
+            associative(u, v, words_by_len[max(v, default=0)])
     for _, rng in run.draws():
         u, v, w = (random_packed_word(rng, rng.randint(0, top)) for _ in range(3))
-        associative(u, v, w)
+        associative(u, v, (w,))
 
 
 def suite_crucial(run: SuiteReport):

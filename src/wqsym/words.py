@@ -30,6 +30,8 @@ Every packed word is enumerated by one rule, :func:`_children`, which steps
 from the state of a prefix to the states one letter longer.
 :func:`_tail_values` walks it depth first and makes one value per state of a
 word's last ``_TAIL`` letters, shared by every prefix that reaches the state.
+Only this module reads the layout of a state: the makers of values get a
+whole word's non-ascent count, or the number of letters still to come.
 :func:`_ascent_batches` takes as values the lists of completions with their
 ascent counts, so it streams the packed words of a length in batches that
 share their last letters and keeps none of them but those lists; the
@@ -237,11 +239,11 @@ def _ascent_batches(n: int, budget: int) -> Iterator[tuple[Word, list[tuple[Word
     # one object per distinct (s, a) pair, however many lists hold it
     shared: dict = {}
 
-    def join(state, parts):
+    def join(remaining, parts):
         pairs = [((letter,) + s, a) for letter, completions in parts for s, a in completions]
         return [shared.setdefault(pair, pair) for pair in pairs]
 
-    for prefix, pairs in _tail_values(n, budget, lambda state: [((), top - state[5])], join):
+    for prefix, pairs in _tail_values(n, budget, lambda non_ascents: [((), top - non_ascents)], join):
         if pairs:
             yield prefix, pairs
 
@@ -280,9 +282,10 @@ def _tail_values(n: int, budget: int, leaf, join):
     """For each prefix of the packed words of length ``n`` with at most
     ``budget`` non-ascents that leaves ``min(n, _TAIL)`` letters to come, in
     lexicographic order, ``(prefix, value)`` with the value of the prefix's
-    state (:func:`_children`): ``leaf(state)`` for a whole word, else
-    ``join(state, parts)`` with ``parts`` the pairs ``(letter, value)`` of the
-    state's children in letter order.
+    state (:func:`_children`): ``leaf(non_ascents)`` of a whole word's
+    non-ascents, else ``join(remaining, parts)`` of the number of letters
+    still to come and the pairs ``(letter, value)`` of the state's children in
+    letter order.
 
     A depth-first search over letters in ascending order, which gives
     lexicographic output.  The value of each state with at most ``_TAIL``
@@ -296,9 +299,9 @@ def _tail_values(n: int, budget: int, leaf, join):
         v = memo.get(state)
         if v is None:
             if state[4]:
-                v = join(state, [(child[0], value(child)) for child in _children(state, budget)])
+                v = join(state[4], [(child[0], value(child)) for child in _children(state, budget)])
             else:
-                v = leaf(state)
+                v = leaf(state[5])
             memo[state] = v
         return v
 

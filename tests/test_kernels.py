@@ -20,8 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqsym.algebra import TensorSquare, WQSymElement
-from wqsym.params import mono_mul
-from wqsym.qshuffle import AElement, QSElement, QSTensor, concat, tensor
+from wqsym.qshuffle import AElement, QSElement, QSTensor, concat, mono_mul, tensor
 from wqsym.qsym import QSymElement, commutative_image
 from wqsym.words import breadth, evaluation, pack, quasi_shuffle, quasi_shuffle_words, shifted_concat
 

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym.algebra import Algebra, Tensor, TensorSquare, WQSymElement
-from wqsym.params import SparseCombination
+from wqsym.algebra import Algebra, SparseCombination, Tensor, TensorSquare, WQSymElement
 from wqsym.qshuffle import AElement, QSElement, QSTensor, QuasiShuffle
 from wqsym.qsym import QSymElement
 from wqsym.words import compositions, enumerate_packed_words

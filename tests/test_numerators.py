@@ -19,8 +19,7 @@ import pytest
 from wqsym import suites
 from wqsym.algebra import TensorSquare, WQSymElement, truncated_product
 from wqsym.expressions import evaluate
-from wqsym.params import mono_mul
-from wqsym.qshuffle import AElement, QSElement, QSTensor, convolution_of_operators
+from wqsym.qshuffle import AElement, QSElement, QSTensor, convolution_of_operators, mono_mul
 from wqsym.qsym import QSymElement, qsym_adams, qsym_adams_oracle
 from wqsym.series import (
     Characteristic,

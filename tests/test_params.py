@@ -1,5 +1,6 @@
-"""The linear structure, product, powers and text of the sparse-combination
-base, on the base algebra A: combinations of nonempty monomials."""
+"""The linear structure, product, powers and text of ``AElement``, the base
+algebra A: combinations of nonempty monomials on the sparse-combination
+base of :mod:`wqsym.algebra`."""
 
 from fractions import Fraction
 
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqsym.params import mono_mul
-from wqsym.qshuffle import AElement
+from wqsym.qshuffle import AElement, mono_mul
 
 x = AElement.generator("x")
 y = AElement.generator("y")

@@ -22,10 +22,9 @@ from pathlib import Path
 import pytest
 
 from wqsym import series, words
-from wqsym.algebra import TensorSquare, WQSymElement
+from wqsym.algebra import SparseCombination, TensorSquare, WQSymElement
 from wqsym.cli import main
-from wqsym.params import SparseCombination, mono_mul, monomial
-from wqsym.qshuffle import QSElement
+from wqsym.qshuffle import QSElement, mono_mul, monomial
 from wqsym.qsym import QSymElement
 from wqsym.suites import SUITES, SuiteReport, run_suite
 
